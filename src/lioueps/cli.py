@@ -42,7 +42,7 @@ from .superop import (
     effective_hamiltonian,
 )
 from .spectral import analyze_liouvillian, analyze_nhh
-from .ep_detect import eigensystem_of, locate_ep, overlap_matrix, sweep
+from .ep_detect import Eigensystem, eigensystem_of, locate_ep, overlap_matrix, sweep
 from .models import ModelFamily, family_names, get_family
 from .dynamics import propagate_expm, propagate_modes, trajectories
 from .verify import run_verification
@@ -480,11 +480,9 @@ def _run_sweep(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
     result = sweep(spec_family, grid, n_threads=threads)
     _write_eigen_rows(cfg, result.grid, list(result.eigenvalues),
                       f"{prefix}_eigenvalues.csv")
-    overlaps = []
-    for k in range(result.grid.size):
-        vecs = result.vectors[k]
-        g = np.abs(vecs.conj().T @ vecs)
-        overlaps.append(0.5 * (g + g.T))
+    overlaps = [overlap_matrix(Eigensystem(result.eigenvalues[k], result.vectors[k],
+                                           result.zero_mask[k]))
+                for k in range(result.grid.size)]
     _write_overlap_rows(cfg, result.grid, overlaps, f"{prefix}_overlaps.csv")
     return [f"{prefix}_eigenvalues.csv", f"{prefix}_overlaps.csv"]
 
@@ -580,7 +578,7 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
         prefix = os.path.join(output_dir, cfg.output)
 
     if cfg.command == "verify":
-        lines, ok = run_verification(threads=threads)
+        lines, ok = run_verification()
         for line in lines:
             print(line, file=stream)
         return 0 if ok else 5

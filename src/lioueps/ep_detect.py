@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import NhhSpectrum, Spectrum
+from .spectral import NhhSpectrum, Spectrum, _canonical_phase
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -217,7 +217,10 @@ class EPReport:
 
 
 def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
-    """Eigensystem at g with the reference pair tracked by overlap."""
+    """Eigensystem at g with the reference pair tracked by overlap.
+
+    Returns (pair eigenvalues, pair vectors, the whole eigensystem).
+    """
     sys_g = family.eigensystem(g)
     ovl = np.abs(ref_vecs.conj().T @ sys_g.vectors)
     j1 = int(np.argmax(ovl[0]))
@@ -225,7 +228,7 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
     j2 = int(np.argmax(ovl[1]))
     vals = np.array([sys_g.values[j1], sys_g.values[j2]])
     vecs = sys_g.vectors[:, [j1, j2]]
-    return vals, vecs
+    return vals, vecs, sys_g
 
 
 def _gap_objective(vals: np.ndarray) -> float:
@@ -233,10 +236,21 @@ def _gap_objective(vals: np.ndarray) -> float:
     return float(gap2.real - gap2.imag)
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    piv = v[k]
-    return v if piv == 0 else v * (abs(piv) / piv)
+def _shifted_svd(liou, lambda_ep: complex, rank_tol: float):
+    """Full SVD of (M - lambda_ep) with the rank-deficiency-one check.
+
+    Returns (shifted matrix, u, s, vh, tol); singular values below tol
+    count as zero.  Raises JordanOrderError for any other deficiency.
+    """
+    mat = liou.matrix if isinstance(liou, SuperOp) else np.asarray(liou, dtype=complex)
+    shifted = mat - lambda_ep * np.eye(mat.shape[0])
+    u, s, vh = np.linalg.svd(shifted)
+    tol = rank_tol * np.linalg.norm(mat, 2)
+    deficiency = int(np.sum(s < tol))
+    if deficiency != 1:
+        raise JordanOrderError(
+            f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
+    return shifted, u, s, vh, tol
 
 
 def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL):
@@ -249,18 +263,9 @@ def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL)
     count as zero (sigma_max of the shifted matrix can be arbitrarily
     small, the unshifted entries set the rate scale).
     """
-    is_super = isinstance(liou, SuperOp)
-    mat = liou.matrix if is_super else np.asarray(liou, dtype=complex)
-    shifted = mat - lambda_ep * np.eye(mat.shape[0])
-    s = np.linalg.svd(shifted, compute_uv=False)
-    tol = rank_tol * np.linalg.norm(mat, 2)
-    deficiency = int(np.sum(s < tol))
-    if deficiency != 1:
-        raise JordanOrderError(
-            f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
-    _, _, vh = np.linalg.svd(shifted)
+    *_, vh, _ = _shifted_svd(liou, lambda_ep, rank_tol)
     v1 = _canonical_phase(vh[-1].conj())
-    if is_super:
+    if isinstance(liou, SuperOp):
         return Operator(liou.space, v1.reshape(liou.dim, liou.dim))
     return v1
 
@@ -276,19 +281,9 @@ def jordan_chain(liou, lambda_ep: complex, rho1=None,
     Operator) or a plain square matrix (returns a vector).  Raises
     JordanOrderError unless the rank deficiency is exactly one.
     """
-    is_super = isinstance(liou, SuperOp)
-    mat = liou.matrix if is_super else np.asarray(liou, dtype=complex)
-    if rho1 is None:
-        rho1 = ep_eigenmatrix(liou, lambda_ep, rank_tol)
-    v1 = _as_vector(rho1)
+    shifted, u, s, vh, tol = _shifted_svd(liou, lambda_ep, rank_tol)
+    v1 = _canonical_phase(vh[-1].conj()) if rho1 is None else _as_vector(rho1)
     v1 = v1 / np.linalg.norm(v1)
-    shifted = mat - lambda_ep * np.eye(mat.shape[0])
-    u, s, vh = np.linalg.svd(shifted)
-    tol = rank_tol * np.linalg.norm(mat, 2)
-    deficiency = int(np.sum(s < tol))
-    if deficiency != 1:
-        raise JordanOrderError(
-            f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
     # minimal-norm least-squares solve through the truncated SVD
     keep = s >= tol
     coeffs = (u.conj().T @ v1)[keep] / s[keep]
@@ -296,7 +291,7 @@ def jordan_chain(liou, lambda_ep: complex, rho1=None,
     x2 -= (v1.conj() @ x2) * v1
     x2 /= np.linalg.norm(x2)
     a = complex(v1.conj() @ (shifted @ x2))
-    if is_super:
+    if isinstance(liou, SuperOp):
         return Operator(liou.space, x2.reshape(liou.dim, liou.dim)), a
     return x2, a
 
@@ -406,7 +401,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
         ref = pair_vecs[k]
         while b - a > param_tol:
             mid = 0.5 * (a + b)
-            vals_m, ref = _pair_track(family, mid, ref)
+            vals_m, ref, _ = _pair_track(family, mid, ref)
             if np.sign(_gap_objective(vals_m)) == np.sign(sa):
                 a = mid
             else:
@@ -420,7 +415,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
 
         def gap_at(g):
             nonlocal ref
-            vals_g, ref = _pair_track(family, g, ref)
+            vals_g, ref, _ = _pair_track(family, g, ref)
             return abs(vals_g[0] - vals_g[1])
 
         x1 = b - GOLDEN * (b - a)
@@ -441,13 +436,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
             "no EP bracketed: gap never changes character and overlap stays "
             f"below {overlap_trigger}")
 
-    sys_star = family.eigensystem(g_star)
-    ovl_star = np.abs(ref.conj().T @ sys_star.vectors)
-    j1 = int(np.argmax(ovl_star[0]))
-    ovl_star[1, j1] = -1.0
-    j2 = int(np.argmax(ovl_star[1]))
-    vals_star = np.array([sys_star.values[j1], sys_star.values[j2]])
-    vecs_star = sys_star.vectors[:, [j1, j2]]
+    vals_star, vecs_star, sys_star = _pair_track(family, g_star, ref)
     gap = float(abs(vals_star[0] - vals_star[1]))
     overlap = float(np.abs(np.vdot(vecs_star[:, 0], vecs_star[:, 1])))
     if overlap < 1 - 1e-6:

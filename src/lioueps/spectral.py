@@ -1,19 +1,23 @@
 """Spectral analysis of superoperators and effective Hamiltonians.
 
-analyze_liouvillian diagonalizes a trace-preserving generator, sorts the
-eigenvalues by |Re| (slowest decay first), pairs left and right
-eigenmatrices so that Tr(sigma_i rho_j) = delta_ij, and extracts the
-steady state from the zero-eigenvalue sector.  Near-defective pairs are
-flagged instead of force-normalized: the spectral expansion of the
-dynamics is invalid exactly at an exceptional point, and silently
-rescaled left eigenmatrices there would poison every downstream
-coefficient.
+analyze_liouvillian diagonalizes a trace-preserving generator with one
+eig call, which returns left and right eigenvectors already paired.
+Eigenvalues closer than a cluster tolerance are grouped in the complex
+plane and replaced by their cluster mean before the sort; the same
+clusters decide which eigenmatrices get a Hermitian representative and
+are the blocks in which left and right eigenmatrices are scaled so that
+Tr(sigma_i rho_j) = delta_ij.  The steady state comes from the
+zero-eigenvalue sector.  Near-defective clusters are flagged instead of
+force-normalized: the spectral expansion of the dynamics is invalid
+exactly at an exceptional point, and silently rescaled left
+eigenmatrices there would poison every downstream coefficient.
 
 Sorting convention: |Re(lambda)| ascending, ties broken by Im(lambda)
-ascending, final deterministic tiebreak on the eigenmatrix entries
-(lexicographic).  For effective Hamiltonians the analogous order is
-|Im(h)| ascending then Re(h): the no-jump generator maps h onto
--i(h_l - h_m^*), so Im(h) plays the role of Re(lambda).
+ascending; only exact ties of both fall through to a deterministic
+tiebreak on the eigenvector entries (lexicographic).  For effective
+Hamiltonians the analogous order is |Im(h)| ascending then Re(h): the
+no-jump generator maps h onto -i(h_l - h_m^*), so Im(h) plays the role
+of Re(lambda).
 """
 
 from __future__ import annotations
@@ -50,13 +54,23 @@ DEFAULT_DEFECT_TOL = 1e-6
 # helpers
 # ---------------------------------------------------------------------------
 
-def _entry_key(v: np.ndarray) -> tuple:
-    return tuple(x for pair in ((z.real, z.imag) for z in v) for x in pair)
-
-def _sort_indices(vals: np.ndarray, vecs: np.ndarray, primary) -> list[int]:
-    """Total deterministic order: primary key, then eigenvector entries."""
-    return sorted(range(len(vals)),
-                  key=lambda i: primary(vals[i]) + (_entry_key(vecs[:, i]),))
+def _sort_indices(primary: np.ndarray, secondary: np.ndarray,
+                  vecs: np.ndarray) -> np.ndarray:
+    """Total deterministic order: primary key, secondary key, then the
+    eigenvector entries (re, im of each, lexicographic), which only ever
+    break exact ties of the two keys."""
+    order = np.lexsort((secondary, primary))
+    p, q = primary[order], secondary[order]
+    tied = np.r_[0, (p[1:] == p[:-1]) & (q[1:] == q[:-1]), 0].astype(np.int8)
+    # each run of ties spans order[start:stop + 1]
+    for start, stop in np.flatnonzero(np.diff(tied)).reshape(-1, 2):
+        group = order[start:stop + 1]
+        rows = np.ascontiguousarray(vecs[:, group].T).view(float)
+        # entries equal across the group cannot change a lexicographic order
+        varying = (rows != rows[0]).any(axis=0)
+        if varying.any():
+            order[start:stop + 1] = group[np.lexsort(rows[:, varying].T[::-1])]
+    return order
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -161,24 +175,38 @@ def analyze_liouvillian(liou: SuperOp,
     if cluster_tol is None:
         # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
         # precision; clustering just above that scale lets the cluster
-        # mean restore O(eps) accuracy at exceptional points
-        cluster_tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(mat, 2)))
+        # mean restore O(eps) accuracy at exceptional points.
+        # sqrt(||L||_1 ||L||_inf) bounds ||L||_2 from above without an SVD
+        # (1.0-1.6x the 2-norm on the bundled models, so the tolerance
+        # grows by at most sqrt(1.6) = 1.27x)
+        norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
+        cluster_tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
 
-    vals, vecs = scipy.linalg.eig(mat)
+    # LAPACK returns left vector i paired with eigenvalue i:
+    # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
+    vals, lvecs, vecs = scipy.linalg.eig(mat, left=True, right=True)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-    order = _sort_indices(vals, vecs, lambda z: (abs(z.real), z.imag))
+    lvecs = lvecs / np.linalg.norm(lvecs, axis=0)
+
+    # clusters in the complex plane: each unlabelled eigenvalue claims every
+    # unlabelled eigenvalue within cluster_tol, and the cluster is replaced
+    # by its mean.  Clustering before the sort matters: rounding of L
+    # interleaves exactly degenerate eigenvalues in (|Re|, Im) order.
+    labels = np.full(n, -1)
+    n_clusters = 0
+    for i in range(n):
+        if labels[i] < 0:
+            members = np.flatnonzero((labels < 0) & (np.abs(vals - vals[i]) <= cluster_tol))
+            labels[members] = n_clusters
+            vals[members] = vals[members].mean()
+            n_clusters += 1
+    sizes = np.bincount(labels)
+
+    order = _sort_indices(np.abs(vals.real), vals.imag, vecs)
     vals = vals[order]
     vecs = vecs[:, order]
-
-    # replace each tight cluster by its mean eigenvalue
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(vals[stop] - vals[start]) <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            vals[start:stop] = vals[start:stop].mean()
-        start = stop
+    lvecs = lvecs[:, order]
+    labels = labels[order]
 
     zero_mask = np.abs(vals) <= zero_tol
     zero_idx = np.flatnonzero(zero_mask)
@@ -207,11 +235,7 @@ def analyze_liouvillian(liou: SuperOp,
     # deterministic representatives: Hermitian rotation for isolated real
     # eigenvalues, canonical phase otherwise
     for i in range(n):
-        if zero_mask[i]:
-            vecs[:, i] = _canonical_phase(vecs[:, i])
-            continue
-        isolated = np.sum(np.abs(vals - vals[i]) <= cluster_tol) == 1
-        if isolated and abs(vals[i].imag) <= zero_tol:
+        if not zero_mask[i] and sizes[labels[i]] == 1 and abs(vals[i].imag) <= zero_tol:
             m, resid = hermitian_representative(devectorize(vecs[:, i]))
             if resid <= 1e-8:
                 m = _canonical_sign(m / np.linalg.norm(m))
@@ -219,30 +243,12 @@ def analyze_liouvillian(liou: SuperOp,
                 continue
         vecs[:, i] = _canonical_phase(vecs[:, i])
 
-    # left eigenvectors: right eigenvectors of the conjugate transpose
-    lvals, lvecs = scipy.linalg.eig(mat.conj().T)
-    lvecs = lvecs / np.linalg.norm(lvecs, axis=0)
-    lvals_c = lvals.conj()
-
+    # biorthonormalize within each cluster; a singular overlap block marks
+    # a (near-)defective cluster, whose left vectors stay at unit norm
     left = np.zeros_like(vecs)
     flags = np.zeros(n, dtype=bool)
-    used = np.zeros(n, dtype=bool)
-
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if clusters and abs(vals[i] - vals[clusters[-1][0]]) <= cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    for cluster in clusters:
-        lam = vals[cluster[0]]
-        cand = [j for j in range(n) if not used[j]]
-        cand.sort(key=lambda j: abs(lvals_c[j] - lam))
-        chosen = cand[:len(cluster)]
-        for j in chosen:
-            used[j] = True
-        y = lvecs[:, chosen]
+    for cluster in np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]):
+        y = lvecs[:, cluster]
         x = vecs[:, cluster]
         b = y.conj().T @ x
         smin = np.linalg.svd(b, compute_uv=False)[-1]
@@ -311,7 +317,7 @@ def analyze_nhh(heff: Operator, defect_cond: float = 1e8) -> NhhSpectrum:
     """
     vals, vecs = scipy.linalg.eig(heff.matrix)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-    order = _sort_indices(vals, vecs, lambda z: (abs(z.imag), z.real))
+    order = _sort_indices(np.abs(vals.imag), vals.real, vecs)
     vals = vals[order]
     vecs = vecs[:, order]
     for i in range(vecs.shape[1]):

@@ -188,7 +188,7 @@ def _check_coefficient_ordering(lines, failures):
                  "(g_l g_m* implemented)")
 
 
-def run_verification(threads: int = 1) -> tuple[list[str], bool]:
+def run_verification() -> tuple[list[str], bool]:
     """Run every check; returns (report lines, overall pass)."""
     lines: list[str] = []
     failures: list[bool] = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lioueps.errors import HermiticityError, SpectralError
@@ -29,11 +30,20 @@ from lioueps.models import (
     example1_closed_form,
     example2,
     example2_closed_form,
+    example3,
 )
 from conftest import assert_multiset_close, random_lindblad_model
 
 Q = build_qubit_ops()
 SPACE = Q["identity"].space
+
+
+def biorthonormality_residual(spec) -> float:
+    """max |Tr(sigma_i rho_j) - delta_ij| over the unflagged modes."""
+    n = len(spec.eigenvalues)
+    gram = spec.left_mats.transpose(0, 2, 1).reshape(n, -1) @ spec.right_mats.reshape(n, -1).T
+    ok = ~spec.defect_flags
+    return float(np.abs(gram[np.ix_(ok, ok)] - np.eye(ok.sum())).max())
 
 
 class TestAnalyzeLiouvillian:
@@ -47,14 +57,20 @@ class TestAnalyzeLiouvillian:
         assert spec.steady_state.trace() == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(spec.steady_state.matrix).min() >= -1e-10
 
-    def test_normalization_and_biorthonormality(self):
-        spec = analyze_liouvillian(assemble_liouvillian(example2(1.0, 2.5)))
-        n = len(spec.eigenvalues)
-        for i in range(n):
+    # example3 and dephasing have exactly degenerate eigenvalues that the
+    # rounding of L interleaves in (|Re|, Im) order; none is an EP
+    @pytest.mark.parametrize("model", [
+        example2(1.0, 2.5),
+        example3(1.0, 0.1, 1.0, 0.5),
+        example3(1.0, 0.1, 1.0, 0.5, levels=3),
+        dephasing(1.0, 1.0, 30),
+    ], ids=["example2", "example3-levels4", "example3-levels3", "dephasing-levels30"])
+    def test_normalization_and_biorthonormality(self, model):
+        spec = analyze_liouvillian(assemble_liouvillian(model))
+        for i in range(len(spec.eigenvalues)):
             assert hs_norm(spec.right(i)) == pytest.approx(1.0, abs=1e-10)
-        gram = np.array([[np.trace(spec.left_mats[i] @ spec.right_mats[j])
-                          for j in range(n)] for i in range(n)])
-        assert np.abs(gram - np.eye(n)).max() <= 1e-8
+        assert not spec.defect_flags.any()
+        assert biorthonormality_residual(spec) <= 1e-8
 
     def test_stability_of_spectrum_invariants(self, rng):
         for _ in range(8):
@@ -94,6 +110,16 @@ class TestAnalyzeLiouvillian:
         assert spec.defect_flags[merged].any()
         assert not spec.defect_flags[list(spec.zero_indices)].any()
 
+    def test_complex_ep_clusters_are_conjugate(self):
+        # complex EPs at -0.375 +- 1j and -1.125 +- 1j: each conjugate pair
+        # of coalescing eigenvalues must be averaged the same way
+        spec = analyze_liouvillian(assemble_liouvillian(example3(1.0, 0.125, 1.0, 0.5, levels=2)))
+        means, counts = np.unique(spec.eigenvalues, return_counts=True)
+        clustered = means[counts > 1]
+        assert clustered.size == 4
+        for lam in clustered:
+            assert np.abs(clustered - lam.conjugate()).min() <= 1e-12
+
     def test_deterministic_output(self):
         liou = assemble_liouvillian(example1(1.0, 0.3, 1.7, 2.0))
         a = analyze_liouvillian(liou)
@@ -101,6 +127,19 @@ class TestAnalyzeLiouvillian:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.right_mats, b.right_mats)
         assert np.array_equal(a.left_mats, b.left_mats)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_spectrum_invariants_on_random_models(seed):
+    spec = analyze_liouvillian(assemble_liouvillian(
+        random_lindblad_model(np.random.default_rng(seed))))
+    vals = spec.eigenvalues
+    assert biorthonormality_residual(spec) <= 1e-8
+    key = list(zip(np.abs(vals.real), vals.imag))
+    assert key == sorted(key)
+    for lam in vals:
+        assert np.abs(vals - lam.conjugate()).min() <= 1e-8
 
 
 class TestAnalyzeNhh:
