@@ -52,10 +52,6 @@ CONVENTION = ("vec-rowmajor; jump operators folded as sqrt(gamma)*X; "
               "sigma_z = diag(+1,-1), ground state first")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 @dataclass
 class RunConfig:
     """Validated run configuration (see parse_config)."""
@@ -312,26 +308,15 @@ def _validate_state(errors, state, where):
 
 def _state_matrix(state, model: LindbladModel, liou=None) -> Operator:
     d = model.dim
+    if state == "maximally-mixed":
+        return Operator(model.space, np.eye(d, dtype=complex) / d)
+    if state == "steady":
+        spec = analyze_liouvillian(liou if liou is not None
+                                   else assemble_liouvillian(model))
+        return spec.steady_state
     if isinstance(state, str):
-        if state == "ground":
-            m = np.zeros((d, d), dtype=complex)
-            m[0, 0] = 1.0
-        elif state == "excited":
-            m = np.zeros((d, d), dtype=complex)
-            m[d - 1, d - 1] = 1.0
-        elif state == "maximally-mixed":
-            m = np.eye(d, dtype=complex) / d
-        elif state == "steady":
-            spec = analyze_liouvillian(liou if liou is not None
-                                       else assemble_liouvillian(model))
-            return spec.steady_state
-        else:
-            k = int(state.split(":")[1])
-            if k >= d:
-                raise ConfigError([f"basis index {k} out of range for dimension {d}"])
-            m = np.zeros((d, d), dtype=complex)
-            m[k, k] = 1.0
-        return Operator(model.space, m)
+        v = _state_vector(state, model)
+        return Operator(model.space, np.outer(v, v.conj()))
     arr = _complex_array(state)
     if arr.shape != (d, d):
         raise ConfigError([f"initial state shape {arr.shape} does not match dimension {d}"])
@@ -389,9 +374,19 @@ def _header(cfg: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write(path: str, lines: list[str]):
+def _write_csv(cfg: RunConfig, path: str, names, columns, extra: dict | None = None):
+    """Write one data file: header, column names, then one row per entry.
+
+    Integer columns are written as %d and every other column with 17
+    significant digits, so each float reads back exactly.  Rows are
+    streamed; no list of all output lines is built.
+    """
+    columns = [np.asarray(col) for col in columns]
+    fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
+                   for col in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_header(cfg, extra) + [",".join(names)]) + "\n")
+        fh.writelines(map(fmt.__mod__, zip(*columns)))
 
 
 def _family_from_config(cfg: RunConfig) -> ModelFamily:
@@ -421,31 +416,27 @@ def _spectral_tols(cfg: RunConfig) -> dict:
     return out
 
 
-def _write_eigen_rows(cfg: RunConfig, grid, values, path):
-    """values[k] is the branch-ordered eigenvalue array at grid[k]."""
-    lines = _header(cfg)
-    lines.append("param,index,re_lambda,im_lambda,branch_id")
-    for k, g in enumerate(grid):
-        vals = values[k]
-        order = sorted(range(len(vals)),
-                       key=lambda i: (abs(vals[i].real), vals[i].imag, i))
-        for pos, branch in enumerate(order):
-            lines.append(",".join([
-                _fmt(g), str(pos), _fmt(vals[branch].real),
-                _fmt(vals[branch].imag), str(branch)]))
-    _write(path, lines)
+def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
+    """Eigenvalue and overlap tables, one block per grid point.
 
-
-def _write_overlap_rows(cfg: RunConfig, grid, overlap_stack, path):
-    lines = _header(cfg)
-    lines.append("param,i,j,overlap")
-    for k, g in enumerate(grid):
-        ovl = overlap_stack[k]
-        n = ovl.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                lines.append(",".join([_fmt(g), str(i), str(j), _fmt(ovl[i, j])]))
-    _write(path, lines)
+    systems[k] is the eigensystem at grid[k].  Eigenvalue rows run in
+    (|Re|, Im, branch) order; overlap rows are the pairs i < j, row-major.
+    """
+    n = systems[0].size
+    grid = np.asarray(grid, dtype=float)
+    order = [np.lexsort((np.arange(n), s.values.imag, np.abs(s.values.real)))
+             for s in systems]
+    vals = np.concatenate([s.values[o] for s, o in zip(systems, order)])
+    eig_path = f"{prefix}_eigenvalues.csv"
+    _write_csv(cfg, eig_path, ["param", "index", "re_lambda", "im_lambda", "branch_id"],
+               [np.repeat(grid, n), np.tile(np.arange(n), grid.size),
+                vals.real, vals.imag, np.concatenate(order)])
+    i, j = np.triu_indices(n, 1)
+    ovl = np.concatenate([overlap_matrix(s)[i, j] for s in systems])
+    ovl_path = f"{prefix}_overlaps.csv"
+    _write_csv(cfg, ovl_path, ["param", "i", "j", "overlap"],
+               [np.repeat(grid, i.size), np.tile(i, grid.size), np.tile(j, grid.size), ovl])
+    return [eig_path, ovl_path]
 
 
 def _observable_columns(model: LindbladModel):
@@ -466,11 +457,7 @@ def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
     family = _family_from_config(cfg)
     system = _eigensystem_at_fixed(cfg, family)
     param_val = family.params_at()[family.sweep_param]
-    _write_eigen_rows(cfg, [param_val], [system.values],
-                      f"{prefix}_eigenvalues.csv")
-    _write_overlap_rows(cfg, [param_val], [overlap_matrix(system)],
-                        f"{prefix}_overlaps.csv")
-    return [f"{prefix}_eigenvalues.csv", f"{prefix}_overlaps.csv"]
+    return _write_branches(cfg, prefix, [param_val], [system])
 
 
 def _run_sweep(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
@@ -478,13 +465,9 @@ def _run_sweep(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
     spec_family = _spectrum_family(cfg, family)
     grid = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
     result = sweep(spec_family, grid, n_threads=threads)
-    _write_eigen_rows(cfg, result.grid, list(result.eigenvalues),
-                      f"{prefix}_eigenvalues.csv")
-    overlaps = [overlap_matrix(Eigensystem(result.eigenvalues[k], result.vectors[k],
-                                           result.zero_mask[k]))
-                for k in range(result.grid.size)]
-    _write_overlap_rows(cfg, result.grid, overlaps, f"{prefix}_overlaps.csv")
-    return [f"{prefix}_eigenvalues.csv", f"{prefix}_overlaps.csv"]
+    systems = [Eigensystem(result.eigenvalues[k], result.vectors[k], result.zero_mask[k])
+               for k in range(result.grid.size)]
+    return _write_branches(cfg, prefix, result.grid, systems)
 
 
 def _run_ep_locate(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
@@ -524,20 +507,15 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     else:
         prop = propagate_expm(liou, rho0, times)
     cols = _observable_columns(model)
-    lines = _header(cfg, {"generator": cfg.generator, "method": cfg.method})
     names = ["time", "trace_re", "purity"]
     names += [f"p{k}" for k in range(model.dim)]
     names += [name for name, _ in cols]
-    lines.append(",".join(names))
-    traces = prop.traces()
-    purity = prop.purities()
-    for k, t in enumerate(times):
-        row = [_fmt(t), _fmt(traces[k].real), _fmt(purity[k])]
-        row += [_fmt(prop.states[k][i, i].real) for i in range(model.dim)]
-        row += [_fmt(np.trace(mat @ prop.states[k]).real) for _, mat in cols]
-        lines.append(",".join(row))
+    columns = [times, prop.traces().real, prop.purities()]
+    columns += list(np.diagonal(prop.states, axis1=1, axis2=2).real.T)
+    columns += [[np.trace(mat @ s).real for s in prop.states] for _, mat in cols]
     path = f"{prefix}_dynamics.csv"
-    _write(path, lines)
+    _write_csv(cfg, path, names, columns,
+               {"generator": cfg.generator, "method": cfg.method})
     return [path]
 
 
@@ -549,22 +527,16 @@ def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
     ens = trajectories(model, psi0, n_traj=cfg.n_traj, dt=cfg.dt,
                        t_max=cfg.t_max, seed=seed, n_samples=cfg.n_samples)
     cols = _observable_columns(model)
-    lines = _header(cfg, {"seed": seed, "n_traj": cfg.n_traj, "dt": _fmt(cfg.dt)})
     names = ["time", "survival"]
     names += [f"p{k}_mean" for k in range(model.dim)]
-    for name, _ in cols:
+    columns = [ens.times, ens.survival]
+    columns += list(np.diagonal(ens.ensemble_average, axis1=1, axis2=2).real.T)
+    for name, mat in cols:
         names += [f"{name}_mean", f"{name}_stderr"]
-    lines.append(",".join(names))
-    avg = ens.ensemble_average
-    stats = [(ens.observable_stats(Operator(model.space, mat))) for _, mat in cols]
-    for k, t in enumerate(ens.times):
-        row = [_fmt(t), _fmt(ens.survival[k])]
-        row += [_fmt(avg[k][i, i].real) for i in range(model.dim)]
-        for mean, se in stats:
-            row += [_fmt(mean[k]), _fmt(se[k])]
-        lines.append(",".join(row))
+        columns += ens.observable_stats(Operator(model.space, mat))
     path = f"{prefix}_dynamics.csv"
-    _write(path, lines)
+    _write_csv(cfg, path, names, columns,
+               {"seed": seed, "n_traj": cfg.n_traj, "dt": f"{cfg.dt:.17g}"})
     return [path]
 
 
@@ -613,10 +585,15 @@ def main(argv=None) -> int:
                         help="override the trajectory seed")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        threads = int(os.environ.get("LIOUEPS_THREADS", "1") or "1")
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("LIOUEPS_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            print(f"config error: LIOUEPS_THREADS: expected an integer, got {env!r}",
+                  file=sys.stderr)
+            return 2
     threads = max(threads, 1)
 
     try:

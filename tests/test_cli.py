@@ -1,11 +1,17 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lioueps.cli import main, parse_config
+from lioueps.cli import RunConfig, _write_branches, _write_csv, main, parse_config
+from lioueps.dynamics import trajectories
+from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
 from lioueps.errors import ConfigError
-from lioueps.models import example1_closed_form
+from lioueps.models import example1_closed_form, get_family
+from lioueps.ops_core import build_qubit_ops
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -17,8 +23,9 @@ def write_config(tmp_path, payload, name="run.json"):
 def read_rows(path):
     header = None
     rows = []
-    for line in open(path, encoding="utf-8"):
-        line = line.strip()
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    for line in lines:
         if line.startswith("#"):
             continue
         if header is None:
@@ -298,6 +305,21 @@ class TestCliVariants:
         # number jumps keep the Fock state pinned
         assert float(rows[-1][4]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rho0, status", [("basis:1", 0), ("basis:7", 2)])
+    def test_basis_rho0(self, tmp_path, capsys, rho0, status):
+        cfg = write_config(tmp_path, {
+            "command": "dynamics",
+            "model": {"name": "dephasing", "omega": 1.0, "gamma": 0.5, "levels": 3},
+            "dynamics": {"rho0": rho0, "t_max": 1.0, "n_times": 3},
+            "output": "bas",
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == status
+        if status:
+            assert "basis index 7 out of range for dimension 3" in capsys.readouterr().err
+        else:
+            header, rows = read_rows(tmp_path / "bas_dynamics.csv")
+            assert [float(rows[0][header.index(f"p{k}")]) for k in range(3)] == [0, 1, 0]
+
     def test_tolerance_overrides_are_applied(self, tmp_path):
         # an absurdly loose zero tolerance swallows every eigenvalue into
         # the steady sector and must change the analysis outcome
@@ -333,6 +355,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "omega_x" in err
 
+    def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, {"command": "spectrum", "model": {"name": "example2"}})
+        monkeypatch.setenv("LIOUEPS_THREADS", "abc")
+        assert main([cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "LIOUEPS_THREADS" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_2(self):
         assert main(["/nonexistent/path.json"]) == 2
 
@@ -355,3 +385,124 @@ class TestExitCodes:
         assert "kraus-richardson-ratio" in out
         assert "prefactor-reading" in out
         assert "coefficient-ordering" in out
+
+
+# ---------------------------------------------------------------------------
+# what the CSV writer must produce
+# ---------------------------------------------------------------------------
+
+def reference_line(row):
+    """The documented row format: integers as-is, floats with 17 significant digits."""
+    return ",".join(str(x) if isinstance(x, int) else f"{float(x):.17g}" for x in row)
+
+
+def written_lines(path):
+    """Non-metadata lines of a CLI data file, header first."""
+    with open(path, encoding="utf-8") as fh:
+        return [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -7.0, 2.0 ** 53, 0.1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 60, 2 ** 60).map(float))
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+TIED_PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, -1.0])
+
+
+class TestCsvWriter:
+    cfg = RunConfig(command="sweep", raw={"command": "sweep"})
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), kinds=st.lists(st.booleans(), min_size=1, max_size=5))
+    def test_rows_match_reference_formatter(self, data, kinds):
+        rows = data.draw(st.lists(st.tuples(*[INTS if k else FLOATS for k in kinds]),
+                                  max_size=30))
+        columns = [np.array([r[c] for r in rows], dtype=np.int64 if k else float)
+                   for c, k in enumerate(kinds)]
+        names = [f"c{c}" for c in range(len(kinds))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            _write_csv(self.cfg, path, names, columns, {"extra": 1})
+            lines = written_lines(path)
+            with open(path, encoding="utf-8") as fh:
+                assert "# extra = 1\n" in fh.readlines()
+        assert lines == [",".join(names)] + [reference_line(r) for r in rows]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 10), points=st.integers(1, 3))
+    def test_branch_rows_order_with_ties(self, data, n, points):
+        rng = np.random.default_rng(n)
+        grid = [0.25 * k for k in range(points)]
+        systems = []
+        for _ in grid:
+            re = data.draw(st.lists(TIED_PARTS, min_size=n, max_size=n))
+            im = data.draw(st.lists(TIED_PARTS, min_size=n, max_size=n))
+            vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+            systems.append(Eigensystem(np.array(re) + 1j * np.array(im),
+                                       vecs / np.linalg.norm(vecs, axis=0),
+                                       np.zeros(n, dtype=bool)))
+        with tempfile.TemporaryDirectory() as tmp:
+            prefix = os.path.join(tmp, "b")
+            _write_branches(self.cfg, prefix, grid, systems)
+            eig_lines = written_lines(prefix + "_eigenvalues.csv")
+            ovl_lines = written_lines(prefix + "_overlaps.csv")
+        want_eig, want_ovl = [], []
+        for g, sys_k in zip(grid, systems):
+            vals = sys_k.values
+            order = sorted(range(n), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
+            want_eig += [reference_line((g, pos, vals[b].real, vals[b].imag, b))
+                         for pos, b in enumerate(order)]
+            ovl = overlap_matrix(sys_k)
+            want_ovl += [reference_line((g, i, j, ovl[i, j]))
+                         for i in range(n) for j in range(i + 1, n)]
+        assert eig_lines[1:] == want_eig
+        assert ovl_lines[1:] == want_ovl
+
+
+class TestCsvRoundTrip:
+    def test_sweep_tables_equal_library_arrays(self, tmp_path):
+        grid_spec = {"param": "gamma_minus", "from": 0.5, "to": 6.0, "steps": 7}
+        cfg = write_config(tmp_path, {
+            "command": "sweep", "model": {"name": "example2", "omega_x": 1.0},
+            "sweep": grid_spec, "output": "rt"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+        fam = get_family("example2", omega_x=1.0).liouvillian_family("gamma_minus")
+        res = sweep(fam, np.linspace(0.5, 6.0, 7))
+        eig_rows, ovl_rows = [], []
+        for k, g in enumerate(res.grid):
+            vals = res.eigenvalues[k]
+            order = sorted(range(vals.size), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
+            eig_rows += [(g, pos, vals[b].real, vals[b].imag, b) for pos, b in enumerate(order)]
+            ovl = overlap_matrix(Eigensystem(vals, res.vectors[k], res.zero_mask[k]))
+            ovl_rows += [(g, i, j, ovl[i, j])
+                         for i in range(vals.size) for j in range(i + 1, vals.size)]
+        for name, want in (("rt_eigenvalues.csv", eig_rows), ("rt_overlaps.csv", ovl_rows)):
+            _, rows = read_rows(tmp_path / name)
+            assert len(rows) == len(want)
+            for row, ref in zip(rows, want):
+                assert [float(x) for x in row] == [float(x) for x in ref]
+
+    def test_trajectory_table_equals_library_arrays(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "command": "trajectories",
+            "model": {"name": "example2", "omega_x": 1.0, "gamma_minus": 1.0},
+            "trajectories": {"psi0": "excited", "n_traj": 30, "dt": 1e-3,
+                             "t_max": 0.5, "seed": 3, "n_samples": 6},
+            "output": "rt"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+        model = get_family("example2", omega_x=1.0, gamma_minus=1.0).build()
+        ens = trajectories(model, [0, 1], n_traj=30, dt=1e-3, t_max=0.5, seed=3,
+                           n_samples=6)
+        q = build_qubit_ops()
+        want = [ens.times, ens.survival]
+        want += [ens.ensemble_average[:, i, i].real for i in range(2)]
+        for name in ("sigma_x", "sigma_y", "sigma_z"):
+            want += ens.observable_stats(q[name])
+        header, rows = read_rows(tmp_path / "rt_dynamics.csv")
+        assert header == ["time", "survival", "p0_mean", "p1_mean",
+                          "sigma_x_mean", "sigma_x_stderr", "sigma_y_mean",
+                          "sigma_y_stderr", "sigma_z_mean", "sigma_z_stderr"]
+        assert len(rows) == 6
+        for k, row in enumerate(rows):
+            assert [float(x) for x in row] == [float(col[k]) for col in want]
