@@ -39,10 +39,9 @@ from .superop import (
     LindbladModel,
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
-    effective_hamiltonian,
 )
-from .spectral import analyze_liouvillian, analyze_nhh
-from .ep_detect import Eigensystem, eigensystem_of, locate_ep, overlap_matrix, sweep
+from .spectral import DEFAULT_ZERO_TOL, analyze_liouvillian
+from .ep_detect import Eigensystem, locate_ep, overlap_matrix, sweep
 from .models import ModelFamily, family_names, get_family
 from .dynamics import propagate_expm, propagate_modes, trajectories
 from .verify import run_verification
@@ -306,13 +305,14 @@ def _validate_state(errors, state, where):
     errors.append(f"{where}: expected a string preset or nested list, got {state!r}")
 
 
-def _state_matrix(state, model: LindbladModel, liou=None) -> Operator:
+def _state_matrix(state, model: LindbladModel, liou=None,
+                  zero_tol: float = DEFAULT_ZERO_TOL) -> Operator:
     d = model.dim
     if state == "maximally-mixed":
         return Operator(model.space, np.eye(d, dtype=complex) / d)
     if state == "steady":
         spec = analyze_liouvillian(liou if liou is not None
-                                   else assemble_liouvillian(model))
+                                   else assemble_liouvillian(model), zero_tol=zero_tol)
         return spec.steady_state
     if isinstance(state, str):
         v = _state_vector(state, model)
@@ -396,15 +396,8 @@ def _family_from_config(cfg: RunConfig) -> ModelFamily:
 def _spectrum_family(cfg: RunConfig, family: ModelFamily):
     if cfg.operator == "nhh":
         return family.nhh_family(cfg.sweep_param)
-    return family.liouvillian_family(cfg.sweep_param)
-
-
-def _eigensystem_at_fixed(cfg: RunConfig, family: ModelFamily):
-    model = family.build()
-    if cfg.operator == "nhh":
-        return eigensystem_of(analyze_nhh(effective_hamiltonian(model)))
-    return eigensystem_of(analyze_liouvillian(assemble_liouvillian(model),
-                                              **_spectral_tols(cfg)))
+    return family.liouvillian_family(
+        cfg.sweep_param, zero_tol=cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL))
 
 
 def _spectral_tols(cfg: RunConfig) -> dict:
@@ -455,9 +448,9 @@ def _observable_columns(model: LindbladModel):
 
 def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
     family = _family_from_config(cfg)
-    system = _eigensystem_at_fixed(cfg, family)
-    param_val = family.params_at()[family.sweep_param]
-    return _write_branches(cfg, prefix, [param_val], [system])
+    spec_family = _spectrum_family(cfg, family)
+    param_val = family.params_at()[spec_family.param_name]
+    return _write_branches(cfg, prefix, [param_val], [spec_family.eigensystem(param_val)])
 
 
 def _run_sweep(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
@@ -499,7 +492,8 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     model = family.build()
     liou = (assemble_liouvillian(model) if cfg.generator == "liouvillian"
             else assemble_liouvillian_no_jumps(model))
-    rho0 = _state_matrix(cfg.rho0, model, liou if cfg.generator == "liouvillian" else None)
+    rho0 = _state_matrix(cfg.rho0, model, liou if cfg.generator == "liouvillian" else None,
+                         zero_tol=cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL))
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     if cfg.method == "modes":
         spec = analyze_liouvillian(liou, **_spectral_tols(cfg))

@@ -15,12 +15,12 @@ that signature by comparing the fits (alpha + beta t) exp(lambda t)
 against the pure-exponential restriction beta = 0.
 
 trajectories implements the counting unraveling: between jumps the
-state evolves under the effective Hamiltonian (first-order step,
-renormalized); with probability dt <psi|Gamma^dag Gamma|psi> per channel
-the wave function collapses to Gamma psi / |Gamma psi|.  Averaging all
-trajectories recovers the full generator; keeping only the no-jump
-record realizes the no-jump generator, with the survival probability
-equal to its trace loss.
+state evolves under the effective Hamiltonian (exact step
+exp(-i dt H_eff), renormalized); with probability
+dt <psi|Gamma^dag Gamma|psi> per channel the wave function collapses to
+Gamma psi / |Gamma psi|.  Averaging all trajectories recovers the full
+generator; keeping only the no-jump record realizes the no-jump
+generator, with the survival probability equal to its trace loss.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ def ep_decay_fit(times, signal, lambda_ep: complex) -> dict:
 # counting-trajectory Monte Carlo
 # ---------------------------------------------------------------------------
 
+# uniforms drawn per generator call; each trajectory's stream is
+# sequential, so the chunk size never changes the draws
+_CHUNK = 512
+
+
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Counting-unraveling ensemble on a sample-time grid.
@@ -216,15 +221,19 @@ class TrajectoryEnsemble:
 
 
 def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
-                 t_max: float, seed: int, n_samples: int = 51,
-                 _chunk: int = 512) -> TrajectoryEnsemble:
+                 t_max: float, seed: int, n_samples: int = 51) -> TrajectoryEnsemble:
     """Counting-trajectory Monte Carlo of a Lindblad model.
 
-    First-order scheme: per step the no-jump branch applies
-    1 - i dt H_eff and renormalizes; channel mu fires with probability
-    dt <psi|Gamma_mu^dag Gamma_mu|psi>, selected proportionally to the
-    channel weights from a single uniform draw per step.  dt must
-    satisfy dt * max_mu ||Gamma_mu^dag Gamma_mu|| <= 0.05.
+    Per step the no-jump branch applies the exact propagator
+    exp(-i dt H_eff) and renormalizes, so its accuracy does not depend
+    on dt * ||H_eff||; channel mu fires with probability
+    dt <psi|Gamma_mu^dag Gamma_mu|psi> (first order in dt), selected
+    proportionally to the channel weights from a single uniform draw per
+    step.  dt must satisfy dt * max_mu ||Gamma_mu^dag Gamma_mu|| <= 0.05.
+
+    The no-jump branch is one more row of the same stepper whose uniform
+    is +inf, so it never jumps; its survival is the running product of
+    the no-click probabilities of its steps.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     d = model.dim
@@ -248,25 +257,28 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     times = sample_idx * dt
 
     heff = effective_hamiltonian(model).matrix
-    m0 = np.eye(d) - 1j * dt * heff
-    m0t = m0.T.copy()
+    m0t = scipy.linalg.expm(-1j * dt * heff).T.copy()
     gts = [g.T.copy() for g in gammas]
     n_ch = len(gts)
 
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
             for r in range(n_traj)]
 
-    states = np.tile(psi0, (n_traj, 1))
+    # rows 0..n_traj-1 are the trajectories, row n_traj the no-jump branch
+    states = np.tile(psi0, (n_traj + 1, 1))
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
-    traj_states = np.zeros((n_traj, times.size, d), dtype=complex)
+    samples = np.zeros((n_traj + 1, times.size, d), dtype=complex)
+    survival = np.zeros(times.size)
+    surv = 1.0
     sample_pos = {int(s): k for k, s in enumerate(sample_idx)}
     if 0 in sample_pos:
-        traj_states[:, sample_pos[0]] = states
+        samples[:, sample_pos[0]] = states
+        survival[sample_pos[0]] = surv
 
-    uniforms = np.zeros((n_traj, min(_chunk, max(n_steps, 1))))
+    uniforms = np.full((n_traj + 1, min(_CHUNK, max(n_steps, 1))), np.inf)
     step = 0
     while step < n_steps:
-        chunk = min(_chunk, n_steps - step)
+        chunk = min(_CHUNK, n_steps - step)
         for r in range(n_traj):
             uniforms[r, :chunk] = rngs[r].random(chunk)
         for s in range(chunk):
@@ -277,6 +289,7 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
                 axis=1)
             cums = np.cumsum(probs, axis=1)
             do_jump = u < cums[:, -1]
+            surv *= max(1.0 - cums[n_traj, -1], 0.0)
             # one uniform per step drives both decisions: conditioned on a
             # jump, the channel is picked proportionally to its weight
             channel = np.argmax(cums > u[:, None], axis=1)
@@ -292,30 +305,13 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
                 records[r].append((t_now, int(channel[r])))
             pos = sample_pos.get(step + s + 1)
             if pos is not None:
-                traj_states[:, pos] = states
+                samples[:, pos] = states
+                survival[pos] = surv
         step += chunk
-
-    # deterministic no-jump branch with survival bookkeeping
-    nj = psi0.copy()
-    surv = 1.0
-    nj_states = np.zeros((times.size, d), dtype=complex)
-    survival = np.zeros(times.size)
-    if 0 in sample_pos:
-        nj_states[sample_pos[0]] = nj
-        survival[sample_pos[0]] = 1.0
-    for k in range(1, n_steps + 1):
-        p = sum(dt * np.real(np.vdot(g @ nj, g @ nj)) for g in gammas)
-        surv *= max(1.0 - p, 0.0)
-        nj = m0 @ nj
-        nj /= np.linalg.norm(nj)
-        pos = sample_pos.get(k)
-        if pos is not None:
-            nj_states[pos] = nj
-            survival[pos] = surv
 
     return TrajectoryEnsemble(
         seed=int(seed), n_traj=int(n_traj), dt=float(dt), times=times,
-        trajectory_states=traj_states,
+        trajectory_states=samples[:n_traj],
         jump_records=tuple(tuple(r) for r in records),
-        no_jump_states=nj_states, survival=survival,
+        no_jump_states=samples[n_traj], survival=survival,
     )

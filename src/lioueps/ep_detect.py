@@ -71,7 +71,6 @@ class SpectrumFamily:
     matrix: Callable[[float], np.ndarray]
     is_superop: bool
     space: HilbertSpace | None = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -222,13 +221,8 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
     Returns (pair eigenvalues, pair vectors, the whole eigensystem).
     """
     sys_g = family.eigensystem(g)
-    ovl = np.abs(ref_vecs.conj().T @ sys_g.vectors)
-    j1 = int(np.argmax(ovl[0]))
-    ovl[1, j1] = -1.0
-    j2 = int(np.argmax(ovl[1]))
-    vals = np.array([sys_g.values[j1], sys_g.values[j2]])
-    vecs = sys_g.vectors[:, [j1, j2]]
-    return vals, vecs, sys_g
+    perm, _ = _greedy_assignment(ref_vecs, sys_g.vectors)
+    return sys_g.values[perm], sys_g.vectors[:, perm], sys_g
 
 
 def _gap_objective(vals: np.ndarray) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ModelBuildError
 from .ep_detect import Eigensystem, SpectrumFamily, eigensystem_of
 from .ops_core import Operator, build_boson_ops, build_qubit_ops, tensor
-from .spectral import analyze_liouvillian, analyze_nhh
+from .spectral import DEFAULT_ZERO_TOL, analyze_liouvillian, analyze_nhh
 from .superop import (
     LindbladModel,
     assemble_liouvillian,
@@ -343,19 +343,20 @@ class ModelFamily:
         return ModelFamily(self.name, self.builder, self.param_names,
                            self.defaults, self.sweep_param, merged, self.closed_form)
 
-    def liouvillian_family(self, sweep_param: str | None = None) -> SpectrumFamily:
+    def liouvillian_family(self, sweep_param: str | None = None,
+                           zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
 
         def eigensystem(value: float) -> Eigensystem:
             model = self.build(value, param)
-            return eigensystem_of(analyze_liouvillian(assemble_liouvillian(model)))
+            return eigensystem_of(analyze_liouvillian(assemble_liouvillian(model),
+                                                      zero_tol=zero_tol))
 
         def matrix(value: float) -> np.ndarray:
             return assemble_liouvillian(self.build(value, param)).matrix
 
         space = self.build(self.params_at()[param], param).space
-        return SpectrumFamily(param, eigensystem, matrix, True, space,
-                              label=f"{self.name}:liouvillian")
+        return SpectrumFamily(param, eigensystem, matrix, True, space)
 
     def nhh_family(self, sweep_param: str | None = None) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
@@ -368,8 +369,7 @@ class ModelFamily:
             return effective_hamiltonian(self.build(value, param)).matrix
 
         space = self.build(self.params_at()[param], param).space
-        return SpectrumFamily(param, eigensystem, matrix, False, space,
-                              label=f"{self.name}:nhh")
+        return SpectrumFamily(param, eigensystem, matrix, False, space)
 
 
 _FAMILIES = {
@@ -427,8 +427,7 @@ def example3_block_family(omega: float, gamma_a: float, gamma_b: float,
     def matrix(g: float) -> np.ndarray:
         return example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)
 
-    return SpectrumFamily("g", eigensystem, matrix, False, None,
-                          label=f"example3:block{n_exc}")
+    return SpectrumFamily("g", eigensystem, matrix, False, None)
 
 
 # ---------------------------------------------------------------------------

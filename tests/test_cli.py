@@ -376,6 +376,26 @@ class TestExitCodes:
         })
         assert main([cfg, "--output-dir", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("command, section", [
+        ("spectrum", {}),
+        ("sweep", {"sweep": {"param": "gamma_minus", "from": 1.0, "to": 2.0, "steps": 3}}),
+        ("ep-locate", {"sweep": {"param": "gamma_minus", "from": 3.0, "to": 5.0,
+                                 "steps": 9}}),
+        ("dynamics", {"dynamics": {"rho0": "steady", "t_max": 1.0, "n_times": 3}}),
+    ])
+    def test_zero_tol_applies_to_every_liouvillian_analysis(self, tmp_path, capsys,
+                                                             command, section):
+        # no eigenvalue is within 1e-300 of zero, so the analysis must refuse
+        cfg = write_config(tmp_path, {
+            "command": command,
+            "model": {"name": "example2", "omega_x": 1.0, "gamma_minus": 1.0},
+            "tolerances": {"zero_tol": 1e-300},
+            "output": "tol",
+            **section,
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 4
+        assert "analysis error" in capsys.readouterr().err
+
     def test_verify_exit_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "verify"})
         assert main([cfg]) == 0

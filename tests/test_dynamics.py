@@ -16,7 +16,7 @@ from lioueps.dynamics import (
     propagate_modes,
     trajectories,
 )
-from lioueps.models import example2
+from lioueps.models import example2, get_family
 from conftest import random_lindblad_model
 
 Q = build_qubit_ops()
@@ -207,6 +207,43 @@ class TestTrajectories:
             assert trace_distance(nj[k], prop.states[k] / tr) <= 1e-3
             # the survival probability tracks the generator's trace loss
             assert abs(ens.survival[k] - tr) <= 2e-3
+
+    def test_no_jump_branch_exact_for_fast_hamiltonian(self):
+        # dt * ||H_eff|| = 0.1: a first-order step drifts to a trace
+        # distance near 1 by t = 5, the exact step stays at rounding level
+        model = example2(omega_x=200.0, gamma_minus=1e-3)
+        ens = trajectories(model, [0, 1], n_traj=1, dt=1e-3, t_max=5.0, seed=0,
+                           n_samples=6)
+        liou_nj = assemble_liouvillian_no_jumps(model)
+        prop = propagate_expm(liou_nj, Operator(qubit_space(), np.diag([0.0, 1.0])),
+                              ens.times)
+        nj = ens.no_jump_density()
+        for k in range(len(ens.times)):
+            ref = prop.states[k] / np.trace(prop.states[k])
+            assert trace_distance(nj[k], ref) <= 1e-10
+
+    @pytest.mark.parametrize("name, params", [
+        ("example1", {}), ("example2", {}), ("example3", {"levels": 3})])
+    def test_jump_free_rows_are_the_no_jump_record(self, name, params):
+        # all rows are stepped by one matrix product, so on a given platform
+        # and BLAS a row that has not jumped equals the no-jump row exactly
+        model = get_family(name, **params).build()
+        psi0 = np.zeros(model.dim)
+        psi0[-1] = 1.0
+        ens = trajectories(model, psi0, n_traj=300, dt=1e-3, t_max=2.0, seed=4)
+        first_jump = [rec[0][0] if rec else np.inf for rec in ens.jump_records]
+        checked = 0
+        for r, t_jump in enumerate(first_jump):
+            for k in np.flatnonzero(ens.times < t_jump):
+                assert np.array_equal(ens.trajectory_states[r, k], ens.no_jump_states[k])
+                checked += 1
+        assert checked > ens.times.size
+        # the no-jump record does not depend on how many trajectories ran; a
+        # BLAS may round a row differently with the batch size, hence atol
+        single = trajectories(model, psi0, n_traj=1, dt=1e-3, t_max=2.0, seed=4)
+        np.testing.assert_allclose(single.no_jump_states, ens.no_jump_states,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(single.survival, ens.survival, rtol=0, atol=1e-14)
 
     def test_survival_probability_non_increasing(self):
         model = example2(1.0, 2.0)
