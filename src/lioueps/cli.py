@@ -41,7 +41,8 @@ from .superop import (
     assemble_liouvillian_no_jumps,
 )
 from .spectral import DEFAULT_ZERO_TOL, analyze_liouvillian
-from .ep_detect import Eigensystem, locate_ep, overlap_matrix, sweep
+from .ep_detect import (DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, Eigensystem, locate_ep,
+                        overlap_matrix, sweep)
 from .models import ModelFamily, family_names, get_family
 from .dynamics import propagate_expm, propagate_modes, trajectories
 from .verify import run_verification
@@ -469,8 +470,8 @@ def _run_ep_locate(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
     report = locate_ep(
         spec_family, (cfg.sweep_from, cfg.sweep_to),
         branch_pair=cfg.branch_pair,
-        param_tol=cfg.tolerances.get("param_tol", 1e-8),
-        rank_tol=cfg.tolerances.get("rank_tol", 1e-8),
+        param_tol=cfg.tolerances.get("param_tol", DEFAULT_PARAM_TOL),
+        rank_tol=cfg.tolerances.get("rank_tol", DEFAULT_RANK_TOL),
         coarse_points=max(cfg.sweep_steps, 5),
         n_threads=threads)
     payload = {

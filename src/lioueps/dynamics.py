@@ -232,8 +232,8 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     step.  dt must satisfy dt * max_mu ||Gamma_mu^dag Gamma_mu|| <= 0.05.
 
     The no-jump branch is one more row of the same stepper whose uniform
-    is +inf, so it never jumps; its survival is the running product of
-    the no-click probabilities of its steps.
+    is +inf, so it never jumps; its survival is the product of its squared
+    norms before each renormalization, exact for any dt.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     d = model.dim
@@ -289,7 +289,6 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
                 axis=1)
             cums = np.cumsum(probs, axis=1)
             do_jump = u < cums[:, -1]
-            surv *= max(1.0 - cums[n_traj, -1], 0.0)
             # one uniform per step drives both decisions: conditioned on a
             # jump, the channel is picked proportionally to its weight
             channel = np.argmax(cums > u[:, None], axis=1)
@@ -298,7 +297,9 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
                 sel = do_jump & (channel == mu)
                 if sel.any():
                     new[sel] = jumped[mu][sel]
-            new /= np.linalg.norm(new, axis=1)[:, None]
+            norms = np.linalg.norm(new, axis=1)
+            surv *= norms[n_traj] ** 2
+            new /= norms[:, None]
             states = new
             t_now = (step + s + 1) * dt
             for r in np.flatnonzero(do_jump):

@@ -12,7 +12,9 @@ never changes character but the pair overlap climbs above 0.9 inside
 the bracket, a golden-section refinement of the minimal gap is used
 instead.  Exactly-at-EP arithmetic is avoided: the report is computed
 at the final bracket midpoint (parameter slop <= param_tol), where the
-eigensolver is still trustworthy.
+eigensolver is still trustworthy.  There (M - lambda_EP) is factored
+once: one SVD and one ||M||_2 give the eigenmatrix, the Jordan chain,
+its residual and the first kernel dimension of the order estimate.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .spectral import NhhSpectrum, Spectrum, _canonical_phase
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
+DEFAULT_PARAM_TOL = 1e-8
+OVERLAP_TRIGGER = 0.9
+MAX_ORDER = 8
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -225,26 +230,62 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
     return sys_g.values[perm], sys_g.vectors[:, perm], sys_g
 
 
-def _gap_objective(vals: np.ndarray) -> float:
-    gap2 = (vals[0] - vals[1]) ** 2
-    return float(gap2.real - gap2.imag)
+def _gap_objective(vals: np.ndarray) -> np.ndarray:
+    gap2 = (vals[..., 0] - vals[..., 1]) ** 2
+    return gap2.real - gap2.imag
 
 
-def _shifted_svd(liou, lambda_ep: complex, rank_tol: float):
-    """Full SVD of (M - lambda_ep) with the rank-deficiency-one check.
-
-    Returns (shifted matrix, u, s, vh, tol); singular values below tol
-    count as zero.  Raises JordanOrderError for any other deficiency.
-    """
-    mat = liou.matrix if isinstance(liou, SuperOp) else np.asarray(liou, dtype=complex)
+def _factor(mat: np.ndarray, lambda_ep: complex, rank_tol: float):
+    """(M - lambda_ep), its full SVD u, s, vh and ||M||_2.  Raises
+    JordanOrderError unless s[-1] alone is below rank_tol * ||M||_2."""
     shifted = mat - lambda_ep * np.eye(mat.shape[0])
     u, s, vh = np.linalg.svd(shifted)
-    tol = rank_tol * np.linalg.norm(mat, 2)
-    deficiency = int(np.sum(s < tol))
+    norm = np.linalg.norm(mat, 2)
+    deficiency = int(np.sum(s < rank_tol * norm))
     if deficiency != 1:
         raise JordanOrderError(
             f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
-    return shifted, u, s, vh, tol
+    return shifted, u, s, vh, norm
+
+
+def _chain(shifted, u, s, vh, rho1) -> tuple[np.ndarray, complex]:
+    """Unit x2 orthogonal to v1 = rho1 / |rho1|, and A, with (M - lambda) x2 = A v1."""
+    v1 = _unit(rho1)
+    # minimal-norm least-squares solve through the SVD without its kernel
+    x2 = vh[:-1].conj().T @ ((u.conj().T @ v1)[:-1] / s[:-1])
+    x2 -= (v1.conj() @ x2) * v1
+    x2 /= np.linalg.norm(x2)
+    return x2, complex(v1.conj() @ (shifted @ x2))
+
+
+def _kernel_dims(shifted: np.ndarray, s1: np.ndarray, scale: float,
+                 rank_tol: float) -> tuple[int, list[int]]:
+    """estimate_ep_order's (order, dims), given the singular values s1 of the shifted matrix."""
+    dims = [int(np.sum(s1 < rank_tol * scale))]
+    power = shifted
+    while len(dims) < MAX_ORDER and dims[-1] < shifted.shape[0]:
+        power = power @ shifted
+        s = np.linalg.svd(power, compute_uv=False)
+        dims.append(int(np.sum(s < rank_tol * scale ** (len(dims) + 1))))
+        if dims[-1] == dims[-2]:
+            return len(dims) - 1, dims
+    return len(dims), dims
+
+
+def _array(x) -> np.ndarray:
+    """The complex array behind a SuperOp, an Operator or an array."""
+    return np.asarray(x.matrix if isinstance(x, (SuperOp, Operator)) else x, dtype=complex)
+
+
+def _unit(rho) -> np.ndarray:
+    v = _array(rho).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+def _as_output(liou, vec: np.ndarray):
+    if isinstance(liou, SuperOp):
+        return Operator(liou.space, vec.reshape(liou.dim, liou.dim))
+    return vec
 
 
 def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL):
@@ -257,11 +298,8 @@ def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL)
     count as zero (sigma_max of the shifted matrix can be arbitrarily
     small, the unshifted entries set the rate scale).
     """
-    *_, vh, _ = _shifted_svd(liou, lambda_ep, rank_tol)
-    v1 = _canonical_phase(vh[-1].conj())
-    if isinstance(liou, SuperOp):
-        return Operator(liou.space, v1.reshape(liou.dim, liou.dim))
-    return v1
+    vh = _factor(_array(liou), lambda_ep, rank_tol)[3]
+    return _as_output(liou, _canonical_phase(vh[-1].conj()))
 
 
 def jordan_chain(liou, lambda_ep: complex, rho1=None,
@@ -275,75 +313,39 @@ def jordan_chain(liou, lambda_ep: complex, rho1=None,
     Operator) or a plain square matrix (returns a vector).  Raises
     JordanOrderError unless the rank deficiency is exactly one.
     """
-    shifted, u, s, vh, tol = _shifted_svd(liou, lambda_ep, rank_tol)
-    v1 = _canonical_phase(vh[-1].conj()) if rho1 is None else _as_vector(rho1)
-    v1 = v1 / np.linalg.norm(v1)
-    # minimal-norm least-squares solve through the truncated SVD
-    keep = s >= tol
-    coeffs = (u.conj().T @ v1)[keep] / s[keep]
-    x2 = vh[keep].conj().T @ coeffs
-    x2 -= (v1.conj() @ x2) * v1
-    x2 /= np.linalg.norm(x2)
-    a = complex(v1.conj() @ (shifted @ x2))
-    if isinstance(liou, SuperOp):
-        return Operator(liou.space, x2.reshape(liou.dim, liou.dim)), a
-    return x2, a
-
-
-def _as_vector(rho) -> np.ndarray:
-    if isinstance(rho, Operator):
-        return rho.matrix.reshape(-1).copy()
-    return np.asarray(rho, dtype=complex).reshape(-1)
+    shifted, u, s, vh, _ = _factor(_array(liou), lambda_ep, rank_tol)
+    v1 = _canonical_phase(vh[-1].conj()) if rho1 is None else rho1
+    x2, a = _chain(shifted, u, s, vh, v1)
+    return _as_output(liou, x2), a
 
 
 def chain_residual(liou, lambda_ep: complex, rho1, rho2, a: complex) -> float:
     """Hilbert-Schmidt norm of (L - lambda) rho2 - A rho1."""
-    mat = liou.matrix if isinstance(liou, SuperOp) else np.asarray(liou, dtype=complex)
-    v1 = _as_vector(rho1)
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = _as_vector(rho2)
-    r = mat @ v2 - lambda_ep * v2 - a * v1
-    return float(np.linalg.norm(r))
+    v2 = _array(rho2).reshape(-1)
+    return float(np.linalg.norm(_array(liou) @ v2 - lambda_ep * v2 - a * _unit(rho1)))
 
 
 def estimate_ep_order(mat: np.ndarray, lambda_ep: complex,
-                      rank_tol: float = DEFAULT_RANK_TOL,
-                      max_order: int = 8) -> tuple[int, list[int]]:
+                      rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, list[int]]:
     """Order of the eigenvalue from kernel growth of shifted powers.
 
     Returns (order, kernel_dims) where kernel_dims[k-1] is the numerical
-    kernel dimension of (M - lambda)^k; the order is where the growth
-    saturates.  Each chain step grows the kernel by exactly one.  The
-    power-k threshold scales as the k-th power of the operator scale:
+    kernel dimension of (M - lambda)^k, for k up to MAX_ORDER; the order
+    is where the growth saturates.  Each chain step grows the kernel by
+    exactly one.  The power-k threshold is rank_tol (||M||_2 + |lambda|)^k:
     near an EP the entire Jordan block of (M - lambda)^k is numerically
     zero, so thresholds relative to the power's own largest singular
     value would see nothing.
     """
-    n = mat.shape[0]
-    shifted = mat - lambda_ep * np.eye(n)
-    scale = np.linalg.norm(mat, 2) + abs(lambda_ep)
-    dims = []
-    power = np.eye(n, dtype=complex)
-    prev = 0
-    order = 1
-    for k in range(1, max_order + 1):
-        power = power @ shifted
-        s = np.linalg.svd(power, compute_uv=False)
-        dim_k = int(np.sum(s < rank_tol * scale ** k))
-        dims.append(dim_k)
-        if k > 1 and dim_k == prev:
-            order = k - 1
-            break
-        prev = dim_k
-        order = k
-        if dim_k >= n:
-            break
-    return order, dims
+    mat = _array(mat)
+    shifted = mat - lambda_ep * np.eye(mat.shape[0])
+    return _kernel_dims(shifted, np.linalg.svd(shifted, compute_uv=False),
+                        np.linalg.norm(mat, 2) + abs(lambda_ep), rank_tol)
 
 
 def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
-              param_tol: float = 1e-8, coarse_points: int = 33,
-              overlap_trigger: float = 0.9, rank_tol: float = DEFAULT_RANK_TOL,
+              param_tol: float = DEFAULT_PARAM_TOL, coarse_points: int = 33,
+              rank_tol: float = DEFAULT_RANK_TOL,
               n_threads: int = 1) -> EPReport:
     """Localize an exceptional point of a branch pair inside a bracket.
 
@@ -360,19 +362,16 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
     res = sweep(family, np.linspace(lo, hi, coarse_points), n_threads=n_threads)
 
     if branch_pair is None:
-        best = None
-        for i in range(res.n_branches):
-            if family.is_superop and res.zero_mask[:, i].any():
-                continue
-            for j in range(i + 1, res.n_branches):
-                if family.is_superop and res.zero_mask[:, j].any():
-                    continue
-                gap = np.abs(res.eigenvalues[:, i] - res.eigenvalues[:, j]).min()
-                if best is None or gap < best[0]:
-                    best = (gap, i, j)
-        if best is None:
+        # argmin keeps the first minimal gap in row-major (i < j) order
+        n = res.n_branches
+        gaps = np.full((n, n), np.inf)
+        for vals in res.eigenvalues:
+            np.minimum(gaps, np.abs(vals[:, None] - vals[None, :]), out=gaps)
+        steady = res.zero_mask.any(axis=0) & family.is_superop
+        candidate = np.triu(~(steady[:, None] | steady[None, :]), 1)
+        if not candidate.any():
             raise NoEPBracketedError("no candidate branch pair in bracket")
-        branch_pair = (best[1], best[2])
+        branch_pair = np.unravel_index(np.argmin(np.where(candidate, gaps, np.inf)), (n, n))
     i, j = int(branch_pair[0]), int(branch_pair[1])
 
     if family.is_superop and (res.zero_mask[:, i].any() or res.zero_mask[:, j].any()):
@@ -382,10 +381,8 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
 
     pair_vals = res.eigenvalues[:, [i, j]]
     pair_vecs = res.vectors[:, :, [i, j]]
-    s_vals = np.array([_gap_objective(pair_vals[k]) for k in range(res.grid.size)])
-    pair_ovl = np.array([
-        float(np.abs(np.vdot(pair_vecs[k][:, 0], pair_vecs[k][:, 1])))
-        for k in range(res.grid.size)])
+    s_vals = _gap_objective(pair_vals)
+    pair_ovl = np.abs(np.einsum("kd,kd->k", pair_vecs[:, :, 0].conj(), pair_vecs[:, :, 1]))
 
     flips = np.flatnonzero(np.sign(s_vals[:-1]) * np.sign(s_vals[1:]) < 0)
     if flips.size > 0:
@@ -401,7 +398,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
             else:
                 b = mid
         g_star = 0.5 * (a + b)
-    elif pair_ovl.max() >= overlap_trigger:
+    elif pair_ovl.max() >= OVERLAP_TRIGGER:
         k = int(np.argmin(np.abs(pair_vals[:, 0] - pair_vals[:, 1])))
         a = res.grid[max(k - 1, 0)]
         b = res.grid[min(k + 1, res.grid.size - 1)]
@@ -428,7 +425,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
     else:
         raise NoEPBracketedError(
             "no EP bracketed: gap never changes character and overlap stays "
-            f"below {overlap_trigger}")
+            f"below {OVERLAP_TRIGGER}")
 
     vals_star, vecs_star, sys_star = _pair_track(family, g_star, ref)
     gap = float(abs(vals_star[0] - vals_star[1]))
@@ -444,12 +441,11 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
     cluster = sys_star.values[np.abs(sys_star.values - pair_mean) <= radius]
     lambda_ep = complex(cluster.mean())
 
-    mat = family.matrix(g_star)
-    operator = SuperOp(family.space, mat) if family.is_superop else mat
-    rho1 = ep_eigenmatrix(operator, lambda_ep, rank_tol)
-    rho2, a_coef = jordan_chain(operator, lambda_ep, rho1=rho1, rank_tol=rank_tol)
-    resid = chain_residual(mat, lambda_ep, rho1, rho2, a_coef)
-    order, _dims = estimate_ep_order(mat, lambda_ep, rank_tol)
+    mat = _array(family.matrix(g_star))
+    shifted, u, s, vh, norm = _factor(mat, lambda_ep, rank_tol)
+    v1 = _canonical_phase(vh[-1].conj())
+    v2, a_coef = _chain(shifted, u, s, vh, v1)
+    order, _dims = _kernel_dims(shifted, s, norm + abs(lambda_ep), rank_tol)
 
     return EPReport(
         param_name=family.param_name,
@@ -460,7 +456,8 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
         overlap_at_ep=overlap,
         order_estimate=max(order, 2),
         jordan_coefficient=a_coef,
-        chain_residual=resid,
-        generalized_vector=_as_vector(rho2),
-        generalized_eigenmatrix=rho2 if isinstance(rho2, Operator) else None,
+        chain_residual=chain_residual(mat, lambda_ep, v1, v2, a_coef),
+        generalized_vector=v2,
+        generalized_eigenmatrix=(Operator(family.space, v2.reshape(family.space.dim, -1))
+                                 if family.is_superop else None),
     )

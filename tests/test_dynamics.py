@@ -222,6 +222,17 @@ class TestTrajectories:
             ref = prop.states[k] / np.trace(prop.states[k])
             assert trace_distance(nj[k], ref) <= 1e-10
 
+    def test_survival_is_the_no_jump_trace(self):
+        # survival must be Tr expm(L_nj t) rho0 whatever dt is; a product of
+        # first-order no-click probabilities is about 1% off here at t = 5
+        model = example2(1.0, 1.0)
+        ens = trajectories(model, [0, 1], n_traj=1, dt=1e-2, t_max=5.0, seed=0,
+                           n_samples=11)
+        prop = propagate_expm(assemble_liouvillian_no_jumps(model),
+                              Operator(qubit_space(), np.diag([0.0, 1.0])), ens.times)
+        trace = np.array([np.trace(s).real for s in prop.states])
+        assert_allclose(ens.survival, trace, rtol=1e-10, atol=0)
+
     @pytest.mark.parametrize("name, params", [
         ("example1", {}), ("example2", {}), ("example3", {"levels": 3})])
     def test_jump_free_rows_are_the_no_jump_record(self, name, params):

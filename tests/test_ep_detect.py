@@ -210,3 +210,50 @@ class TestJordanChain:
         order, dims = estimate_ep_order(mat, rl.lambda_ep)
         assert order == 2
         assert np.all(np.diff(dims[:order]) == 1)
+
+
+class TestOneFactorisation:
+    def test_jordan_analysis_takes_one_svd(self, monkeypatch):
+        # the block family solves with eig, so every SVD-type call is the
+        # Jordan analysis: one full SVD of (M - lambda) and one ||M||_2 serve
+        # every stage, plus the singular values of (M - lambda)^2
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counting_svd(*args, **kwargs):
+            calls.append("svd")
+            return svd(*args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                calls.append("norm2")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        report = locate_ep(example3_block_family(1.0, 1.0, 0.5, 1), (0.05, 0.25))
+        assert report.order_estimate == 2
+        assert len(calls) <= 3, calls
+
+    @pytest.mark.parametrize("family, bracket", [
+        (EX1.liouvillian_family(), (0.5, 1.5)),
+        (EX1.liouvillian_family(), (2.5, 3.5)),
+        (EX2.liouvillian_family(), (3.0, 5.0)),
+        (EX2.nhh_family(), (1.0, 3.0)),
+    ], ids=["example1-lo", "example1-hi", "example2-liouvillian", "example2-nhh"])
+    def test_report_equals_public_jordan_analysis(self, family, bracket):
+        report = locate_ep(family, bracket)
+        lam = report.lambda_ep
+        mat = family.matrix(report.param_value)
+        op = SuperOp(family.space, mat) if family.is_superop else mat
+        rho1 = ep_eigenmatrix(op, lam)
+        rho2, a = jordan_chain(op, lam, rho1=rho1)
+        vec2 = rho2.matrix.reshape(-1) if family.is_superop else rho2
+        assert report.jordan_coefficient == a
+        assert report.chain_residual == chain_residual(op, lam, rho1, rho2, a)
+        assert report.order_estimate == max(estimate_ep_order(mat, lam)[0], 2)
+        assert np.array_equal(report.generalized_vector, vec2)
+        if family.is_superop:
+            assert np.array_equal(report.generalized_eigenmatrix.matrix, rho2.matrix)
+        else:
+            assert report.generalized_eigenmatrix is None
