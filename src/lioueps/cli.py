@@ -454,17 +454,17 @@ def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
     return _write_branches(cfg, prefix, [param_val], [spec_family.eigensystem(param_val)])
 
 
-def _run_sweep(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
+def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
     family = _family_from_config(cfg)
     spec_family = _spectrum_family(cfg, family)
     grid = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
-    result = sweep(spec_family, grid, n_threads=threads)
+    result = sweep(spec_family, grid)
     systems = [Eigensystem(result.eigenvalues[k], result.vectors[k], result.zero_mask[k])
                for k in range(result.grid.size)]
     return _write_branches(cfg, prefix, result.grid, systems)
 
 
-def _run_ep_locate(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
+def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
     family = _family_from_config(cfg)
     spec_family = _spectrum_family(cfg, family)
     report = locate_ep(
@@ -472,8 +472,7 @@ def _run_ep_locate(cfg: RunConfig, prefix: str, threads: int) -> list[str]:
         branch_pair=cfg.branch_pair,
         param_tol=cfg.tolerances.get("param_tol", DEFAULT_PARAM_TOL),
         rank_tol=cfg.tolerances.get("rank_tol", DEFAULT_RANK_TOL),
-        coarse_points=max(cfg.sweep_steps, 5),
-        n_threads=threads)
+        coarse_points=max(cfg.sweep_steps, 5))
     payload = {
         "config": cfg.raw,
         "convention": CONVENTION,
@@ -537,7 +536,11 @@ def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
 
 def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
             seed_override: int | None = None, stream=None) -> int:
-    """Run a validated configuration; returns the process exit status."""
+    """Run a validated configuration; returns the process exit status.
+
+    threads is accepted and ignored: sweeps run serially, and the keyword
+    stays only because the benchmark worker (perfbench/worker.py) passes it.
+    """
     stream = stream if stream is not None else sys.stdout
     prefix = cfg.output
     if output_dir:
@@ -553,9 +556,9 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
     if cfg.command == "spectrum":
         files = _run_spectrum(cfg, prefix)
     elif cfg.command == "sweep":
-        files = _run_sweep(cfg, prefix, threads)
+        files = _run_sweep(cfg, prefix)
     elif cfg.command == "ep-locate":
-        files = _run_ep_locate(cfg, prefix, threads)
+        files = _run_ep_locate(cfg, prefix)
     elif cfg.command == "dynamics":
         files = _run_dynamics(cfg, prefix)
     elif cfg.command == "trajectories":
@@ -574,22 +577,9 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to a JSON run configuration")
     parser.add_argument("--output-dir", default=None,
                         help="directory prepended to the output prefix")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="sweep parallelism (default: LIOUEPS_THREADS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the trajectory seed")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("LIOUEPS_THREADS") or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"config error: LIOUEPS_THREADS: expected an integer, got {env!r}",
-                  file=sys.stderr)
-            return 2
-    threads = max(threads, 1)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -600,8 +590,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text)
-        return execute(cfg, output_dir=args.output_dir, threads=threads,
-                       seed_override=args.seed)
+        return execute(cfg, output_dir=args.output_dir, seed_override=args.seed)
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)

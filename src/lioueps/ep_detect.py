@@ -6,20 +6,19 @@ what produced the eigensystem: Liouvillian eigenmatrices are compared
 with the Hilbert-Schmidt product (their vectorized form), effective
 Hamiltonian eigenvectors with the plain inner product.
 
-Bisection runs on the sign of Re(gap^2) - Im(gap^2), which flips where a
-pair transitions between real-split and complex-split.  When the gap
-never changes character but the pair overlap climbs above 0.9 inside
-the bracket, a golden-section refinement of the minimal gap is used
-instead.  Exactly-at-EP arithmetic is avoided: the report is computed
-at the final bracket midpoint (parameter slop <= param_tol), where the
-eigensolver is still trustworthy.  There (M - lambda_EP) is factored
-once: one SVD and one ||M||_2 give the eigenmatrix, the Jordan chain,
-its residual and the first kernel dimension of the order estimate.
+The search finds roots of the pair discriminant Delta = (lambda_i -
+lambda_j)^2, which is analytic through an order-2 EP and vanishes there
+linearly (quadratically at a tangential coalescence).  Parabolas through
+Delta on a coarse sweep give the candidate cells, Muller's iteration
+refines each, and the first whose eigenvectors coalesce is accepted (a
+crossing of diagonalizable branches has a root but no coalescence).
+There (M - lambda_EP) is factored once: one SVD and one ||M||_2 give the
+eigenmatrix, the Jordan chain, its residual and the first kernel
+dimension of the order estimate.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,9 +31,10 @@ from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PARAM_TOL = 1e-8
-OVERLAP_TRIGGER = 0.9
 MAX_ORDER = 8
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Muller's iteration converges superlinearly at an order-2 root but only
+# linearly on the pair discriminant of a higher-order EP
+MAX_REFINE = 60
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.
     return perm, quality
 
 
-def sweep(family: SpectrumFamily, grid, n_threads: int = 1) -> SweepResult:
+def sweep(family: SpectrumFamily, grid) -> SweepResult:
     """Evaluate the family on a grid and continue branches across it."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -149,11 +149,7 @@ def sweep(family: SpectrumFamily, grid, n_threads: int = 1) -> SweepResult:
             exc.args = (f"{exc} (at grid index {k}, {family.param_name}={grid[k]!r})",)
             raise
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            systems = list(pool.map(evaluate, range(grid.size)))
-    else:
-        systems = [evaluate(k) for k in range(grid.size)]
+    systems = [evaluate(k) for k in range(grid.size)]
 
     n = systems[0].size
     m = grid.size
@@ -228,11 +224,6 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
     sys_g = family.eigensystem(g)
     perm, _ = _greedy_assignment(ref_vecs, sys_g.vectors)
     return sys_g.values[perm], sys_g.vectors[:, perm], sys_g
-
-
-def _gap_objective(vals: np.ndarray) -> np.ndarray:
-    gap2 = (vals[..., 0] - vals[..., 1]) ** 2
-    return gap2.real - gap2.imag
 
 
 def _factor(mat: np.ndarray, lambda_ep: complex, rank_tol: float):
@@ -343,102 +334,120 @@ def estimate_ep_order(mat: np.ndarray, lambda_ep: complex,
                         np.linalg.norm(mat, 2) + abs(lambda_ep), rank_tol)
 
 
+def _parabola_root(x, y):
+    """Root nearest x[2] of the parabola through the points (x[k], y[k]).
+
+    Muller's step, written with divided differences; broadcasts over
+    trailing axes of y.  A parabola without a finite root gives inf or nan.
+    """
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    d1, d2 = (y[1] - y[0]) / h1, (y[2] - y[1]) / h2
+    a = (d2 - d1) / (h1 + h2)
+    b = a * h2 + d2
+    disc = np.sqrt(b * b - 4.0 * a * y[2])
+    den = np.where(np.abs(b + disc) >= np.abs(b - disc), b + disc, b - disc)
+    return x[2] - 2.0 * y[2] / den
+
+
+def _candidates(res: SweepResult, bi: np.ndarray, bj: np.ndarray) -> list[tuple[int, int, int]]:
+    """Sorted (i, j, k) for the pairs (bi[p], bj[p]) and grid cells k holding a root of Delta.
+
+    Cell k spans half a grid step either side of grid point k (the end
+    cells reach the bracket ends).  It holds a root when the parabola
+    through Delta at k - 1, k, k + 1 has its root nearest k there, within
+    a step of the real axis, or when Delta vanishes at k; a pair with
+    Delta = 0 at all three points is degenerate, not coalescing.
+    """
+    last = res.grid.size - 2
+    found = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, last + 1):
+            vals = res.eigenvalues[[k - 1, k + 1, k]]
+            delta = (vals[:, bi] - vals[:, bj]) ** 2
+            t = _parabola_root((-1.0, 1.0, 0.0), delta)
+            inside = ((t.real >= (-1.0 if k == 1 else -0.5))
+                      & (t.real <= (1.0 if k == last else 0.5)) & (np.abs(t.imag) <= 1.0))
+            hit = (inside | (delta[2] == 0)) & (delta != 0).any(axis=0)
+            found += [(int(bi[p]), int(bj[p]), k) for p in np.flatnonzero(hit)]
+    return sorted(found)
+
+
+def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
+            param_tol: float):
+    """Muller's iteration on Delta of pair (i, j), started in cell k.
+
+    Steps to the real part of the root of the parabola through the last
+    three (g, Delta) points, clamped to grid points k - 1 and k + 1, until
+    Delta = 0, the step lands within param_tol of one of those points, or
+    MAX_REFINE eigensystems.  Returns g, the pair's eigenvalues and
+    vectors, and all eigenvalues at the last evaluated point.
+    """
+    idx = [k - 1, k + 1, k]
+    g = list(res.grid[idx])
+    delta = list((res.eigenvalues[idx, i] - res.eigenvalues[idx, j]) ** 2)
+    vals, vecs, values = res.eigenvalues[k, [i, j]], res.vectors[k][:, [i, j]], res.eigenvalues[k]
+    for _ in range(MAX_REFINE):
+        if delta[-1] == 0:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_new = float(np.clip(_parabola_root(g, delta).real, res.grid[k - 1], res.grid[k + 1]))
+        if not np.min(np.abs(g_new - np.asarray(g))) > param_tol:
+            break
+        vals, vecs, sys_new = _pair_track(family, g_new, vecs)
+        values = sys_new.values
+        g, delta = g[1:] + [g_new], delta[1:] + [(vals[0] - vals[1]) ** 2]
+    return g[-1], vals, vecs, values
+
+
 def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
               param_tol: float = DEFAULT_PARAM_TOL, coarse_points: int = 33,
-              rank_tol: float = DEFAULT_RANK_TOL,
-              n_threads: int = 1) -> EPReport:
+              rank_tol: float = DEFAULT_RANK_TOL) -> EPReport:
     """Localize an exceptional point of a branch pair inside a bracket.
 
     The pair is either given (indices into the branch order at the
-    bracket start) or auto-selected as the non-steady pair with the
-    smallest minimal gap over a coarse sweep.  Zero-eigenvalue branches
-    of a trace-preserving generator are rejected up front: the
-    steady-state sector is always diagonalizable, so it cannot host an
-    EP.
+    bracket start) or every non-steady pair is searched.  Candidate cells
+    are refined in pair order (row-major), then by parameter, and the
+    first whose eigenvectors coalesce (overlap >= 1 - 1e-6) is reported.
+    Zero-eigenvalue branches of a trace-preserving generator are rejected
+    up front: the steady-state sector is always diagonalizable, so it
+    cannot host an EP.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
-    res = sweep(family, np.linspace(lo, hi, coarse_points), n_threads=n_threads)
+    if coarse_points < 3:
+        raise ValueError("coarse_points must be at least 3")
+    res = sweep(family, np.linspace(lo, hi, coarse_points))
 
+    steady = res.zero_mask.any(axis=0) & family.is_superop
     if branch_pair is None:
-        # argmin keeps the first minimal gap in row-major (i < j) order
-        n = res.n_branches
-        gaps = np.full((n, n), np.inf)
-        for vals in res.eigenvalues:
-            np.minimum(gaps, np.abs(vals[:, None] - vals[None, :]), out=gaps)
-        steady = res.zero_mask.any(axis=0) & family.is_superop
-        candidate = np.triu(~(steady[:, None] | steady[None, :]), 1)
-        if not candidate.any():
-            raise NoEPBracketedError("no candidate branch pair in bracket")
-        branch_pair = np.unravel_index(np.argmin(np.where(candidate, gaps, np.inf)), (n, n))
-    i, j = int(branch_pair[0]), int(branch_pair[1])
+        bi, bj = np.nonzero(np.triu(~(steady[:, None] | steady[None, :]), 1))
+    else:
+        bi, bj = np.array([branch_pair[0]]), np.array([branch_pair[1]])
+        if steady[bi[0]] or steady[bj[0]]:
+            raise NoEPBracketedError(
+                "no EP bracketed: the zero-eigenvalue sector is non-defective "
+                "and cannot coalesce")
 
-    if family.is_superop and (res.zero_mask[:, i].any() or res.zero_mask[:, j].any()):
-        raise NoEPBracketedError(
-            "no EP bracketed: the zero-eigenvalue sector is non-defective "
-            "and cannot coalesce")
-
-    pair_vals = res.eigenvalues[:, [i, j]]
-    pair_vecs = res.vectors[:, :, [i, j]]
-    s_vals = _gap_objective(pair_vals)
-    pair_ovl = np.abs(np.einsum("kd,kd->k", pair_vecs[:, :, 0].conj(), pair_vecs[:, :, 1]))
-
-    flips = np.flatnonzero(np.sign(s_vals[:-1]) * np.sign(s_vals[1:]) < 0)
-    if flips.size > 0:
-        k = int(flips[0])
-        a, b = res.grid[k], res.grid[k + 1]
-        sa = s_vals[k]
-        ref = pair_vecs[k]
-        while b - a > param_tol:
-            mid = 0.5 * (a + b)
-            vals_m, ref, _ = _pair_track(family, mid, ref)
-            if np.sign(_gap_objective(vals_m)) == np.sign(sa):
-                a = mid
-            else:
-                b = mid
-        g_star = 0.5 * (a + b)
-    elif pair_ovl.max() >= OVERLAP_TRIGGER:
-        k = int(np.argmin(np.abs(pair_vals[:, 0] - pair_vals[:, 1])))
-        a = res.grid[max(k - 1, 0)]
-        b = res.grid[min(k + 1, res.grid.size - 1)]
-        ref = pair_vecs[max(k - 1, 0)]
-
-        def gap_at(g):
-            nonlocal ref
-            vals_g, ref, _ = _pair_track(family, g, ref)
-            return abs(vals_g[0] - vals_g[1])
-
-        x1 = b - GOLDEN * (b - a)
-        x2 = a + GOLDEN * (b - a)
-        f1, f2 = gap_at(x1), gap_at(x2)
-        while b - a > param_tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - GOLDEN * (b - a)
-                f1 = gap_at(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + GOLDEN * (b - a)
-                f2 = gap_at(x2)
-        g_star = 0.5 * (a + b)
+    candidates = _candidates(res, bi, bj)
+    best = 0.0
+    for i, j, k in candidates:
+        g_star, vals_star, vecs_star, values = _refine(family, res, i, j, k, param_tol)
+        overlap = float(np.abs(np.vdot(vecs_star[:, 0], vecs_star[:, 1])))
+        if overlap >= 1 - 1e-6:
+            break
+        best = max(best, overlap)
     else:
         raise NoEPBracketedError(
-            "no EP bracketed: gap never changes character and overlap stays "
-            f"below {OVERLAP_TRIGGER}")
+            f"no EP bracketed: {len(candidates)} candidate cells, none coalesced "
+            f"(best overlap {best:.8f})")
 
-    vals_star, vecs_star, sys_star = _pair_track(family, g_star, ref)
     gap = float(abs(vals_star[0] - vals_star[1]))
-    overlap = float(np.abs(np.vdot(vecs_star[:, 0], vecs_star[:, 1])))
-    if overlap < 1 - 1e-6:
-        raise NoEPBracketedError(
-            f"bracketing converged at {family.param_name}={g_star!r} but the "
-            f"eigenvectors did not coalesce (overlap {overlap:.8f})")
     # at a higher-order EP more than two branches merge; re-center the
     # eigenvalue on the whole coalescing cluster before Jordan analysis
     pair_mean = 0.5 * (vals_star[0] + vals_star[1])
     radius = max(20.0 * gap, 1e-9)
-    cluster = sys_star.values[np.abs(sys_star.values - pair_mean) <= radius]
+    cluster = values[np.abs(values - pair_mean) <= radius]
     lambda_ep = complex(cluster.mean())
 
     mat = _array(family.matrix(g_star))

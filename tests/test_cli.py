@@ -218,25 +218,6 @@ class TestCliRuns:
         assert len(overlap_rows) == 9 * 8 // 2
         assert all(float(r[3]) <= 1e-8 for r in overlap_rows)
 
-    def test_threads_env_and_flag_agree_with_serial_run(self, tmp_path, monkeypatch):
-        payload = {
-            "command": "sweep",
-            "model": {"name": "example1", "omega": 1.0, "gamma_y": 2.0},
-            "sweep": {"param": "gamma_x", "from": 0.0, "to": 2.0, "steps": 9},
-            "output": "thr",
-        }
-        cfg = write_config(tmp_path, payload)
-        out_serial = tmp_path / "serial"
-        out_flag = tmp_path / "flag"
-        out_env = tmp_path / "env"
-        assert main([cfg, "--output-dir", str(out_serial)]) == 0
-        assert main([cfg, "--output-dir", str(out_flag), "--threads", "4"]) == 0
-        monkeypatch.setenv("LIOUEPS_THREADS", "3")
-        assert main([cfg, "--output-dir", str(out_env)]) == 0
-        ref = (out_serial / "thr_eigenvalues.csv").read_bytes()
-        assert (out_flag / "thr_eigenvalues.csv").read_bytes() == ref
-        assert (out_env / "thr_eigenvalues.csv").read_bytes() == ref
-
     def test_float_formatting_has_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, {
             "command": "spectrum",
@@ -354,14 +335,6 @@ class TestExitCodes:
         assert main([cfg]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "omega_x" in err
-
-    def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, {"command": "spectrum", "model": {"name": "example2"}})
-        monkeypatch.setenv("LIOUEPS_THREADS", "abc")
-        assert main([cfg, "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "LIOUEPS_THREADS" in err
-        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self):
         assert main(["/nonexistent/path.json"]) == 2

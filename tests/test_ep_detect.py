@@ -76,14 +76,6 @@ class TestSweep:
         with pytest.raises(Exception, match="grid index 0"):
             sweep(fam, [-1.0, 1.0])
 
-    def test_threaded_sweep_is_deterministic(self):
-        fam = EX1.liouvillian_family()
-        grid = np.linspace(0.0, 4.0, 21)
-        seq = sweep(fam, grid, n_threads=1)
-        par = sweep(fam, grid, n_threads=4)
-        assert np.array_equal(seq.eigenvalues, par.eigenvalues)
-        assert np.array_equal(seq.vectors, par.vectors)
-
 
 class TestOverlapMatrix:
     def test_orthogonal_eigenmatrices_give_identity(self):
@@ -150,8 +142,16 @@ class TestLocateEP:
             locate_ep(EX2.liouvillian_family(), (3.0, 5.0), branch_pair=(0, 2))
 
     def test_no_ep_in_bracket(self):
-        with pytest.raises(NoEPBracketedError, match="no EP bracketed"):
+        with pytest.raises(NoEPBracketedError,
+                           match=r"^no EP bracketed: \d+ candidate cells, .*best overlap"):
             locate_ep(EX2.nhh_family(), (0.1, 1.0))
+
+    def test_bracket_and_grid_validation(self):
+        fam = EX2.nhh_family()
+        with pytest.raises(ValueError, match="lo < hi"):
+            locate_ep(fam, (3.0, 1.0))
+        with pytest.raises(ValueError, match="at least 3"):
+            locate_ep(fam, (1.0, 3.0), coarse_points=2)
 
     def test_decoupled_symmetric_modes_have_no_ep(self):
         # g = 0 with equal rates: degenerate but diagonalizable; theta

@@ -1,6 +1,7 @@
-"""Cross-cutting checks: degenerate spectra, the gap-minimization search
-path, concurrency of the pure analyzers, and full-generator EPs of the
-two-mode model at a small cutoff."""
+"""Cross-cutting checks: EP localization wherever the EP sits relative to
+the coarse grid (including a tangential coalescence) and its eigensystem
+budget, degenerate spectra, concurrency of the pure analyzers, and
+full-generator EPs of the two-mode model at a small cutoff."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,9 +16,9 @@ from lioueps.models import dephasing, example3, get_family
 
 
 def touching_pair_family():
-    """Synthetic pair whose gap closes quadratically without changing
-    character: the bisection objective never flips sign and the
-    localization must fall back to gap minimization."""
+    """Synthetic pair whose gap closes linearly, so the pair discriminant
+    touches zero quadratically at g = 1 without changing sign: a linear
+    model of the discriminant has no root there, a parabola has one."""
 
     def matrix(g):
         return np.array([[0.0, 1.0], [(g - 1.0) ** 2, 0.0]], dtype=complex)
@@ -31,13 +32,59 @@ def touching_pair_family():
     return SpectrumFamily("g", eigensystem, matrix, False)
 
 
-class TestGapMinimizationPath:
-    def test_quadratic_touching_ep_is_found(self):
-        report = locate_ep(touching_pair_family(), (0.5, 1.5))
+def counting(family):
+    """The family with its eigensystem calls counted in the returned list."""
+    calls = []
+
+    def eigensystem(g):
+        calls.append(g)
+        return family.eigensystem(g)
+
+    return SpectrumFamily(family.param_name, eigensystem, family.matrix,
+                          family.is_superop, family.space), calls
+
+
+EX3_L2 = get_family("example3").with_params(omega=1.0, gamma_a=1.0, gamma_b=0.5, levels=2)
+EX3_L3 = EX3_L2.with_params(levels=3)
+EX2 = get_family("example2").with_params(omega_x=1.0)
+
+
+class TestTouchingCoalescence:
+    @pytest.mark.parametrize("shift", [0.0, 0.013], ids=["shift-0", "shift-0.013"])
+    def test_quadratic_touching_ep_is_found(self, shift):
+        report = locate_ep(touching_pair_family(), (0.5 + shift, 1.5 + shift))
         assert report.param_value == pytest.approx(1.0, abs=1e-6)
         assert report.order_estimate == 2
         assert report.overlap_at_ep >= 1 - 1e-6
         assert report.chain_residual <= 1e-6
+
+
+class TestOffGridBrackets:
+    # 33 coarse points; at offset 0 a grid point sits on the EP, the other
+    # offsets slide the bracket across one grid cell
+    @pytest.mark.parametrize("cell_fraction", [0.0, 0.25, 1 / 3, 0.5, 2 / 3],
+                             ids=["0", "0.25", "0.33", "0.5", "0.67"])
+    @pytest.mark.parametrize("family, bracket, expected", [
+        (EX3_L2.liouvillian_family(), (0.05, 0.25), 0.125),
+        (EX3_L2.nhh_family(), (0.05, 0.25), 0.125),
+        (EX3_L3.liouvillian_family(), (0.025, 0.225), 0.125),
+        (EX3_L3.nhh_family(), (0.025, 0.225), 0.125),
+        (EX2.liouvillian_family(), (3.0, 5.0), 4.0),
+        (EX2.nhh_family(), (1.0, 3.0), 2.0),
+    ], ids=["example3-l2-liouvillian", "example3-l2-nhh", "example3-l3-liouvillian",
+            "example3-l3-nhh", "example2-liouvillian", "example2-nhh"])
+    def test_ep_found_at_every_offset(self, family, bracket, expected, cell_fraction):
+        shift = cell_fraction * (bracket[1] - bracket[0]) / 32
+        report = locate_ep(family, (bracket[0] + shift, bracket[1] + shift))
+        assert report.param_value == pytest.approx(expected, abs=1e-6)
+        assert report.order_estimate == 2
+
+    @pytest.mark.parametrize("lo", [0.025, 0.0271])
+    def test_eigensystem_budget(self, lo):
+        family, calls = counting(EX3_L3.liouvillian_family())
+        report = locate_ep(family, (lo, lo + 0.2))
+        assert report.param_value == pytest.approx(0.125, abs=1e-6)
+        assert len(calls) <= 40
 
 
 class TestDegenerateSpectra:
