@@ -45,6 +45,8 @@ from .spectral import (
     analyze_liouvillian,
     analyze_nhh,
     check_lemmas,
+    liouvillian_eigensystem,
+    nhh_eigensystem,
     pm_decomposition,
     sym_antisym,
 )

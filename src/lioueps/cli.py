@@ -40,7 +40,7 @@ from .superop import (
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
 )
-from .spectral import DEFAULT_ZERO_TOL, analyze_liouvillian
+from .spectral import DEFAULT_DEFECT_TOL, DEFAULT_ZERO_TOL, analyze_liouvillian
 from .ep_detect import (DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, Eigensystem, locate_ep,
                         overlap_matrix, sweep)
 from .models import ModelFamily, family_names, get_family
@@ -401,15 +401,6 @@ def _spectrum_family(cfg: RunConfig, family: ModelFamily):
         cfg.sweep_param, zero_tol=cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL))
 
 
-def _spectral_tols(cfg: RunConfig) -> dict:
-    out = {}
-    if "zero_tol" in cfg.tolerances:
-        out["zero_tol"] = cfg.tolerances["zero_tol"]
-    if "defect_tol" in cfg.tolerances:
-        out["defect_tol"] = cfg.tolerances["defect_tol"]
-    return out
-
-
 def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
     """Eigenvalue and overlap tables, one block per grid point.
 
@@ -492,11 +483,13 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     model = family.build()
     liou = (assemble_liouvillian(model) if cfg.generator == "liouvillian"
             else assemble_liouvillian_no_jumps(model))
+    zero_tol = cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL)
     rho0 = _state_matrix(cfg.rho0, model, liou if cfg.generator == "liouvillian" else None,
-                         zero_tol=cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL))
+                         zero_tol=zero_tol)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     if cfg.method == "modes":
-        spec = analyze_liouvillian(liou, **_spectral_tols(cfg))
+        spec = analyze_liouvillian(
+            liou, zero_tol, cfg.tolerances.get("defect_tol", DEFAULT_DEFECT_TOL))
         prop = propagate_modes(spec, rho0, times)
     else:
         prop = propagate_expm(liou, rho0, times)

@@ -74,14 +74,16 @@ def _is_density(rho: Operator, tol: float = 1e-9) -> bool:
     return bool(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() > -1e-8)
 
 
-def _validate_density_track(states: np.ndarray, times: np.ndarray):
-    traces = np.einsum("kii->k", states)
-    worst = np.abs(traces - 1).max()
-    if worst > 1e-10:
-        raise SpectralError(f"trace preservation violated: max |Tr rho - 1| = {worst:.2e}")
+def _validate_density_track(states: np.ndarray, times: np.ndarray, scale=1.0):
+    # trace and Hermiticity bounds: 1e-10 times the size of the summands
+    # the states were built from (scale, one for all times or per time)
+    bound = 1e-10 * np.broadcast_to(scale, times.shape)
+    err = np.abs(np.einsum("kii->k", states) - 1)
+    if np.any(err > bound):
+        raise SpectralError(f"trace preservation violated: max |Tr rho - 1| = {err.max():.2e}")
     for k in range(len(times)):
         m = states[k]
-        if np.abs(m - m.conj().T).max() > 1e-10 * max(np.abs(m).max(), 1.0):
+        if np.abs(m - m.conj().T).max() > bound[k] * max(np.abs(m).max(), 1.0):
             raise SpectralError(f"Hermiticity violated at t = {times[k]}")
         if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-8:
             raise SpectralError(f"state positivity violated at t = {times[k]}")
@@ -105,7 +107,8 @@ def propagate_modes(spectrum: Spectrum, rho0: Operator, times) -> Propagation:
     states = np.einsum("ik,ijl->kjl", coeffs,
                        spectrum.right_mats.reshape(len(weights), spectrum.dim, spectrum.dim))
     if _is_density(rho0):
-        _validate_density_track(states, times)
+        # unit-norm rho_i: rounding scales with sum_i |c_i exp(lambda_i t)|
+        _validate_density_track(states, times, np.maximum(np.abs(coeffs).sum(axis=0), 1.0))
     return Propagation(times, states, coeffs)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import NhhSpectrum, Spectrum, _canonical_phase
+from .spectral import Eigensystem, Spectrum, _canonical_phase
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -35,31 +35,6 @@ MAX_ORDER = 8
 # Muller's iteration converges superlinearly at an order-2 root but only
 # linearly on the pair discriminant of a higher-order EP
 MAX_REFINE = 60
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """Eigenvalues plus unit eigenvectors in a fixed inner-product space."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    zero_mask: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-
-def eigensystem_of(spec) -> Eigensystem:
-    """Adapt a Spectrum or NhhSpectrum to the sweep interface."""
-    if isinstance(spec, Spectrum):
-        zero = np.zeros(len(spec.eigenvalues), dtype=bool)
-        zero[list(spec.zero_indices)] = True
-        return Eigensystem(spec.eigenvalues.copy(), spec.right_vectors(), zero)
-    if isinstance(spec, NhhSpectrum):
-        return Eigensystem(spec.eigenvalues.copy(), spec.eigenvectors.copy(),
-                           np.zeros(len(spec.eigenvalues), dtype=bool))
-    raise TypeError(f"cannot adapt {type(spec).__name__} to an Eigensystem")
 
 
 @dataclass(frozen=True)
@@ -107,8 +82,8 @@ class SweepResult:
 
 
 def overlap_matrix(spec) -> np.ndarray:
-    """|<v_i|v_j>| for all eigenvector pairs; symmetric with unit diagonal."""
-    vecs = spec.vectors if isinstance(spec, Eigensystem) else eigensystem_of(spec).vectors
+    """|<v_i|v_j>| over the vectors of an Eigensystem or a Spectrum; symmetric, unit diagonal."""
+    vecs = spec.right_vectors() if isinstance(spec, Spectrum) else spec.vectors
     g = np.abs(vecs.conj().T @ vecs)
     return 0.5 * (g + g.T)
 

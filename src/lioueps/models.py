@@ -32,9 +32,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelBuildError
-from .ep_detect import Eigensystem, SpectrumFamily, eigensystem_of
+from .ep_detect import SpectrumFamily
 from .ops_core import Operator, build_boson_ops, build_qubit_ops, tensor
-from .spectral import DEFAULT_ZERO_TOL, analyze_liouvillian, analyze_nhh
+from .spectral import (DEFAULT_ZERO_TOL, Eigensystem, liouvillian_eigensystem,
+                       nhh_eigensystem)
 from .superop import (
     LindbladModel,
     assemble_liouvillian,
@@ -348,9 +349,7 @@ class ModelFamily:
         param = sweep_param or self.sweep_param
 
         def eigensystem(value: float) -> Eigensystem:
-            model = self.build(value, param)
-            return eigensystem_of(analyze_liouvillian(assemble_liouvillian(model),
-                                                      zero_tol=zero_tol))
+            return liouvillian_eigensystem(assemble_liouvillian(self.build(value, param)), zero_tol)
 
         def matrix(value: float) -> np.ndarray:
             return assemble_liouvillian(self.build(value, param)).matrix
@@ -362,8 +361,7 @@ class ModelFamily:
         param = sweep_param or self.sweep_param
 
         def eigensystem(value: float) -> Eigensystem:
-            model = self.build(value, param)
-            return eigensystem_of(analyze_nhh(effective_hamiltonian(model)))
+            return nhh_eigensystem(effective_hamiltonian(self.build(value, param)).matrix)
 
         def matrix(value: float) -> np.ndarray:
             return effective_hamiltonian(self.build(value, param)).matrix
@@ -416,18 +414,10 @@ def example3_block_family(omega: float, gamma_a: float, gamma_b: float,
                           n_exc: int) -> SpectrumFamily:
     """Coupling sweep of one excitation block of the two-mode model."""
 
-    def eigensystem(g: float) -> Eigensystem:
-        block = example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)
-        vals, vecs = np.linalg.eig(block)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        order = np.lexsort((vals.real, np.abs(vals.imag)))
-        return Eigensystem(vals[order], vecs[:, order],
-                           np.zeros(len(vals), dtype=bool))
-
     def matrix(g: float) -> np.ndarray:
         return example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)
 
-    return SpectrumFamily("g", eigensystem, matrix, False, None)
+    return SpectrumFamily("g", lambda g: nhh_eigensystem(matrix(g)), matrix, False, None)
 
 
 # ---------------------------------------------------------------------------

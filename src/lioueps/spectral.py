@@ -1,12 +1,14 @@
 """Spectral analysis of superoperators and effective Hamiltonians.
 
-analyze_liouvillian diagonalizes a trace-preserving generator with one
-eig call, which returns left and right eigenvectors already paired.
-Eigenvalues closer than a cluster tolerance are grouped in the complex
-plane and replaced by their cluster mean before the sort; the same
-clusters decide which eigenmatrices get a Hermitian representative and
-are the blocks in which left and right eigenmatrices are scaled so that
-Tr(sigma_i rho_j) = delta_ij.  The steady state comes from the
+liouvillian_eigensystem is what spectra, sweeps and the EP search read:
+one right-only eig of a trace-preserving generator.  Eigenvalues closer
+than a cluster tolerance are grouped in the complex plane and replaced
+by their cluster mean before the sort, and the zero-eigenvalue sector is
+orthonormalized.  analyze_liouvillian runs the same stages on one eig
+that also returns the left eigenvectors, already paired: the clusters
+decide which eigenmatrices get a Hermitian representative and are the
+blocks in which left and right eigenmatrices are scaled so that
+Tr(sigma_i rho_j) = delta_ij, and the steady state comes from the
 zero-eigenvalue sector.  Near-defective clusters are flagged instead of
 force-normalized: the spectral expansion of the dynamics is invalid
 exactly at an exceptional point, and silently rescaled left
@@ -48,6 +50,8 @@ DEFAULT_ZERO_TOL = 1e-10
 # (~1e-8): a much smaller threshold would never fire in double precision,
 # while healthy pairs sit at O(0.1).
 DEFAULT_DEFECT_TOL = 1e-6
+# eigenvector-matrix condition number that flags H_eff near-defective
+NHH_DEFECT_COND = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +125,19 @@ def _canonical_sign(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Eigensystem:
+    """Eigenvalues plus unit eigenvectors in a fixed inner-product space."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    zero_mask: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.values)
+
+
+@dataclass(frozen=True)
 class Spectrum:
     """Sorted eigensystem of a trace-preserving generator.
 
@@ -146,9 +163,6 @@ class Spectrum:
     def right(self, i: int) -> Operator:
         return Operator(self.space, self.right_mats[i])
 
-    def left(self, i: int) -> Operator:
-        return Operator(self.space, self.left_mats[i])
-
     def right_vectors(self) -> np.ndarray:
         """Vectorized right eigenmatrices as unit columns, shape (D^2, n)."""
         return self.right_mats.reshape(len(self.eigenvalues), -1).T.copy()
@@ -158,68 +172,94 @@ class Spectrum:
         return np.array([np.trace(s @ rho0.matrix) for s in self.left_mats])
 
 
-def analyze_liouvillian(liou: SuperOp,
-                        zero_tol: float = DEFAULT_ZERO_TOL,
-                        defect_tol: float = DEFAULT_DEFECT_TOL,
-                        cluster_tol: float | None = None) -> Spectrum:
-    """Full eigensystem of a trace-preserving generator.
+def _cluster_sort(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """Unit right vectors, complex-plane cluster means and the sort.
 
-    Raises SpectralError when no zero eigenvalue is found within
-    zero_tol (the input was not a Liouvillian, or trace preservation
-    was broken upstream).  Degenerate zero sectors are orthonormalized
-    and the trace-carrying combination defines the steady state, which
-    is validated to be Hermitian, positive semidefinite and trace one.
+    Returns the sorted vals, vecs and cluster labels, and the permutation
+    applied, for arrays paired with the input columns.
     """
-    mat = liou.matrix
-    n = mat.shape[0]
-    if cluster_tol is None:
-        # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
-        # precision; clustering just above that scale lets the cluster
-        # mean restore O(eps) accuracy at exceptional points.
-        # sqrt(||L||_1 ||L||_inf) bounds ||L||_2 from above without an SVD
-        # (1.0-1.6x the 2-norm on the bundled models, so the tolerance
-        # grows by at most sqrt(1.6) = 1.27x)
-        norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
-        cluster_tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
-
-    # LAPACK returns left vector i paired with eigenvalue i:
-    # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
-    vals, lvecs, vecs = scipy.linalg.eig(mat, left=True, right=True)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-    lvecs = lvecs / np.linalg.norm(lvecs, axis=0)
-
+    # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
+    # precision; clustering just above that scale lets the cluster mean
+    # restore O(eps) accuracy at exceptional points.
+    # sqrt(||L||_1 ||L||_inf) bounds ||L||_2 from above without an SVD
+    # (1.0-1.6x the 2-norm on the bundled models, so the tolerance grows
+    # by at most sqrt(1.6) = 1.27x)
+    norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
+    tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     # clusters in the complex plane: each unlabelled eigenvalue claims every
-    # unlabelled eigenvalue within cluster_tol, and the cluster is replaced
-    # by its mean.  Clustering before the sort matters: rounding of L
-    # interleaves exactly degenerate eigenvalues in (|Re|, Im) order.
-    labels = np.full(n, -1)
+    # unlabelled eigenvalue within tol, and the cluster is replaced by its
+    # mean.  Clustering before the sort matters: rounding of L interleaves
+    # exactly degenerate eigenvalues in (|Re|, Im) order.
+    labels = np.full(len(vals), -1)
     n_clusters = 0
-    for i in range(n):
+    for i in range(len(vals)):
         if labels[i] < 0:
-            members = np.flatnonzero((labels < 0) & (np.abs(vals - vals[i]) <= cluster_tol))
+            members = np.flatnonzero((labels < 0) & (np.abs(vals - vals[i]) <= tol))
             labels[members] = n_clusters
             vals[members] = vals[members].mean()
             n_clusters += 1
-    sizes = np.bincount(labels)
-
     order = _sort_indices(np.abs(vals.real), vals.imag, vecs)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    lvecs = lvecs[:, order]
-    labels = labels[order]
+    return vals[order], vecs[:, order], labels[order], order
 
+
+def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
+    """Zero mask, orthonormal zero-sector basis q and its rank.
+
+    The sector is guaranteed diagonalizable, so its span is an invariant
+    subspace, and q replaces its columns of vecs in place.
+    """
     zero_mask = np.abs(vals) <= zero_tol
-    zero_idx = np.flatnonzero(zero_mask)
-    if zero_idx.size == 0:
+    if not zero_mask.any():
         raise SpectralError("not a Liouvillian (trace check failed upstream?)")
-
-    # zero sector: record its rank, then orthonormalize (it is guaranteed
-    # diagonalizable, so the span is an invariant subspace)
-    zblock = vecs[:, zero_idx]
+    zblock = vecs[:, zero_mask]
     svals = np.linalg.svd(zblock, compute_uv=False)
-    zero_rank = int(np.sum(svals > 1e-8 * svals[0]))
     q, _ = np.linalg.qr(zblock)
-    vecs[:, zero_idx] = q
+    vecs[:, zero_mask] = q
+    return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0]))
+
+
+def _phase_columns(vecs: np.ndarray) -> np.ndarray:
+    for i in range(vecs.shape[1]):
+        vecs[:, i] = _canonical_phase(vecs[:, i])
+    return vecs
+
+
+def liouvillian_eigensystem(liou: SuperOp,
+                            zero_tol: float = DEFAULT_ZERO_TOL) -> Eigensystem:
+    """Eigenvalues, unit right eigenmatrices and zero mask of a generator.
+
+    One right-only eig, clustered, sorted and with the zero sector
+    orthonormalized as in analyze_liouvillian; every vector carries the
+    canonical phase.  Raises SpectralError when no eigenvalue lies within
+    zero_tol (not a Liouvillian, or trace preservation broken upstream).
+    """
+    vals, vecs = scipy.linalg.eig(liou.matrix)
+    vals, vecs, _, _ = _cluster_sort(liou.matrix, vals, vecs)
+    zero_mask, _, _ = _zero_sector(vals, vecs, zero_tol)
+    return Eigensystem(vals, _phase_columns(vecs), zero_mask)
+
+
+def analyze_liouvillian(liou: SuperOp,
+                        zero_tol: float = DEFAULT_ZERO_TOL,
+                        defect_tol: float = DEFAULT_DEFECT_TOL) -> Spectrum:
+    """Full eigensystem of a trace-preserving generator.
+
+    The eigenvalues, order and zero sector of liouvillian_eigensystem,
+    plus what needs the left vectors: the steady state (the
+    trace-carrying combination of the zero sector, validated to be
+    Hermitian, positive semidefinite and trace one) and biorthonormal
+    left eigenmatrices.
+    """
+    mat = liou.matrix
+    n = mat.shape[0]
+    # LAPACK returns left vector i paired with eigenvalue i:
+    # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
+    vals, lvecs, vecs = scipy.linalg.eig(mat, left=True, right=True)
+    vals, vecs, labels, order = _cluster_sort(mat, vals, vecs)
+    lvecs = (lvecs / np.linalg.norm(lvecs, axis=0))[:, order]
+    sizes = np.bincount(labels)
+    zero_mask, q, zero_rank = _zero_sector(vals, vecs, zero_tol)
 
     # steady state: trace-carrying combination of the zero sector
     trace_vec = vectorize(np.eye(liou.dim))
@@ -259,9 +299,9 @@ def analyze_liouvillian(liou: SuperOp,
             left[:, cluster] = y @ np.linalg.inv(b).conj().T
 
     d = liou.dim
-    right_mats = np.stack([vecs[:, i].reshape(d, d) for i in range(n)])
+    right_mats = np.ascontiguousarray(vecs.T).reshape(n, d, d)
     # store sigma_i = devec(y_i)^dag so that Tr(sigma_i rho_j) = y_i^dag x_j
-    left_mats = np.stack([left[:, i].reshape(d, d).conj().T for i in range(n)])
+    left_mats = left.conj().T.reshape(n, d, d).transpose(0, 2, 1).copy()
 
     return Spectrum(
         space=liou.space,
@@ -270,7 +310,7 @@ def analyze_liouvillian(liou: SuperOp,
         left_mats=left_mats,
         defect_flags=flags,
         steady_state=Operator(liou.space, ss),
-        zero_indices=tuple(int(i) for i in zero_idx),
+        zero_indices=tuple(int(i) for i in np.flatnonzero(zero_mask)),
         zero_sector_rank=zero_rank,
     )
 
@@ -295,10 +335,6 @@ class NhhSpectrum:
     eigenvectors: np.ndarray
     near_defective: bool
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     def induced_eigenvalues(self) -> np.ndarray:
         """No-jump eigenvalues -i(h_l - h_m^*), flat index l*D + m."""
         h = self.eigenvalues
@@ -309,21 +345,22 @@ class NhhSpectrum:
         return np.outer(self.eigenvectors[:, l], self.eigenvectors[:, m].conj())
 
 
-def analyze_nhh(heff: Operator, defect_cond: float = 1e8) -> NhhSpectrum:
-    """Eigensystem of H_eff, sorted by (|Im h|, Re h).
-
-    Defectiveness is a flag, not an error: the eigenvector-matrix
-    condition number is compared against defect_cond.
-    """
-    vals, vecs = scipy.linalg.eig(heff.matrix)
+def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
+    """Eigenvalues and unit right eigenvectors of H_eff, sorted by (|Im h|, Re h),
+    in canonical phase; the zero mask is empty."""
+    vals, vecs = scipy.linalg.eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = _sort_indices(np.abs(vals.imag), vals.real, vecs)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = _canonical_phase(vecs[:, i])
-    cond = np.linalg.cond(vecs)
-    return NhhSpectrum(heff.space, vals, vecs, bool(cond > defect_cond))
+    return Eigensystem(vals[order], _phase_columns(vecs[:, order]),
+                       np.zeros(len(vals), dtype=bool))
+
+
+def analyze_nhh(heff: Operator) -> NhhSpectrum:
+    """nhh_eigensystem of H_eff.  Defectiveness is a flag, not an error: the
+    eigenvector-matrix condition number is compared against NHH_DEFECT_COND."""
+    es = nhh_eigensystem(heff.matrix)
+    cond = np.linalg.cond(es.vectors)
+    return NhhSpectrum(heff.space, es.values, es.vectors, bool(cond > NHH_DEFECT_COND))
 
 
 # ---------------------------------------------------------------------------

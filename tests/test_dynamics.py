@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,7 @@ from lioueps.dynamics import (
     propagate_modes,
     trajectories,
 )
-from lioueps.models import example2, get_family
+from lioueps.models import example2, example3, get_family
 from conftest import random_lindblad_model
 
 Q = build_qubit_ops()
@@ -92,6 +94,36 @@ class TestPropagation:
             propagate_modes(spec, rho0, times)
         prop = propagate_expm(liou, rho0, times)
         assert np.abs(prop.traces() - 1).max() <= 1e-10
+
+    def test_modes_accept_large_cancelling_weights(self):
+        # near the example3 EP the mode weights reach 4e3 and cancel to a
+        # density matrix with a 3.5e-10 anti-Hermitian part: the bounds
+        # scale with sum_i |c_i|, so this correct expansion is not refused
+        model = example3(1.0, 0.1, 1.0, 0.5, levels=4)
+        liou = assemble_liouvillian(model)
+        rho0 = np.zeros((model.dim, model.dim))
+        rho0[-1, -1] = 1.0
+        rho0 = Operator(model.space, rho0)
+        times = np.linspace(0.0, 3.0, 31)
+        a = propagate_modes(analyze_liouvillian(liou), rho0, times)
+        b = propagate_expm(liou, rho0, times)
+        assert np.abs(a.mode_coefficients[:, 0]).max() > 1e3
+        assert np.abs(a.states - b.states).max() <= 1e-8
+
+    def test_modes_refuse_a_corrupted_spectrum(self):
+        liou = assemble_liouvillian(example2(1.0, 1.0))
+        spec = analyze_liouvillian(liou)
+        rho0 = Operator(qubit_space(), np.array([[0.5, 0.25], [0.25, 0.5]]))
+        times = np.linspace(0.0, 2.0, 5)
+        propagate_modes(spec, rho0, times)
+        # the mode at -1/2 has a Hermitian eigenmatrix and carries weight
+        # in this rho0; rotated by i it makes every state non-Hermitian
+        k = int(np.argmin(np.abs(spec.eigenvalues + 0.5)))
+        right = spec.right_mats.copy()
+        right[k] = 1j * right[k]
+        bad = dataclasses.replace(spec, right_mats=right)
+        with pytest.raises(SpectralError, match="Hermiticity violated"):
+            propagate_modes(bad, rho0, times)
 
     def test_no_jump_generator_loses_trace_monotonically(self):
         model = example2(1.0, 1.0)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lioueps import spectral
+from lioueps.cli import main
 from lioueps.errors import JordanOrderError, NoEPBracketedError
 from lioueps.ep_detect import (
     Eigensystem,
@@ -234,6 +238,33 @@ class TestOneFactorisation:
         report = locate_ep(example3_block_family(1.0, 1.0, 0.5, 1), (0.05, 0.25))
         assert report.order_estimate == 2
         assert len(calls) <= 3, calls
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        """scipy.linalg.eig as seen from lioueps.spectral, recording for each
+        call whether left vectors were asked for."""
+        calls = []
+        eig = spectral.scipy.linalg.eig
+
+        def counting_eig(a, *args, **kwargs):
+            calls.append(bool(kwargs.get("left", len(args) > 1 and args[1])))
+            return eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
+        return calls
+
+    def test_sweep_takes_one_right_only_eig_per_point(self, eig_calls):
+        grid = np.linspace(0.05, 0.25, 7)
+        family = get_family("example3", levels=2).liouvillian_family()
+        sweep(family, grid)
+        assert eig_calls == [False] * grid.size
+
+    def test_spectrum_takes_one_right_only_eig(self, eig_calls, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"command": "spectrum", "output": "spec",
+                                   "model": {"name": "example3", "levels": 2}}))
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert eig_calls == [False]
 
     @pytest.mark.parametrize("family, bracket", [
         (EX1.liouvillian_family(), (0.5, 1.5)),

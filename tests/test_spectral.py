@@ -15,12 +15,14 @@ from lioueps.superop import (
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
     effective_hamiltonian,
+    trace_row,
 )
 from lioueps.spectral import (
     analyze_liouvillian,
     analyze_nhh,
     check_lemmas,
     hermitian_representative,
+    liouvillian_eigensystem,
     pm_decomposition,
     sym_antisym,
 )
@@ -132,14 +134,25 @@ class TestAnalyzeLiouvillian:
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_spectrum_invariants_on_random_models(seed):
-    spec = analyze_liouvillian(assemble_liouvillian(
-        random_lindblad_model(np.random.default_rng(seed))))
+    liou = assemble_liouvillian(random_lindblad_model(np.random.default_rng(seed)))
+    spec = analyze_liouvillian(liou)
     vals = spec.eigenvalues
     assert biorthonormality_residual(spec) <= 1e-8
     key = list(zip(np.abs(vals.real), vals.imag))
     assert key == sorted(key)
     for lam in vals:
         assert np.abs(vals - lam.conjugate()).min() <= 1e-8
+    # the right-only eigensystem is the same spectrum, in the same order
+    lean = liouvillian_eigensystem(liou)
+    assert np.array_equal(lean.values, vals)
+    assert np.array_equal(np.flatnonzero(lean.zero_mask), spec.zero_indices)
+    overlaps = np.abs(np.sum(lean.vectors.conj() * spec.right_vectors(), axis=0))
+    assert overlaps.min() >= 1 - 1e-8
+    # trace preservation: vec(1)^dag L = 0; the steady state is a density matrix
+    assert np.linalg.norm(trace_row(liou)) <= 1e-12 * np.linalg.norm(liou.matrix)
+    ss = spec.steady_state.matrix
+    assert abs(np.trace(ss) - 1) <= 1e-12
+    assert np.linalg.eigvalsh(ss).min() >= -1e-10
 
 
 class TestAnalyzeNhh:
