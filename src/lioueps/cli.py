@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    JordanOrderError,
-    LiouepsError,
-    ModelBuildError,
-    NoEPBracketedError,
-    SpectralError,
-)
+from .errors import ConfigError, LiouepsError, ModelBuildError
 from .ops_core import Operator, build_qubit_ops
 from .superop import (
     LindbladModel,
@@ -261,6 +254,9 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("config.dynamics.generator: expected 'liouvillian' "
                               f"or 'no-jump', got {gen!r}")
             cfg.generator = gen
+            if method == "modes" and gen == "no-jump":
+                errors.append("config.dynamics.method: 'modes' needs a generator with a "
+                              "steady state; use 'expm' for generator 'no-jump'")
     elif "dynamics" in raw:
         errors.append("config.dynamics: only allowed for the dynamics command")
 
@@ -306,14 +302,13 @@ def _validate_state(errors, state, where):
     errors.append(f"{where}: expected a string preset or nested list, got {state!r}")
 
 
-def _state_matrix(state, model: LindbladModel, liou=None,
-                  zero_tol: float = DEFAULT_ZERO_TOL) -> Operator:
+def _state_matrix(state, model: LindbladModel, spec) -> Operator:
+    """Initial density matrix; "steady" is read from spec, the analysis of
+    the model's full generator."""
     d = model.dim
     if state == "maximally-mixed":
         return Operator(model.space, np.eye(d, dtype=complex) / d)
     if state == "steady":
-        spec = analyze_liouvillian(liou if liou is not None
-                                   else assemble_liouvillian(model), zero_tol=zero_tol)
         return spec.steady_state
     if isinstance(state, str):
         v = _state_vector(state, model)
@@ -483,13 +478,16 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     model = family.build()
     liou = (assemble_liouvillian(model) if cfg.generator == "liouvillian"
             else assemble_liouvillian_no_jumps(model))
-    zero_tol = cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL)
-    rho0 = _state_matrix(cfg.rho0, model, liou if cfg.generator == "liouvillian" else None,
-                         zero_tol=zero_tol)
+    spec = None
+    if cfg.method == "modes" or cfg.rho0 == "steady":
+        # one analysis of the full generator serves the steady rho0 and the
+        # mode expansion (parse_config admits modes only for the full one)
+        full = liou if cfg.generator == "liouvillian" else assemble_liouvillian(model)
+        spec = analyze_liouvillian(full, cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL),
+                                   cfg.tolerances.get("defect_tol", DEFAULT_DEFECT_TOL))
+    rho0 = _state_matrix(cfg.rho0, model, spec)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     if cfg.method == "modes":
-        spec = analyze_liouvillian(
-            liou, zero_tol, cfg.tolerances.get("defect_tol", DEFAULT_DEFECT_TOL))
         prop = propagate_modes(spec, rho0, times)
     else:
         prop = propagate_expm(liou, rho0, times)
@@ -591,7 +589,7 @@ def main(argv=None) -> int:
     except ModelBuildError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    except (SpectralError, NoEPBracketedError, JordanOrderError, LiouepsError) as exc:
+    except LiouepsError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # pragma: no cover - defensive

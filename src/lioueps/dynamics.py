@@ -65,11 +65,11 @@ class Propagation:
         return np.real(np.einsum("kij,kji->k", self.states, self.states))
 
 
-def _is_density(rho: Operator, tol: float = 1e-9) -> bool:
+def _is_density(rho: Operator) -> bool:
     m = rho.matrix
-    if abs(np.trace(m) - 1) > tol:
+    if abs(np.trace(m) - 1) > 1e-9:
         return False
-    if np.abs(m - m.conj().T).max() > tol * max(np.abs(m).max(), 1.0):
+    if np.abs(m - m.conj().T).max() > 1e-9 * max(np.abs(m).max(), 1.0):
         return False
     return bool(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() > -1e-8)
 

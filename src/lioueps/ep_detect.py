@@ -73,13 +73,6 @@ class SweepResult:
     matching_quality: np.ndarray
     continuation_breaks: tuple[tuple[int, int], ...]
 
-    @property
-    def n_branches(self) -> int:
-        return self.eigenvalues.shape[1]
-
-    def branch(self, i: int) -> np.ndarray:
-        return self.eigenvalues[:, i]
-
 
 def overlap_matrix(spec) -> np.ndarray:
     """|<v_i|v_j>| over the vectors of an Eigensystem or a Spectrum; symmetric, unit diagonal."""

@@ -73,8 +73,7 @@ def example1(omega: float, gamma_minus: float, gamma_x: float, gamma_y: float) -
     gx = _require_rate("gamma_x", gamma_x)
     gy = _require_rate("gamma_y", gamma_y)
     q = build_qubit_ops()
-    h = Operator(q["sigma_z"].space, 0.5 * float(omega) * q["sigma_z"].matrix,
-                 "angular_frequency")
+    h = Operator(q["sigma_z"].space, 0.5 * float(omega) * q["sigma_z"].matrix)
     return LindbladModel(h, ((gm, q["sigma_minus"]),
                              (gx, q["sigma_x"]),
                              (gy, q["sigma_y"])))
@@ -124,8 +123,7 @@ def example2(omega_x: float, gamma_minus: float) -> LindbladModel:
     wx = _require_positive("omega_x", omega_x)
     gm = _require_rate("gamma_minus", gamma_minus)
     q = build_qubit_ops()
-    h = Operator(q["sigma_x"].space, 0.5 * wx * q["sigma_x"].matrix,
-                 "angular_frequency")
+    h = Operator(q["sigma_x"].space, 0.5 * wx * q["sigma_x"].matrix)
     return LindbladModel(h, ((gm, q["sigma_minus"]),))
 
 
@@ -200,7 +198,7 @@ def example3(omega: float, g: float, gamma_a: float, gamma_b: float,
     nb = tensor(ident, bos["n"])
     hmat = w * (na.matrix + nb.matrix) + gg * (
         a.matrix.conj().T @ b.matrix + b.matrix.conj().T @ a.matrix)
-    h = Operator(a.space, hmat, "angular_frequency")
+    h = Operator(a.space, hmat)
     return LindbladModel(h, ((ga, a), (gb, b)))
 
 
@@ -292,7 +290,7 @@ def dephasing(omega: float, gamma: float, levels: int = 4) -> LindbladModel:
     gm = _require_rate("gamma", gamma)
     lv = _require_levels("levels", levels)
     bos = build_boson_ops(lv)
-    h = Operator(bos["n"].space, float(omega) * bos["n"].matrix, "angular_frequency")
+    h = Operator(bos["n"].space, float(omega) * bos["n"].matrix)
     return LindbladModel(h, ((gm, bos["n"]),))
 
 
@@ -319,7 +317,6 @@ class ModelFamily:
     defaults: dict
     sweep_param: str
     fixed_params: dict = field(default_factory=dict)
-    closed_form: Callable[..., dict] | None = None
 
     def params_at(self, value: float | None = None,
                   sweep_param: str | None = None) -> dict:
@@ -342,7 +339,7 @@ class ModelFamily:
         merged = dict(self.fixed_params)
         merged.update(fixed)
         return ModelFamily(self.name, self.builder, self.param_names,
-                           self.defaults, self.sweep_param, merged, self.closed_form)
+                           self.defaults, self.sweep_param, merged)
 
     def liouvillian_family(self, sweep_param: str | None = None,
                            zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
@@ -375,14 +372,12 @@ _FAMILIES = {
         "example1", example1,
         ("omega", "gamma_minus", "gamma_x", "gamma_y"),
         {"omega": 1.0, "gamma_minus": 0.0, "gamma_x": 0.0, "gamma_y": 2.0},
-        "gamma_x",
-        closed_form=example1_closed_form),
+        "gamma_x"),
     "example2": ModelFamily(
         "example2", example2,
         ("omega_x", "gamma_minus"),
         {"omega_x": 1.0, "gamma_minus": 1.0},
-        "gamma_minus",
-        closed_form=example2_closed_form),
+        "gamma_minus"),
     "example3": ModelFamily(
         "example3", example3,
         ("omega", "g", "gamma_a", "gamma_b", "levels"),
@@ -392,8 +387,7 @@ _FAMILIES = {
         "dephasing", dephasing,
         ("omega", "gamma", "levels"),
         {"omega": 1.0, "gamma": 1.0, "levels": 4},
-        "gamma",
-        closed_form=dephasing_closed_form),
+        "gamma"),
 }
 
 

@@ -1,7 +1,7 @@
 """Hilbert spaces, dense complex operators, and Hilbert-Schmidt geometry.
 
 Everything here is dense and immutable: an Operator wraps a read-only
-D x D complex array together with the labeled Hilbert space it acts on.
+D x D complex array together with the Hilbert space it acts on.
 All functions are pure.
 
 Qubit convention (fixed once, used everywhere): basis order (|g>, |e>),
@@ -14,7 +14,7 @@ under the sign of sigma_y, so nothing downstream depends on handedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +26,19 @@ DEFAULT_HERM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """A tensor-product Hilbert space with labeled basis states.
+    """A tensor-product Hilbert space.
 
-    dims stores the exact level count of each factor; labels holds one
-    name per basis state of each factor.  Flat basis indices run
-    row-major over the factors.
+    dims stores the exact level count of each factor.  Flat basis
+    indices run row-major over the factors.
     """
 
     dims: tuple[int, ...]
-    labels: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid factor dimensions {dims}")
-        labels = self.labels
-        if not labels:
-            labels = tuple(tuple(str(k) for k in range(d)) for d in dims)
-        labels = tuple(tuple(lab) for lab in labels)
-        if len(labels) != len(dims) or any(len(lab) != d for lab, d in zip(labels, dims)):
-            raise ValueError("labels must name every basis state of every factor")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -78,12 +69,9 @@ class HilbertSpace:
     def compatible(self, other: "HilbertSpace") -> bool:
         return self.dims == other.dims
 
-    def basis_label(self, index: int) -> str:
-        return ",".join(lab[k] for lab, k in zip(self.labels, self.multi_of(index)))
-
 
 def qubit_space() -> HilbertSpace:
-    return HilbertSpace((2,), (("g", "e"),))
+    return HilbertSpace((2,))
 
 
 def boson_space(levels: int) -> HilbertSpace:
@@ -95,14 +83,11 @@ class Operator:
     """Dense complex operator on a HilbertSpace.
 
     The matrix is copied and frozen at construction; entries must be
-    finite.  units is an informational tag ("dimensionless" or
-    "angular_frequency"; hbar = 1 so rates and energies share the
-    frequency unit).
+    finite.
     """
 
     space: HilbertSpace
     matrix: np.ndarray
-    units: str = "dimensionless"
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -121,9 +106,6 @@ class Operator:
             raise SpaceMismatchError(
                 f"operators on incompatible spaces {self.space.dims} vs {other.space.dims}")
 
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, self.units)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -133,25 +115,9 @@ class Operator:
             return True
         return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
 
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix, self.units)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix, self.units)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix, self.units)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix, self.units)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.matrix * complex(scalar), self.units)
-
-    __rmul__ = __mul__
+        return Operator(self.space, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -213,9 +179,8 @@ def build_boson_ops(levels: int) -> dict[str, Operator]:
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product on the composite space (dims concatenated)."""
-    space = HilbertSpace(a.space.dims + b.space.dims, a.space.labels + b.space.labels)
-    units = a.units if a.units == b.units else "dimensionless"
-    return Operator(space, np.kron(a.matrix, b.matrix), units)
+    space = HilbertSpace(a.space.dims + b.space.dims)
+    return Operator(space, np.kron(a.matrix, b.matrix))
 
 
 def hs_inner(a: Operator, b: Operator) -> complex:

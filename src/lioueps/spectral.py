@@ -78,12 +78,13 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray,
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude entry is real and positive."""
-    k = int(np.argmax(np.abs(v)))
-    piv = v[k]
-    if piv == 0:
-        return v
-    return v * (abs(piv) / piv)
+    """Rotate a vector, or each column of a stack, so that its
+    largest-magnitude entry is real and positive; zero columns stay zero."""
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+    # one scalar division per pivot: numpy's array complex division can
+    # round differently from its scalar division
+    scale = [abs(p) / p if p != 0 else 1.0 for p in np.ravel(piv)]
+    return v * np.reshape(scale, np.shape(piv))
 
 
 def hermitian_representative(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -219,12 +220,6 @@ def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
     return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0]))
 
 
-def _phase_columns(vecs: np.ndarray) -> np.ndarray:
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = _canonical_phase(vecs[:, i])
-    return vecs
-
-
 def liouvillian_eigensystem(liou: SuperOp,
                             zero_tol: float = DEFAULT_ZERO_TOL) -> Eigensystem:
     """Eigenvalues, unit right eigenmatrices and zero mask of a generator.
@@ -237,7 +232,7 @@ def liouvillian_eigensystem(liou: SuperOp,
     vals, vecs = scipy.linalg.eig(liou.matrix)
     vals, vecs, _, _ = _cluster_sort(liou.matrix, vals, vecs)
     zero_mask, _, _ = _zero_sector(vals, vecs, zero_tol)
-    return Eigensystem(vals, _phase_columns(vecs), zero_mask)
+    return Eigensystem(vals, _canonical_phase(vecs), zero_mask)
 
 
 def analyze_liouvillian(liou: SuperOp,
@@ -274,14 +269,14 @@ def analyze_liouvillian(liou: SuperOp,
 
     # deterministic representatives: Hermitian rotation for isolated real
     # eigenvalues, canonical phase otherwise
-    for i in range(n):
-        if not zero_mask[i] and sizes[labels[i]] == 1 and abs(vals[i].imag) <= zero_tol:
-            m, resid = hermitian_representative(devectorize(vecs[:, i]))
-            if resid <= 1e-8:
-                m = _canonical_sign(m / np.linalg.norm(m))
-                vecs[:, i] = m.reshape(-1)
-                continue
-        vecs[:, i] = _canonical_phase(vecs[:, i])
+    phased = np.ones(n, dtype=bool)
+    isolated_real = ~zero_mask & (sizes[labels] == 1) & (np.abs(vals.imag) <= zero_tol)
+    for i in np.flatnonzero(isolated_real):
+        m, resid = hermitian_representative(devectorize(vecs[:, i]))
+        if resid <= 1e-8:
+            vecs[:, i] = _canonical_sign(m / np.linalg.norm(m)).reshape(-1)
+            phased[i] = False
+    vecs[:, phased] = _canonical_phase(vecs[:, phased])
 
     # biorthonormalize within each cluster; a singular overlap block marks
     # a (near-)defective cluster, whose left vectors stay at unit norm
@@ -330,7 +325,6 @@ class NhhSpectrum:
     |phi_l><phi_m|.
     """
 
-    space: HilbertSpace
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     near_defective: bool
@@ -351,7 +345,7 @@ def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
     vals, vecs = scipy.linalg.eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = _sort_indices(np.abs(vals.imag), vals.real, vecs)
-    return Eigensystem(vals[order], _phase_columns(vecs[:, order]),
+    return Eigensystem(vals[order], _canonical_phase(vecs[:, order]),
                        np.zeros(len(vals), dtype=bool))
 
 
@@ -360,14 +354,14 @@ def analyze_nhh(heff: Operator) -> NhhSpectrum:
     eigenvector-matrix condition number is compared against NHH_DEFECT_COND."""
     es = nhh_eigensystem(heff.matrix)
     cond = np.linalg.cond(es.vectors)
-    return NhhSpectrum(heff.space, es.values, es.vectors, bool(cond > NHH_DEFECT_COND))
+    return NhhSpectrum(es.values, es.vectors, bool(cond > NHH_DEFECT_COND))
 
 
 # ---------------------------------------------------------------------------
 # eigenmatrix decompositions
 # ---------------------------------------------------------------------------
 
-def pm_decomposition(rho: Operator, herm_tol: float = 1e-8) -> tuple[Operator, Operator]:
+def pm_decomposition(rho: Operator) -> tuple[Operator, Operator]:
     """Split a Hermitian traceless eigenmatrix into two density matrices.
 
     Diagonalizes rho and regroups the positive and negative eigenvalue
@@ -377,7 +371,7 @@ def pm_decomposition(rho: Operator, herm_tol: float = 1e-8) -> tuple[Operator, O
     """
     m = rho.matrix
     scale = max(np.abs(m).max(), 1e-300)
-    if np.abs(m - m.conj().T).max() > herm_tol * scale:
+    if np.abs(m - m.conj().T).max() > 1e-8 * scale:
         raise HermiticityError("pm_decomposition requires a Hermitian input")
     dec = hermitian_spectral_decomposition(Operator(rho.space, 0.5 * (m + m.conj().T)), tol=np.inf)
     p = dec.eigenvalues
@@ -427,8 +421,7 @@ class LemmaReport:
 
 
 def check_lemmas(spectrum: Spectrum, model: LindbladModel,
-                 t: float = 0.1,
-                 zero_tol: float = DEFAULT_ZERO_TOL) -> LemmaReport:
+                 t: float = 0.1) -> LemmaReport:
     """Run the structural checks every Liouvillian spectrum must satisfy.
 
     eigenmode-decay       exp(L t) rho_i = exp(lambda_i t) rho_i
@@ -463,7 +456,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
     # L2: a nonzero trace forces a zero eigenvalue (equivalently, every
     # decaying eigenmatrix is traceless)
     traces = np.array([abs(np.trace(spectrum.right_mats[i])) for i in range(n)])
-    nonzero = np.abs(vals) > zero_tol
+    nonzero = np.abs(vals) > DEFAULT_ZERO_TOL
     ok2 = not np.any(nonzero & (traces > 1e-8))
     worst = float(traces[nonzero].max()) if nonzero.any() else 0.0
     checks.append(LemmaCheck("traceless-decay", ok2,

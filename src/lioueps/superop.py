@@ -1,6 +1,6 @@
 """Vectorization and assembly of superoperator matrices.
 
-Vectorization convention (fixed globally, tagged on every SuperOp):
+Vectorization convention (fixed globally):
 row-major stacking, vec(|m><n|) sits at flat index m*D + n, so that
 vec(A B C) = (A kron C^T) vec(B).  Under this convention
 
@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError
-from .ops_core import DEFAULT_HERM_TOL, HilbertSpace, Operator
-
-VEC_CONVENTION = "vec-rowmajor"
+from .ops_core import HilbertSpace, Operator
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,9 @@ class LindbladModel:
 
     H: Operator
     jumps: tuple[tuple[float, Operator], ...] = ()
-    herm_tol: float = DEFAULT_HERM_TOL
 
     def __post_init__(self):
-        if not self.H.is_hermitian(self.herm_tol):
+        if not self.H.is_hermitian():
             raise HermiticityError("model Hamiltonian is not Hermitian")
         jumps = tuple((float(g), x) for g, x in self.jumps)
         for g, x in jumps:
@@ -75,7 +72,6 @@ class SuperOp:
 
     space: HilbertSpace
     matrix: np.ndarray
-    convention: str = VEC_CONVENTION
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -88,10 +84,6 @@ class SuperOp:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def __call__(self, rho: Operator) -> Operator:
-        """Apply to an operator: devectorize(matrix @ vec(rho))."""
-        return devectorize(self.matrix @ vectorize(rho), self.space)
 
 
 def vectorize(a) -> np.ndarray:
@@ -155,7 +147,7 @@ def effective_hamiltonian(model: LindbladModel) -> Operator:
     m = model.H.matrix.astype(complex).copy()
     for g in model.folded_jump_matrices():
         m -= 0.5j * (g.conj().T @ g)
-    return Operator(model.space, m, model.H.units)
+    return Operator(model.space, m)
 
 
 def assemble_liouvillian(model: LindbladModel) -> SuperOp:

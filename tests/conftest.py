@@ -26,7 +26,7 @@ def random_lindblad_model(rng, max_dim=6):
     """Generic small model: random Hermitian H plus 1-2 random channels."""
     dim = int(rng.integers(2, max_dim + 1))
     space = HilbertSpace((dim,))
-    h = Operator(space, random_hermitian(rng, dim), "angular_frequency")
+    h = Operator(space, random_hermitian(rng, dim))
     jumps = []
     for _ in range(int(rng.integers(1, 3))):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

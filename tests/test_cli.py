@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lioueps import spectral
 from lioueps.cli import RunConfig, _write_branches, _write_csv, main, parse_config
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
@@ -246,6 +247,41 @@ class TestCliVariants:
         first = [float(x) for x in rows[0]]
         last = [float(x) for x in rows[-1]]
         assert np.allclose(first[1:], last[1:], atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["modes", "expm"])
+    def test_dynamics_from_steady_state_takes_one_eig(self, tmp_path, monkeypatch, method):
+        # the steady rho0 and the mode expansion come from one analysis of L
+        calls = []
+        eig = spectral.scipy.linalg.eig
+
+        def counting_eig(*args, **kwargs):
+            calls.append(kwargs.get("left", False))
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
+        cfg = write_config(tmp_path, {
+            "command": "dynamics",
+            "model": {"name": "example3", "levels": 3},
+            "dynamics": {"rho0": "steady", "t_max": 1.0, "n_times": 3,
+                         "method": method},
+            "output": "st1",
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+        assert calls == [True]
+
+    def test_modes_method_refuses_the_no_jump_generator(self, tmp_path, capsys):
+        # L' has no steady state to expand around: refused before any analysis
+        cfg = write_config(tmp_path, {
+            "command": "dynamics",
+            "model": {"name": "example2", "omega_x": 1.0, "gamma_minus": 1.0},
+            "dynamics": {"rho0": "excited", "t_max": 1.0, "n_times": 5,
+                         "method": "modes", "generator": "no-jump"},
+            "output": "njm",
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.dynamics.method" in err and "'expm'" in err
+        assert not os.path.exists(tmp_path / "njm_dynamics.csv")
 
     def test_dynamics_no_jump_generator_loses_trace(self, tmp_path):
         cfg = write_config(tmp_path, {

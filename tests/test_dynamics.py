@@ -78,7 +78,7 @@ class TestPropagation:
         assert_allclose(prop.states[0], rho0.matrix, atol=1e-14)
 
     def test_unitary_purity_conserved(self):
-        h = Operator(qubit_space(), 0.9 * Q["sigma_x"].matrix, "angular_frequency")
+        h = Operator(qubit_space(), 0.9 * Q["sigma_x"].matrix)
         liou = assemble_liouvillian(LindbladModel(h))
         rho0 = Operator(qubit_space(), np.diag([1.0, 0.0]))
         prop = propagate_expm(liou, rho0, np.linspace(0.0, 5.0, 11))
@@ -194,7 +194,7 @@ class TestEpDecayFit:
 
 class TestTrajectories:
     def test_closed_system_reproduces_schroedinger_evolution(self):
-        h = Operator(qubit_space(), 0.5 * Q["sigma_x"].matrix, "angular_frequency")
+        h = Operator(qubit_space(), 0.5 * Q["sigma_x"].matrix)
         model = LindbladModel(h, ((0.0, Q["sigma_minus"]),))
         ens = trajectories(model, [0, 1], n_traj=3, dt=1e-3, t_max=2.0, seed=1)
         assert all(len(r) == 0 for r in ens.jump_records)
@@ -314,7 +314,7 @@ class TestTrajectories:
     def test_channel_statistics_proportional_to_rates(self):
         # two competing channels with 4:1 rates; jump counts follow suit
         q = Q
-        h = Operator(qubit_space(), 0.5 * q["sigma_x"].matrix, "angular_frequency")
+        h = Operator(qubit_space(), 0.5 * q["sigma_x"].matrix)
         model = LindbladModel(h, ((2.0, q["sigma_z"]), (0.5, q["sigma_z"])))
         ens = trajectories(model, [0, 1], n_traj=200, dt=5e-3, t_max=2.0, seed=13)
         counts = np.zeros(2)

@@ -21,6 +21,7 @@ from lioueps.spectral import (
     analyze_liouvillian,
     analyze_nhh,
     check_lemmas,
+    _canonical_phase,
     hermitian_representative,
     liouvillian_eigensystem,
     pm_decomposition,
@@ -89,7 +90,7 @@ class TestAnalyzeLiouvillian:
             assert carriers == set(spec.zero_indices)
 
     def test_h_only_model_has_maximally_mixed_steady_state(self):
-        h = Operator(SPACE, 0.7 * Q["sigma_z"].matrix, "angular_frequency")
+        h = Operator(SPACE, 0.7 * Q["sigma_z"].matrix)
         spec = analyze_liouvillian(assemble_liouvillian(LindbladModel(h)))
         assert_allclose(spec.steady_state.matrix, np.eye(2) / 2, atol=1e-12)
 
@@ -255,12 +256,17 @@ class TestDecompositions:
 
     def test_pm_matches_printed_states_above_generator_ep(self):
         # where the coherence eigenmatrices are Hermitian, their +- wave
-        # functions coincide with the closed-form psi columns
+        # functions coincide with the closed-form psi columns, both for the
+        # printed eigenmatrices and for the Hermitian representatives that
+        # analyze_liouvillian returns for the isolated real modes 2 and 3
         for gm in (4.5, 5.0, 6.0):
             cf = example2_closed_form(1.0, gm)
-            for rho_mat, psis in ((cf["rhos"][2], cf["psi2"]),
-                                  (cf["rhos"][3], cf["psi3"])):
-                plus, minus = pm_decomposition(Operator(SPACE, rho_mat))
+            spec = analyze_liouvillian(assemble_liouvillian(example2(1.0, gm)))
+            for rho, psis in ((Operator(SPACE, cf["rhos"][2]), cf["psi2"]),
+                              (Operator(SPACE, cf["rhos"][3]), cf["psi3"]),
+                              (spec.right(2), cf["psi2"]),
+                              (spec.right(3), cf["psi3"])):
+                plus, minus = pm_decomposition(rho)
                 states = []
                 for part in (plus, minus):
                     dec = np.linalg.eigh(part.matrix)
@@ -297,6 +303,21 @@ class TestDecompositions:
         scale = np.vdot(rep, herm) / np.vdot(herm, herm)
         assert abs(abs(scale) - 1) <= 1e-12
         assert np.abs(rep - scale * herm).max() <= 1e-12
+
+    def test_canonical_phase_of_a_column_stack_matches_each_column(self):
+        # eigenvectors of a generator and of H_eff, plus a zero column
+        _, vecs = np.linalg.eig(assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, 3)).matrix)
+        _, phis = np.linalg.eig(effective_hamiltonian(example3(1.0, 0.1, 1.0, 0.5, 9)).matrix)
+        stack = np.hstack([vecs, phis, np.zeros((81, 1))])
+        expected = stack.copy()
+        for i in range(stack.shape[1]):
+            v = stack[:, i]
+            piv = v[np.argmax(np.abs(v))]
+            if piv != 0:
+                expected[:, i] = v * (abs(piv) / piv)
+        assert _canonical_phase(stack).tobytes() == expected.tobytes()
+        for i in (0, 40, stack.shape[1] - 1):
+            assert _canonical_phase(stack[:, i]).tobytes() == expected[:, i].tobytes()
 
 
 class TestCheckLemmas:

@@ -99,7 +99,7 @@ def test_jump_superop_examples():
 
 
 def test_liouvillian_commutator_spectrum():
-    h = Operator(SPACE, 0.5 * 1.3 * Q["sigma_z"].matrix, "angular_frequency")
+    h = Operator(SPACE, 0.5 * 1.3 * Q["sigma_z"].matrix)
     liou = assemble_liouvillian(LindbladModel(h))
     vals = np.sort_complex(np.linalg.eigvals(liou.matrix))
     assert_allclose(np.sort(vals.imag), [-1.3, 0, 0, 1.3], atol=1e-12)
@@ -144,7 +144,7 @@ def test_no_jump_split_identity():
 
 
 def test_no_jumps_means_no_difference():
-    h = Operator(SPACE, Q["sigma_x"].matrix, "angular_frequency")
+    h = Operator(SPACE, Q["sigma_x"].matrix)
     model = LindbladModel(h)
     assert_allclose(assemble_liouvillian(model).matrix,
                     assemble_liouvillian_no_jumps(model).matrix, atol=1e-15)
