@@ -43,6 +43,8 @@ from .verify import run_verification
 COMMANDS = ("spectrum", "sweep", "ep-locate", "dynamics", "trajectories", "verify")
 CONVENTION = ("vec-rowmajor; jump operators folded as sqrt(gamma)*X; "
               "sigma_z = diag(+1,-1), ground state first")
+# rows per chunk of Python scalars in _write_csv: ~1 MB for four columns
+_CSV_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -375,14 +377,18 @@ def _write_csv(cfg: RunConfig, path: str, names, columns, extra: dict | None = N
 
     Integer columns are written as %d and every other column with 17
     significant digits, so each float reads back exactly.  Rows are
-    streamed; no list of all output lines is built.
+    formatted from Python scalars (numpy scalars format slower), one
+    chunk of rows at a time so that no column is held as Python objects
+    whole; no list of all output lines is built.
     """
     columns = [np.asarray(col) for col in columns]
     fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
                    for col in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_header(cfg, extra) + [",".join(names)]) + "\n")
-        fh.writelines(map(fmt.__mod__, zip(*columns)))
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            fh.writelines(map(fmt.__mod__, zip(*chunk)))
 
 
 def _family_from_config(cfg: RunConfig) -> ModelFamily:

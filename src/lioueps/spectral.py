@@ -1,15 +1,17 @@
 """Spectral analysis of superoperators and effective Hamiltonians.
 
 liouvillian_eigensystem is what spectra, sweeps and the EP search read:
-one right-only eig of a trace-preserving generator.  Eigenvalues closer
-than a cluster tolerance are grouped in the complex plane and replaced
-by their cluster mean before the sort, and the zero-eigenvalue sector is
-orthonormalized.  analyze_liouvillian runs the same stages on one eig
-that also returns the left eigenvectors, already paired: the clusters
-decide which eigenmatrices get a Hermitian representative and are the
-blocks in which left and right eigenmatrices are scaled so that
-Tr(sigma_i rho_j) = delta_ij, and the steady state comes from the
-zero-eigenvalue sector.  Near-defective clusters are flagged instead of
+one right-only eig of a trace-preserving generator.  Every eig is taken
+one weakly connected sector of the matrix at a time (_block_eig): the
+weak-symmetry blocks of a Liouvillian, the excitation blocks of H_eff.
+Eigenvalues closer than a cluster tolerance are grouped in the complex
+plane and replaced by their cluster mean before the sort, and the
+zero-eigenvalue sector is orthonormalized.  analyze_liouvillian runs the
+same stages on one eig that also returns the left eigenvectors, already
+paired: the clusters decide which eigenmatrices get a Hermitian
+representative and are the blocks in which left and right eigenmatrices
+are scaled so that Tr(sigma_i rho_j) = delta_ij, and the steady state
+comes from the zero-eigenvalue sector.  Near-defective clusters are flagged instead of
 force-normalized: the spectral expansion of the dynamics is invalid
 exactly at an exceptional point, and silently rescaled left
 eigenmatrices there would poison every downstream coefficient.
@@ -41,6 +43,7 @@ from .superop import (
     assemble_liouvillian,
     devectorize,
     effective_hamiltonian,
+    trace_row,
     vectorize,
 )
 
@@ -85,6 +88,49 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     # round differently from its scalar division
     scale = [abs(p) / p if p != 0 else 1.0 for p in np.ravel(piv)]
     return v * np.reshape(scale, np.shape(piv))
+
+
+def _block_eig(mat: np.ndarray, left: bool = False):
+    """scipy.linalg.eig of mat, one weakly connected sector at a time.
+
+    The sectors are the connected components of the sparsity graph of
+    (mat != 0) | (mat != 0).T, labelled by min-label propagation over the
+    nonzero entries.  A 1x1 sector is its diagonal entry with a unit
+    vector; only sectors of size >= 2 go to eig.  Returns (vals, vecs),
+    or (vals, lvecs, vecs) with left, as eig does, over the full index
+    range: each vector is nonzero only on its own sector.
+    """
+    n = mat.shape[0]
+    rows, cols = np.nonzero(mat)
+    src, dst = np.r_[rows, cols], np.r_[cols, rows]
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, src, labels[dst])
+        # pointer jumping: each label is a smaller index of the same sector
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    sizes = np.bincount(labels, minlength=n)[labels]
+    vals = np.empty(n, dtype=complex)
+    vecs = np.zeros((n, n), dtype=complex)
+    single = np.flatnonzero(sizes == 1)
+    vals[single] = mat[single, single]
+    # eig checks its own blocks; the 1x1 sectors bypass it
+    if not np.isfinite(vals[single]).all():
+        raise ValueError("array must not contain infs or NaNs")
+    vecs[single, single] = 1.0
+    lvecs = vecs.copy() if left else None
+    for root in np.unique(labels[sizes > 1]):
+        idx = np.flatnonzero(labels == root)
+        block = np.ix_(idx, idx)
+        out = scipy.linalg.eig(mat[block], left=left)
+        vals[idx] = out[0]
+        vecs[block] = out[-1]
+        if left:
+            lvecs[block] = out[1]
+    return (vals, lvecs, vecs) if left else (vals, vecs)
 
 
 def hermitian_representative(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,7 +258,7 @@ def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
     """
     zero_mask = np.abs(vals) <= zero_tol
     if not zero_mask.any():
-        raise SpectralError("not a Liouvillian (trace check failed upstream?)")
+        raise SpectralError(f"not a Liouvillian: no eigenvalue within zero_tol = {zero_tol:.2e}")
     zblock = vecs[:, zero_mask]
     svals = np.linalg.svd(zblock, compute_uv=False)
     q, _ = np.linalg.qr(zblock)
@@ -220,16 +266,26 @@ def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
     return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0]))
 
 
+def _check_trace_row(liou: SuperOp) -> None:
+    """Refuse a generator whose trace row vec(1)^dag L exceeds 1e-12 ||L||_F."""
+    resid = np.linalg.norm(trace_row(liou))
+    bound = 1e-12 * np.linalg.norm(liou.matrix)
+    if resid > bound:
+        raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = {resid:.2e} "
+                            f"exceeds 1e-12 |L| = {bound:.2e}")
+
+
 def liouvillian_eigensystem(liou: SuperOp,
                             zero_tol: float = DEFAULT_ZERO_TOL) -> Eigensystem:
     """Eigenvalues, unit right eigenmatrices and zero mask of a generator.
 
-    One right-only eig, clustered, sorted and with the zero sector
+    One right-only eig per sector, clustered, sorted and with the zero sector
     orthonormalized as in analyze_liouvillian; every vector carries the
-    canonical phase.  Raises SpectralError when no eigenvalue lies within
-    zero_tol (not a Liouvillian, or trace preservation broken upstream).
+    canonical phase.  Raises SpectralError when the trace row does not
+    vanish or no eigenvalue lies within zero_tol.
     """
-    vals, vecs = scipy.linalg.eig(liou.matrix)
+    _check_trace_row(liou)
+    vals, vecs = _block_eig(liou.matrix)
     vals, vecs, _, _ = _cluster_sort(liou.matrix, vals, vecs)
     zero_mask, _, _ = _zero_sector(vals, vecs, zero_tol)
     return Eigensystem(vals, _canonical_phase(vecs), zero_mask)
@@ -246,11 +302,12 @@ def analyze_liouvillian(liou: SuperOp,
     Hermitian, positive semidefinite and trace one) and biorthonormal
     left eigenmatrices.
     """
+    _check_trace_row(liou)
     mat = liou.matrix
     n = mat.shape[0]
-    # LAPACK returns left vector i paired with eigenvalue i:
+    # left vector i is paired with eigenvalue i:
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
-    vals, lvecs, vecs = scipy.linalg.eig(mat, left=True, right=True)
+    vals, lvecs, vecs = _block_eig(mat, left=True)
     vals, vecs, labels, order = _cluster_sort(mat, vals, vecs)
     lvecs = (lvecs / np.linalg.norm(lvecs, axis=0))[:, order]
     sizes = np.bincount(labels)
@@ -342,7 +399,7 @@ class NhhSpectrum:
 def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
     """Eigenvalues and unit right eigenvectors of H_eff, sorted by (|Im h|, Re h),
     in canonical phase; the zero mask is empty."""
-    vals, vecs = scipy.linalg.eig(mat)
+    vals, vecs = _block_eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = _sort_indices(np.abs(vals.imag), vals.real, vecs)
     return Eigensystem(vals[order], _canonical_phase(vecs[:, order]),

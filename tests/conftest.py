@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lioueps import spectral
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
 
@@ -15,6 +16,19 @@ def assert_multiset_close(actual, expected, tol):
         k = int(np.argmin(dists))
         assert dists[k] <= tol, f"no match for {want}: nearest at distance {dists[k]}"
         actual.pop(k)
+
+
+def assert_one_eig_per_sector(calls, mat, left):
+    """calls, one (left, size) per eig, cover mat's sectors once: every call
+    asks for left vectors exactly when left is set, each is of size >= 2,
+    and the sizes sum to n minus the indices with no off-diagonal entry in
+    their row or column (the 1x1 sectors, which take no eig)."""
+    off = np.asarray(mat) != 0
+    np.fill_diagonal(off, False)
+    isolated = int(np.sum(~(off.any(axis=0) | off.any(axis=1))))
+    assert [l for l, _ in calls] == [left] * len(calls)
+    assert all(size >= 2 for _, size in calls)
+    assert sum(size for _, size in calls) == off.shape[0] - isolated
 
 
 def random_hermitian(rng, dim):
@@ -37,3 +51,18 @@ def random_lindblad_model(rng, max_dim=6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """scipy.linalg.eig as seen from lioueps.spectral, recording for each
+    call whether left vectors were asked for and the matrix size."""
+    calls = []
+    eig = spectral.scipy.linalg.eig
+
+    def counting_eig(a, *args, **kwargs):
+        calls.append((bool(kwargs.get("left", len(args) > 1 and args[1])), len(a)))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
+    return calls

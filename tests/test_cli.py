@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lioueps import spectral
 from lioueps.cli import RunConfig, _write_branches, _write_csv, main, parse_config
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
 from lioueps.errors import ConfigError
 from lioueps.models import example1_closed_form, get_family
 from lioueps.ops_core import build_qubit_ops
+from conftest import assert_one_eig_per_sector
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -249,16 +249,9 @@ class TestCliVariants:
         assert np.allclose(first[1:], last[1:], atol=1e-9)
 
     @pytest.mark.parametrize("method", ["modes", "expm"])
-    def test_dynamics_from_steady_state_takes_one_eig(self, tmp_path, monkeypatch, method):
-        # the steady rho0 and the mode expansion come from one analysis of L
-        calls = []
-        eig = spectral.scipy.linalg.eig
-
-        def counting_eig(*args, **kwargs):
-            calls.append(kwargs.get("left", False))
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
+    def test_dynamics_from_steady_state_takes_one_eig(self, tmp_path, eig_calls, method):
+        # the steady rho0 and the mode expansion come from one analysis of L:
+        # one left-and-right eig per sector of size >= 2
         cfg = write_config(tmp_path, {
             "command": "dynamics",
             "model": {"name": "example3", "levels": 3},
@@ -267,7 +260,8 @@ class TestCliVariants:
             "output": "st1",
         })
         assert main([cfg, "--output-dir", str(tmp_path)]) == 0
-        assert calls == [True]
+        family = get_family("example3", levels=3).liouvillian_family()
+        assert_one_eig_per_sector(eig_calls, family.matrix(0.1), left=True)
 
     def test_modes_method_refuses_the_no_jump_generator(self, tmp_path, capsys):
         # L' has no steady state to expand around: refused before any analysis

@@ -1,10 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lioueps import spectral
 from lioueps.cli import main
 from lioueps.errors import JordanOrderError, NoEPBracketedError
 from lioueps.ep_detect import (
@@ -27,6 +27,7 @@ from lioueps.models import (
     example3_block_family,
     get_family,
 )
+from conftest import assert_one_eig_per_sector
 
 EX1 = get_family("example1").with_params(omega=1.0, gamma_y=2.0, gamma_minus=0.0)
 EX2 = get_family("example2").with_params(omega_x=1.0)
@@ -239,32 +240,38 @@ class TestOneFactorisation:
         assert report.order_estimate == 2
         assert len(calls) <= 3, calls
 
-    @pytest.fixture
-    def eig_calls(self, monkeypatch):
-        """scipy.linalg.eig as seen from lioueps.spectral, recording for each
-        call whether left vectors were asked for."""
-        calls = []
-        eig = spectral.scipy.linalg.eig
-
-        def counting_eig(a, *args, **kwargs):
-            calls.append(bool(kwargs.get("left", len(args) > 1 and args[1])))
-            return eig(a, *args, **kwargs)
-
-        monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
-        return calls
-
     def test_sweep_takes_one_right_only_eig_per_point(self, eig_calls):
+        # one right-only eig per sector of size >= 2 at every grid point
         grid = np.linspace(0.05, 0.25, 7)
         family = get_family("example3", levels=2).liouvillian_family()
-        sweep(family, grid)
-        assert eig_calls == [False] * grid.size
+        per_point = []
+
+        def eigensystem(g):
+            eig_calls.clear()
+            system = family.eigensystem(g)
+            per_point.append(list(eig_calls))
+            return system
+
+        sweep(dataclasses.replace(family, eigensystem=eigensystem), grid)
+        assert len(per_point) == grid.size
+        for g, calls in zip(grid, per_point):
+            assert_one_eig_per_sector(calls, family.matrix(g), left=False)
 
     def test_spectrum_takes_one_right_only_eig(self, eig_calls, tmp_path):
         cfg = tmp_path / "spec.json"
         cfg.write_text(json.dumps({"command": "spectrum", "output": "spec",
                                    "model": {"name": "example3", "levels": 2}}))
         assert main([str(cfg), "--output-dir", str(tmp_path)]) == 0
-        assert eig_calls == [False]
+        family = get_family("example3", levels=2).liouvillian_family()
+        assert_one_eig_per_sector(eig_calls, family.matrix(0.1), left=False)
+
+    def test_diagonal_spectrum_takes_no_eig(self, eig_calls, tmp_path):
+        # the dephasing L is diagonal: every sector is 1x1
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"command": "spectrum", "output": "spec",
+                                   "model": {"name": "dephasing", "levels": 30}}))
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert eig_calls == []
 
     @pytest.mark.parametrize("family, bracket", [
         (EX1.liouvillian_family(), (0.5, 1.5)),

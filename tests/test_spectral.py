@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from lioueps.errors import HermiticityError, SpectralError
 from lioueps.ops_core import (
@@ -10,17 +13,21 @@ from lioueps.ops_core import (
     hermitian_spectral_decomposition,
     hs_norm,
 )
+from lioueps.ep_detect import overlap_matrix
 from lioueps.superop import (
     LindbladModel,
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
+    devectorize,
     effective_hamiltonian,
     trace_row,
+    vectorize,
 )
 from lioueps.spectral import (
     analyze_liouvillian,
     analyze_nhh,
     check_lemmas,
+    _block_eig,
     _canonical_phase,
     hermitian_representative,
     liouvillian_eigensystem,
@@ -106,6 +113,14 @@ class TestAnalyzeLiouvillian:
         with pytest.raises(SpectralError, match="not a Liouvillian"):
             analyze_liouvillian(assemble_liouvillian_no_jumps(example2(1.0, 1.0)))
 
+    @pytest.mark.parametrize("analysis", [analyze_liouvillian, liouvillian_eigensystem])
+    def test_rejects_a_generator_whose_trace_row_does_not_vanish(self, analysis):
+        # L' has a zero eigenvalue (the vacuum |0,0><0,0|), so only the
+        # trace row tells it from a Liouvillian
+        liou = assemble_liouvillian_no_jumps(example3(1.0, 0.1, 1.0, 0.5, levels=3))
+        with pytest.raises(SpectralError, match="trace row"):
+            analysis(liou)
+
     def test_defect_flags_at_exceptional_point(self):
         spec = analyze_liouvillian(assemble_liouvillian(example2(1.0, 4.0)))
         merged = np.flatnonzero(np.abs(spec.eigenvalues + 3.0) < 1e-6)
@@ -154,6 +169,43 @@ def test_spectrum_invariants_on_random_models(seed):
     ss = spec.steady_state.matrix
     assert abs(np.trace(ss) - 1) <= 1e-12
     assert np.linalg.eigvalsh(ss).min() >= -1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["example3", "dephasing", "random"]),
+       levels=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_blockwise_spectrum_matches_the_dense_one(kind, levels, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "example3":
+        model = example3(rng.uniform(0.5, 1.5), rng.uniform(0.02, 0.5),
+                         rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.5), levels=levels)
+    elif kind == "dephasing":
+        model = dephasing(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), levels)
+    else:
+        model = random_lindblad_model(rng)
+    liou = assemble_liouvillian(model)
+    mat = liou.matrix
+    lean = liouvillian_eigensystem(liou)
+    dist = np.abs(lean.values[:, None] - scipy.linalg.eigvals(mat)[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-9 * np.abs(mat).max()
+    # sectors: weakly connected components of the sparsity graph
+    nonzero = mat != 0
+    _, sector = connected_components(nonzero | nonzero.T, directed=False)
+    if kind == "random":
+        assert np.all(sector == 0)
+    # each right vector lives on one sector, so vectors of different
+    # sectors are exactly orthogonal
+    support = [np.unique(sector[np.flatnonzero(v)]) for v in lean.vectors.T]
+    assert all(s.size == 1 for s in support)
+    own = np.concatenate(support)
+    assert np.all(overlap_matrix(lean)[own[:, None] != own[None, :]] == 0)
+    # the steady state is the trace-carrying part of the dense kernel
+    kernel = scipy.linalg.null_space(mat)
+    ss = devectorize(kernel @ (kernel.conj().T @ vectorize(np.eye(model.dim))))
+    ss = 0.5 * (ss + ss.conj().T)
+    ss = ss / np.trace(ss).real
+    assert np.abs(analyze_liouvillian(liou).steady_state.matrix - ss).max() <= 1e-10
 
 
 class TestAnalyzeNhh:
@@ -318,6 +370,14 @@ class TestDecompositions:
         assert _canonical_phase(stack).tobytes() == expected.tobytes()
         for i in (0, 40, stack.shape[1] - 1):
             assert _canonical_phase(stack[:, i]).tobytes() == expected[:, i].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_eig_refuses_a_nonfinite_1x1_sector(self, bad):
+        # the 1x1 sectors never reach eig, whose own finiteness check
+        # covers the larger ones
+        mat = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, bad]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _block_eig(mat)
 
 
 class TestCheckLemmas:
