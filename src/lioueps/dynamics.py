@@ -37,7 +37,7 @@ from .superop import (
     LindbladModel,
     SuperOp,
     effective_hamiltonian,
-    trace_row,
+    is_trace_preserving,
     vectorize,
 )
 
@@ -131,8 +131,7 @@ def propagate_expm(liou: SuperOp, rho0: Operator, times) -> Propagation:
     else:
         for k, t in enumerate(times):
             states[k] = (scipy.linalg.expm(liou.matrix * t) @ v0).reshape(d, d)
-    preserving = np.linalg.norm(trace_row(liou)) <= 1e-10 * max(1.0, np.linalg.norm(liou.matrix))
-    if preserving and _is_density(rho0):
+    if is_trace_preserving(liou) and _is_density(rho0):
         _validate_density_track(states, times)
     return Propagation(times, states)
 

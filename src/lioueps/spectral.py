@@ -43,6 +43,7 @@ from .superop import (
     assemble_liouvillian,
     devectorize,
     effective_hamiltonian,
+    is_trace_preserving,
     trace_row,
     vectorize,
 )
@@ -237,14 +238,28 @@ def _cluster_sort(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     # clusters in the complex plane: each unlabelled eigenvalue claims every
     # unlabelled eigenvalue within tol, and the cluster is replaced by its
     # mean.  Clustering before the sort matters: rounding of L interleaves
-    # exactly degenerate eigenvalues in (|Re|, Im) order.
+    # exactly degenerate eigenvalues in (|Re|, Im) order.  A mean within tol
+    # of the real axis is made real; otherwise the unlabelled eigenvalues
+    # within tol of its conjugate form the partner cluster, which takes the
+    # exact conjugate mean, so a conjugate pair sorts by Im, not by the last
+    # bit of Re.
     labels = np.full(len(vals), -1)
     n_clusters = 0
     for i in range(len(vals)):
-        if labels[i] < 0:
-            members = np.flatnonzero((labels < 0) & (np.abs(vals - vals[i]) <= tol))
-            labels[members] = n_clusters
-            vals[members] = vals[members].mean()
+        if labels[i] >= 0:
+            continue
+        members = np.flatnonzero((labels < 0) & (np.abs(vals - vals[i]) <= tol))
+        mean = vals[members].mean()
+        labels[members] = n_clusters
+        n_clusters += 1
+        if abs(mean.imag) <= tol:
+            vals[members] = mean.real
+            continue
+        vals[members] = mean
+        partners = np.flatnonzero((labels < 0) & (np.abs(vals - mean.conjugate()) <= tol))
+        if partners.size:
+            labels[partners] = n_clusters
+            vals[partners] = mean.conjugate()
             n_clusters += 1
     order = _sort_indices(np.abs(vals.real), vals.imag, vecs)
     return vals[order], vecs[:, order], labels[order], order
@@ -267,12 +282,11 @@ def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
 
 
 def _check_trace_row(liou: SuperOp) -> None:
-    """Refuse a generator whose trace row vec(1)^dag L exceeds 1e-12 ||L||_F."""
-    resid = np.linalg.norm(trace_row(liou))
-    bound = 1e-12 * np.linalg.norm(liou.matrix)
-    if resid > bound:
-        raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = {resid:.2e} "
-                            f"exceeds 1e-12 |L| = {bound:.2e}")
+    """Refuse a generator that is not trace preserving."""
+    if not is_trace_preserving(liou):
+        raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = "
+                            f"{np.linalg.norm(trace_row(liou)):.2e} exceeds 1e-12 |L|_F = "
+                            f"{1e-12 * np.linalg.norm(liou.matrix):.2e}")
 
 
 def liouvillian_eigensystem(liou: SuperOp,

@@ -11,13 +11,15 @@ and the Hilbert-Schmidt product is the plain vector inner product,
 <A|B> = vec(A)^dag vec(B).
 
 Rate folding: a LindbladModel stores jump channels as (rate, operator)
-pairs and every builder uses the effective jump operator
-Gamma = sqrt(rate) * X inside the unit-normalized dissipator
+pairs and every builder uses Gamma = sqrt(rate) * X, the one convention
+that reproduces all the closed-form spectra of the bundled model
+families (see models.py).  Every builder is one in-place assembly:
 
-    D[Gamma] rho = Gamma rho Gamma^dag - 1/2 {Gamma^dag Gamma, rho}.
+    L = L' + sum_mu Gamma_mu kron Gamma_mu^*,  L' = -i(K kron 1 - 1 kron K^*)
 
-This is the one convention that reproduces all the closed-form spectra
-of the bundled model families (see models.py); dense storage only, the
+with K = H_eff for L and for the no-jump generator L' (no jumps, so the
+split holds bitwise), K = -(i/2) Gamma^dag Gamma for the dissipator
+D[Gamma] and K = 0 for the jump term.  Dense storage only; the
 supported envelope is D^2 up to a few thousand.
 """
 
@@ -122,24 +124,31 @@ def right_action(o: Operator) -> SuperOp:
     return SuperOp(o.space, np.kron(eye, o.matrix.T))
 
 
-def _dissipator_matrix(g: np.ndarray) -> np.ndarray:
-    eye = np.eye(g.shape[0])
-    gdg = g.conj().T @ g
-    return np.kron(g, g.conj()) - 0.5 * np.kron(gdg, eye) - 0.5 * np.kron(eye, gdg.T)
+def _generator(k: np.ndarray, jumps=()) -> np.ndarray:
+    """Matrix of rho -> -i(K rho - rho K^dag) + sum_g g rho g^dag, accumulated
+    in place: the one assembly behind every builder (module docstring)."""
+    eye = np.eye(k.shape[0])
+    mat = np.kron(-1j * k, eye)
+    mat += np.kron(eye, 1j * k.conj())
+    for g in jumps:
+        mat += np.kron(g, g.conj())
+    return mat
 
 
 def dissipator_superop(gamma_op: Operator) -> SuperOp:
-    """Matrix of the unit-normalized dissipator D[Gamma].
+    """Matrix of the unit-normalized dissipator D[Gamma] (K = -(i/2) Gamma^dag Gamma).
 
     D[Gamma] rho = Gamma rho Gamma^dag - 1/2 {Gamma^dag Gamma, rho};
     the rate, if any, is expected to be folded into Gamma already.
     """
-    return SuperOp(gamma_op.space, _dissipator_matrix(gamma_op.matrix))
+    g = gamma_op.matrix
+    return SuperOp(gamma_op.space, _generator(-0.5j * (g.conj().T @ g), (g,)))
 
 
 def jump_superop(gamma_op: Operator) -> SuperOp:
-    """Matrix of the jump term rho -> Gamma rho Gamma^dag (= Gamma kron Gamma^*)."""
-    return SuperOp(gamma_op.space, np.kron(gamma_op.matrix, gamma_op.matrix.conj()))
+    """Matrix of the jump term rho -> Gamma rho Gamma^dag (= Gamma kron Gamma^*, K = 0)."""
+    g = gamma_op.matrix
+    return SuperOp(gamma_op.space, _generator(np.zeros_like(g), (g,)))
 
 
 def effective_hamiltonian(model: LindbladModel) -> Operator:
@@ -151,28 +160,18 @@ def effective_hamiltonian(model: LindbladModel) -> Operator:
 
 
 def assemble_liouvillian(model: LindbladModel) -> SuperOp:
-    """Full generator: -i[H, .] plus all dissipators (rates folded in).
+    """Full generator L = L' + sum_mu Gamma_mu kron Gamma_mu^* (rates folded in).
 
     The result annihilates the trace row: vec(1)^dag L = 0.
     """
-    h = model.H.matrix
-    eye = np.eye(model.dim)
-    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for g in model.folded_jump_matrices():
-        mat += _dissipator_matrix(g)
-    return SuperOp(model.space, mat)
+    heff = effective_hamiltonian(model).matrix
+    return SuperOp(model.space, _generator(heff, model.folded_jump_matrices()))
 
 
 def assemble_liouvillian_no_jumps(model: LindbladModel) -> SuperOp:
-    """No-jump generator: -i(H_eff . - . H_eff^dag).
-
-    Equals assemble_liouvillian(model) minus every jump term; not trace
-    preserving as soon as any jump operator is nonzero.
-    """
-    heff = effective_hamiltonian(model).matrix
-    eye = np.eye(model.dim)
-    mat = -1j * (np.kron(heff, eye) - np.kron(eye, heff.conj()))
-    return SuperOp(model.space, mat)
+    """No-jump generator L' = -i(H_eff . - . H_eff^dag); not trace
+    preserving as soon as any jump operator is nonzero."""
+    return SuperOp(model.space, _generator(effective_hamiltonian(model).matrix))
 
 
 def apply_liouvillian(model: LindbladModel, rho: Operator) -> Operator:
@@ -196,6 +195,11 @@ def apply_liouvillian(model: LindbladModel, rho: Operator) -> Operator:
 def trace_row(s: SuperOp) -> np.ndarray:
     """vec(1)^dag L, the row that must vanish for a trace-preserving generator."""
     return vectorize(np.eye(s.dim)).conj() @ s.matrix
+
+
+def is_trace_preserving(s: SuperOp) -> bool:
+    """Whether the trace row vanishes to within 1e-12 ||L||_F."""
+    return bool(np.linalg.norm(trace_row(s)) <= 1e-12 * np.linalg.norm(s.matrix))
 
 
 def kraus_step(model: LindbladModel, rho: Operator, tau: float) -> Operator:

@@ -1,7 +1,5 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
-line (run with -v -s, or -rP, to see them).  Tolerances are pinned here;
-the slow high-cutoff repeat of the vacuum-column identity is opt-in via
-the 'slow' marker."""
+line (run with -v -s, or -rP, to see them).  Tolerances are pinned here."""
 
 import time
 
@@ -170,7 +168,6 @@ def test_criterion_3_example3_block_ladder():
            f"runtime {elapsed:.2f}s (<30s)")
 
 
-@pytest.mark.slow
 def test_criterion_3_slow_high_cutoff_vacuum_columns():
     model = example3(1.0, 0.125, 1.0, 0.5, 9)
     nhh = analyze_nhh(effective_hamiltonian(model))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lioueps.errors import SpectralError
@@ -324,3 +325,29 @@ class TestTrajectories:
         assert counts.sum() > 200
         ratio = counts[0] / counts[1]
         assert 3.0 <= ratio <= 5.3
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_trajectory_invariants_on_random_models(seed):
+    # the stepper never calls the assembled generators: L checks the
+    # ensemble mean, L' the no-jump survival
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, max_dim=3)
+    d = model.dim
+    dt = 0.005 / max(np.linalg.norm(g.conj().T @ g, 2) for g in model.folded_jump_matrices())
+    psi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi0 /= np.linalg.norm(psi0)
+    ens = trajectories(model, psi0, n_traj=300, dt=dt, t_max=1200 * dt, seed=seed)
+    rho0 = Operator(model.space, np.outer(psi0, psi0.conj()))
+    # survival is Tr exp(L't) rho0 and never increases
+    lost = propagate_expm(assemble_liouvillian_no_jumps(model), rho0, ens.times).traces()
+    assert np.abs(ens.survival - lost).max() <= 1e-10
+    assert np.all(np.diff(ens.survival) <= 0)
+    # every population's ensemble mean is within 5 standard errors of
+    # exp(Lt) rho0; a standard error below one trajectory's weight means only
+    # a handful have jumped, where the normal approximation fails
+    exact = propagate_expm(assemble_liouvillian(model), rho0, ens.times).states
+    for k in range(d):
+        mean, stderr = ens.observable_stats(Operator(model.space, np.diag(np.eye(d)[k])))
+        assert np.all(np.abs(mean - exact[:, k, k].real) <= 5 * np.maximum(stderr, 1 / ens.n_traj))

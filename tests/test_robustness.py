@@ -87,6 +87,16 @@ class TestOffGridBrackets:
         assert len(calls) <= 40
 
 
+    def test_same_conjugate_member_at_every_offset(self):
+        # the complex EP comes as a conjugate pair; the pair sorts by Im at
+        # every grid point, so the bracket offset does not pick the member
+        reports = [locate_ep(EX3_L3.liouvillian_family(), (lo, lo + 0.2))
+                   for lo in (0.025, 0.0271, 0.03, 0.051)]
+        for report in reports:
+            assert report.lambda_ep == pytest.approx(-0.375 - 1j, abs=1e-9)
+            assert report.branch_pair == reports[0].branch_pair
+
+
 class TestDegenerateSpectra:
     def test_zero_frequency_dephasing_has_multiplicity_clusters(self):
         # omega = 0 makes lambda = -gamma/2 (m-n)^2 real with two-fold

@@ -158,6 +158,8 @@ def test_spectrum_invariants_on_random_models(seed):
     assert key == sorted(key)
     for lam in vals:
         assert np.abs(vals - lam.conjugate()).min() <= 1e-8
+    # conjugate pairs are exact: the spectrum is closed under conjugation bitwise
+    assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
     # the right-only eigensystem is the same spectrum, in the same order
     lean = liouvillian_eigensystem(liou)
     assert np.array_equal(lean.values, vals)

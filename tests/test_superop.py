@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lioueps.errors import HermiticityError
+from lioueps.dynamics import propagate_expm
+from lioueps.errors import HermiticityError, SpectralError
 from lioueps.ops_core import HilbertSpace, Operator, build_qubit_ops, hs_inner
+from lioueps.spectral import liouvillian_eigensystem
 from lioueps.superop import (
     LindbladModel,
+    SuperOp,
     apply_liouvillian,
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
     devectorize,
     dissipator_superop,
     effective_hamiltonian,
+    is_trace_preserving,
     jump_superop,
     kraus_step,
     left_action,
@@ -19,7 +23,15 @@ from lioueps.superop import (
     trace_row,
     vectorize,
 )
-from lioueps.models import dephasing, dephasing_closed_form, example1, example2, example3
+from lioueps.models import (
+    dephasing,
+    dephasing_closed_form,
+    example1,
+    example2,
+    example3,
+    family_names,
+    get_family,
+)
 from conftest import assert_multiset_close, random_lindblad_model
 
 Q = build_qubit_ops()
@@ -130,17 +142,43 @@ def test_trace_preservation_row():
 
 
 def test_no_jump_split_identity():
-    for model in (example1(1.0, 0.4, 1.1, 2.0), example2(1.0, 3.0),
-                  example3(1.0, 0.15, 1.0, 0.5, 3), dephasing(1.0, 1.2, 4)):
+    models = [get_family(name).build() for name in family_names()]
+    models += [example1(1.0, 0.4, 1.1, 2.0), example2(1.0, 3.0),
+               example3(1.0, 0.15, 1.0, 0.5, 3), dephasing(1.0, 1.2, 4)]
+    for model in models:
         full = assemble_liouvillian(model).matrix
         no_jump = assemble_liouvillian_no_jumps(model).matrix
-        total = no_jump + sum(
-            jump_superop(Operator(model.space, g)).matrix
-            for g in model.folded_jump_matrices())
-        scale = np.abs(full).max()
-        assert np.abs(full - total).max() <= 1e-14 * scale
+        # L = L' + sum J holds bitwise: one assembly, same summation order
+        total = no_jump.copy()
+        for g in model.folded_jump_matrices():
+            total += jump_superop(Operator(model.space, g)).matrix
+        assert np.array_equal(full, total)
+        # L' = -i(H_eff kron 1 - 1 kron H_eff^*), to the last bit
+        heff = effective_hamiltonian(model).matrix
+        eye = np.eye(model.dim)
+        assert np.array_equal(no_jump, -1j * (np.kron(heff, eye) - np.kron(eye, heff.conj())))
         # the no-jump generator loses trace as soon as any channel is open
         assert np.abs(trace_row(assemble_liouvillian_no_jumps(model))).max() > 1e-6
+
+
+def test_one_trace_preservation_predicate():
+    model = example2(1.0, 1.0)
+    liou = assemble_liouvillian(model)
+    assert is_trace_preserving(liou)
+    assert not is_trace_preserving(assemble_liouvillian_no_jumps(model))
+    # a trace row of 1e-11 |L|_F: u has vec(1)^dag u = 1, v is a unit row
+    c = 1e-11 * np.linalg.norm(liou.matrix)
+    u = vectorize(np.eye(2)) / 2
+    v = vectorize(np.diag([0.0, 1.0]))
+    bent = SuperOp(model.space, liou.matrix + c * np.outer(u, v))
+    assert np.linalg.norm(trace_row(bent)) == pytest.approx(c, rel=1e-3)
+    assert not is_trace_preserving(bent)
+    with pytest.raises(SpectralError, match="trace row"):
+        liouvillian_eigensystem(bent)
+    # propagate_expm does not hold the drifting trace to a density track
+    rho0 = Operator(model.space, np.diag([0.0, 1.0]))
+    prop = propagate_expm(bent, rho0, np.linspace(0.0, 100.0, 5))
+    assert np.abs(prop.traces() - 1).max() > 1e-10
 
 
 def test_no_jumps_means_no_difference():
