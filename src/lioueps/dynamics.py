@@ -14,13 +14,18 @@ exponentials but carries a polynomial prefactor; ep_decay_fit measures
 that signature by comparing the fits (alpha + beta t) exp(lambda t)
 against the pure-exponential restriction beta = 0.
 
-trajectories implements the counting unraveling: between jumps the
-state evolves under the effective Hamiltonian (exact step
-exp(-i dt H_eff), renormalized); with probability
-dt <psi|Gamma^dag Gamma|psi> per channel the wave function collapses to
-Gamma psi / |Gamma psi|.  Averaging all trajectories recovers the full
-generator; keeping only the no-jump record realizes the no-jump
-generator, with the survival probability equal to its trace loss.
+trajectories implements the counting unraveling with the waiting-time
+rule: between jumps the state evolves under the effective Hamiltonian,
+psi(t) = exp(-i t H_eff) psi, whose norm^2 falls at the rate
+<psi|sum Gamma^dag Gamma|psi>; the trajectory jumps when it reaches a
+uniform u drawn beforehand, collapsing to Gamma psi / |Gamma psi| for a
+channel picked by a second uniform with weight |Gamma psi|^2, and then
+draws its next u.  Rows advance a block of dt steps per matrix product;
+dt is the jump-time resolution, each jump being placed at the midpoint
+of the dt cell in which the norm^2 reached u.  Averaging all
+trajectories recovers the full generator; keeping only the no-jump
+record realizes the no-jump generator, with the survival probability
+equal to its trace loss.
 """
 
 from __future__ import annotations
@@ -174,9 +179,13 @@ def ep_decay_fit(times, signal, lambda_ep: complex) -> dict:
 # counting-trajectory Monte Carlo
 # ---------------------------------------------------------------------------
 
-# uniforms drawn per generator call; each trajectory's stream is
-# sequential, so the chunk size never changes the draws
-_CHUNK = 512
+# longest run of dt steps advanced by one matrix product: blocks are the
+# sample intervals, split every _BLOCK steps, and the stack of propagator
+# powers holds _BLOCK + 1 matrices
+_BLOCK = 128
+# uniforms read per generator call; each trajectory's stream is
+# sequential, so the buffer size never changes the draws
+_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -185,11 +194,14 @@ class TrajectoryEnsemble:
 
     trajectory_states[r, k] is the normalized wave function of
     trajectory r at times[k]; jump_records[r] lists (time, channel)
-    events.  no_jump_states / survival hold the deterministic no-jump
-    branch and its accumulated no-click probability.  Per-trajectory
-    randomness comes from numpy Generators seeded with
-    SeedSequence((seed, trajectory_index)), so reruns with the same
-    seed are bit-identical and trajectories are independent.
+    events in time order, each time the midpoint of a dt cell or, for a
+    jump right after another, a multiple of dt.  no_jump_states /
+    survival hold the deterministic no-jump branch and its accumulated
+    no-click probability.  Per-trajectory randomness comes from numpy
+    Generators seeded with SeedSequence((seed, trajectory_index)), read
+    in the order waiting uniform, then channel uniform per jump, then the
+    next waiting uniform; reruns with the same seed are bit-identical and
+    trajectories are independent.
     """
 
     seed: int
@@ -222,20 +234,111 @@ class TrajectoryEnsemble:
         return np.einsum("ki,kj->kij", self.no_jump_states, self.no_jump_states.conj())
 
 
+class _Draws:
+    """Per-trajectory uniform streams, read through refilled buffers."""
+
+    def __init__(self, seed: int, n: int):
+        self._rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
+                      for r in range(n)]
+        self._buf = np.empty((n, _DRAWS))
+        self._pos = np.full(n, _DRAWS)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each trajectory in rows (no repeats)."""
+        for r in rows[self._pos[rows] == _DRAWS]:
+            self._buf[r] = self._rngs[r].random(_DRAWS)
+            self._pos[r] = 0
+        out = self._buf[rows, self._pos[rows]]
+        self._pos[rows] += 1
+        return out
+
+
+def _normalized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm, and their squared norms before."""
+    nrm = np.linalg.norm(rows, axis=1)
+    return rows / nrm[:, None], nrm ** 2
+
+
+def _collapse(phi: np.ndarray, gts: list[np.ndarray], v: np.ndarray):
+    """Apply to each row of phi the channel mu that the uniform v picks
+    with weight |Gamma_mu phi|^2; returns the normalized rows and mu."""
+    cand = np.stack([phi @ gt for gt in gts], axis=1)
+    cum = np.cumsum(np.einsum("rcd,rcd->rc", cand.conj(), cand).real, axis=1)
+    channel = np.argmax(cum > v[:, None] * cum[:, -1:], axis=1)
+    return _normalized(cand[np.arange(len(channel)), channel])[0], channel
+
+
+def _resolve_jumps(rows, psi, u, g, start, prop, draws, events):
+    """Jumps of the trajectories rows inside the block of g steps that
+    starts at grid index start.
+
+    psi are their normalized states at the block start and u their
+    thresholds, each of which the block-end norm^2 has reached.  Appends
+    (rows, half-step index of the jump time, channel) arrays to events and
+    returns the normalized states at the block end with the thresholds
+    rescaled to them.
+    """
+    powers, mids, half, gts = prop
+    end_states, end_u = np.empty_like(psi), np.empty_like(u)
+    pos = np.arange(rows.size)          # where each pending row's results go
+    at = np.zeros(rows.size, dtype=int)  # steps into the block
+    while pos.size:
+        r = rows[pos]
+        # first cell (k - 1, k] after `at` whose end norm^2 reaches u: the
+        # norm never increases, so bisect between 1 > u at 0 and g - at
+        lo, hi = np.zeros_like(at), g - at
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            below = _normalized(np.einsum("ri,rij->rj", psi, powers[mid]))[1] <= u
+            lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+        # the jump sits at the cell midpoint, reached by a half step
+        phi, channel = _collapse(_normalized(np.einsum("ri,rij->rj", psi, mids[hi - 1]))[0],
+                                 gts, draws.take(r))
+        at = at + hi
+        events.append((r, 2 * (start + at) - 1, channel))
+        u = draws.take(r)
+        psi, n2 = _normalized(phi @ half)
+        # the new threshold may already be reached at the grid point
+        now = np.flatnonzero(n2 <= u)
+        if now.size:
+            psi[now], channel = _collapse(psi[now], gts, draws.take(r[now]))
+            events.append((r[now], 2 * (start + at[now]), channel))
+            u[now] = draws.take(r[now])
+            n2[now] = 1.0
+        u = u / n2
+        state, n2 = _normalized(np.einsum("ri,rij->rj", psi, powers[g - at]))
+        again = n2 <= u
+        done = ~again
+        end_states[pos[done]] = state[done]
+        end_u[pos[done]] = u[done] / n2[done]
+        pos, psi, u, at = pos[again], psi[again], u[again], at[again]
+    return end_states, end_u
+
+
 def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
                  t_max: float, seed: int, n_samples: int = 51) -> TrajectoryEnsemble:
     """Counting-trajectory Monte Carlo of a Lindblad model.
 
-    Per step the no-jump branch applies the exact propagator
-    exp(-i dt H_eff) and renormalizes, so its accuracy does not depend
-    on dt * ||H_eff||; channel mu fires with probability
-    dt <psi|Gamma_mu^dag Gamma_mu|psi> (first order in dt), selected
-    proportionally to the channel weights from a single uniform draw per
-    step.  dt must satisfy dt * max_mu ||Gamma_mu^dag Gamma_mu|| <= 0.05.
+    Between jumps a trajectory follows the no-jump propagator
+    exp(-i t H_eff), whose norm^2 decays at the rate
+    <psi|sum_mu Gamma_mu^dag Gamma_mu|psi>; it jumps when that norm^2 falls
+    to a uniform u it drew (the waiting-time rule).  All rows advance a
+    block at a time by one product with a precomputed power of
+    exp(-i dt H_eff); blocks are the sample intervals, split every _BLOCK
+    steps.  At each block end every row is renormalized and its u divided
+    by the block's norm^2.  A row whose norm^2 reached u jumped inside the
+    block: bisection over the powers finds the first dt cell where it
+    did, and the jump is placed at the cell midpoint.  A second uniform
+    picks channel mu with weight |Gamma_mu psi|^2, the state collapses to
+    Gamma_mu psi / |Gamma_mu psi|, and a fresh u is drawn; if the half
+    step to the next grid point already reaches it, the next jump happens
+    at that grid point.  dt is thus the jump-time resolution, not a step
+    of a first-order scheme; it must satisfy
+    dt * max_mu ||Gamma_mu^dag Gamma_mu|| <= 0.05.
 
-    The no-jump branch is one more row of the same stepper whose uniform
-    is +inf, so it never jumps; its survival is the product of its squared
-    norms before each renormalization, exact for any dt.
+    The no-jump branch is one more row of the same stepper whose u is -1,
+    so it never jumps; its survival is the product of its block norms^2,
+    exact for any dt.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     d = model.dim
@@ -257,64 +360,64 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     n_steps = int(round(t_max / dt))
     sample_idx = np.unique(np.linspace(0, n_steps, min(n_samples, n_steps + 1)).astype(int))
     times = sample_idx * dt
+    # block ends: every sample point, the last step (n_samples = 1 samples
+    # only t = 0), and every _BLOCK steps in between
+    grid = np.union1d(sample_idx, [n_steps]).tolist()
+    ends = [e for a, b in zip(grid[:-1], grid[1:]) for e in [*range(a + _BLOCK, b, _BLOCK), b]]
 
     heff = effective_hamiltonian(model).matrix
-    m0t = scipy.linalg.expm(-1j * dt * heff).T.copy()
-    gts = [g.T.copy() for g in gammas]
-    n_ch = len(gts)
+    m0t = scipy.linalg.expm(-1j * dt * heff).T
+    half = scipy.linalg.expm(-0.5j * dt * heff).T
+    # powers[k] = m0t^k; mids[k] steps on to the midpoint of the next cell
+    powers = np.empty((min(_BLOCK, n_steps) + 1, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] @ m0t
+    prop = (powers, powers[:-1] @ half, half, [g.T.copy() for g in gammas])
 
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
-            for r in range(n_traj)]
-
+    draws = _Draws(seed, n_traj)
     # rows 0..n_traj-1 are the trajectories, row n_traj the no-jump branch
     states = np.tile(psi0, (n_traj + 1, 1))
-    records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
+    u = np.append(draws.take(np.arange(n_traj)), -1.0)
+    events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     samples = np.zeros((n_traj + 1, times.size, d), dtype=complex)
     survival = np.zeros(times.size)
-    surv = 1.0
     sample_pos = {int(s): k for k, s in enumerate(sample_idx)}
-    if 0 in sample_pos:
-        samples[:, sample_pos[0]] = states
-        survival[sample_pos[0]] = surv
+    samples[:, 0] = states
+    survival[0] = surv = 1.0
 
-    uniforms = np.full((n_traj + 1, min(_CHUNK, max(n_steps, 1))), np.inf)
-    step = 0
-    while step < n_steps:
-        chunk = min(_CHUNK, n_steps - step)
-        for r in range(n_traj):
-            uniforms[r, :chunk] = rngs[r].random(chunk)
-        for s in range(chunk):
-            u = uniforms[:, s]
-            jumped = [states @ gt for gt in gts]
-            probs = np.stack(
-                [dt * np.einsum("ri,ri->r", jp.conj(), jp).real for jp in jumped],
-                axis=1)
-            cums = np.cumsum(probs, axis=1)
-            do_jump = u < cums[:, -1]
-            # one uniform per step drives both decisions: conditioned on a
-            # jump, the channel is picked proportionally to its weight
-            channel = np.argmax(cums > u[:, None], axis=1)
-            new = states @ m0t
-            for mu in range(n_ch):
-                sel = do_jump & (channel == mu)
-                if sel.any():
-                    new[sel] = jumped[mu][sel]
-            norms = np.linalg.norm(new, axis=1)
-            surv *= norms[n_traj] ** 2
-            new /= norms[:, None]
-            states = new
-            t_now = (step + s + 1) * dt
-            for r in np.flatnonzero(do_jump):
-                records[r].append((t_now, int(channel[r])))
-            pos = sample_pos.get(step + s + 1)
-            if pos is not None:
-                samples[:, pos] = states
-                survival[pos] = surv
-        step += chunk
+    start = 0
+    for end in ends:
+        new, n2 = _normalized(states @ powers[end - start])
+        jumped = np.flatnonzero(n2 <= u)
+        u_jumped = u[jumped]
+        u /= n2
+        new[jumped], u[jumped] = _resolve_jumps(jumped, states[jumped], u_jumped, end - start,
+                                                start, prop, draws, events)
+        states = new
+        surv *= n2[n_traj]
+        pos = sample_pos.get(end)
+        if pos is not None:
+            samples[:, pos] = states
+            survival[pos] = surv
+        start = end
 
     return TrajectoryEnsemble(
         seed=int(seed), n_traj=int(n_traj), dt=float(dt), times=times,
         trajectory_states=samples[:n_traj],
-        jump_records=tuple(tuple(r) for r in records),
+        jump_records=_group_records(events, n_traj, dt),
         no_jump_states=samples[n_traj], survival=survival,
     )
+
+
+def _group_records(events, n_traj: int, dt: float):
+    """Per-trajectory (time, channel) tuples, in time order, from the
+    event arrays (rows, half-step index, channel) in the order found."""
+    if not events:
+        return ((),) * n_traj
+    rows, halves, channels = (np.concatenate(a) for a in zip(*events))
+    # events of one trajectory were found in time order
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(n_traj + 1))
+    pairs = list(zip((0.5 * dt * halves[order]).tolist(), channels[order].tolist()))
+    return tuple(tuple(pairs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))

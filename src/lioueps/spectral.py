@@ -226,7 +226,7 @@ def _cluster_sort(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     Returns the sorted vals, vecs and cluster labels, and the permutation
     applied, for arrays paired with the input columns.
     """
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    vecs /= np.linalg.norm(vecs, axis=0)
     # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
     # precision; clustering just above that scale lets the cluster mean
     # restore O(eps) accuracy at exceptional points.
@@ -323,7 +323,8 @@ def analyze_liouvillian(liou: SuperOp,
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
     vals, lvecs, vecs = _block_eig(mat, left=True)
     vals, vecs, labels, order = _cluster_sort(mat, vals, vecs)
-    lvecs = (lvecs / np.linalg.norm(lvecs, axis=0))[:, order]
+    lvecs /= np.linalg.norm(lvecs, axis=0)
+    lvecs = lvecs[:, order]
     sizes = np.bincount(labels)
     zero_mask, q, zero_rank = _zero_sector(vals, vecs, zero_tol)
 

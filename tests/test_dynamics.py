@@ -326,6 +326,43 @@ class TestTrajectories:
         ratio = counts[0] / counts[1]
         assert 3.0 <= ratio <= 5.3
 
+    def test_jump_count_at_high_rate(self):
+        # sigma_z^dag sigma_z = 1, so the waiting times are exponential with
+        # rate 49 whatever the state: the count per trajectory is Poisson
+        # with mean 49 t_max.  dt * rate = 0.049; a jump placed at the end of
+        # its dt cell instead of the midpoint lowers the mean by 2.4%,
+        # about 7 standard errors here
+        h = Operator(qubit_space(), 0.5 * Q["sigma_x"].matrix)
+        model = LindbladModel(h, ((49.0, Q["sigma_z"]),))
+        ens = trajectories(model, [0, 1], n_traj=400, dt=1e-3, t_max=5.0, seed=21,
+                           n_samples=6)
+        counts = np.array([len(rec) for rec in ens.jump_records])
+        stderr = counts.std(ddof=1) / np.sqrt(counts.size)
+        assert abs(counts.mean() - 49.0 * 5.0) <= 5 * stderr
+
+    def test_pure_decay_jumps_where_the_first_draw_says(self):
+        # H = 0, Gamma = sqrt(gamma) sigma_-: from the excited state the
+        # no-jump norm^2 is exp(-gamma t), so trajectory r jumps in the first
+        # dt cell n with exp(-gamma n dt) <= u_r, its stream's first uniform,
+        # and the ground state never jumps again
+        gamma, dt, t_max, seed = 1.3, 1e-3, 3.0, 8
+        h = Operator(qubit_space(), np.zeros((2, 2)))
+        model = LindbladModel(h, ((gamma, Q["sigma_minus"]),))
+        ens = trajectories(model, [0, 1], n_traj=200, dt=dt, t_max=t_max, seed=seed,
+                           n_samples=7)
+        jumped = 0
+        for r, rec in enumerate(ens.jump_records):
+            u = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r)))).random()
+            # the first n with exp(-gamma n dt) <= u
+            n = int(np.ceil(-np.log(u) / (gamma * dt)))
+            if n > round(t_max / dt):
+                assert rec == ()
+                continue
+            assert len(rec) == 1 and rec[0][1] == 0
+            assert (n - 1) * dt < rec[0][0] < n * dt
+            jumped += 1
+        assert jumped > 150
+
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
