@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, LiouepsError, ModelBuildError
 from .ops_core import Operator, build_qubit_ops
-from .superop import (
-    LindbladModel,
-    assemble_liouvillian,
-    assemble_liouvillian_no_jumps,
-)
+from .superop import LindbladModel, assemble_liouvillian, assemble_liouvillian_no_jumps
 from .spectral import DEFAULT_DEFECT_TOL, DEFAULT_ZERO_TOL, analyze_liouvillian
 from .ep_detect import (DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, Eigensystem, locate_ep,
                         overlap_matrix, sweep)
@@ -47,69 +45,121 @@ CONVENTION = ("vec-rowmajor; jump operators folded as sqrt(gamma)*X; "
 _CSV_CHUNK_ROWS = 8192
 
 
+# every command but verify builds a model and writes files
+_WRITERS = COMMANDS[:-1]
+_SPECTRAL = ("spectrum", "sweep", "ep-locate")
+_SWEPT = ("sweep", "ep-locate")
+_EP, _DYN, _TRAJ = ("ep-locate",), ("dynamics",), ("trajectories",)
+_REQUIRED = object()  # default of a key that must be given
+
+
+class _Key(NamedTuple):
+    readers: tuple[str, ...]  # the commands that read the key
+    kind: str                 # how _value checks it
+    default: object = None    # filled in when absent
+    bound: object = None      # minimum of an integer, choices of a choice
+
+
+# section -> key -> spec; "config" holds the top-level keys, every other
+# section is an object of that name at the top level
+_KEYS = {
+    "config": {
+        "operator": _Key(_SPECTRAL, "choice", "liouvillian", ("liouvillian", "nhh")),
+        "output": _Key(_WRITERS, "text", "lioueps"),
+    },
+    "sweep": {
+        "param": _Key(_SWEPT, "param", _REQUIRED),
+        "from": _Key(_SWEPT, "number", _REQUIRED),
+        "to": _Key(_SWEPT, "number", _REQUIRED),
+        "steps": _Key(_SWEPT, "integer", _REQUIRED, 2),
+    },
+    "ep": {
+        "branch_pair": _Key(_EP, "pair"),
+    },
+    "dynamics": {
+        "rho0": _Key(_DYN, "rho0", "excited"),
+        "t_max": _Key(_DYN, "positive", _REQUIRED),
+        "n_times": _Key(_DYN, "integer", 101, 2),
+        "method": _Key(_DYN, "choice", "expm", ("expm", "modes")),
+        "generator": _Key(_DYN, "choice", "liouvillian", ("liouvillian", "no-jump")),
+    },
+    "trajectories": {
+        "psi0": _Key(_TRAJ, "psi0", "excited"),
+        "n_traj": _Key(_TRAJ, "integer", _REQUIRED, 1),
+        "dt": _Key(_TRAJ, "positive", _REQUIRED),
+        "t_max": _Key(_TRAJ, "positive", _REQUIRED),
+        "seed": _Key(_TRAJ, "integer", 0, 0),
+        "n_samples": _Key(_TRAJ, "integer", 51, 2),
+    },
+    "tolerances": {
+        "zero_tol": _Key(_SPECTRAL + _DYN, "positive", DEFAULT_ZERO_TOL),
+        "defect_tol": _Key(_DYN, "positive", DEFAULT_DEFECT_TOL),
+        "param_tol": _Key(_EP, "positive", DEFAULT_PARAM_TOL),
+        "rank_tol": _Key(_EP, "positive", DEFAULT_RANK_TOL),
+    },
+}
+# section -> key -> the commands that read it; every command may hold a
+# section object, whose keys are checked one by one
+_READERS = {section: {key: spec.readers for key, spec in keys.items()}
+            for section, keys in _KEYS.items()}
+_READERS["config"].update(command=COMMANDS, model=_WRITERS,
+                          **{section: COMMANDS for section in _KEYS if section != "config"})
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration (see parse_config)."""
+    """Validated run configuration (see parse_config).
+
+    cfg[section, key] is the value of a key the command reads, with the
+    default of _KEYS filled in; rho0 and psi0 are resolved to arrays
+    (rho0 "steady" stays a name until the analysis runs).
+    """
 
     command: str
+    raw: dict = field(default_factory=dict)
     model_name: str | None = None
     model_params: dict = field(default_factory=dict)
-    operator: str = "liouvillian"
-    sweep_param: str | None = None
-    sweep_from: float = 0.0
-    sweep_to: float = 0.0
-    sweep_steps: int = 0
-    branch_pair: tuple[int, int] | None = None
-    rho0: object = "excited"
-    t_max: float = 0.0
-    n_times: int = 0
-    method: str = "expm"
-    generator: str = "liouvillian"
-    psi0: object = "excited"
-    n_traj: int = 0
-    dt: float = 0.0
-    seed: int = 0
-    n_samples: int = 51
-    output: str = "lioueps"
-    tolerances: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+    def __getitem__(self, key: tuple[str, str]):
+        return self.values[key]
 
 
-def _check_keys(errors, obj, allowed, where):
+def _is_number(val) -> bool:
+    """A finite JSON number (Python's json also reads NaN and Infinity)."""
+    return (isinstance(val, int) and not isinstance(val, bool)
+            or isinstance(val, float) and math.isfinite(val))
+
+
+def _check_keys(errors, obj, readers, command, where):
+    """Refuse the keys of obj that readers does not list, and those the
+    command does not read."""
     for key in obj:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key '{key}' "
-                          f"(allowed: {', '.join(sorted(allowed))})")
-
-
-def _number(errors, obj, where, key, *, required=False, default=None,
-            minimum=None, strict_min=None, integer=False):
-    if key not in obj:
-        if required:
-            errors.append(f"{where}.{key}: required field missing")
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{where}.{key}: expected a number, got {val!r}")
-        return default
-    if integer and int(val) != val:
-        errors.append(f"{where}.{key}: expected an integer, got {val!r}")
-        return default
-    if minimum is not None and val < minimum:
-        errors.append(f"{where}.{key}: must be >= {minimum}, got {val!r}")
-        return default
-    if strict_min is not None and val <= strict_min:
-        errors.append(f"{where}.{key}: must be > {strict_min}, got {val!r}")
-        return default
-    return int(val) if integer else float(val)
+        if key not in readers:
+            allowed = sorted(k for k, r in readers.items() if command in r)
+            errors.append(f"{where}: unknown key '{key}' (allowed: {', '.join(allowed)})")
+        elif command not in readers[key]:
+            errors.append(f"{where}.{key}: not allowed for the {command} command "
+                          f"(read by: {', '.join(readers[key])})")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Strict: unknown keys are rejected everywhere, every numeric field is
-    range-checked before any computation starts, and all validation
-    errors are reported at once through ConfigError.
+    Strict: every key is checked against _KEYS, and a key the command does
+    not read is refused like an unknown one.  The commands read:
+      spectrum      model, operator, output, tolerances.zero_tol
+      sweep         as spectrum, plus sweep.{param, from, to, steps}
+      ep-locate     as sweep, plus ep.branch_pair and tolerances.{param_tol,
+                    rank_tol}
+      dynamics      model, output, dynamics.{rho0, t_max, n_times, method,
+                    generator}, tolerances.{zero_tol, defect_tol}
+      trajectories  model, output, trajectories.{psi0, n_traj, dt, t_max,
+                    seed, n_samples}
+      verify        nothing besides command
+    The model is built to range-check its parameters, and rho0 or psi0 is
+    resolved against its dimension, before any computation starts.  All
+    findings are reported at once through ConfigError.
     """
     try:
         raw = json.loads(text)
@@ -119,241 +169,144 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
 
-    errors: list[str] = []
-    cfg = RunConfig(command="", raw=raw)
-
-    top_allowed = {"command", "model", "operator", "sweep", "ep", "dynamics",
-                   "trajectories", "output", "tolerances"}
-    _check_keys(errors, raw, top_allowed, "config")
-
     command = raw.get("command")
     if command not in COMMANDS:
-        errors.append(f"config.command: expected one of {', '.join(COMMANDS)}, "
-                      f"got {command!r}")
-        raise ConfigError(errors)
-    cfg.command = command
-
-    operator = raw.get("operator", "liouvillian")
-    if operator not in ("liouvillian", "nhh"):
-        errors.append(f"config.operator: expected 'liouvillian' or 'nhh', got {operator!r}")
-    cfg.operator = operator
-
-    out = raw.get("output", "lioueps")
-    if not isinstance(out, str) or not out:
-        errors.append(f"config.output: expected a non-empty string, got {out!r}")
-    else:
-        cfg.output = out
-
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict):
-        errors.append("config.tolerances: expected an object")
-    else:
-        _check_keys(errors, tol, {"zero_tol", "defect_tol", "param_tol", "rank_tol"},
-                    "config.tolerances")
-        for key in tol:
-            _number(errors, tol, "config.tolerances", key, strict_min=0.0)
-        cfg.tolerances = dict(tol)
-
-    needs_model = command != "verify"
+        raise ConfigError([f"config.command: expected one of {', '.join(COMMANDS)}, "
+                           f"got {command!r}"])
+    errors: list[str] = []
+    cfg = RunConfig(command=command, raw=raw)
+    family, dim = None, None
     model = raw.get("model")
-    if needs_model:
+    if command in _WRITERS:
         if not isinstance(model, dict):
             errors.append("config.model: required object with a 'name' field")
+        elif model.get("name") not in family_names():
+            errors.append(f"config.model.name: unknown model {model.get('name')!r}; "
+                          f"available families: {', '.join(family_names())}")
         else:
-            name = model.get("name")
-            if name not in family_names():
-                errors.append(f"config.model.name: unknown model {name!r}; "
-                              f"available families: {', '.join(family_names())}")
+            family = get_family(model["name"])
+            params = {k: v for k, v in model.items() if k != "name"}
+            _check_keys(errors, params, dict.fromkeys(family.param_names, COMMANDS),
+                        command, f"config.model({family.name})")
+            for key, val in params.items():
+                if key in family.param_names and not _is_number(val):
+                    errors.append(f"config.model.{key}: expected a number, got {val!r}")
+            cfg.model_name = family.name
+            cfg.model_params = {k: v for k, v in params.items()
+                                if k in family.param_names and _is_number(v)}
+            try:  # the builder is the range check
+                dim = family.with_params(**cfg.model_params).build().dim
+            except ModelBuildError as exc:
+                errors.append(f"config.model: {exc}")
+
+    for section, keys in _KEYS.items():
+        top = section == "config"
+        where, obj = ("config", raw) if top else (f"config.{section}", raw.get(section, {}))
+        if not isinstance(obj, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        _check_keys(errors, obj, _READERS[section], command, where)
+        for key, spec in keys.items():
+            if command not in spec.readers:
+                continue
+            val = obj.get(key, spec.default)
+            if val is _REQUIRED:
+                errors.append(f"{where}.{key}: required field missing")
             else:
-                cfg.model_name = name
-                family = get_family(name)
-                params = {k: v for k, v in model.items() if k != "name"}
-                _check_keys(errors, params, set(family.param_names),
-                            f"config.model({name})")
-                for key, val in params.items():
-                    if key not in family.param_names:
-                        continue
-                    if isinstance(val, bool) or not isinstance(val, (int, float)):
-                        errors.append(f"config.model.{key}: expected a number, got {val!r}")
-                    elif key.startswith("gamma") and val < 0:
-                        errors.append(f"config.model.{key}: rate must be >= 0, got {val!r}")
-                    elif key == "levels" and (int(val) != val or val < 2):
-                        errors.append(f"config.model.{key}: must be an integer >= 2, got {val!r}")
-                cfg.model_params = {k: v for k, v in params.items()
-                                    if isinstance(v, (int, float)) and not isinstance(v, bool)}
-                if not errors:
-                    # range-check semantically before any computation starts
-                    try:
-                        get_family(name).with_params(**cfg.model_params).build()
-                    except ModelBuildError as exc:
-                        errors.append(f"config.model: {exc}")
-    elif model is not None:
-        errors.append("config.model: not allowed for the verify command")
+                cfg.values[section, key] = _value(errors, f"{where}.{key}", val, spec,
+                                                  family, dim)
 
-    if command in ("sweep", "ep-locate"):
-        sw = raw.get("sweep")
-        if not isinstance(sw, dict):
-            errors.append(f"config.sweep: required object for the {command} command")
-        else:
-            _check_keys(errors, sw, {"param", "from", "to", "steps"}, "config.sweep")
-            param = sw.get("param")
-            if cfg.model_name is not None:
-                names = get_family(cfg.model_name).param_names
-                if param not in names:
-                    errors.append(f"config.sweep.param: expected one of {list(names)}, "
-                                  f"got {param!r}")
-                else:
-                    cfg.sweep_param = param
-            lo = _number(errors, sw, "config.sweep", "from", required=True)
-            hi = _number(errors, sw, "config.sweep", "to", required=True)
-            steps = _number(errors, sw, "config.sweep", "steps", required=True,
-                            integer=True, minimum=2)
-            if lo is not None and hi is not None and not hi > lo:
-                errors.append(f"config.sweep: 'to' must exceed 'from', got [{lo}, {hi}]")
-            cfg.sweep_from = lo if lo is not None else 0.0
-            cfg.sweep_to = hi if hi is not None else 0.0
-            cfg.sweep_steps = steps if steps is not None else 0
-
-    ep = raw.get("ep")
-    if ep is not None:
-        if command != "ep-locate":
-            errors.append("config.ep: only allowed for the ep-locate command")
-        elif not isinstance(ep, dict):
-            errors.append("config.ep: expected an object")
-        else:
-            _check_keys(errors, ep, {"branch_pair"}, "config.ep")
-            bp = ep.get("branch_pair")
-            if bp is not None:
-                if (not isinstance(bp, list) or len(bp) != 2
-                        or not all(isinstance(b, int) and not isinstance(b, bool)
-                                   and b >= 0 for b in bp)
-                        or bp[0] == bp[1]):
-                    errors.append("config.ep.branch_pair: expected two distinct "
-                                  f"non-negative integers, got {bp!r}")
-                else:
-                    cfg.branch_pair = (bp[0], bp[1])
-
-    if command == "dynamics":
-        dyn = raw.get("dynamics")
-        if not isinstance(dyn, dict):
-            errors.append("config.dynamics: required object for the dynamics command")
-        else:
-            _check_keys(errors, dyn,
-                        {"rho0", "t_max", "n_times", "method", "generator"},
-                        "config.dynamics")
-            cfg.t_max = _number(errors, dyn, "config.dynamics", "t_max",
-                                required=True, strict_min=0.0) or 0.0
-            cfg.n_times = _number(errors, dyn, "config.dynamics", "n_times",
-                                  default=101, integer=True, minimum=2) or 101
-            cfg.rho0 = dyn.get("rho0", "excited")
-            _validate_state(errors, cfg.rho0, "config.dynamics.rho0")
-            method = dyn.get("method", "expm")
-            if method not in ("expm", "modes"):
-                errors.append(f"config.dynamics.method: expected 'expm' or 'modes', got {method!r}")
-            cfg.method = method
-            gen = dyn.get("generator", "liouvillian")
-            if gen not in ("liouvillian", "no-jump"):
-                errors.append("config.dynamics.generator: expected 'liouvillian' "
-                              f"or 'no-jump', got {gen!r}")
-            cfg.generator = gen
-            if method == "modes" and gen == "no-jump":
-                errors.append("config.dynamics.method: 'modes' needs a generator with a "
-                              "steady state; use 'expm' for generator 'no-jump'")
-    elif "dynamics" in raw:
-        errors.append("config.dynamics: only allowed for the dynamics command")
-
-    if command == "trajectories":
-        tr = raw.get("trajectories")
-        if not isinstance(tr, dict):
-            errors.append("config.trajectories: required object for the trajectories command")
-        else:
-            _check_keys(errors, tr,
-                        {"psi0", "n_traj", "dt", "t_max", "seed", "n_samples"},
-                        "config.trajectories")
-            cfg.n_traj = _number(errors, tr, "config.trajectories", "n_traj",
-                                 required=True, integer=True, minimum=1) or 0
-            cfg.dt = _number(errors, tr, "config.trajectories", "dt",
-                             required=True, strict_min=0.0) or 0.0
-            cfg.t_max = _number(errors, tr, "config.trajectories", "t_max",
-                                required=True, strict_min=0.0) or 0.0
-            cfg.seed = _number(errors, tr, "config.trajectories", "seed",
-                               default=0, integer=True, minimum=0) or 0
-            cfg.n_samples = _number(errors, tr, "config.trajectories", "n_samples",
-                                    default=51, integer=True, minimum=2) or 51
-            cfg.psi0 = tr.get("psi0", "excited")
-            _validate_state(errors, cfg.psi0, "config.trajectories.psi0")
-    elif "trajectories" in raw:
-        errors.append("config.trajectories: only allowed for the trajectories command")
-
+    lo, hi = cfg.values.get(("sweep", "from")), cfg.values.get(("sweep", "to"))
+    if lo is not None and hi is not None and not hi > lo:
+        errors.append(f"config.sweep: 'to' must exceed 'from', got [{lo}, {hi}]")
+    if (cfg.values.get(("dynamics", "method")) == "modes"
+            and cfg.values.get(("dynamics", "generator")) == "no-jump"):
+        errors.append("config.dynamics.method: 'modes' needs a generator with a "
+                      "steady state; use 'expm' for generator 'no-jump'")
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _validate_state(errors, state, where):
-    if isinstance(state, str):
-        if state in ("ground", "excited", "maximally-mixed", "steady"):
-            return
-        if state.startswith("basis:") and state[6:].isdigit():
-            return
-        errors.append(f"{where}: expected 'ground', 'excited', 'maximally-mixed', "
-                      f"'steady', 'basis:<k>' or a matrix of [re, im] pairs, got {state!r}")
-        return
-    if isinstance(state, list):
-        return
-    errors.append(f"{where}: expected a string preset or nested list, got {state!r}")
+def _value(errors, where, val, spec: _Key, family: ModelFamily | None, dim: int | None):
+    """The validated value of one key, or None with a finding."""
+    kind, bound = spec.kind, spec.bound
+    if kind in ("rho0", "psi0"):
+        return _state(errors, where, val, dim, pure=kind == "psi0")
+    if val is None and spec.default is None:  # an optional key left unset
+        return None
+    problem = None
+    if kind == "choice" and val not in bound:
+        problem = f"expected {' or '.join(map(repr, bound))}"
+    elif kind == "text" and not (isinstance(val, str) and val):
+        problem = "expected a non-empty string"
+    elif kind == "param" and family is not None and val not in family.param_names:
+        problem = f"expected one of {list(family.param_names)}"
+    elif kind == "pair" and not (
+            isinstance(val, list) and len(val) == 2 and val[0] != val[1]
+            and all(isinstance(b, int) and not isinstance(b, bool) and b >= 0 for b in val)):
+        problem = "expected two distinct non-negative integers"
+    elif kind in ("number", "positive", "integer"):
+        if not _is_number(val):
+            problem = "expected a number"
+        elif kind == "integer" and isinstance(val, float) and not val.is_integer():
+            problem = "expected an integer"
+        elif kind == "integer" and val < bound:
+            problem = f"must be >= {bound}"
+        elif kind == "positive" and not val > 0:
+            problem = "must be > 0"
+    if problem:
+        errors.append(f"{where}: {problem}, got {val!r}")
+        return None
+    if kind in ("number", "positive", "integer"):
+        return int(val) if kind == "integer" else float(val)
+    return tuple(val) if kind == "pair" else val
 
 
-def _state_matrix(state, model: LindbladModel, spec) -> Operator:
-    """Initial density matrix; "steady" is read from spec, the analysis of
-    the model's full generator."""
-    d = model.dim
+def _state(errors, where, state, dim, pure):
+    """The initial state a rho0 (pure False) or psi0 (pure True) value names,
+    resolved against the model dimension dim: a density matrix, a unit
+    vector, or "steady" (read from the analysis at run time).  Without a
+    built model (dim None) only a preset's name is checked."""
+    named = ("ground", "excited") + (() if pure else ("maximally-mixed", "steady"))
+    basis = isinstance(state, str) and state.startswith("basis:") and state[6:].isdigit()
+    if isinstance(state, str) and not (basis or state in named):
+        errors.append(f"{where}: expected one of {', '.join(named)}, basis:<k> or a "
+                      f"nested list of [re, im] pairs, got {state!r}")
+        return None
+    if dim is None or state == "steady":
+        return state
     if state == "maximally-mixed":
-        return Operator(model.space, np.eye(d, dtype=complex) / d)
-    if state == "steady":
-        return spec.steady_state
+        return np.eye(dim, dtype=complex) / dim
     if isinstance(state, str):
-        v = _state_vector(state, model)
-        return Operator(model.space, np.outer(v, v.conj()))
-    arr = _complex_array(state)
-    if arr.shape != (d, d):
-        raise ConfigError([f"initial state shape {arr.shape} does not match dimension {d}"])
-    return Operator(model.space, arr)
+        k = int(state[6:]) if basis else 0 if state == "ground" else dim - 1
+        if k >= dim:
+            errors.append(f"{where}: basis index {k} out of range for dimension {dim}")
+            return None
+        vec = np.zeros(dim, dtype=complex)
+        vec[k] = 1.0
+        return vec if pure else np.outer(vec, vec.conj())
+    try:
+        arr = np.asarray(_pairs(state), dtype=complex)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+    if arr.shape != ((dim,) if pure else (dim, dim)):
+        errors.append(f"{where}: shape {arr.shape} does not match dimension {dim}")
+    elif pure and not 0 < np.linalg.norm(arr) < np.inf:
+        errors.append(f"{where}: expected a nonzero finite vector, got {state!r}")
+    else:
+        return arr / np.linalg.norm(arr) if pure else arr
+    return None
 
 
-def _state_vector(state, model: LindbladModel) -> np.ndarray:
-    d = model.dim
-    if isinstance(state, str):
-        if state == "ground":
-            v = np.zeros(d, dtype=complex)
-            v[0] = 1.0
-        elif state == "excited":
-            v = np.zeros(d, dtype=complex)
-            v[d - 1] = 1.0
-        elif state.startswith("basis:"):
-            k = int(state.split(":")[1])
-            if k >= d:
-                raise ConfigError([f"basis index {k} out of range for dimension {d}"])
-            v = np.zeros(d, dtype=complex)
-            v[k] = 1.0
-        else:
-            raise ConfigError([f"psi0 preset {state!r} is not a pure state"])
-        return v
-    arr = _complex_array(state)
-    if arr.shape != (d,):
-        raise ConfigError([f"psi0 shape {arr.shape} does not match dimension {d}"])
-    return arr / np.linalg.norm(arr)
-
-
-def _complex_array(nested) -> np.ndarray:
-    def conv(x):
-        if isinstance(x, list) and len(x) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in x):
-            return complex(x[0], x[1])
-        if isinstance(x, list):
-            return [conv(v) for v in x]
-        raise ConfigError([f"state entries must be [re, im] pairs, got {x!r}"])
-    return np.asarray(conv(nested), dtype=complex)
+def _pairs(nested):
+    """Nested lists of [re, im] pairs as nested lists of complex numbers."""
+    if isinstance(nested, list) and len(nested) == 2 and all(map(_is_number, nested)):
+        return complex(nested[0], nested[1])
+    if isinstance(nested, list):
+        return [_pairs(x) for x in nested]
+    raise ValueError(f"state entries must be [re, im] pairs, got {nested!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +314,12 @@ def _complex_array(nested) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _header(cfg: RunConfig, extra: dict | None = None) -> list[str]:
+    tolerances = cfg.raw.get("tolerances", {})  # as given, defaults not filled in
     lines = [
         f"# lioueps {cfg.command}",
         f"# config = {json.dumps(cfg.raw, sort_keys=True, separators=(',', ':'))}",
         f"# convention = {CONVENTION}",
-        f"# tolerances = {json.dumps(cfg.tolerances, sort_keys=True, separators=(',', ':'))}",
+        f"# tolerances = {json.dumps(tolerances, sort_keys=True, separators=(',', ':'))}",
     ]
     for key, val in (extra or {}).items():
         lines.append(f"# {key} = {val}")
@@ -395,11 +349,12 @@ def _family_from_config(cfg: RunConfig) -> ModelFamily:
     return get_family(cfg.model_name, **cfg.model_params)
 
 
-def _spectrum_family(cfg: RunConfig, family: ModelFamily):
-    if cfg.operator == "nhh":
-        return family.nhh_family(cfg.sweep_param)
-    return family.liouvillian_family(
-        cfg.sweep_param, zero_tol=cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL))
+def _spectrum_family(cfg: RunConfig):
+    family = _family_from_config(cfg)
+    param = cfg.values.get(("sweep", "param"))  # spectrum: the family's own
+    if cfg["config", "operator"] == "nhh":
+        return family.nhh_family(param)
+    return family.liouvillian_family(param, zero_tol=cfg["tolerances", "zero_tol"])
 
 
 def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
@@ -426,13 +381,10 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
 
 
 def _observable_columns(model: LindbladModel):
-    cols = []
-    if model.dim == 2:
-        q = build_qubit_ops()
-        cols = [("sigma_x", q["sigma_x"].matrix),
-                ("sigma_y", q["sigma_y"].matrix),
-                ("sigma_z", q["sigma_z"].matrix)]
-    return cols
+    if model.dim != 2:
+        return []
+    q = build_qubit_ops()
+    return [(name, q[name].matrix) for name in ("sigma_x", "sigma_y", "sigma_z")]
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +392,14 @@ def _observable_columns(model: LindbladModel):
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
-    family = _family_from_config(cfg)
-    spec_family = _spectrum_family(cfg, family)
-    param_val = family.params_at()[spec_family.param_name]
+    spec_family = _spectrum_family(cfg)
+    param_val = _family_from_config(cfg).params_at()[spec_family.param_name]
     return _write_branches(cfg, prefix, [param_val], [spec_family.eigensystem(param_val)])
 
 
 def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
-    family = _family_from_config(cfg)
-    spec_family = _spectrum_family(cfg, family)
-    grid = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
+    spec_family = _spectrum_family(cfg)
+    grid = np.linspace(cfg["sweep", "from"], cfg["sweep", "to"], cfg["sweep", "steps"])
     result = sweep(spec_family, grid)
     systems = [Eigensystem(result.eigenvalues[k], result.vectors[k], result.zero_mask[k])
                for k in range(result.grid.size)]
@@ -457,18 +407,16 @@ def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
-    family = _family_from_config(cfg)
-    spec_family = _spectrum_family(cfg, family)
     report = locate_ep(
-        spec_family, (cfg.sweep_from, cfg.sweep_to),
-        branch_pair=cfg.branch_pair,
-        param_tol=cfg.tolerances.get("param_tol", DEFAULT_PARAM_TOL),
-        rank_tol=cfg.tolerances.get("rank_tol", DEFAULT_RANK_TOL),
-        coarse_points=max(cfg.sweep_steps, 5))
+        _spectrum_family(cfg), (cfg["sweep", "from"], cfg["sweep", "to"]),
+        branch_pair=cfg["ep", "branch_pair"],
+        param_tol=cfg["tolerances", "param_tol"],
+        rank_tol=cfg["tolerances", "rank_tol"],
+        coarse_points=max(cfg["sweep", "steps"], 5))
     payload = {
         "config": cfg.raw,
         "convention": CONVENTION,
-        "operator": cfg.operator,
+        "operator": cfg["config", "operator"],
         "model": cfg.model_name,
         "ep": report.to_dict(),
     }
@@ -480,23 +428,21 @@ def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
-    family = _family_from_config(cfg)
-    model = family.build()
-    liou = (assemble_liouvillian(model) if cfg.generator == "liouvillian"
+    model = _family_from_config(cfg).build()
+    generator, method, rho0 = (cfg["dynamics", key] for key in ("generator", "method", "rho0"))
+    liou = (assemble_liouvillian(model) if generator == "liouvillian"
             else assemble_liouvillian_no_jumps(model))
     spec = None
-    if cfg.method == "modes" or cfg.rho0 == "steady":
+    if method == "modes" or isinstance(rho0, str):
         # one analysis of the full generator serves the steady rho0 and the
         # mode expansion (parse_config admits modes only for the full one)
-        full = liou if cfg.generator == "liouvillian" else assemble_liouvillian(model)
-        spec = analyze_liouvillian(full, cfg.tolerances.get("zero_tol", DEFAULT_ZERO_TOL),
-                                   cfg.tolerances.get("defect_tol", DEFAULT_DEFECT_TOL))
-    rho0 = _state_matrix(cfg.rho0, model, spec)
-    times = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    if cfg.method == "modes":
-        prop = propagate_modes(spec, rho0, times)
-    else:
-        prop = propagate_expm(liou, rho0, times)
+        full = liou if generator == "liouvillian" else assemble_liouvillian(model)
+        spec = analyze_liouvillian(full, cfg["tolerances", "zero_tol"],
+                                   cfg["tolerances", "defect_tol"])
+    rho0 = spec.steady_state if isinstance(rho0, str) else Operator(model.space, rho0)
+    times = np.linspace(0.0, cfg["dynamics", "t_max"], cfg["dynamics", "n_times"])
+    prop = (propagate_modes(spec, rho0, times) if method == "modes"
+            else propagate_expm(liou, rho0, times))
     cols = _observable_columns(model)
     names = ["time", "trace_re", "purity"]
     names += [f"p{k}" for k in range(model.dim)]
@@ -505,18 +451,17 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     columns += list(np.diagonal(prop.states, axis1=1, axis2=2).real.T)
     columns += [[np.trace(mat @ s).real for s in prop.states] for _, mat in cols]
     path = f"{prefix}_dynamics.csv"
-    _write_csv(cfg, path, names, columns,
-               {"generator": cfg.generator, "method": cfg.method})
+    _write_csv(cfg, path, names, columns, {"generator": generator, "method": method})
     return [path]
 
 
 def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
-    family = _family_from_config(cfg)
-    model = family.build()
-    psi0 = _state_vector(cfg.psi0, model)
-    seed = cfg.seed if seed_override is None else seed_override
-    ens = trajectories(model, psi0, n_traj=cfg.n_traj, dt=cfg.dt,
-                       t_max=cfg.t_max, seed=seed, n_samples=cfg.n_samples)
+    model = _family_from_config(cfg).build()
+    n_traj, dt = cfg["trajectories", "n_traj"], cfg["trajectories", "dt"]
+    seed = cfg["trajectories", "seed"] if seed_override is None else seed_override
+    ens = trajectories(model, cfg["trajectories", "psi0"], n_traj=n_traj, dt=dt,
+                       t_max=cfg["trajectories", "t_max"], seed=seed,
+                       n_samples=cfg["trajectories", "n_samples"])
     cols = _observable_columns(model)
     names = ["time", "survival"]
     names += [f"p{k}_mean" for k in range(model.dim)]
@@ -527,7 +472,7 @@ def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
         columns += ens.observable_stats(Operator(model.space, mat))
     path = f"{prefix}_dynamics.csv"
     _write_csv(cfg, path, names, columns,
-               {"seed": seed, "n_traj": cfg.n_traj, "dt": f"{cfg.dt:.17g}"})
+               {"seed": seed, "n_traj": n_traj, "dt": f"{dt:.17g}"})
     return [path]
 
 
@@ -539,29 +484,22 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
     stays only because the benchmark worker (perfbench/worker.py) passes it.
     """
     stream = stream if stream is not None else sys.stdout
-    prefix = cfg.output
-    if output_dir:
-        os.makedirs(output_dir, exist_ok=True)
-        prefix = os.path.join(output_dir, cfg.output)
-
     if cfg.command == "verify":
         lines, ok = run_verification()
         for line in lines:
             print(line, file=stream)
         return 0 if ok else 5
 
-    if cfg.command == "spectrum":
-        files = _run_spectrum(cfg, prefix)
-    elif cfg.command == "sweep":
-        files = _run_sweep(cfg, prefix)
-    elif cfg.command == "ep-locate":
-        files = _run_ep_locate(cfg, prefix)
-    elif cfg.command == "dynamics":
-        files = _run_dynamics(cfg, prefix)
-    elif cfg.command == "trajectories":
+    prefix = cfg["config", "output"]
+    if output_dir:
+        os.makedirs(output_dir, exist_ok=True)
+        prefix = os.path.join(output_dir, prefix)
+
+    if cfg.command == "trajectories":
         files = _run_trajectories(cfg, prefix, seed_override)
-    else:  # pragma: no cover - parse_config rejects unknown commands
-        raise ConfigError([f"unhandled command {cfg.command!r}"])
+    else:
+        files = {"spectrum": _run_spectrum, "sweep": _run_sweep, "ep-locate": _run_ep_locate,
+                 "dynamics": _run_dynamics}[cfg.command](cfg, prefix)
     for path in files:
         print(f"wrote {path}", file=stream)
     return 0

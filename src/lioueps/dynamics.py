@@ -345,7 +345,7 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     if psi0.size != d:
         raise ValueError(f"psi0 has length {psi0.size}, expected {d}")
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1) > 1e-9:
+    if not abs(nrm - 1) <= 1e-9:  # NaN fails too
         raise ValueError("psi0 must be normalized")
     psi0 = psi0 / nrm
     gammas = model.folded_jump_matrices()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lioueps.cli import RunConfig, _write_branches, _write_csv, main, parse_config
+from lioueps.cli import COMMANDS, RunConfig, _KEYS, _write_branches, _write_csv, main, parse_config
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
 from lioueps.errors import ConfigError
@@ -45,8 +45,8 @@ class TestParseConfig:
         }))
         assert cfg.command == "ep-locate"
         assert cfg.model_name == "example2"
-        assert cfg.sweep_param == "gamma_minus"
-        assert cfg.sweep_steps == 64
+        assert cfg["sweep", "param"] == "gamma_minus"
+        assert cfg["sweep", "steps"] == 64
 
     def test_all_errors_reported_at_once(self):
         with pytest.raises(ConfigError) as err:
@@ -94,12 +94,113 @@ class TestParseConfig:
             "model": {"name": "example2"},
             "sweep": {"param": "gamma_minus", "from": 3, "to": 5, "steps": 9},
             "ep": {"branch_pair": [2, 3]}}))
-        assert cfg.branch_pair == (2, 3)
+        assert cfg["ep", "branch_pair"] == (2, 3)
 
     def test_verify_rejects_model_key(self):
         with pytest.raises(ConfigError, match="not allowed"):
             parse_config(json.dumps({
                 "command": "verify", "model": {"name": "example2"}}))
+
+    def test_psi0_steady_is_reported_with_the_other_findings(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({
+                "command": "trajectories", "model": {"name": "example2"},
+                "trajectories": {"psi0": "steady", "n_traj": 0, "dt": 1e-3, "t_max": 1}}))
+        text = "\n".join(err.value.messages)
+        assert "config.trajectories.psi0" in text and "'steady'" in text
+        assert "config.trajectories.n_traj: must be >= 1" in text
+
+
+# one valid value for every key of the config table
+SWEEP = {"param": "gamma_minus", "from": 1.0, "to": 2.0, "steps": 3}
+VALID = {
+    ("config", "model"): {"name": "example2", "omega_x": 2.0},
+    ("config", "operator"): "nhh",
+    ("config", "output"): "run",
+    ("sweep", "param"): "omega_x",
+    ("sweep", "from"): 0.5,
+    ("sweep", "to"): 4.0,
+    ("sweep", "steps"): 9,
+    ("ep", "branch_pair"): [2, 3],
+    ("dynamics", "rho0"): "ground",
+    ("dynamics", "t_max"): 2.0,
+    ("dynamics", "n_times"): 3,
+    ("dynamics", "method"): "modes",
+    ("dynamics", "generator"): "no-jump",
+    ("trajectories", "psi0"): "ground",
+    ("trajectories", "n_traj"): 3,
+    ("trajectories", "dt"): 1e-2,
+    ("trajectories", "t_max"): 0.5,
+    ("trajectories", "seed"): 4,
+    ("trajectories", "n_samples"): 3,
+    ("tolerances", "zero_tol"): 1e-9,
+    ("tolerances", "defect_tol"): 1e-5,
+    ("tolerances", "param_tol"): 1e-7,
+    ("tolerances", "rank_tol"): 1e-6,
+}
+# the smallest valid config of each command
+BASE = {
+    "spectrum": {"model": {"name": "example2"}},
+    "sweep": {"model": {"name": "example2"}, "sweep": SWEEP},
+    "ep-locate": {"model": {"name": "example2"}, "sweep": SWEEP},
+    "dynamics": {"model": {"name": "example2"}, "dynamics": {"t_max": 1.0}},
+    "trajectories": {"model": {"name": "example2"},
+                     "trajectories": {"n_traj": 2, "dt": 1e-3, "t_max": 0.1}},
+    "verify": {},
+}
+# what each command reads; every other key is refused
+_SPECTRUM_READS = {"config.model", "config.operator", "config.output", "tolerances.zero_tol"}
+_SWEEP_READS = _SPECTRUM_READS | {f"sweep.{k}" for k in ("param", "from", "to", "steps")}
+READS = {
+    "spectrum": _SPECTRUM_READS,
+    "sweep": _SWEEP_READS,
+    "ep-locate": _SWEEP_READS | {"ep.branch_pair", "tolerances.param_tol",
+                                 "tolerances.rank_tol"},
+    "dynamics": {"config.model", "config.output", "tolerances.zero_tol",
+                 "tolerances.defect_tol"} | {f"dynamics.{k}" for k in (
+                     "rho0", "t_max", "n_times", "method", "generator")},
+    "trajectories": {"config.model", "config.output"} | {f"trajectories.{k}" for k in (
+        "psi0", "n_traj", "dt", "t_max", "seed", "n_samples")},
+    "verify": set(),
+}
+
+
+def with_key(command, section, key):
+    payload = {"command": command, **json.loads(json.dumps(BASE[command]))}
+    target = payload if section == "config" else payload.setdefault(section, {})
+    target[key] = VALID[section, key]
+    return payload
+
+
+class TestConfigTable:
+    def test_every_table_key_has_a_valid_value(self):
+        table = {(s, k) for s, keys in _KEYS.items() for k in keys} | {("config", "model")}
+        assert set(VALID) == table
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("section, key", list(VALID))
+    def test_read_keys_accepted_and_unread_keys_refused(self, command, section, key):
+        name = f"{section}.{key}"
+        path = f"config.{key}" if section == "config" else f"config.{name}"
+        text = json.dumps(with_key(command, section, key))
+        if name in READS[command]:
+            cfg = parse_config(text)
+            if key != "model":
+                assert cfg[section, key] is not None
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [m for m in err.value.messages
+                if m.startswith(f"{path}: not allowed for the {command} command")]
+
+    def test_nhh_operator_on_dynamics_is_refused(self, tmp_path, capsys):
+        # dynamics picks its generator with dynamics.generator; "nhh" used to
+        # be accepted here and the full Liouvillian ran anyway
+        assert "config.operator" not in READS["dynamics"]
+        cfg = write_config(tmp_path, with_key("dynamics", "config", "operator"))
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "config.operator: not allowed for the dynamics command" in capsys.readouterr().err
+        assert not (tmp_path / "lioueps_dynamics.csv").exists()
 
 
 class TestCliRuns:
@@ -331,6 +432,31 @@ class TestCliVariants:
             header, rows = read_rows(tmp_path / "bas_dynamics.csv")
             assert [float(rows[0][header.index(f"p{k}")]) for k in range(3)] == [0, 1, 0]
 
+    def test_bad_rho0_is_refused_before_any_eig(self, tmp_path, capsys, eig_calls):
+        cfg = write_config(tmp_path, {
+            "command": "dynamics",
+            "model": {"name": "example3", "levels": 3},
+            "dynamics": {"rho0": "basis:99", "t_max": 1.0, "n_times": 3,
+                         "method": "modes"},
+            "output": "b99",
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "basis index 99 out of range for dimension 9" in capsys.readouterr().err
+        assert eig_calls == []
+
+    def test_zero_psi0_is_refused(self, tmp_path, capsys):
+        # normalising a zero vector gave NaN rows and exit 0
+        cfg = write_config(tmp_path, {
+            "command": "trajectories",
+            "model": {"name": "example2", "omega_x": 1.0, "gamma_minus": 1.0},
+            "trajectories": {"psi0": [[0, 0], [0, 0]], "n_traj": 4, "dt": 1e-3,
+                             "t_max": 0.1},
+            "output": "zero",
+        })
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "config.trajectories.psi0" in capsys.readouterr().err
+        assert not (tmp_path / "zero_dynamics.csv").exists()
+
     def test_tolerance_overrides_are_applied(self, tmp_path):
         # an absurdly loose zero tolerance swallows every eigenvalue into
         # the steady sector and must change the analysis outcome
@@ -365,6 +491,20 @@ class TestExitCodes:
         assert main([cfg]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "omega_x" in err
+
+    @pytest.mark.parametrize("command, section", [
+        ("spectrum", {"model": {"name": "example2", "gamma_minus": float("nan")}}),
+        ("sweep", {"model": {"name": "example2"},
+                   "sweep": {"param": "gamma_minus", "from": 1, "to": float("inf"),
+                             "steps": 3}}),
+        ("trajectories", {"model": {"name": "example2"},
+                          "trajectories": {"psi0": [[float("nan"), 0], [1, 0]],
+                                           "n_traj": 2, "dt": 1e-3, "t_max": 0.1}}),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, command, section):
+        # json reads NaN and Infinity; they used to end in an internal error
+        cfg = write_config(tmp_path, {"command": command, **section})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
 
     def test_missing_file_exit_2(self):
         assert main(["/nonexistent/path.json"]) == 2

@@ -312,6 +312,12 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="length"):
             trajectories(model, [1, 0, 0], n_traj=1, dt=1e-3, t_max=0.1, seed=0)
 
+    def test_nan_psi0_is_refused(self):
+        # abs(nan - 1) > tol is False, so a NaN state passed the norm check
+        with pytest.raises(ValueError, match="normalized"):
+            trajectories(example2(1.0, 1.0), [np.nan, 1], n_traj=1, dt=1e-3, t_max=0.1,
+                         seed=0)
+
     def test_channel_statistics_proportional_to_rates(self):
         # two competing channels with 4:1 rates; jump counts follow suit
         q = Q
