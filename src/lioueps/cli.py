@@ -32,8 +32,7 @@ from .errors import ConfigError, LiouepsError, ModelBuildError
 from .ops_core import Operator, build_qubit_ops
 from .superop import LindbladModel, assemble_liouvillian, assemble_liouvillian_no_jumps
 from .spectral import DEFAULT_DEFECT_TOL, DEFAULT_ZERO_TOL, analyze_liouvillian
-from .ep_detect import (DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, Eigensystem, locate_ep,
-                        overlap_matrix, sweep)
+from .ep_detect import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, locate_ep, overlap_matrix, sweep
 from .models import ModelFamily, family_names, get_family
 from .dynamics import propagate_expm, propagate_modes, trajectories
 from .verify import run_verification
@@ -110,15 +109,15 @@ _READERS["config"].update(command=COMMANDS, model=_WRITERS,
 class RunConfig:
     """Validated run configuration (see parse_config).
 
-    cfg[section, key] is the value of a key the command reads, with the
-    default of _KEYS filled in; rho0 and psi0 are resolved to arrays
-    (rho0 "steady" stays a name until the analysis runs).
+    family is the model family with the config's parameters filled in
+    (None for verify).  cfg[section, key] is the value of a key the
+    command reads, with the default of _KEYS filled in; rho0 and psi0 are
+    resolved to arrays (rho0 "steady" stays a name until the analysis runs).
     """
 
     command: str
     raw: dict = field(default_factory=dict)
-    model_name: str | None = None
-    model_params: dict = field(default_factory=dict)
+    family: ModelFamily | None = None
     values: dict = field(default_factory=dict)
 
     def __getitem__(self, key: tuple[str, str]):
@@ -148,18 +147,25 @@ def parse_config(text: str) -> RunConfig:
 
     Strict: every key is checked against _KEYS, and a key the command does
     not read is refused like an unknown one.  The commands read:
-      spectrum      model, operator, output, tolerances.zero_tol
+      spectrum      model, operator, output, tolerances.zero_tol (not with
+                    operator "nhh": H_eff has no zero sector)
       sweep         as spectrum, plus sweep.{param, from, to, steps}
       ep-locate     as sweep, plus ep.branch_pair and tolerances.{param_tol,
                     rank_tol}
       dynamics      model, output, dynamics.{rho0, t_max, n_times, method,
-                    generator}, tolerances.{zero_tol, defect_tol}
+                    generator}, and tolerances.{zero_tol, defect_tol} only
+                    with method "modes" or rho0 "steady"
       trajectories  model, output, trajectories.{psi0, n_traj, dt, t_max,
                     seed, n_samples}
       verify        nothing besides command
-    The model is built to range-check its parameters, and rho0 or psi0 is
-    resolved against its dimension, before any computation starts.  All
-    findings are reported at once through ConfigError.
+    sweep.param must be a model parameter whose family-table value is a
+    float: an integer one (levels) fixes the model size and cannot be
+    swept.  ep.branch_pair holds two distinct indices below the branch
+    count n, D^2 for the Liouvillian and D for "nhh" (D the model
+    dimension).  The model is built to range-check its parameters, and
+    rho0 or psi0 is resolved against its dimension, before any
+    computation starts.  All findings are reported at once through
+    ConfigError.
     """
     try:
         raw = json.loads(text)
@@ -186,16 +192,15 @@ def parse_config(text: str) -> RunConfig:
         else:
             family = get_family(model["name"])
             params = {k: v for k, v in model.items() if k != "name"}
-            _check_keys(errors, params, dict.fromkeys(family.param_names, COMMANDS),
+            _check_keys(errors, params, dict.fromkeys(family.params, COMMANDS),
                         command, f"config.model({family.name})")
             for key, val in params.items():
-                if key in family.param_names and not _is_number(val):
+                if key in family.params and not _is_number(val):
                     errors.append(f"config.model.{key}: expected a number, got {val!r}")
-            cfg.model_name = family.name
-            cfg.model_params = {k: v for k, v in params.items()
-                                if k in family.param_names and _is_number(v)}
+            cfg.family = family.with_params(**{k: v for k, v in params.items()
+                                               if k in family.params and _is_number(v)})
             try:  # the builder is the range check
-                dim = family.with_params(**cfg.model_params).build().dim
+                dim = cfg.family.build().dim
             except ModelBuildError as exc:
                 errors.append(f"config.model: {exc}")
 
@@ -219,13 +224,33 @@ def parse_config(text: str) -> RunConfig:
     lo, hi = cfg.values.get(("sweep", "from")), cfg.values.get(("sweep", "to"))
     if lo is not None and hi is not None and not hi > lo:
         errors.append(f"config.sweep: 'to' must exceed 'from', got [{lo}, {hi}]")
-    if (cfg.values.get(("dynamics", "method")) == "modes"
-            and cfg.values.get(("dynamics", "generator")) == "no-jump"):
+    method, rho0 = cfg.values.get(("dynamics", "method")), cfg.values.get(("dynamics", "rho0"))
+    if method == "modes" and cfg.values.get(("dynamics", "generator")) == "no-jump":
         errors.append("config.dynamics.method: 'modes' needs a generator with a "
                       "steady state; use 'expm' for generator 'no-jump'")
+    nhh = cfg.values.get(("config", "operator")) == "nhh"
+    pair, n = cfg.values.get(("ep", "branch_pair")), dim and (dim if nhh else dim * dim)
+    if pair and n and max(pair) >= n:
+        errors.append(f"config.ep.branch_pair: the {'H_eff' if nhh else 'Liouvillian'} of "
+                      f"this model has {n} branches (indices 0..{n - 1}), got {list(pair)}")
+    # tolerances no analysis reads: H_eff has no zero sector, and expm
+    # from a given state runs no eigenanalysis
+    if nhh:
+        _refuse_tolerances(errors, raw, command, ("zero_tol",), "operator 'nhh'")
+    if method == "expm" and not (isinstance(rho0, str) and rho0 == "steady"):
+        _refuse_tolerances(errors, raw, command, ("zero_tol", "defect_tol"),
+                           "method 'expm' and a rho0 other than 'steady'")
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _refuse_tolerances(errors, raw, command, keys, reason):
+    given = raw.get("tolerances")
+    for key in keys:
+        if isinstance(given, dict) and key in given:
+            errors.append(f"config.tolerances.{key}: not allowed for the {command} "
+                          f"command with {reason}")
 
 
 def _value(errors, where, val, spec: _Key, family: ModelFamily | None, dim: int | None):
@@ -240,8 +265,10 @@ def _value(errors, where, val, spec: _Key, family: ModelFamily | None, dim: int 
         problem = f"expected {' or '.join(map(repr, bound))}"
     elif kind == "text" and not (isinstance(val, str) and val):
         problem = "expected a non-empty string"
-    elif kind == "param" and family is not None and val not in family.param_names:
-        problem = f"expected one of {list(family.param_names)}"
+    elif kind == "param" and family is not None and val not in list(family.params):
+        problem = f"expected one of {list(family.params)}"
+    elif kind == "param" and family is not None and isinstance(family.params[val], int):
+        problem = "an integer parameter fixes the model size and cannot be swept"
     elif kind == "pair" and not (
             isinstance(val, list) and len(val) == 2 and val[0] != val[1]
             and all(isinstance(b, int) and not isinstance(b, bool) and b >= 0 for b in val)):
@@ -345,16 +372,11 @@ def _write_csv(cfg: RunConfig, path: str, names, columns, extra: dict | None = N
             fh.writelines(map(fmt.__mod__, zip(*chunk)))
 
 
-def _family_from_config(cfg: RunConfig) -> ModelFamily:
-    return get_family(cfg.model_name, **cfg.model_params)
-
-
 def _spectrum_family(cfg: RunConfig):
-    family = _family_from_config(cfg)
     param = cfg.values.get(("sweep", "param"))  # spectrum: the family's own
     if cfg["config", "operator"] == "nhh":
-        return family.nhh_family(param)
-    return family.liouvillian_family(param, zero_tol=cfg["tolerances", "zero_tol"])
+        return cfg.family.nhh_family(param)
+    return cfg.family.liouvillian_family(param, zero_tol=cfg["tolerances", "zero_tol"])
 
 
 def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
@@ -393,7 +415,7 @@ def _observable_columns(model: LindbladModel):
 
 def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
     spec_family = _spectrum_family(cfg)
-    param_val = _family_from_config(cfg).params_at()[spec_family.param_name]
+    param_val = cfg.family.params[spec_family.param_name]
     return _write_branches(cfg, prefix, [param_val], [spec_family.eigensystem(param_val)])
 
 
@@ -401,9 +423,7 @@ def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
     spec_family = _spectrum_family(cfg)
     grid = np.linspace(cfg["sweep", "from"], cfg["sweep", "to"], cfg["sweep", "steps"])
     result = sweep(spec_family, grid)
-    systems = [Eigensystem(result.eigenvalues[k], result.vectors[k], result.zero_mask[k])
-               for k in range(result.grid.size)]
-    return _write_branches(cfg, prefix, result.grid, systems)
+    return _write_branches(cfg, prefix, result.grid, result.systems)
 
 
 def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
@@ -417,7 +437,7 @@ def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
         "config": cfg.raw,
         "convention": CONVENTION,
         "operator": cfg["config", "operator"],
-        "model": cfg.model_name,
+        "model": cfg.family.name,
         "ep": report.to_dict(),
     }
     path = f"{prefix}_ep.json"
@@ -428,7 +448,7 @@ def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
-    model = _family_from_config(cfg).build()
+    model = cfg.family.build()
     generator, method, rho0 = (cfg["dynamics", key] for key in ("generator", "method", "rho0"))
     liou = (assemble_liouvillian(model) if generator == "liouvillian"
             else assemble_liouvillian_no_jumps(model))
@@ -456,7 +476,7 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
-    model = _family_from_config(cfg).build()
+    model = cfg.family.build()
     n_traj, dt = cfg["trajectories", "n_traj"], cfg["trajectories", "dt"]
     seed = cfg["trajectories", "seed"] if seed_override is None else seed_override
     ens = trajectories(model, cfg["trajectories", "psi0"], n_traj=n_traj, dt=dt,

@@ -41,15 +41,14 @@ MAX_REFINE = 60
 class SpectrumFamily:
     """A parametric eigenproblem: param value -> eigensystem and raw matrix.
 
-    is_superop tells the EP machinery whether generalized eigenvectors
-    devectorize to operators (Liouvillian case) and whether the
-    zero-eigenvalue guard applies.
+    space is the Hilbert space a Liouvillian acts on, so that generalized
+    eigenvectors devectorize to operators; it is None for an effective
+    Hamiltonian (or any plain matrix) family.
     """
 
     param_name: str
     eigensystem: Callable[[float], Eigensystem]
     matrix: Callable[[float], np.ndarray]
-    is_superop: bool
     space: HilbertSpace | None = None
 
 
@@ -57,9 +56,11 @@ class SpectrumFamily:
 class SweepResult:
     """Branch-continued spectra over a parameter grid.
 
-    eigenvalues[k, i] is branch i at grid[k]; branch identity is carried
-    from one grid point to the next by greedy maximal-overlap assignment
-    (a permutation at every step).  matching_quality[k] is the worst
+    systems[k] is the eigensystem at grid[k] with its columns in branch
+    order, and eigenvalues[k, i] and zero_mask[k, i] stack its values and
+    zero mask: branch i at grid[k].  Branch identity is carried from one
+    grid point to the next by greedy maximal-overlap assignment (a
+    permutation at every step).  matching_quality[k] is the worst
     assigned overlap of step k -> k+1; steps whose best overlap for some
     branch fell below 0.5 are recorded as continuation breaks rather
     than silently fixed.
@@ -67,8 +68,8 @@ class SweepResult:
 
     param_name: str
     grid: np.ndarray
+    systems: tuple[Eigensystem, ...]
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     zero_mask: np.ndarray
     matching_quality: np.ndarray
     continuation_breaks: tuple[tuple[int, int], ...]
@@ -102,7 +103,11 @@ def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.
 
 
 def sweep(family: SpectrumFamily, grid) -> SweepResult:
-    """Evaluate the family on a grid and continue branches across it."""
+    """Evaluate the family on a grid and continue branches across it.
+
+    Each point is put in branch order against the point before it; a
+    ValueError is raised when the eigensystem size changes on the grid.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
@@ -117,31 +122,23 @@ def sweep(family: SpectrumFamily, grid) -> SweepResult:
             exc.args = (f"{exc} (at grid index {k}, {family.param_name}={grid[k]!r})",)
             raise
 
-    systems = [evaluate(k) for k in range(grid.size)]
-
-    n = systems[0].size
-    m = grid.size
-    dim = systems[0].vectors.shape[0]
-    eigenvalues = np.zeros((m, n), dtype=complex)
-    vectors = np.zeros((m, dim, n), dtype=complex)
-    zero_mask = np.zeros((m, n), dtype=bool)
-    quality = np.ones(m - 1)
+    systems = [evaluate(0)]
+    quality = np.ones(grid.size - 1)
     breaks: list[tuple[int, int]] = []
-
-    eigenvalues[0] = systems[0].values
-    vectors[0] = systems[0].vectors
-    zero_mask[0] = systems[0].zero_mask
-    for k in range(1, m):
-        perm, q = _greedy_assignment(vectors[k - 1], systems[k].vectors)
-        eigenvalues[k] = systems[k].values[perm]
-        vectors[k] = systems[k].vectors[:, perm]
-        zero_mask[k] = systems[k].zero_mask[perm]
+    for k in range(1, grid.size):
+        cur = evaluate(k)
+        if cur.vectors.shape != systems[0].vectors.shape:
+            raise ValueError(
+                f"eigensystem size changed from {systems[0].size} to {cur.size} at grid "
+                f"index {k} ({family.param_name}={grid[k]!r}): branches cannot be continued")
+        perm, q = _greedy_assignment(systems[-1].vectors, cur.vectors)
+        systems.append(Eigensystem(cur.values[perm], cur.vectors[:, perm], cur.zero_mask[perm]))
         quality[k - 1] = q.min()
-        for i in np.flatnonzero(q < 0.5):
-            breaks.append((k - 1, int(i)))
+        breaks += [(k - 1, int(i)) for i in np.flatnonzero(q < 0.5)]
 
-    return SweepResult(family.param_name, grid, eigenvalues, vectors, zero_mask,
-                       quality, tuple(breaks))
+    return SweepResult(family.param_name, grid, tuple(systems),
+                       np.array([s.values for s in systems]),
+                       np.array([s.zero_mask for s in systems]), quality, tuple(breaks))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +350,8 @@ def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
     idx = [k - 1, k + 1, k]
     g = list(res.grid[idx])
     delta = list((res.eigenvalues[idx, i] - res.eigenvalues[idx, j]) ** 2)
-    vals, vecs, values = res.eigenvalues[k, [i, j]], res.vectors[k][:, [i, j]], res.eigenvalues[k]
+    vals, values = res.eigenvalues[k, [i, j]], res.eigenvalues[k]
+    vecs = res.systems[k].vectors[:, [i, j]]
     for _ in range(MAX_REFINE):
         if delta[-1] == 0:
             break
@@ -373,7 +371,8 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
     """Localize an exceptional point of a branch pair inside a bracket.
 
     The pair is either given (indices into the branch order at the
-    bracket start) or every non-steady pair is searched.  Candidate cells
+    bracket start; a ValueError names the branch count when an index is
+    out of range) or every non-steady pair is searched.  Candidate cells
     are refined in pair order (row-major), then by parameter, and the
     first whose eigenvectors coalesce (overlap >= 1 - 1e-6) is reported.
     Zero-eigenvalue branches of a trace-preserving generator are rejected
@@ -387,9 +386,12 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
         raise ValueError("coarse_points must be at least 3")
     res = sweep(family, np.linspace(lo, hi, coarse_points))
 
-    steady = res.zero_mask.any(axis=0) & family.is_superop
+    steady = res.zero_mask.any(axis=0)
     if branch_pair is None:
         bi, bj = np.nonzero(np.triu(~(steady[:, None] | steady[None, :]), 1))
+    elif not 0 <= min(branch_pair) <= max(branch_pair) < steady.size:
+        raise ValueError(f"branch_pair {tuple(branch_pair)} out of range: the family "
+                         f"has {steady.size} branches (indices 0..{steady.size - 1})")
     else:
         bi, bj = np.array([branch_pair[0]]), np.array([branch_pair[1]])
         if steady[bi[0]] or steady[bj[0]]:
@@ -435,6 +437,6 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
         jordan_coefficient=a_coef,
         chain_residual=chain_residual(mat, lambda_ep, v1, v2, a_coef),
         generalized_vector=v2,
-        generalized_eigenmatrix=(Operator(family.space, v2.reshape(family.space.dim, -1))
-                                 if family.is_superop else None),
+        generalized_eigenmatrix=(None if family.space is None else
+                                 Operator(family.space, v2.reshape(family.space.dim, -1))),
     )

@@ -26,7 +26,7 @@ qubit basis (|g>, |e>) of ops_core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -309,85 +309,64 @@ def dephasing_closed_form(omega: float, gamma: float, levels: int = 4) -> dict:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A named parametric model: fixed parameters plus one sweep knob."""
+    """A named parametric model: its full parameter table plus one sweep knob.
+
+    params holds a value for every builder argument; an integer value
+    (a cutoff such as levels) fixes the model size and cannot be swept.
+    """
 
     name: str
     builder: Callable[..., LindbladModel]
-    param_names: tuple[str, ...]
-    defaults: dict
+    params: dict
     sweep_param: str
-    fixed_params: dict = field(default_factory=dict)
-
-    def params_at(self, value: float | None = None,
-                  sweep_param: str | None = None) -> dict:
-        params = dict(self.defaults)
-        params.update(self.fixed_params)
-        if value is not None:
-            params[sweep_param or self.sweep_param] = value
-        return params
 
     def build(self, value: float | None = None,
               sweep_param: str | None = None) -> LindbladModel:
-        return self.builder(**self.params_at(value, sweep_param))
+        if value is None:
+            return self.builder(**self.params)
+        return self.builder(**{**self.params, sweep_param or self.sweep_param: value})
 
     def with_params(self, **fixed) -> "ModelFamily":
-        unknown = set(fixed) - set(self.param_names)
+        unknown = set(fixed) - set(self.params)
         if unknown:
             raise ModelBuildError(
                 f"unknown parameter(s) {sorted(unknown)} for model '{self.name}'; "
-                f"available: {list(self.param_names)}")
-        merged = dict(self.fixed_params)
-        merged.update(fixed)
-        return ModelFamily(self.name, self.builder, self.param_names,
-                           self.defaults, self.sweep_param, merged)
+                f"available: {list(self.params)}")
+        return replace(self, params={**self.params, **fixed})
 
     def liouvillian_family(self, sweep_param: str | None = None,
                            zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
 
-        def eigensystem(value: float) -> Eigensystem:
-            return liouvillian_eigensystem(assemble_liouvillian(self.build(value, param)), zero_tol)
-
         def matrix(value: float) -> np.ndarray:
             return assemble_liouvillian(self.build(value, param)).matrix
 
-        space = self.build(self.params_at()[param], param).space
-        return SpectrumFamily(param, eigensystem, matrix, True, space)
+        def eigensystem(value: float) -> Eigensystem:
+            return liouvillian_eigensystem(assemble_liouvillian(self.build(value, param)),
+                                           zero_tol)
+
+        return SpectrumFamily(param, eigensystem, matrix, self.build().space)
 
     def nhh_family(self, sweep_param: str | None = None) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
 
-        def eigensystem(value: float) -> Eigensystem:
-            return nhh_eigensystem(effective_hamiltonian(self.build(value, param)).matrix)
-
         def matrix(value: float) -> np.ndarray:
             return effective_hamiltonian(self.build(value, param)).matrix
 
-        space = self.build(self.params_at()[param], param).space
-        return SpectrumFamily(param, eigensystem, matrix, False, space)
+        return SpectrumFamily(param, lambda value: nhh_eigensystem(matrix(value)), matrix)
 
 
 _FAMILIES = {
     "example1": ModelFamily(
         "example1", example1,
-        ("omega", "gamma_minus", "gamma_x", "gamma_y"),
-        {"omega": 1.0, "gamma_minus": 0.0, "gamma_x": 0.0, "gamma_y": 2.0},
-        "gamma_x"),
+        {"omega": 1.0, "gamma_minus": 0.0, "gamma_x": 0.0, "gamma_y": 2.0}, "gamma_x"),
     "example2": ModelFamily(
-        "example2", example2,
-        ("omega_x", "gamma_minus"),
-        {"omega_x": 1.0, "gamma_minus": 1.0},
-        "gamma_minus"),
+        "example2", example2, {"omega_x": 1.0, "gamma_minus": 1.0}, "gamma_minus"),
     "example3": ModelFamily(
         "example3", example3,
-        ("omega", "g", "gamma_a", "gamma_b", "levels"),
-        {"omega": 1.0, "g": 0.1, "gamma_a": 1.0, "gamma_b": 0.5, "levels": 4},
-        "g"),
+        {"omega": 1.0, "g": 0.1, "gamma_a": 1.0, "gamma_b": 0.5, "levels": 4}, "g"),
     "dephasing": ModelFamily(
-        "dephasing", dephasing,
-        ("omega", "gamma", "levels"),
-        {"omega": 1.0, "gamma": 1.0, "levels": 4},
-        "gamma"),
+        "dephasing", dephasing, {"omega": 1.0, "gamma": 1.0, "levels": 4}, "gamma"),
 }
 
 
@@ -411,7 +390,7 @@ def example3_block_family(omega: float, gamma_a: float, gamma_b: float,
     def matrix(g: float) -> np.ndarray:
         return example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)
 
-    return SpectrumFamily("g", lambda g: nhh_eigensystem(matrix(g)), matrix, False, None)
+    return SpectrumFamily("g", lambda g: nhh_eigensystem(matrix(g)), matrix)
 
 
 # ---------------------------------------------------------------------------

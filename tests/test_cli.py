@@ -44,7 +44,7 @@ class TestParseConfig:
             "sweep": {"param": "gamma_minus", "from": 3, "to": 5, "steps": 64},
         }))
         assert cfg.command == "ep-locate"
-        assert cfg.model_name == "example2"
+        assert cfg.family.name == "example2"
         assert cfg["sweep", "param"] == "gamma_minus"
         assert cfg["sweep", "steps"] == 64
 
@@ -95,6 +95,37 @@ class TestParseConfig:
             "sweep": {"param": "gamma_minus", "from": 3, "to": 5, "steps": 9},
             "ep": {"branch_pair": [2, 3]}}))
         assert cfg["ep", "branch_pair"] == (2, 3)
+
+    @pytest.mark.parametrize("operator, pair, n", [
+        ("liouvillian", [2, 7], 4), ("nhh", [0, 2], 2)])
+    def test_branch_pair_out_of_range_is_refused(self, tmp_path, capsys, eig_calls,
+                                                  operator, pair, n):
+        # refused from the model dimension alone, before any eigensolve
+        cfg = write_config(tmp_path, {
+            "command": "ep-locate", "operator": operator, "model": {"name": "example2"},
+            "sweep": {"param": "gamma_minus", "from": 1, "to": 5, "steps": 9},
+            "ep": {"branch_pair": pair}, "output": "pair"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.ep.branch_pair" in err and f"has {n} branches" in err
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("command", ["sweep", "ep-locate"])
+    @pytest.mark.parametrize("grid", [(2, 4, 3), (2, 3, 4)], ids=["integer", "fractional"])
+    def test_integer_parameter_cannot_be_swept(self, tmp_path, capsys, eig_calls,
+                                               command, grid):
+        # levels fixes the model size: no branch continues across its grid
+        cfg = write_config(tmp_path, {
+            "command": command, "model": {"name": "example3", "levels": 2},
+            "sweep": dict(zip(("param", "from", "to", "steps"), ("levels",) + grid)),
+            "output": "levels"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "config.sweep.param: an integer parameter" in capsys.readouterr().err
+        assert eig_calls == []
+        # the registry table decides, not the type of the value given
+        parse_config(json.dumps({
+            "command": "sweep", "model": {"name": "example2", "omega_x": 2},
+            "sweep": {"param": "omega_x", "from": 1, "to": 2, "steps": 3}}))
 
     def test_verify_rejects_model_key(self):
         with pytest.raises(ConfigError, match="not allowed"):
@@ -156,13 +187,25 @@ READS = {
     "sweep": _SWEEP_READS,
     "ep-locate": _SWEEP_READS | {"ep.branch_pair", "tolerances.param_tol",
                                  "tolerances.rank_tol"},
-    "dynamics": {"config.model", "config.output", "tolerances.zero_tol",
-                 "tolerances.defect_tol"} | {f"dynamics.{k}" for k in (
-                     "rho0", "t_max", "n_times", "method", "generator")},
+    # the tolerances too, but only with method modes or rho0 steady (SETTINGS)
+    "dynamics": {"config.model", "config.output"} | {f"dynamics.{k}" for k in (
+        "rho0", "t_max", "n_times", "method", "generator")},
     "trajectories": {"config.model", "config.output"} | {f"trajectories.{k}" for k in (
         "psi0", "n_traj", "dt", "t_max", "seed", "n_samples")},
     "verify": set(),
 }
+
+
+# tolerances whose reading depends on other keys: (command, those keys,
+# tolerance, whether it is read); H_eff has no zero sector, and expm from a
+# given rho0 runs no eigenanalysis
+SETTINGS = [(command, {"operator": "nhh"}, "zero_tol", False)
+            for command in ("spectrum", "sweep", "ep-locate")]
+SETTINGS += [("dynamics", {"dynamics": {"t_max": 1.0, **dyn}}, key, read)
+             for dyn, read in (({"method": "modes"}, True), ({"rho0": "steady"}, True),
+                               ({"rho0": "ground"}, False),
+                               ({"generator": "no-jump"}, False))
+             for key in ("zero_tol", "defect_tol")]
 
 
 def with_key(command, section, key):
@@ -192,6 +235,18 @@ class TestConfigTable:
             parse_config(text)
         assert [m for m in err.value.messages
                 if m.startswith(f"{path}: not allowed for the {command} command")]
+
+    @pytest.mark.parametrize("command, settings, key, read", SETTINGS)
+    def test_tolerances_read_only_where_an_analysis_uses_them(self, command, settings,
+                                                               key, read):
+        text = json.dumps({**with_key(command, "tolerances", key), **settings})
+        if read:
+            assert parse_config(text)["tolerances", key] == VALID["tolerances", key]
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [m for m in err.value.messages if m.startswith(
+            f"config.tolerances.{key}: not allowed for the {command} command with")]
 
     def test_nhh_operator_on_dynamics_is_refused(self, tmp_path, capsys):
         # dynamics picks its generator with dynamics.generator; "nhh" used to
@@ -637,7 +692,7 @@ class TestCsvRoundTrip:
             vals = res.eigenvalues[k]
             order = sorted(range(vals.size), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
             eig_rows += [(g, pos, vals[b].real, vals[b].imag, b) for pos, b in enumerate(order)]
-            ovl = overlap_matrix(Eigensystem(vals, res.vectors[k], res.zero_mask[k]))
+            ovl = overlap_matrix(res.systems[k])
             ovl_rows += [(g, i, j, ovl[i, j])
                          for i in range(vals.size) for j in range(i + 1, vals.size)]
         for name, want in (("rt_eigenvalues.csv", eig_rows), ("rt_overlaps.csv", ovl_rows)):

@@ -37,7 +37,7 @@ def constant_family(mat):
     vals, vecs = np.linalg.eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     system = Eigensystem(vals, vecs, np.zeros(len(vals), dtype=bool))
-    return SpectrumFamily("p", lambda g: system, lambda g: mat, False)
+    return SpectrumFamily("p", lambda g: system, lambda g: mat)
 
 
 class TestSweep:
@@ -76,6 +76,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least 2"):
             sweep(fam, [1.0])
 
+    def test_systems_hold_the_branch_ordered_eigensystems(self):
+        res = sweep(EX1.liouvillian_family(), np.linspace(0.0, 4.0, 21))
+        assert len(res.systems) == res.grid.size
+        for k, system in enumerate(res.systems):
+            assert np.array_equal(system.values, res.eigenvalues[k])
+            assert np.array_equal(system.zero_mask, res.zero_mask[k])
+        # branch order: each point continues the previous one column by column
+        for k in range(1, res.grid.size):
+            ovl = np.abs(np.sum(res.systems[k - 1].vectors.conj() * res.systems[k].vectors,
+                                axis=0))
+            assert ovl.min() == pytest.approx(res.matching_quality[k - 1], abs=1e-15)
+
+    def test_size_change_across_the_grid_is_refused(self):
+        fam = get_family("example3", levels=2).liouvillian_family("levels")
+        with pytest.raises(ValueError, match="size changed from 16 to 81 at grid index 1"):
+            sweep(fam, [2.0, 3.0])
+
     def test_build_failure_carries_grid_index(self):
         fam = EX2.liouvillian_family()
         with pytest.raises(Exception, match="grid index 0"):
@@ -106,7 +123,7 @@ class TestOverlapMatrix:
         # eigenvalue gap exceeds 0.1
         res = sweep(EX1.liouvillian_family(), np.linspace(0.0, 4.0, 201))
         for k in range(res.grid.size):
-            vecs = res.vectors[k]
+            vecs = res.systems[k].vectors
             ovl = np.abs(vecs.conj().T @ vecs)
             vals = res.eigenvalues[k]
             for i in range(4):
@@ -145,6 +162,14 @@ class TestLocateEP:
     def test_zero_branch_guard(self):
         with pytest.raises(NoEPBracketedError, match="zero-eigenvalue"):
             locate_ep(EX2.liouvillian_family(), (3.0, 5.0), branch_pair=(0, 2))
+
+    @pytest.mark.parametrize("family, bracket, pair, n", [
+        (EX2.liouvillian_family(), (3.0, 5.0), (2, 7), 4),
+        (EX2.nhh_family(), (1.0, 3.0), (0, 2), 2),
+    ], ids=["liouvillian", "nhh"])
+    def test_branch_pair_out_of_range(self, family, bracket, pair, n):
+        with pytest.raises(ValueError, match=f"has {n} branches"):
+            locate_ep(family, bracket, branch_pair=pair)
 
     def test_no_ep_in_bracket(self):
         with pytest.raises(NoEPBracketedError,
@@ -283,15 +308,15 @@ class TestOneFactorisation:
         report = locate_ep(family, bracket)
         lam = report.lambda_ep
         mat = family.matrix(report.param_value)
-        op = SuperOp(family.space, mat) if family.is_superop else mat
+        op = SuperOp(family.space, mat) if family.space is not None else mat
         rho1 = ep_eigenmatrix(op, lam)
         rho2, a = jordan_chain(op, lam, rho1=rho1)
-        vec2 = rho2.matrix.reshape(-1) if family.is_superop else rho2
+        vec2 = rho2.matrix.reshape(-1) if family.space is not None else rho2
         assert report.jordan_coefficient == a
         assert report.chain_residual == chain_residual(op, lam, rho1, rho2, a)
         assert report.order_estimate == max(estimate_ep_order(mat, lam)[0], 2)
         assert np.array_equal(report.generalized_vector, vec2)
-        if family.is_superop:
+        if family.space is not None:
             assert np.array_equal(report.generalized_eigenmatrix.matrix, rho2.matrix)
         else:
             assert report.generalized_eigenmatrix is None

@@ -255,6 +255,20 @@ class TestRegistryAndCurves:
         model_b = fam.build(0.5, sweep_param="omega_x")
         assert np.abs(model_b.H.matrix).max() == pytest.approx(0.25)
 
+    def test_family_params_are_the_registry_table_updated(self):
+        table = {"omega": 1.0, "g": 0.1, "gamma_a": 1.0, "gamma_b": 0.5, "levels": 4}
+        assert get_family("example3").params == table
+        fam = get_family("example3", g=0.3, levels=2)
+        assert fam.params == {**table, "g": 0.3, "levels": 2}
+        assert fam.with_params(omega=2.0).params == {**table, "g": 0.3, "levels": 2,
+                                                     "omega": 2.0}
+        assert get_family("example3").params == table
+
+    def test_nhh_family_has_no_space(self):
+        fam = get_family("example3", levels=2)
+        assert fam.nhh_family().space is None
+        assert fam.liouvillian_family().space.dims == (2, 2)
+
     def test_sigma_z_double_bifurcation(self):
         grid = np.linspace(0.0, 6.0, 121)
         curves = sigma_z_expectations(1.0, grid)

@@ -29,7 +29,7 @@ def touching_pair_family():
         order = np.lexsort((vals.real, np.abs(vals.imag)))
         return Eigensystem(vals[order], vecs[:, order], np.zeros(2, dtype=bool))
 
-    return SpectrumFamily("g", eigensystem, matrix, False)
+    return SpectrumFamily("g", eigensystem, matrix)
 
 
 def counting(family):
@@ -41,7 +41,7 @@ def counting(family):
         return family.eigensystem(g)
 
     return SpectrumFamily(family.param_name, eigensystem, family.matrix,
-                          family.is_superop, family.space), calls
+                          family.space), calls
 
 
 EX3_L2 = get_family("example3").with_params(omega=1.0, gamma_a=1.0, gamma_b=0.5, levels=2)
