@@ -32,7 +32,7 @@ from .errors import ConfigError, LiouepsError, ModelBuildError
 from .ops_core import Operator, build_qubit_ops
 from .superop import LindbladModel, assemble_liouvillian, assemble_liouvillian_no_jumps
 from .spectral import DEFAULT_DEFECT_TOL, DEFAULT_ZERO_TOL, analyze_liouvillian
-from .ep_detect import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, locate_ep, overlap_matrix, sweep
+from .ep_detect import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, locate_ep, support_overlaps, sweep
 from .models import ModelFamily, family_names, get_family
 from .dynamics import propagate_expm, propagate_modes, trajectories
 from .verify import run_verification
@@ -353,23 +353,26 @@ def _header(cfg: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(cfg: RunConfig, path: str, names, columns, extra: dict | None = None):
+def _write_csv(cfg: RunConfig, path: str, names, blocks, extra: dict | None = None):
     """Write one data file: header, column names, then one row per entry.
 
-    Integer columns are written as %d and every other column with 17
-    significant digits, so each float reads back exactly.  Rows are
-    formatted from Python scalars (numpy scalars format slower), one
-    chunk of rows at a time so that no column is held as Python objects
-    whole; no list of all output lines is built.
+    blocks is an iterable of column lists, written one after another, so
+    that a caller can build its columns one block at a time.  Integer
+    columns are written as %d and every other column with 17 significant
+    digits, so each float reads back exactly.  Rows are formatted from
+    Python scalars (numpy scalars format slower), one chunk of rows at a
+    time so that no column is held as Python objects whole; no list of
+    all output lines is built.
     """
-    columns = [np.asarray(col) for col in columns]
-    fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
-                   for col in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_header(cfg, extra) + [",".join(names)]) + "\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
-            fh.writelines(map(fmt.__mod__, zip(*chunk)))
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
+                           for col in columns) + "\n"
+            for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+                chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+                fh.writelines(map(fmt.__mod__, zip(*chunk)))
 
 
 def _spectrum_family(cfg: RunConfig):
@@ -383,7 +386,10 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
     """Eigenvalue and overlap tables, one block per grid point.
 
     systems[k] is the eigensystem at grid[k].  Eigenvalue rows run in
-    (|Re|, Im, branch) order; overlap rows are the pairs i < j, row-major.
+    (|Re|, Im, branch) order.  Overlap rows are the pairs i < j whose
+    vectors share support at that point (support_overlaps), row-major,
+    built one grid point at a time; every other pair has overlap exactly
+    0 and is left out, as a header line of the file states.
     """
     n = systems[0].size
     grid = np.asarray(grid, dtype=float)
@@ -392,13 +398,16 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
     vals = np.concatenate([s.values[o] for s, o in zip(systems, order)])
     eig_path = f"{prefix}_eigenvalues.csv"
     _write_csv(cfg, eig_path, ["param", "index", "re_lambda", "im_lambda", "branch_id"],
-               [np.repeat(grid, n), np.tile(np.arange(n), grid.size),
-                vals.real, vals.imag, np.concatenate(order)])
-    i, j = np.triu_indices(n, 1)
-    ovl = np.concatenate([overlap_matrix(s)[i, j] for s in systems])
+               [[np.repeat(grid, n), np.tile(np.arange(n), grid.size),
+                 vals.real, vals.imag, np.concatenate(order)]])
+
+    def overlap_rows(g, system):
+        i, j, ovl = support_overlaps(system.vectors)
+        return [np.full(i.size, g), i, j, ovl]
+
     ovl_path = f"{prefix}_overlaps.csv"
-    _write_csv(cfg, ovl_path, ["param", "i", "j", "overlap"],
-               [np.repeat(grid, i.size), np.tile(i, grid.size), np.tile(j, grid.size), ovl])
+    _write_csv(cfg, ovl_path, ["param", "i", "j", "overlap"], map(overlap_rows, grid, systems),
+               {"omitted": "every pair i < j not listed has overlap exactly 0 (disjoint supports)"})
     return [eig_path, ovl_path]
 
 
@@ -471,7 +480,7 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     columns += list(np.diagonal(prop.states, axis1=1, axis2=2).real.T)
     columns += [[np.trace(mat @ s).real for s in prop.states] for _, mat in cols]
     path = f"{prefix}_dynamics.csv"
-    _write_csv(cfg, path, names, columns, {"generator": generator, "method": method})
+    _write_csv(cfg, path, names, [columns], {"generator": generator, "method": method})
     return [path]
 
 
@@ -491,7 +500,7 @@ def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
         names += [f"{name}_mean", f"{name}_stderr"]
         columns += ens.observable_stats(Operator(model.space, mat))
     path = f"{prefix}_dynamics.csv"
-    _write_csv(cfg, path, names, columns,
+    _write_csv(cfg, path, names, [columns],
                {"seed": seed, "n_traj": n_traj, "dt": f"{dt:.17g}"})
     return [path]
 

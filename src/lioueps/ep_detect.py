@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import Eigensystem, Spectrum, _canonical_phase
+from .spectral import Eigensystem, Spectrum, _canonical_phase, _components
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -75,11 +75,46 @@ class SweepResult:
     continuation_breaks: tuple[tuple[int, int], ...]
 
 
+def support_overlaps(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |<v_i|v_j>|) for the column pairs i < j of vecs that share support.
+
+    The columns fall into the connected components of the bipartite
+    support graph: entry r joins column c wherever vecs[r, c] != 0.  Two
+    columns of different components have disjoint supports, so every term
+    of their inner product is an exact zero, and the pair is left out.
+    Each component of b >= 2 columns takes one b x b gram, symmetrised.
+    The pairs come in row-major order.
+    """
+    m, n = vecs.shape
+    rows, cols = np.nonzero(vecs)
+    labels = _components(m + n, rows, m + cols)
+    # nodes grouped by component (entries 0..m-1, then columns m..m+n-1)
+    nodes = np.argsort(labels, kind="stable")
+    parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for comp in np.split(nodes, np.flatnonzero(np.diff(labels[nodes])) + 1):
+        idx = comp[comp >= m] - m
+        if idx.size < 2:
+            continue
+        sub = vecs[np.ix_(comp[comp < m], idx)]
+        g = np.abs(sub.conj().T @ sub)
+        iu, ju = np.triu_indices(idx.size, 1)
+        parts.append((idx[iu], idx[ju], 0.5 * (g + g.T)[iu, ju]))
+    i, j, ovl = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((j, i))
+    return i[order], j[order], ovl[order]
+
+
 def overlap_matrix(spec) -> np.ndarray:
-    """|<v_i|v_j>| over the vectors of an Eigensystem or a Spectrum; symmetric, unit diagonal."""
+    """|<v_i|v_j>| over the vectors of an Eigensystem or a Spectrum; symmetric, unit diagonal.
+
+    The off-diagonal entries are those of support_overlaps, and exactly 0
+    for every pair it leaves out.
+    """
     vecs = spec.right_vectors() if isinstance(spec, Spectrum) else spec.vectors
-    g = np.abs(vecs.conj().T @ vecs)
-    return 0.5 * (g + g.T)
+    i, j, ovl = support_overlaps(vecs)
+    out = np.eye(vecs.shape[1])
+    out[i, j] = out[j, i] = ovl
+    return out
 
 
 def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

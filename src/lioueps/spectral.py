@@ -91,28 +91,34 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * np.reshape(scale, np.shape(piv))
 
 
-def _block_eig(mat: np.ndarray, left: bool = False):
-    """scipy.linalg.eig of mat, one weakly connected sector at a time.
-
-    The sectors are the connected components of the sparsity graph of
-    (mat != 0) | (mat != 0).T, labelled by min-label propagation over the
-    nonzero entries.  A 1x1 sector is its diagonal entry with a unit
-    vector; only sectors of size >= 2 go to eig.  Returns (vals, vecs),
-    or (vals, lvecs, vecs) with left, as eig does, over the full index
-    range: each vector is nonzero only on its own sector.
-    """
-    n = mat.shape[0]
-    rows, cols = np.nonzero(mat)
-    src, dst = np.r_[rows, cols], np.r_[cols, rows]
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on nodes 0..n-1 with
+    one edge src[k] -- dst[k] per k, by min-label propagation: each node
+    is labelled with the smallest node of its component."""
+    src, dst = np.r_[src, dst], np.r_[dst, src]
     labels = np.arange(n)
     while True:
         new = labels.copy()
         np.minimum.at(new, src, labels[dst])
-        # pointer jumping: each label is a smaller index of the same sector
+        # pointer jumping: each label is a smaller node of the same component
         new = new[new]
         if np.array_equal(new, labels):
-            break
+            return labels
         labels = new
+
+
+def _block_eig(mat: np.ndarray, left: bool = False):
+    """scipy.linalg.eig of mat, one weakly connected sector at a time.
+
+    The sectors are the connected components of the sparsity graph of
+    (mat != 0) | (mat != 0).T, labelled over the nonzero entries.  A 1x1
+    sector is its diagonal entry with a unit vector; only sectors of size
+    >= 2 go to eig.  Returns (vals, vecs), or (vals, lvecs, vecs) with
+    left, as eig does, over the full index range: each vector is nonzero
+    only on its own sector.
+    """
+    n = mat.shape[0]
+    labels = _components(n, *np.nonzero(mat))
     sizes = np.bincount(labels, minlength=n)[labels]
     vals = np.empty(n, dtype=complex)
     vecs = np.zeros((n, n), dtype=complex)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lioueps import spectral
+from lioueps.ep_detect import overlap_matrix
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
 
@@ -29,6 +32,31 @@ def assert_one_eig_per_sector(calls, mat, left):
     assert [l for l, _ in calls] == [left] * len(calls)
     assert all(size >= 2 for _, size in calls)
     assert sum(size for _, size in calls) == off.shape[0] - isolated
+
+
+def assert_overlap_rows(i, j, ovl, system):
+    """The listed overlap rows (i, j, ovl) of one eigensystem obey the
+    support rule: the pairs i < j run in row-major order, they are exactly
+    the pairs whose vectors share a support component (labelled here by
+    scipy's connected_components on the bipartite entry-column graph),
+    each listed overlap equals overlap_matrix bitwise, and every omitted
+    pair is exactly 0 in overlap_matrix and in a dense gram."""
+    vecs = system.vectors
+    m, n = vecs.shape
+    i, j, ovl = (np.asarray(x) for x in (i, j, ovl))
+    key = i * n + j
+    assert np.all(i < j) and np.all(np.diff(key) > 0)
+    rows, cols = np.nonzero(vecs)
+    graph = coo_matrix((np.ones(rows.size), (rows, m + cols)), shape=(m + n, m + n))
+    _, comp = connected_components(graph, directed=False)
+    iu, ju = np.triu_indices(n, 1)
+    shared = comp[m + iu] == comp[m + ju]
+    np.testing.assert_array_equal(key, (iu * n + ju)[shared])
+    full = overlap_matrix(system)
+    assert np.array_equal(ovl, full[i, j])
+    gram = np.abs(vecs.conj().T @ vecs)
+    assert np.all(full[iu[~shared], ju[~shared]] == 0)
+    assert np.all(gram[iu[~shared], ju[~shared]] == 0)
 
 
 def random_hermitian(rng, dim):

@@ -10,9 +10,11 @@ from lioueps.cli import COMMANDS, RunConfig, _KEYS, _write_branches, _write_csv,
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
 from lioueps.errors import ConfigError
-from lioueps.models import example1_closed_form, get_family
+from lioueps.models import example1_closed_form, family_names, get_family
 from lioueps.ops_core import build_qubit_ops
-from conftest import assert_one_eig_per_sector
+from lioueps.spectral import liouvillian_eigensystem
+from lioueps.superop import assemble_liouvillian
+from conftest import assert_one_eig_per_sector, assert_overlap_rows, random_lindblad_model
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -34,6 +36,27 @@ def read_rows(path):
         else:
             rows.append(line.split(","))
     return header, rows
+
+
+OMITTED_LINE = "# omitted = every pair i < j not listed has overlap exactly 0 (disjoint supports)"
+
+
+def overlap_rows(path, grid):
+    """The rows of an overlaps file as one (i, j, overlap) triple of arrays
+    per grid point, after checking the header line on omitted pairs and
+    that the rows come in one block per grid point, in grid order."""
+    with open(path, encoding="utf-8") as fh:
+        assert OMITTED_LINE in [line.rstrip("\n") for line in fh]
+    header, rows = read_rows(path)
+    assert header == ["param", "i", "j", "overlap"]
+    params = [float(r[0]) for r in rows]
+    blocks = []
+    for g in grid:
+        block = [r for r in rows if float(r[0]) == g]
+        blocks.append(tuple(np.array([conv(r[c]) for r in block], dtype=conv)
+                            for c, conv in ((1, int), (2, int), (3, float))))
+    assert params == [float(g) for g, (i, _, _) in zip(grid, blocks) for _ in i]
+    return blocks
 
 
 class TestParseConfig:
@@ -371,9 +394,12 @@ class TestCliRuns:
         assert main([cfg, "--output-dir", str(tmp_path)]) == 0
         header, rows = read_rows(tmp_path / "spec_eigenvalues.csv")
         assert len(rows) == 9
-        _, overlap_rows = read_rows(tmp_path / "spec_overlaps.csv")
-        assert len(overlap_rows) == 9 * 8 // 2
-        assert all(float(r[3]) <= 1e-8 for r in overlap_rows)
+        # L is diagonal, so no two eigenvectors share support: no rows, and
+        # each of the 36 omitted pairs is exactly 0
+        [(i, j, ovl)] = overlap_rows(tmp_path / "spec_overlaps.csv", [1.0])
+        assert i.size == 0
+        family = get_family("dephasing", omega=1.0, gamma=1.0, levels=3)
+        assert_overlap_rows(i, j, ovl, family.liouvillian_family().eigensystem(1.0))
 
     def test_float_formatting_has_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -641,7 +667,7 @@ class TestCsvWriter:
         names = [f"c{c}" for c in range(len(kinds))]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
-            _write_csv(self.cfg, path, names, columns, {"extra": 1})
+            _write_csv(self.cfg, path, names, [columns], {"extra": 1})
             lines = written_lines(path)
             with open(path, encoding="utf-8") as fh:
                 assert "# extra = 1\n" in fh.readlines()
@@ -657,6 +683,11 @@ class TestCsvWriter:
             re = data.draw(st.lists(TIED_PARTS, min_size=n, max_size=n))
             im = data.draw(st.lists(TIED_PARTS, min_size=n, max_size=n))
             vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+            # zero some entries, keeping one per column, so that some pairs
+            # share no support
+            keep = rng.random((3, n)) < 0.2
+            keep[rng.integers(0, 3, n), np.arange(n)] = True
+            vecs *= keep
             systems.append(Eigensystem(np.array(re) + 1j * np.array(im),
                                        vecs / np.linalg.norm(vecs, axis=0),
                                        np.zeros(n, dtype=bool)))
@@ -665,15 +696,16 @@ class TestCsvWriter:
             _write_branches(self.cfg, prefix, grid, systems)
             eig_lines = written_lines(prefix + "_eigenvalues.csv")
             ovl_lines = written_lines(prefix + "_overlaps.csv")
+            blocks = overlap_rows(prefix + "_overlaps.csv", grid)
         want_eig, want_ovl = [], []
-        for g, sys_k in zip(grid, systems):
+        for g, sys_k, (i, j, listed) in zip(grid, systems, blocks):
             vals = sys_k.values
             order = sorted(range(n), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
             want_eig += [reference_line((g, pos, vals[b].real, vals[b].imag, b))
                          for pos, b in enumerate(order)]
+            assert_overlap_rows(i, j, listed, sys_k)
             ovl = overlap_matrix(sys_k)
-            want_ovl += [reference_line((g, i, j, ovl[i, j]))
-                         for i in range(n) for j in range(i + 1, n)]
+            want_ovl += [reference_line((g, int(a), int(b), ovl[a, b])) for a, b in zip(i, j)]
         assert eig_lines[1:] == want_eig
         assert ovl_lines[1:] == want_ovl
 
@@ -687,19 +719,18 @@ class TestCsvRoundTrip:
         assert main([cfg, "--output-dir", str(tmp_path)]) == 0
         fam = get_family("example2", omega_x=1.0).liouvillian_family("gamma_minus")
         res = sweep(fam, np.linspace(0.5, 6.0, 7))
-        eig_rows, ovl_rows = [], []
+        eig_rows = []
         for k, g in enumerate(res.grid):
             vals = res.eigenvalues[k]
             order = sorted(range(vals.size), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
             eig_rows += [(g, pos, vals[b].real, vals[b].imag, b) for pos, b in enumerate(order)]
-            ovl = overlap_matrix(res.systems[k])
-            ovl_rows += [(g, i, j, ovl[i, j])
-                         for i in range(vals.size) for j in range(i + 1, vals.size)]
-        for name, want in (("rt_eigenvalues.csv", eig_rows), ("rt_overlaps.csv", ovl_rows)):
-            _, rows = read_rows(tmp_path / name)
-            assert len(rows) == len(want)
-            for row, ref in zip(rows, want):
-                assert [float(x) for x in row] == [float(x) for x in ref]
+        _, rows = read_rows(tmp_path / "rt_eigenvalues.csv")
+        assert len(rows) == len(eig_rows)
+        for row, ref in zip(rows, eig_rows):
+            assert [float(x) for x in row] == [float(x) for x in ref]
+        for system, (i, j, ovl) in zip(res.systems, overlap_rows(tmp_path / "rt_overlaps.csv",
+                                                                 res.grid)):
+            assert_overlap_rows(i, j, ovl, system)
 
     def test_trajectory_table_equals_library_arrays(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -724,3 +755,55 @@ class TestCsvRoundTrip:
         assert len(rows) == 6
         for k, row in enumerate(rows):
             assert [float(x) for x in row] == [float(col[k]) for col in want]
+
+
+class TestOverlapRule:
+    """Overlap files list exactly the pairs whose vectors share support."""
+
+    cfg = RunConfig(command="sweep", raw={"command": "sweep"})
+
+    def written(self, grid, systems):
+        """Write systems with the CLI writer, check the rule at every grid
+        point and return the listed row count of each."""
+        with tempfile.TemporaryDirectory() as tmp:
+            prefix = os.path.join(tmp, "o")
+            _write_branches(self.cfg, prefix, grid, systems)
+            blocks = overlap_rows(prefix + "_overlaps.csv", grid)
+        for system, (i, j, ovl) in zip(systems, blocks):
+            assert_overlap_rows(i, j, ovl, system)
+        return [i.size for i, _, _ in blocks]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_models(self, seed):
+        model = random_lindblad_model(np.random.default_rng(seed))
+        system = liouvillian_eigensystem(assemble_liouvillian(model))
+        n = system.size
+        # a generic model is one sector: every pair is listed
+        assert self.written([0.5], [system]) == [n * (n - 1) // 2]
+
+    @pytest.mark.parametrize("operator", ["liouvillian", "nhh"])
+    @pytest.mark.parametrize("name", family_names())
+    def test_bundled_families(self, tmp_path, name, operator):
+        cfg = write_config(tmp_path, {"command": "spectrum", "model": {"name": name},
+                                      "operator": operator, "output": "fam"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+        family = get_family(name)
+        spec = (family.nhh_family() if operator == "nhh" else family.liouvillian_family())
+        value = family.params[spec.param_name]
+        [(i, j, ovl)] = overlap_rows(tmp_path / "fam_overlaps.csv", [value])
+        assert_overlap_rows(i, j, ovl, spec.eigensystem(value))
+
+    def test_sweep_through_zero_coupling(self, tmp_path):
+        # at g = 0 the two modes decouple and the sectors split further, so
+        # that point lists fewer rows than its neighbours
+        cfg = write_config(tmp_path, {
+            "command": "sweep", "model": {"name": "example3", "levels": 3},
+            "sweep": {"param": "g", "from": 0.0, "to": 0.2, "steps": 3}, "output": "g0"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+        res = sweep(get_family("example3", levels=3).liouvillian_family(), [0.0, 0.1, 0.2])
+        blocks = overlap_rows(tmp_path / "g0_overlaps.csv", res.grid)
+        for system, (i, j, ovl) in zip(res.systems, blocks):
+            assert_overlap_rows(i, j, ovl, system)
+        counts = [i.size for i, _, _ in blocks]
+        assert counts[0] < min(counts[1:])
