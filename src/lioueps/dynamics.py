@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SpectralError
 from .ops_core import Operator
@@ -119,6 +118,7 @@ def propagate_modes(spectrum: Spectrum, rho0: Operator, times) -> Propagation:
 
 def propagate_expm(liou: SuperOp, rho0: Operator, times) -> Propagation:
     """Matrix-exponential propagation; valid at exceptional points too."""
+    import scipy.linalg
     times = np.asarray(times, dtype=float)
     v0 = vectorize(rho0)
     d = liou.dim
@@ -365,6 +365,7 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     grid = np.union1d(sample_idx, [n_steps]).tolist()
     ends = [e for a, b in zip(grid[:-1], grid[1:]) for e in [*range(a + _BLOCK, b, _BLOCK), b]]
 
+    import scipy.linalg
     heff = effective_hamiltonian(model).matrix
     m0t = scipy.linalg.expm(-1j * dt * heff).T
     half = scipy.linalg.expm(-0.5j * dt * heff).T

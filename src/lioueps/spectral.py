@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import HermiticityError, SpectralError
 from .ops_core import (
@@ -81,14 +80,15 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray,
     return order
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
+def _canonical_phase(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate a vector, or each column of a stack, so that its
-    largest-magnitude entry is real and positive; zero columns stay zero."""
+    largest-magnitude entry is real and positive; zero columns stay zero.
+    With out=v the rotation is done in place."""
     piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
     # one scalar division per pivot: numpy's array complex division can
     # round differently from its scalar division
     scale = [abs(p) / p if p != 0 else 1.0 for p in np.ravel(piv)]
-    return v * np.reshape(scale, np.shape(piv))
+    return np.multiply(v, np.reshape(scale, np.shape(piv)), out=out)
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -108,14 +108,16 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def _block_eig(mat: np.ndarray, left: bool = False):
-    """scipy.linalg.eig of mat, one weakly connected sector at a time.
+    """eig of mat, one weakly connected sector at a time.
 
     The sectors are the connected components of the sparsity graph of
     (mat != 0) | (mat != 0).T, labelled over the nonzero entries.  A 1x1
     sector is its diagonal entry with a unit vector; only sectors of size
     >= 2 go to eig.  Returns (vals, vecs), or (vals, lvecs, vecs) with
     left, as eig does, over the full index range: each vector is nonzero
-    only on its own sector.
+    only on its own sector.  Right-only sectors go to np.linalg.eig;
+    scipy.linalg.eig, imported here at first use, is called only for the
+    left vectors, which numpy does not return.  Both run LAPACK geev.
     """
     n = mat.shape[0]
     labels = _components(n, *np.nonzero(mat))
@@ -132,11 +134,13 @@ def _block_eig(mat: np.ndarray, left: bool = False):
     for root in np.unique(labels[sizes > 1]):
         idx = np.flatnonzero(labels == root)
         block = np.ix_(idx, idx)
-        out = scipy.linalg.eig(mat[block], left=left)
-        vals[idx] = out[0]
-        vecs[block] = out[-1]
         if left:
-            lvecs[block] = out[1]
+            import scipy.linalg
+            vals[idx], lvecs[block], vecs[block] = scipy.linalg.eig(mat[block], left=True)
+        else:
+            # real arrays when every eigenvalue is real: the assignment
+            # into the complex vals and vecs converts them
+            vals[idx], vecs[block] = np.linalg.eig(mat[block])
     return (vals, lvecs, vecs) if left else (vals, vecs)
 
 
@@ -308,7 +312,7 @@ def liouvillian_eigensystem(liou: SuperOp,
     vals, vecs = _block_eig(liou.matrix)
     vals, vecs, _, _ = _cluster_sort(liou.matrix, vals, vecs)
     zero_mask, _, _ = _zero_sector(vals, vecs, zero_tol)
-    return Eigensystem(vals, _canonical_phase(vecs), zero_mask)
+    return Eigensystem(vals, _canonical_phase(vecs, out=vecs), zero_mask)
 
 
 def analyze_liouvillian(liou: SuperOp,
@@ -524,6 +528,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
     checks = []
 
     # L1: eigenmode propagation
+    import scipy.linalg
     prop = scipy.linalg.expm(mat * t)
     resid = max(
         float(np.linalg.norm(prop @ vecs[:, i] - np.exp(vals[i] * t) * vecs[:, i]))

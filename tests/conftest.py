@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lioueps import spectral
 from lioueps.ep_detect import overlap_matrix
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
@@ -83,14 +83,17 @@ def rng():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """scipy.linalg.eig as seen from lioueps.spectral, recording for each
-    call whether left vectors were asked for and the matrix size."""
+    """np.linalg.eig and scipy.linalg.eig, the two entry points of
+    lioueps.spectral._block_eig, recording for each call whether left
+    vectors were asked for and the matrix size."""
     calls = []
-    eig = spectral.scipy.linalg.eig
 
-    def counting_eig(a, *args, **kwargs):
-        calls.append((bool(kwargs.get("left", len(args) > 1 and args[1])), len(a)))
-        return eig(a, *args, **kwargs)
+    def counting(eig):
+        def counting_eig(a, *args, **kwargs):
+            calls.append((bool(kwargs.get("left", len(args) > 1 and args[1])), len(a)))
+            return eig(a, *args, **kwargs)
+        return counting_eig
 
-    monkeypatch.setattr(spectral.scipy.linalg, "eig", counting_eig)
+    for module in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(module, "eig", counting(module.eig))
     return calls

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lioueps
 from lioueps.cli import COMMANDS, RunConfig, _KEYS, _write_branches, _write_csv, main, parse_config
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
@@ -629,6 +632,52 @@ class TestExitCodes:
         assert "kraus-richardson-ratio" in out
         assert "prefactor-reading" in out
         assert "coefficient-ordering" in out
+
+
+COLD_START = """
+import json, sys
+from lioueps.cli import main
+
+
+def run(paths):
+    return [main([p, "--output-dir", sys.argv[1]]) for p in paths]
+
+
+numpy_only = run(sys.argv[2:8])
+scipy_loaded = "scipy" in sys.modules
+print(json.dumps([numpy_only, scipy_loaded, run(sys.argv[8:])]))
+"""
+
+
+class TestColdStart:
+    def test_spectra_sweeps_and_ep_search_never_import_scipy(self, tmp_path):
+        # the test process has scipy loaded already, so a fresh interpreter
+        # runs the CLI: spectrum, sweep and ep-locate on both operators with
+        # numpy alone, then dynamics and trajectories, which load scipy
+        configs = []
+
+        def config(command, **sections):
+            name = f"run{len(configs)}"
+            configs.append(write_config(tmp_path, {
+                "command": command, "model": {"name": "example3", "levels": 2},
+                "output": name, **sections}, name=f"{name}.json"))
+
+        grid = {"param": "g", "from": 0.05, "to": 0.25, "steps": 9}
+        for operator in ("liouvillian", "nhh"):
+            config("spectrum", operator=operator)
+            config("sweep", operator=operator, sweep=grid)
+            config("ep-locate", operator=operator, sweep=grid)
+        config("dynamics", dynamics={"t_max": 1.0, "n_times": 3})
+        config("trajectories", trajectories={"n_traj": 2, "dt": 1e-3, "t_max": 0.1})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lioueps.__file__)))
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), *configs],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        numpy_only, scipy_loaded, with_scipy = json.loads(proc.stdout.splitlines()[-1])
+        assert numpy_only == [0] * 6
+        assert not scipy_loaded
+        assert with_scipy == [0, 0]
 
 
 # ---------------------------------------------------------------------------
