@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +56,8 @@ class _Key(NamedTuple):
     readers: tuple[str, ...]  # the commands that read the key
     kind: str                 # how _value checks it
     default: object = None    # filled in when absent
-    bound: object = None      # minimum of an integer, choices of a choice
+    bound: object = None      # minimum of an integer (or its [min, stop) range),
+                              # choices of a choice
 
 
 # section -> key -> spec; "config" holds the top-level keys, every other
@@ -87,7 +88,7 @@ _KEYS = {
         "n_traj": _Key(_TRAJ, "integer", _REQUIRED, 1),
         "dt": _Key(_TRAJ, "positive", _REQUIRED),
         "t_max": _Key(_TRAJ, "positive", _REQUIRED),
-        "seed": _Key(_TRAJ, "integer", 0, 0),
+        "seed": _Key(_TRAJ, "integer", 0, (0, 2**64)),  # the first Philox key word
         "n_samples": _Key(_TRAJ, "integer", 51, 2),
     },
     "tolerances": {
@@ -278,10 +279,14 @@ def _value(errors, where, val, spec: _Key, family: ModelFamily | None, dim: int 
             problem = "expected a number"
         elif kind == "integer" and isinstance(val, float) and not val.is_integer():
             problem = "expected an integer"
-        elif kind == "integer" and val < bound:
-            problem = f"must be >= {bound}"
         elif kind == "positive" and not val > 0:
             problem = "must be > 0"
+        elif kind == "integer":
+            lo, stop = bound if isinstance(bound, tuple) else (bound, math.inf)
+            if val < lo:
+                problem = f"must be >= {lo}"
+            elif val >= stop:
+                problem = f"must be < {stop}"
     if problem:
         errors.append(f"{where}: {problem}, got {val!r}")
         return None
@@ -484,10 +489,10 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     return [path]
 
 
-def _run_trajectories(cfg: RunConfig, prefix: str, seed_override) -> list[str]:
+def _run_trajectories(cfg: RunConfig, prefix: str) -> list[str]:
     model = cfg.family.build()
     n_traj, dt = cfg["trajectories", "n_traj"], cfg["trajectories", "dt"]
-    seed = cfg["trajectories", "seed"] if seed_override is None else seed_override
+    seed = cfg["trajectories", "seed"]
     ens = trajectories(model, cfg["trajectories", "psi0"], n_traj=n_traj, dt=dt,
                        t_max=cfg["trajectories", "t_max"], seed=seed,
                        n_samples=cfg["trajectories", "n_samples"])
@@ -509,10 +514,23 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
             seed_override: int | None = None, stream=None) -> int:
     """Run a validated configuration; returns the process exit status.
 
+    seed_override replaces trajectories.seed and is checked like that
+    key: ConfigError outside [0, 2**64) or for a command that reads no
+    seed.
+
     threads is accepted and ignored: sweeps run serially, and the keyword
     stays only because the benchmark worker (perfbench/worker.py) passes it.
     """
     stream = stream if stream is not None else sys.stdout
+    if seed_override is not None:
+        spec, errors = _KEYS["trajectories"]["seed"], []
+        if cfg.command not in spec.readers:
+            errors.append(f"--seed: not allowed for the {cfg.command} command "
+                          f"(read by: {', '.join(spec.readers)})")
+        seed = _value(errors, "--seed", seed_override, spec, None, None)
+        if errors:
+            raise ConfigError(errors)
+        cfg = replace(cfg, values={**cfg.values, ("trajectories", "seed"): seed})
     if cfg.command == "verify":
         lines, ok = run_verification()
         for line in lines:
@@ -524,11 +542,8 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
         os.makedirs(output_dir, exist_ok=True)
         prefix = os.path.join(output_dir, prefix)
 
-    if cfg.command == "trajectories":
-        files = _run_trajectories(cfg, prefix, seed_override)
-    else:
-        files = {"spectrum": _run_spectrum, "sweep": _run_sweep, "ep-locate": _run_ep_locate,
-                 "dynamics": _run_dynamics}[cfg.command](cfg, prefix)
+    files = {"spectrum": _run_spectrum, "sweep": _run_sweep, "ep-locate": _run_ep_locate,
+             "dynamics": _run_dynamics, "trajectories": _run_trajectories}[cfg.command](cfg, prefix)
     for path in files:
         print(f"wrote {path}", file=stream)
     return 0

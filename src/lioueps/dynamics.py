@@ -30,6 +30,7 @@ equal to its trace loss.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,9 +184,12 @@ def ep_decay_fit(times, signal, lambda_ep: complex) -> dict:
 # sample intervals, split every _BLOCK steps, and the stack of propagator
 # powers holds _BLOCK + 1 matrices
 _BLOCK = 128
-# uniforms read per generator call; each trajectory's stream is
-# sequential, so the buffer size never changes the draws
-_DRAWS = 64
+# Philox4x64-10 blocks (4 uniforms each) computed per row when its buffer
+# runs out; the stream is counter-based, so the depth never changes a draw
+_FILL = 4
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -197,11 +201,11 @@ class TrajectoryEnsemble:
     events in time order, each time the midpoint of a dt cell or, for a
     jump right after another, a multiple of dt.  no_jump_states /
     survival hold the deterministic no-jump branch and its accumulated
-    no-click probability.  Per-trajectory randomness comes from numpy
-    Generators seeded with SeedSequence((seed, trajectory_index)), read
-    in the order waiting uniform, then channel uniform per jump, then the
-    next waiting uniform; reruns with the same seed are bit-identical and
-    trajectories are independent.
+    no-click probability.  Trajectory r reads the uniforms of numpy's
+    Generator(Philox(key=[seed, r])).random() in the order waiting
+    uniform, then channel uniform per jump, then the next waiting
+    uniform; reruns with the same seed are bit-identical and trajectories
+    are independent.
     """
 
     seed: int
@@ -234,23 +238,60 @@ class TrajectoryEnsemble:
         return np.einsum("ki,kj->kij", self.no_jump_states, self.no_jump_states.conj())
 
 
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from the
+    products of their 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
+    carry = ((x_lo * m_lo) >> _SHIFT32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    hi = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
+    return hi, x * np.uint64(m)  # the low word wraps modulo 2**64
+
+
+def _philox_uniforms(seed: int, rows: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Uniforms 4 first[i] .. 4 (first[i] + _FILL) - 1 of the stream of
+    trajectory rows[i], shape (len(rows), 4 _FILL).
+
+    The stream of row r is that of numpy's
+    Generator(Philox(key=[seed, r])).random(): block b is Philox4x64-10
+    of the counter (b + 1, 0, 0, 0) (numpy increments the counter before
+    each block) under the key (seed, r), and a uniform is a word's top 53
+    bits times 2**-53.
+    """
+    c0 = (first[:, None] + np.arange(1, _FILL + 1)).astype(np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    row_key = rows.astype(np.uint64)[:, None]
+    for rnd in range(10):
+        # the key (seed, r) after rnd Weyl increments
+        k0 = np.uint64((seed + rnd * _PHILOX_W[0]) % 2**64)
+        k1 = row_key + np.uint64(rnd * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(rows), 4 * _FILL)
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
 class _Draws:
-    """Per-trajectory uniform streams, read through refilled buffers."""
+    """Per-trajectory uniform streams (see _philox_uniforms), read through
+    per-row buffers of _FILL blocks.  A take refills the buffers of all its
+    exhausted rows in one call; the first take (every trajectory's waiting
+    uniform) fills them all."""
 
     def __init__(self, seed: int, n: int):
-        self._rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
-                      for r in range(n)]
-        self._buf = np.empty((n, _DRAWS))
-        self._pos = np.full(n, _DRAWS)
+        self._seed = seed
+        self._buf = np.empty((n, 4 * _FILL))
+        self._count = np.zeros(n, dtype=np.int64)  # uniforms read per row
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each trajectory in rows (no repeats)."""
-        for r in rows[self._pos[rows] == _DRAWS]:
-            self._buf[r] = self._rngs[r].random(_DRAWS)
-            self._pos[r] = 0
-        out = self._buf[rows, self._pos[rows]]
-        self._pos[rows] += 1
-        return out
+        count = self._count[rows]
+        empty = count % (4 * _FILL) == 0
+        if empty.any():
+            self._buf[rows[empty]] = _philox_uniforms(self._seed, rows[empty], count[empty] // 4)
+        self._count[rows] = count + 1
+        return self._buf[rows, count % (4 * _FILL)]
 
 
 def _normalized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,6 +381,9 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     so it never jumps; its survival is the product of its block norms^2,
     exact for any dt.
     """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:  # the first word of each Philox key
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     d = model.dim
     if psi0.size != d:
@@ -404,7 +448,7 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
         start = end
 
     return TrajectoryEnsemble(
-        seed=int(seed), n_traj=int(n_traj), dt=float(dt), times=times,
+        seed=seed, n_traj=int(n_traj), dt=float(dt), times=times,
         trajectory_states=samples[:n_traj],
         jump_records=_group_records(events, n_traj, dt),
         no_jump_states=samples[n_traj], survival=survival,

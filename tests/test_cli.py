@@ -167,6 +167,18 @@ class TestParseConfig:
         assert "config.trajectories.psi0" in text and "'steady'" in text
         assert "config.trajectories.n_traj: must be >= 1" in text
 
+    @pytest.mark.parametrize("seed, problem", [
+        (-1, "must be >= 0"), (2**64, "must be < 18446744073709551616"),
+        (2.0**64, "must be < 18446744073709551616")])
+    def test_seed_outside_the_philox_key_word_is_refused(self, seed, problem):
+        payload = {"command": "trajectories", "model": {"name": "example2"},
+                   "trajectories": {"n_traj": 1, "dt": 1e-3, "t_max": 1, "seed": seed}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(payload))
+        assert err.value.messages == [f"config.trajectories.seed: {problem}, got {seed!r}"]
+        payload["trajectories"]["seed"] = 2**64 - 1
+        assert parse_config(json.dumps(payload))["trajectories", "seed"] == 2**64 - 1
+
 
 # one valid value for every key of the config table
 SWEEP = {"param": "gamma_minus", "from": 1.0, "to": 2.0, "steps": 3}
@@ -527,6 +539,26 @@ class TestCliVariants:
         assert main([cfg, "--output-dir", str(tmp_path)]) == 2
         assert "basis index 99 out of range for dimension 9" in capsys.readouterr().err
         assert eig_calls == []
+
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+    def test_seed_override_is_checked_like_the_config_key(self, tmp_path, capsys, seed,
+                                                          code):
+        # --seed -1 used to exit 1 with an internal error, and 2**64 exit 0
+        cfg = write_config(tmp_path, {
+            "command": "trajectories", "model": {"name": "example2"},
+            "trajectories": {"n_traj": 2, "dt": 1e-3, "t_max": 0.1}, "output": "s"})
+        assert main([cfg, "--output-dir", str(tmp_path), "--seed", str(seed)]) == code
+        assert (tmp_path / "s_dynamics.csv").exists() == (code == 0)
+        if code:
+            assert "config error: --seed: must be" in capsys.readouterr().err
+
+    def test_seed_override_is_refused_where_no_seed_is_read(self, tmp_path, capsys, eig_calls):
+        cfg = write_config(tmp_path, {"command": "spectrum", "model": {"name": "example2"},
+                                      "output": "sp"})
+        assert main([cfg, "--output-dir", str(tmp_path), "--seed", "5"]) == 2
+        assert ("config error: --seed: not allowed for the spectrum command "
+                "(read by: trajectories)") in capsys.readouterr().err
+        assert eig_calls == [] and not (tmp_path / "sp_eigenvalues.csv").exists()
 
     def test_zero_psi0_is_refused(self, tmp_path, capsys):
         # normalising a zero vector gave NaN rows and exit 0

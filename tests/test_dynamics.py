@@ -13,7 +13,9 @@ from lioueps.superop import (
     assemble_liouvillian_no_jumps,
 )
 from lioueps.spectral import analyze_liouvillian
+from lioueps import dynamics
 from lioueps.dynamics import (
+    _Draws,
     ep_decay_fit,
     propagate_expm,
     propagate_modes,
@@ -23,6 +25,11 @@ from lioueps.models import example2, example3, get_family
 from conftest import random_lindblad_model
 
 Q = build_qubit_ops()
+
+
+def philox_stream(seed, r):
+    """numpy's generator for the uniforms of trajectory r."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
 def trace_distance(a, b):
@@ -358,7 +365,7 @@ class TestTrajectories:
                            n_samples=7)
         jumped = 0
         for r, rec in enumerate(ens.jump_records):
-            u = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r)))).random()
+            u = philox_stream(seed, r).random()
             # the first n with exp(-gamma n dt) <= u
             n = int(np.ceil(-np.log(u) / (gamma * dt)))
             if n > round(t_max / dt):
@@ -368,6 +375,57 @@ class TestTrajectories:
             assert (n - 1) * dt < rec[0][0] < n * dt
             jumped += 1
         assert jumped > 150
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_word_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            trajectories(example2(1.0, 1.0), [0, 1], n_traj=1, dt=1e-3, t_max=0.1,
+                         seed=seed)
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    def test_rows_read_numpys_philox_streams(self, seed):
+        # irregular row subsets put each row's refills at different take calls
+        rows = np.array([0, 1, 1999])
+        draws = _Draws(seed, 2000)
+        got = {r: [] for r in rows.tolist()}
+        pick = np.random.default_rng(seed % 2**32)
+        while min(map(len, got.values())) < 40:
+            sub = rows[pick.random(rows.size) < 0.6]
+            for r, u in zip(sub.tolist(), draws.take(sub)):
+                got[r].append(u)
+        assert len({len(v) for v in got.values()}) > 1
+        for r, us in got.items():
+            assert np.array_equal(us, philox_stream(seed, r).random(len(us)))
+
+    def test_fill_depth_never_changes_a_draw(self, monkeypatch):
+        # dephasing at rate 20: every row jumps ~40 times, reading two
+        # uniforms per jump, so it refills several times at every depth
+        h = Operator(qubit_space(), 0.5 * Q["sigma_x"].matrix)
+        model = LindbladModel(h, ((20.0, Q["sigma_z"]),))
+
+        def run():
+            return trajectories(model, [0, 1], n_traj=30, dt=1e-3, t_max=2.0, seed=5,
+                                n_samples=5)
+
+        ref = run()
+        assert min(map(len, ref.jump_records)) >= 20
+        for depth in (1, 3, 8):
+            monkeypatch.setattr(dynamics, "_FILL", depth)
+            ens = run()
+            assert ens.jump_records == ref.jump_records
+            assert np.array_equal(ens.trajectory_states, ref.trajectory_states)
+
+    def test_trajectories_build_no_per_row_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-row generator built")
+
+        for name in ("SeedSequence", "PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, refuse)
+        ens = trajectories(example2(1.0, 3.0), [0, 1], n_traj=300, dt=1e-3, t_max=1.0,
+                           seed=2)
+        assert sum(map(len, ens.jump_records)) > 100
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
