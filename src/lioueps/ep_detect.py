@@ -59,8 +59,10 @@ class SweepResult:
     systems[k] is the eigensystem at grid[k] with its columns in branch
     order, and eigenvalues[k, i] and zero_mask[k, i] stack its values and
     zero mask: branch i at grid[k].  Branch identity is carried from one
-    grid point to the next by greedy maximal-overlap assignment (a
-    permutation at every step).  matching_quality[k] is the worst
+    grid point to the next by greedy maximal-overlap assignment: a
+    permutation at every step (an injection where the EP refinement
+    tracks only a pair), taken in whole-array rounds that provably make
+    the greedy rule's choices (_greedy_assignment).  matching_quality[k] is the worst
     assigned overlap of step k -> k+1; steps whose best overlap for some
     branch fell below 0.5 are recorded as continuation breaks rather
     than silently fixed.
@@ -118,23 +120,32 @@ def overlap_matrix(spec) -> np.ndarray:
 
 
 def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation matching current branches to previous ones.
+    """Greedy maximal-overlap matching of current branches to previous ones.
 
     Returns (perm, overlaps): column perm[i] of cur_vecs continues
-    branch i, with assigned overlap overlaps[i].
+    branch i, with assigned overlap overlaps[i].  prev_vecs has no more
+    columns than cur_vecs, so perm is an injection: a permutation when
+    both are square, the pair's two columns for an n x 2 reference.
+
+    The rule takes the largest overlap left (the first in row-major order
+    among equal ones) and strikes out its row and column.  An entry that is
+    the first maximum of its row and of its column goes before anything
+    else there (what precedes it is smaller, the rest no larger), and
+    taking it early changes no other choice (locally dominant edges;
+    Preis, STACS 1999).  Each round takes all such entries at once.
     """
-    n = prev_vecs.shape[1]
     ovl = np.abs(prev_vecs.conj().T @ cur_vecs)
-    perm = np.full(n, -1, dtype=int)
-    quality = np.zeros(n)
-    work = ovl.copy()
-    for _ in range(n):
-        i, j = np.unravel_index(np.argmax(work), work.shape)
-        perm[i] = j
-        quality[i] = ovl[i, j]
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    return perm, quality
+    perm = np.full(ovl.shape[0], -1, dtype=int)
+    rows, cols = np.arange(ovl.shape[0]), np.arange(ovl.shape[1])
+    work = ovl
+    while rows.size:
+        best = work.argmax(axis=1)
+        i = np.flatnonzero(work.argmax(axis=0)[best] == np.arange(rows.size))
+        perm[rows[i]] = cols[best[i]]
+        keep_r, keep_c = np.ones(rows.size, dtype=bool), np.ones(cols.size, dtype=bool)
+        keep_r[i] = keep_c[best[i]] = False
+        rows, cols, work = rows[keep_r], cols[keep_c], work[np.ix_(keep_r, keep_c)]
+    return perm, ovl[np.arange(perm.size), perm]
 
 
 def sweep(family: SpectrumFamily, grid) -> SweepResult:
@@ -334,19 +345,24 @@ def estimate_ep_order(mat: np.ndarray, lambda_ep: complex,
                         np.linalg.norm(mat, 2) + abs(lambda_ep), rank_tol)
 
 
-def _parabola_root(x, y):
-    """Root nearest x[2] of the parabola through the points (x[k], y[k]).
-
-    Muller's step, written with divided differences; broadcasts over
-    trailing axes of y.  A parabola without a finite root gives inf or nan.
-    """
+def _muller(x, y):
+    """Coefficients (a, b) of the parabola y[2] + b (s - x[2]) + a (s - x[2])^2
+    through the points (x[k], y[k]): Muller's step, written with divided
+    differences; broadcasts over trailing axes of y."""
     h1, h2 = x[1] - x[0], x[2] - x[1]
     d1, d2 = (y[1] - y[0]) / h1, (y[2] - y[1]) / h2
     a = (d2 - d1) / (h1 + h2)
-    b = a * h2 + d2
-    disc = np.sqrt(b * b - 4.0 * a * y[2])
+    return a, a * h2 + d2
+
+
+def _parabola_root(x2, y2, a, b):
+    """Root nearest x2 of the parabola y2 + b (s - x2) + a (s - x2)^2.
+
+    A parabola without a finite root gives inf or nan.
+    """
+    disc = np.sqrt(b * b - 4.0 * a * y2)
     den = np.where(np.abs(b + disc) >= np.abs(b - disc), b + disc, b - disc)
-    return x[2] - 2.0 * y[2] / den
+    return x2 - 2.0 * y2 / den
 
 
 def _candidates(res: SweepResult, bi: np.ndarray, bj: np.ndarray) -> list[tuple[int, int, int]]:
@@ -357,18 +373,36 @@ def _candidates(res: SweepResult, bi: np.ndarray, bj: np.ndarray) -> list[tuple[
     through Delta at k - 1, k, k + 1 has its root nearest k there, within
     a step of the real axis, or when Delta vanishes at k; a pair with
     Delta = 0 at all three points is degenerate, not coalescing.
+
+    The parabola is Delta_k + b t + a t^2 in the step coordinate t, and a
+    cell accepts only |t| <= sqrt(2).  Its computed root, -2 Delta_k / den
+    with |den| <= |b| + sqrt(|b|^2 + 4 |a Delta_k|), then has |Delta_k| <=
+    2 sqrt(2) |b| + 2 |a|, so pairs with |Delta_k| > 4 (|b| + |a|) skip
+    the square root and the list is the same, provided b * b does not
+    overflow: with |b| above ~1e154 the unfiltered root came out of
+    inf / inf arithmetic as -0 and counted as inside, while the filter
+    skips the pair.  Eigenvalue differences never come near that scale
+    (Delta would be ~1e308).  Delta is held for three
+    grid points at a time, never for the whole grid.
     """
     last = res.grid.size - 2
     found = []
+
+    def delta(k):
+        return (res.eigenvalues[k, bi] - res.eigenvalues[k, bj]) ** 2
+
+    prev, cur = delta(0), delta(1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, last + 1):
-            vals = res.eigenvalues[[k - 1, k + 1, k]]
-            delta = (vals[:, bi] - vals[:, bj]) ** 2
-            t = _parabola_root((-1.0, 1.0, 0.0), delta)
+            nxt = delta(k + 1)
+            a, b = _muller((-1.0, 1.0, 0.0), (prev, nxt, cur))
+            p = np.flatnonzero(~(np.abs(cur) > 4.0 * (np.abs(b) + np.abs(a))))
+            t = _parabola_root(0.0, cur[p], a[p], b[p])
             inside = ((t.real >= (-1.0 if k == 1 else -0.5))
                       & (t.real <= (1.0 if k == last else 0.5)) & (np.abs(t.imag) <= 1.0))
-            hit = (inside | (delta[2] == 0)) & (delta != 0).any(axis=0)
-            found += [(int(bi[p]), int(bj[p]), k) for p in np.flatnonzero(hit)]
+            hit = (inside | (cur[p] == 0)) & ((prev[p] != 0) | (nxt[p] != 0) | (cur[p] != 0))
+            found += [(int(bi[q]), int(bj[q]), k) for q in p[hit]]
+            prev, cur = cur, nxt
     return sorted(found)
 
 
@@ -391,7 +425,8 @@ def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
         if delta[-1] == 0:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            g_new = float(np.clip(_parabola_root(g, delta).real, res.grid[k - 1], res.grid[k + 1]))
+            g_new = float(np.clip(_parabola_root(g[2], delta[2], *_muller(g, delta)).real,
+                                  res.grid[k - 1], res.grid[k + 1]))
         if not np.min(np.abs(g_new - np.asarray(g))) > param_tol:
             break
         vals, vecs, sys_new = _pair_track(family, g_new, vecs)

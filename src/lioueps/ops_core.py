@@ -178,9 +178,11 @@ def build_boson_ops(levels: int) -> dict[str, Operator]:
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product on the composite space (dims concatenated)."""
+    """Kronecker product on the composite space (dims concatenated),
+    formed as np.kron forms it, so its entries are np.kron's bitwise."""
     space = HilbertSpace(a.space.dims + b.space.dims)
-    return Operator(space, np.kron(a.matrix, b.matrix))
+    prod = a.matrix[:, None, :, None] * b.matrix[None, :, None, :]
+    return Operator(space, prod.reshape(space.dim, space.dim))
 
 
 def hs_inner(a: Operator, b: Operator) -> complex:

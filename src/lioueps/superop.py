@@ -126,12 +126,17 @@ def right_action(o: Operator) -> SuperOp:
 
 def _generator(k: np.ndarray, jumps=()) -> np.ndarray:
     """Matrix of rho -> -i(K rho - rho K^dag) + sum_g g rho g^dag, accumulated
-    in place: the one assembly behind every builder (module docstring)."""
-    eye = np.eye(k.shape[0])
-    mat = np.kron(-1j * k, eye)
-    mat += np.kron(eye, 1j * k.conj())
+    in place: the one assembly behind every builder (module docstring).
+    Each kron(a, b) is a[:, None, :, None] * b[None, :, None, :] on the
+    (D, D, D, D) view of L, as np.kron forms it, so L is bitwise the same."""
+    d = k.shape[0]
+    eye = np.eye(d)
+    mat = np.empty((d * d, d * d), dtype=complex)
+    view = mat.reshape(d, d, d, d)
+    np.multiply((-1j * k)[:, None, :, None], eye[None, :, None, :], out=view)
+    view += eye[:, None, :, None] * (1j * k.conj())[None, :, None, :]
     for g in jumps:
-        mat += np.kron(g, g.conj())
+        view += g[:, None, :, None] * g.conj()[None, :, None, :]
     return mat
 
 
