@@ -407,7 +407,7 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
                  vals.real, vals.imag, np.concatenate(order)]])
 
     def overlap_rows(g, system):
-        i, j, ovl = support_overlaps(system.vectors)
+        i, j, ovl = support_overlaps(system)
         return [np.full(i.size, g), i, j, ovl]
 
     ovl_path = f"{prefix}_overlaps.csv"

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import Eigensystem, Spectrum, _canonical_phase, _components
+from .spectral import Eigensystem, Spectrum, _as_blocks, _canonical_phase, _components
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -77,30 +77,44 @@ class SweepResult:
     continuation_breaks: tuple[tuple[int, int], ...]
 
 
-def support_overlaps(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, |<v_i|v_j>|) for the column pairs i < j of vecs that share support.
+def support_overlaps(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |<v_i|v_j>|) for the column pairs i < j that share support.
 
-    The columns fall into the connected components of the bipartite
-    support graph: entry r joins column c wherever vecs[r, c] != 0.  Two
-    columns of different components have disjoint supports, so every term
-    of their inner product is an exact zero, and the pair is left out.
-    Each component of b >= 2 columns takes one b x b gram, symmetrised.
-    The pairs come in row-major order.
+    vectors is an Eigensystem, read one stored sector block at a time, or
+    a dense array, read as one block.  Columns of different blocks have
+    disjoint supports.  Inside a block the columns fall into the
+    connected components of the bipartite support graph: entry r joins
+    column c wherever v[r, c] != 0.  Two columns of different components
+    have disjoint supports, so every term of their inner product is an
+    exact zero, and the pair is left out.  Each component of b >= 2
+    columns takes one b x b gram, symmetrised.  The pairs come in
+    row-major order.
     """
-    m, n = vecs.shape
-    rows, cols = np.nonzero(vecs)
-    labels = _components(m + n, rows, m + cols)
-    # nodes grouped by component (entries 0..m-1, then columns m..m+n-1)
-    nodes = np.argsort(labels, kind="stable")
+    blocks = vectors.blocks if isinstance(vectors, Eigensystem) else _as_blocks(vectors)
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    for comp in np.split(nodes, np.flatnonzero(np.diff(labels[nodes])) + 1):
-        idx = comp[comp >= m] - m
-        if idx.size < 2:
+    for rows, cols, vecs in blocks:
+        k, m, b = vecs.shape
+        if b < 2:
             continue
-        sub = vecs[np.ix_(comp[comp < m], idx)]
-        g = np.abs(sub.conj().T @ sub)
-        iu, ju = np.triu_indices(idx.size, 1)
-        parts.append((idx[iu], idx[ju], 0.5 * (g + g.T)[iu, ju]))
+        # node t (m + b) + r is row r of block t, node t (m + b) + m + c its column c
+        t, r, c = np.nonzero(vecs)
+        node = np.arange(k * (m + b))
+        labels = _components(node.size, t * (m + b) + r, t * (m + b) + m + c)
+        # only components of two or more columns hold a pair
+        pairs = np.bincount(labels, node % (m + b) >= m)[labels] >= 2
+        nodes = node[pairs][np.argsort(labels[pairs], kind="stable")]
+        for comp in np.split(nodes, np.flatnonzero(np.diff(labels[nodes])) + 1):
+            local = comp % (m + b)
+            idx = local[local >= m] - m
+            if idx.size < 2:
+                continue
+            block = comp[0] // (m + b)
+            # the gram of the columns in ascending order, as a dense array has them
+            idx = idx[np.argsort(cols[block, idx])]
+            sub = vecs[block][np.ix_(local[local < m], idx)]
+            g = np.abs(sub.conj().T @ sub)
+            iu, ju = np.triu_indices(idx.size, 1)
+            parts.append((cols[block, idx[iu]], cols[block, idx[ju]], 0.5 * (g + g.T)[iu, ju]))
     i, j, ovl = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((j, i))
     return i[order], j[order], ovl[order]
@@ -112,9 +126,9 @@ def overlap_matrix(spec) -> np.ndarray:
     The off-diagonal entries are those of support_overlaps, and exactly 0
     for every pair it leaves out.
     """
-    vecs = spec.right_vectors() if isinstance(spec, Spectrum) else spec.vectors
-    i, j, ovl = support_overlaps(vecs)
-    out = np.eye(vecs.shape[1])
+    vectors = spec.right_vectors() if isinstance(spec, Spectrum) else spec
+    i, j, ovl = support_overlaps(vectors)
+    out = np.eye(len(spec.eigenvalues) if isinstance(spec, Spectrum) else spec.size)
     out[i, j] = out[j, i] = ovl
     return out
 

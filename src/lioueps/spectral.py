@@ -2,8 +2,11 @@
 
 liouvillian_eigensystem is what spectra, sweeps and the EP search read:
 one right-only eig of a trace-preserving generator.  Every eig is taken
-one weakly connected sector of the matrix at a time (_block_eig): the
-weak-symmetry blocks of a Liouvillian, the excitation blocks of H_eff.
+one weakly connected sector of the matrix at a time (_block_eig), read
+from the coordinate lists of the matrix: the weak-symmetry blocks of a
+Liouvillian, the excitation blocks of H_eff.  The vectors stay in those
+sector blocks through every stage below (see "sector blocks"), and an
+Eigensystem scatters them into a dense array only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
 zero-eigenvalue sector is orthonormalized.  The grouping rule is
@@ -13,11 +16,12 @@ of one and two in whole-array steps.  analyze_liouvillian runs the same
 stages on one eig that also returns the left eigenvectors, already
 paired: the clusters decide which eigenmatrices get a Hermitian
 representative and are the blocks in which left and right eigenmatrices
-are scaled so that Tr(sigma_i rho_j) = delta_ij, and the steady state
-comes from the zero-eigenvalue sector.  Near-defective clusters are flagged instead of
-force-normalized: the spectral expansion of the dynamics is invalid
-exactly at an exceptional point, and silently rescaled left
-eigenmatrices there would poison every downstream coefficient.
+are scaled so that Tr(sigma_i rho_j) = delta_ij, on the dense vector
+arrays, and the steady state comes from the zero-eigenvalue sector.
+Near-defective clusters are flagged instead of force-normalized: the
+spectral expansion of the dynamics is invalid exactly at an exceptional
+point, and silently rescaled left eigenmatrices there would poison every
+downstream coefficient.
 
 Sorting convention: |Re(lambda)| ascending, ties broken by Im(lambda)
 ascending; only exact ties of both fall through to a deterministic
@@ -30,6 +34,7 @@ of Re(lambda).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .ops_core import (
 from .superop import (
     LindbladModel,
     SuperOp,
+    _dense_entries,
     assemble_liouvillian,
     devectorize,
     effective_hamiltonian,
@@ -64,34 +70,36 @@ NHH_DEFECT_COND = 1e8
 # helpers
 # ---------------------------------------------------------------------------
 
-def _sort_indices(primary: np.ndarray, secondary: np.ndarray,
-                  vecs: np.ndarray) -> np.ndarray:
+def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks) -> np.ndarray:
     """Total deterministic order: primary key, secondary key, then the
     eigenvector entries (re, im of each, lexicographic), which only ever
-    break exact ties of the two keys."""
+    break exact ties of the two keys.  Entries outside the union of a
+    tie's supports are 0 in each of its vectors, so only that union is
+    compared, and all ties are broken in one lexsort led by the tie."""
     order = np.lexsort((secondary, primary))
     p, q = primary[order], secondary[order]
-    tied = np.r_[0, (p[1:] == p[:-1]) & (q[1:] == q[:-1]), 0].astype(np.int8)
-    # each run of ties spans order[start:stop + 1]
-    for start, stop in np.flatnonzero(np.diff(tied)).reshape(-1, 2):
-        group = order[start:stop + 1]
-        rows = np.ascontiguousarray(vecs[:, group].T).view(float)
-        # entries equal across the group cannot change a lexicographic order
-        varying = (rows != rows[0]).any(axis=0)
-        if varying.any():
-            order[start:stop + 1] = group[np.lexsort(rows[:, varying].T[::-1])]
+    after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1])]
+    at = np.flatnonzero(after | np.r_[after[1:], False])
+    if at.size:
+        tie = np.cumsum(~after[at])
+        keys = _support_rows(blocks, order[at], tie)
+        order[at] = order[at][np.lexsort((*keys.T[::-1], tie))]
     return order
 
 
 def _canonical_phase(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rotate a vector, or each column of a stack, so that its
-    largest-magnitude entry is real and positive; zero columns stay zero.
-    With out=v the rotation is done in place."""
-    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+    """Rotate a vector, or each column of a matrix or of a stack of
+    matrices, so that its largest-magnitude entry is real and positive;
+    zero columns stay zero.  With out=v the rotation is done in place."""
+    # read as k matrices of b columns
+    stack = v.reshape((-1,) + v.shape[-2:] if v.ndim > 1 else (1, -1, 1))
+    k, _, b = stack.shape
+    piv = stack[np.arange(k)[:, None], np.argmax(np.abs(stack), axis=1), np.arange(b)]
     # one scalar division per pivot: numpy's array complex division can
     # round differently from its scalar division
-    scale = [abs(p) / p if p != 0 else 1.0 for p in np.ravel(piv)]
-    return np.multiply(v, np.reshape(scale, np.shape(piv)), out=out)
+    scale = [abs(p) / p if p != 0 else 1.0 for p in piv.ravel()]
+    shape = v.shape[:-2] + (1, b) if v.ndim > 1 else (1,)
+    return np.multiply(v, np.reshape(scale, shape), out=out)
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -110,41 +118,153 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _block_eig(mat: np.ndarray, left: bool = False):
-    """eig of mat, one weakly connected sector at a time.
+# ---------------------------------------------------------------------------
+# sector blocks
+# ---------------------------------------------------------------------------
+#
+# Eigenvectors are stored one sector at a time, as a list of stacks
+# (rows, cols, vecs) of same-shaped blocks: rows (k, m) ascending, cols
+# (k, b) and vecs (k, m, b), so that vecs[t][:, u] is column cols[t, u]
+# on the rows rows[t] and 0 on every other row.  The blocks partition the
+# rows and the columns of the dense (m, n) array they stand for.  Every
+# stage below acts on whole stacks, and a stack computes each column as
+# the dense array's column would be computed.
 
-    The sectors are the connected components of the sparsity graph of
-    (mat != 0) | (mat != 0).T, labelled over the nonzero entries.  A 1x1
-    sector is its diagonal entry with a unit vector; only sectors of size
-    >= 2 go to eig.  Returns (vals, vecs), or (vals, lvecs, vecs) with
-    left, as eig does, over the full index range: each vector is nonzero
-    only on its own sector.  Right-only sectors go to np.linalg.eig;
-    scipy.linalg.eig, imported here at first use, is called only for the
-    left vectors, which numpy does not return.  Both run LAPACK geev.
+def _as_blocks(vecs: np.ndarray) -> list:
+    """A dense (m, n) array as one stack of one block."""
+    m, n = vecs.shape
+    return [(np.arange(m)[None], np.arange(n)[None], vecs[None])]
+
+
+def _scatter(blocks) -> np.ndarray:
+    """The dense array of the blocks."""
+    out = np.zeros((sum(r.size for r, _, _ in blocks), sum(c.size for _, c, _ in blocks)),
+                   dtype=complex)
+    for r, c, v in blocks:
+        out[r[:, :, None], c[:, None, :]] = v
+    return out
+
+
+def _find(blocks, cols: np.ndarray) -> list:
+    """Where columns cols are stored: (s, t, u, j) for each stack s that
+    holds some, with column cols[j[i]] at blocks[s][2][t[i], :, u[i]]."""
+    place = np.full(sum(c.size for _, c, _ in blocks), -1)
+    place[cols] = np.arange(cols.size)
+    return [(s, t, u, place[c[t, u]]) for s, (_, c, _) in enumerate(blocks)
+            for t, u in [np.nonzero(place[c] >= 0)] if t.size]
+
+
+def _columns(blocks, cols: np.ndarray):
+    """(j, rows, vals) over the stored entries of columns cols: column
+    cols[j[e]] holds vals[e] on row rows[e]."""
+    parts = [(np.repeat(j, blocks[s][0].shape[1]), blocks[s][0][t].ravel(),
+              blocks[s][2][t, :, u].ravel()) for s, t, u, j in _find(blocks, cols)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _support_rows(blocks, cols: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Columns cols as the rows of a float array: re and im of each entry
+    on the union of the supports of the columns with the same tie number,
+    rows ascending, padded with zeros."""
+    j, rows, vals = _columns(blocks, cols)
+    nz = vals != 0
+    j, rows, vals = j[nz], rows[nz], vals[nz]
+    m = sum(r.size for r, _, _ in blocks)
+    union, at = np.unique(tie[j] * m + rows, return_inverse=True)
+    # place of each union row among those of its tie
+    place = np.arange(union.size) - np.searchsorted(union, union - union % m)
+    out = np.zeros((cols.size, place.max(initial=-1) + 1), dtype=complex)
+    out[j, place[at]] = vals
+    return out.view(float)
+
+
+def _unit_columns(blocks) -> None:
+    for _, _, v in blocks:
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _permute(blocks, order: np.ndarray) -> list:
+    """The blocks with column order[i] renumbered i; the vectors stay where
+    they are."""
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return [(r, place[c], v) for r, c, v in blocks]
+
+
+def _merge(blocks, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The blocks with the block of column cols[e] and the block of row
+    rows[e] merged into one, with all their rows and columns, for each e."""
+    first = np.cumsum([0] + [r.shape[0] for r, _, _ in blocks])
+    row_block = np.empty(sum(r.size for r, _, _ in blocks), dtype=np.intp)
+    col_block = np.empty(sum(c.size for _, c, _ in blocks), dtype=np.intp)
+    for s, (r, c, _) in enumerate(blocks):
+        row_block[r] = col_block[c] = first[s] + np.arange(r.shape[0])[:, None]
+    group = _components(first[-1], row_block[rows], col_block[cols])
+    merged = np.bincount(group)[group] > 1
+    kept = [(r[keep], c[keep], v[keep]) for s, (r, c, v) in enumerate(blocks)
+            if (keep := ~merged[first[s]:first[s + 1]]).any()]
+    for g in np.unique(group[merged]):
+        r = np.flatnonzero(group[row_block] == g)
+        c = np.flatnonzero(group[col_block] == g)
+        j, rows, vals = _columns(blocks, c)
+        v = np.zeros((1, r.size, c.size), dtype=complex)
+        v[0, np.searchsorted(r, rows), j] = vals
+        kept.append((r[None], c[None], v))
+    return kept
+
+
+def _block_eig(n: int, entries, left: bool = False):
+    """eig of the n x n matrix with coordinate lists entries = (rows, cols,
+    values), every other entry 0, one weakly connected sector at a time.
+
+    The sectors are the connected components of the graph with an edge
+    per nonzero entry, and each sector's block is made dense on its own.
+    A 1x1 sector is its diagonal entry with a unit vector; only sectors of
+    size >= 2 go to eig, one call each.  Returns (vals, blocks), or (vals,
+    blocks, left_blocks) with left, where vals[i] belongs to column i and
+    each sector is a block with rows = cols = its indices.  Right-only
+    sectors go to np.linalg.eig; scipy.linalg.eig, imported here at first
+    use, is called only for the left vectors, which numpy does not
+    return.  Both run LAPACK geev.
     """
-    n = mat.shape[0]
-    labels = _components(n, *np.nonzero(mat))
-    sizes = np.bincount(labels, minlength=n)[labels]
+    rows, cols, values = entries
+    labels = _components(n, rows[values != 0], cols[values != 0])
+    size = np.bincount(labels, minlength=n)[labels]
+    # nodes grouped by sector, sectors by smallest node; rank within sector
+    nodes = np.argsort(labels, kind="stable")
+    start = np.flatnonzero(np.r_[True, np.diff(labels[nodes]) != 0])
+    rank = np.empty(n, dtype=np.intp)
+    rank[nodes] = np.arange(n) - np.repeat(start, np.diff(np.r_[start, n]))
+    inside = labels[rows] == labels[cols]
     vals = np.empty(n, dtype=complex)
-    vecs = np.zeros((n, n), dtype=complex)
-    single = np.flatnonzero(sizes == 1)
-    vals[single] = mat[single, single]
-    # eig checks its own blocks; the 1x1 sectors bypass it
-    if not np.isfinite(vals[single]).all():
-        raise ValueError("array must not contain infs or NaNs")
-    vecs[single, single] = 1.0
-    lvecs = vecs.copy() if left else None
-    for root in np.unique(labels[sizes > 1]):
-        idx = np.flatnonzero(labels == root)
-        block = np.ix_(idx, idx)
-        if left:
-            import scipy.linalg
-            vals[idx], lvecs[block], vecs[block] = scipy.linalg.eig(mat[block], left=True)
+    blocks, lblocks = [], []
+    for b in np.unique(size):
+        idx = nodes[size[nodes] == b].reshape(-1, b)
+        vecs = np.ones((idx.shape[0], b, b), dtype=complex)
+        lvecs = vecs.copy() if left else None
+        if b == 1:
+            diag = np.zeros(n, dtype=values.dtype)
+            on = rows == cols
+            diag[rows[on]] = values[on]
+            vals[idx[:, 0]] = diag[idx[:, 0]]
+            # eig checks its own blocks; the 1x1 sectors bypass it
+            if not np.isfinite(vals[idx[:, 0]]).all():
+                raise ValueError("array must not contain infs or NaNs")
         else:
-            # real arrays when every eigenvalue is real: the assignment
-            # into the complex vals and vecs converts them
-            vals[idx], vecs[block] = np.linalg.eig(mat[block])
-    return (vals, lvecs, vecs) if left else (vals, vecs)
+            slot = np.empty(n, dtype=np.intp)
+            slot[idx] = np.arange(idx.shape[0])[:, None]
+            e = np.flatnonzero(inside & (size[rows] == b))
+            mats = np.zeros(vecs.shape, dtype=values.dtype)
+            mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
+            for t, mat in enumerate(mats):
+                if left:
+                    import scipy.linalg
+                    vals[idx[t]], lvecs[t], vecs[t] = scipy.linalg.eig(mat, left=True)
+                else:
+                    vals[idx[t]], vecs[t] = np.linalg.eig(mat)
+        blocks.append((idx, idx, vecs))
+        lblocks.append((idx, idx, lvecs))
+    return (vals, blocks, lblocks) if left else (vals, blocks)
 
 
 def hermitian_representative(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -187,15 +307,30 @@ def _canonical_sign(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Eigenvalues plus unit eigenvectors in a fixed inner-product space."""
+    """Eigenvalues plus unit eigenvectors in a fixed inner-product space.
+
+    blocks holds the vectors one sector at a time, as the stacks of
+    blocks described above; a dense (m, n) array is accepted in their
+    place, as one block.  vectors is the dense array, scattered from the
+    blocks on first use.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    blocks: tuple
     zero_mask: np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.blocks, np.ndarray):
+            self.__dict__["vectors"] = self.blocks
+            object.__setattr__(self, "blocks", tuple(_as_blocks(self.blocks)))
 
     @property
     def size(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _scatter(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -315,46 +450,65 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _cluster_sort(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+def _cluster_sort(n: int, entries, vals: np.ndarray, blocks):
     """Unit right vectors, complex-plane cluster means and the sort.
 
-    Returns the sorted vals, vecs and cluster labels, and the permutation
-    applied, for arrays paired with the input columns.
+    Returns the sorted vals, the permuted blocks, the cluster labels and
+    the permutation applied, for arrays paired with the input columns.
     """
     # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
     # precision; clustering just above that scale lets the cluster mean
     # restore O(eps) accuracy at exceptional points.
     # sqrt(||L||_1 ||L||_inf) bounds ||L||_2 from above without an SVD
     # (1.0-1.6x the 2-norm on the bundled models, so the tolerance grows
-    # by at most sqrt(1.6) = 1.27x)
-    norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
+    # by at most sqrt(1.6) = 1.27x); both sums run over the entries in
+    # row-major order
+    rows, cols, values = entries
+    mag = np.abs(values)
+    norm_bound = np.sqrt(np.bincount(cols, mag, n).max() * np.bincount(rows, mag, n).max())
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     # clustering before the sort matters: rounding of L interleaves exactly
     # degenerate eigenvalues in (|Re|, Im) order.  Only neighbour groups of
     # three or more, found on a grid of cells, run the rule one by one.
-    # It goes before the n x n temporaries of the column norms: its small
-    # arrays after them split the heap space they free, and vecs[:, order]
-    # then took a fresh n x n block (spectrum-l5 peak RSS 108.5 MB, not 102.8)
     labels = _cluster_labels(vals, tol)
-    vecs /= np.linalg.norm(vecs, axis=0)
-    order = _sort_indices(np.abs(vals.real), vals.imag, vecs)
-    return vals[order], vecs[:, order], labels[order], order
+    _unit_columns(blocks)
+    order = _sort_indices(np.abs(vals.real), vals.imag, blocks)
+    return vals[order], _permute(blocks, order), labels[order], order
 
 
-def _zero_sector(vals: np.ndarray, vecs: np.ndarray, zero_tol: float):
-    """Zero mask, orthonormal zero-sector basis q and its rank.
+def _zero_sector(vals: np.ndarray, blocks, zero_tol: float):
+    """Zero mask, orthonormal zero-sector basis q, its rank, and the blocks
+    with q in place of the zero-sector columns.
 
     The sector is guaranteed diagonalizable, so its span is an invariant
-    subspace, and q replaces its columns of vecs in place.
+    subspace.  q is taken on the dense columns of the whole sector, and
+    can reach rows outside the blocks of its columns (on a closed example3
+    it does, by up to 1e-8): those blocks are then merged with the blocks
+    it reaches, so that no entry is cut off.  Exact zeros outside a block
+    are stored as +0.0 whatever their sign.
     """
     zero_mask = np.abs(vals) <= zero_tol
     if not zero_mask.any():
         raise SpectralError(f"not a Liouvillian: no eigenvalue within zero_tol = {zero_tol:.2e}")
-    zblock = vecs[:, zero_mask]
+    zero = np.flatnonzero(zero_mask)
+    held = _find(blocks, zero)
+    zblock = np.zeros((vals.size, zero.size), dtype=complex)
+    for s, t, u, j in held:
+        r, _, v = blocks[s]
+        zblock[r[t], j[:, None]] = v[t, :, u]
     svals = np.linalg.svd(zblock, compute_uv=False)
     q, _ = np.linalg.qr(zblock)
-    vecs[:, zero_mask] = q
-    return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0]))
+    outside = q != 0
+    for s, t, _, j in held:
+        outside[blocks[s][0][t], j[:, None]] = False
+    if outside.any():
+        row, col = np.nonzero(outside)
+        blocks = _merge(blocks, row, zero[col])
+        held = _find(blocks, zero)
+    for s, t, u, j in held:
+        r, _, v = blocks[s]
+        v[t, :, u] = q[r[t], j[:, None]]
+    return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0])), blocks
 
 
 def _check_trace_row(liou: SuperOp) -> None:
@@ -362,7 +516,7 @@ def _check_trace_row(liou: SuperOp) -> None:
     if not is_trace_preserving(liou):
         raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = "
                             f"{np.linalg.norm(trace_row(liou)):.2e} exceeds 1e-12 |L|_F = "
-                            f"{1e-12 * np.linalg.norm(liou.matrix):.2e}")
+                            f"{1e-12 * np.linalg.norm(liou.entries[2]):.2e}")
 
 
 def liouvillian_eigensystem(liou: SuperOp,
@@ -375,10 +529,13 @@ def liouvillian_eigensystem(liou: SuperOp,
     vanish or no eigenvalue lies within zero_tol.
     """
     _check_trace_row(liou)
-    vals, vecs = _block_eig(liou.matrix)
-    vals, vecs, _, _ = _cluster_sort(liou.matrix, vals, vecs)
-    zero_mask, _, _ = _zero_sector(vals, vecs, zero_tol)
-    return Eigensystem(vals, _canonical_phase(vecs, out=vecs), zero_mask)
+    n = liou.dim ** 2
+    vals, blocks = _block_eig(n, liou.entries)
+    vals, blocks, _, _ = _cluster_sort(n, liou.entries, vals, blocks)
+    zero_mask, _, _, blocks = _zero_sector(vals, blocks, zero_tol)
+    for _, _, v in blocks:
+        _canonical_phase(v, out=v)
+    return Eigensystem(vals, tuple(blocks), zero_mask)
 
 
 def analyze_liouvillian(liou: SuperOp,
@@ -393,16 +550,18 @@ def analyze_liouvillian(liou: SuperOp,
     left eigenmatrices.
     """
     _check_trace_row(liou)
-    mat = liou.matrix
-    n = mat.shape[0]
+    n = liou.dim ** 2
     # left vector i is paired with eigenvalue i:
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
-    vals, lvecs, vecs = _block_eig(mat, left=True)
-    vals, vecs, labels, order = _cluster_sort(mat, vals, vecs)
-    lvecs /= np.linalg.norm(lvecs, axis=0)
-    lvecs = lvecs[:, order]
+    vals, blocks, lblocks = _block_eig(n, liou.entries, left=True)
+    vals, blocks, labels, order = _cluster_sort(n, liou.entries, vals, blocks)
+    _unit_columns(lblocks)
+    lvecs = _scatter(_permute(lblocks, order))
     sizes = np.bincount(labels)
-    zero_mask, q, zero_rank = _zero_sector(vals, vecs, zero_tol)
+    zero_mask, q, zero_rank, blocks = _zero_sector(vals, blocks, zero_tol)
+    vecs = _scatter(blocks)
+    # q's own bits, signed zeros off the sector blocks included
+    vecs[:, zero_mask] = q
 
     # steady state: trace-carrying combination of the zero sector
     trace_vec = vectorize(np.eye(liou.dim))
@@ -490,11 +649,14 @@ class NhhSpectrum:
 def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
     """Eigenvalues and unit right eigenvectors of H_eff, sorted by (|Im h|, Re h),
     in canonical phase; the zero mask is empty."""
-    vals, vecs = _block_eig(mat)
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    order = _sort_indices(np.abs(vals.imag), vals.real, vecs)
-    return Eigensystem(vals[order], _canonical_phase(vecs[:, order]),
-                       np.zeros(len(vals), dtype=bool))
+    n = mat.shape[0]
+    vals, blocks = _block_eig(n, _dense_entries(mat))
+    _unit_columns(blocks)
+    order = _sort_indices(np.abs(vals.imag), vals.real, blocks)
+    blocks = _permute(blocks, order)
+    for _, _, v in blocks:
+        _canonical_phase(v, out=v)
+    return Eigensystem(vals[order], tuple(blocks), np.zeros(n, dtype=bool))
 
 
 def analyze_nhh(heff: Operator) -> NhhSpectrum:

@@ -8,6 +8,11 @@ and np.kron assembly.  The library must return the same bits on inputs
 built to sit on the edges of each rule: planted clusters and near-misses
 around the tolerance, conjugate pairs and near-real values, rectangular
 and tie-heavy overlap matrices, and Delta stacks with exact zeros.
+
+The dense pipeline that the sector blocks replace is kept here as well:
+the kron-sum L, sectors labelled on np.nonzero of the dense L, and the
+column norms, sort, zero-sector QR, phase and support overlaps over the
+n x n vector array.
 """
 
 import itertools
@@ -18,11 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lioueps.ep_detect import SweepResult, _candidates, _greedy_assignment, sweep
-from lioueps.models import example3, get_family
+from lioueps.ep_detect import (SweepResult, _candidates, _greedy_assignment, support_overlaps,
+                               sweep)
+from lioueps.models import dephasing, example3, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
-from lioueps.spectral import _block_eig, _cluster_labels, _cluster_sort, _sort_indices
-from lioueps.superop import _generator, assemble_liouvillian, effective_hamiltonian
+from lioueps.spectral import (_as_blocks, _block_eig, _cluster_labels, _cluster_sort,
+                              _components, _scatter, _sort_indices, liouvillian_eigensystem,
+                              nhh_eigensystem)
+from lioueps.superop import SuperOp, _generator, assemble_liouvillian, effective_hamiltonian
+
+from conftest import random_lindblad_model
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -121,6 +131,57 @@ def kron_generator(k, jumps=()):
     return mat
 
 
+def reference_block_eig(mat):
+    n = mat.shape[0]
+    labels = _components(n, *np.nonzero(mat))
+    sizes = np.bincount(labels, minlength=n)[labels]
+    vals = np.empty(n, dtype=complex)
+    vecs = np.zeros((n, n), dtype=complex)
+    single = np.flatnonzero(sizes == 1)
+    vals[single] = mat[single, single]
+    vecs[single, single] = 1.0
+    for root in np.unique(labels[sizes > 1]):
+        idx = np.flatnonzero(labels == root)
+        vals[idx], vecs[np.ix_(idx, idx)] = np.linalg.eig(mat[np.ix_(idx, idx)])
+    return vals, vecs, labels
+
+
+def reference_eigensystem(mat, zero_tol=1e-10):
+    """liouvillian_eigensystem on the dense L and the n x n vector array.
+    Returns its values, vectors and zero mask, and the sector labels."""
+    vals, vecs, sectors = reference_block_eig(mat)
+    norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
+    tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
+    reference_cluster(vals, tol)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs)
+    vals, vecs = vals[order], vecs[:, order]
+    zero_mask = np.abs(vals) <= zero_tol
+    vecs[:, zero_mask] = np.linalg.qr(vecs[:, zero_mask])[0]
+    piv = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)[0]
+    vecs *= np.reshape([abs(p) / p if p != 0 else 1.0 for p in piv], piv.shape)
+    return vals, vecs, zero_mask, sectors
+
+
+def reference_support_overlaps(vecs):
+    m, n = vecs.shape
+    rows, cols = np.nonzero(vecs)
+    labels = _components(m + n, rows, m + cols)
+    nodes = np.argsort(labels, kind="stable")
+    parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for comp in np.split(nodes, np.flatnonzero(np.diff(labels[nodes])) + 1):
+        idx = comp[comp >= m] - m
+        if idx.size < 2:
+            continue
+        sub = vecs[np.ix_(comp[comp < m], idx)]
+        g = np.abs(sub.conj().T @ sub)
+        iu, ju = np.triu_indices(idx.size, 1)
+        parts.append((idx[iu], idx[ju], 0.5 * (g + g.T)[iu, ju]))
+    i, j, ovl = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((j, i))
+    return i[order], j[order], ovl[order]
+
+
 # ---------------------------------------------------------------------------
 # cluster labelling and value rewrite
 # ---------------------------------------------------------------------------
@@ -213,7 +274,7 @@ def test_cluster_labels_on_a_closed_system():
     at 36 MB at levels=6)."""
     for levels in (4, 6):
         mat = assemble_liouvillian(example3(1.0, 0.1, 0.0, 0.0, levels=levels)).matrix
-        vals, _ = _block_eig(mat)
+        vals = reference_block_eig(mat)[0]
         want = vals.copy()
         labels = reference_cluster(want, TOL) if levels == 4 else None
         tracemalloc.start()
@@ -233,17 +294,19 @@ def test_cluster_labels_on_a_closed_system():
 def test_cluster_sort_equals_the_loops_at_exceptional_points(levels, g, largest):
     """example3 at its EPs and at g = 0: clusters of three and more, and
     ties that reach the eigenvector tiebreak."""
-    mat = np.asarray(get_family("example3", levels=levels).liouvillian_family("g").matrix(g))
-    vals, vecs = _block_eig(mat)
-    got = _cluster_sort(mat, vals.copy(), vecs.copy())
+    liou = assemble_liouvillian(example3(1.0, g, 1.0, 0.5, levels=levels))
+    n, mat = liou.dim ** 2, liou.matrix
+    vals, blocks = _block_eig(n, liou.entries)
+    got_vals, got_blocks, got_labels, got_order = _cluster_sort(n, liou.entries, vals, blocks)
+    vals, vecs, _ = reference_block_eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
-    vals = vals.copy()
     labels = reference_cluster(vals, tol)
     order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs)
     assert np.bincount(labels).max() == largest
-    for a, b in zip(got, (vals[order], vecs[:, order], labels[order], order)):
+    for a, b in zip((got_vals, _scatter(got_blocks), got_labels, got_order),
+                    (vals[order], vecs[:, order], labels[order], order)):
         assert bits(a) == bits(b)
 
 
@@ -262,7 +325,17 @@ def test_sort_indices_equals_the_per_run_lexsort(seed, n, m, levels):
     vecs[:, rng.integers(0, n, n // 3)] = vecs[:, rng.integers(0, n, n // 3)]
     vecs[vecs == 0] *= rng.choice([1.0, -1.0], np.count_nonzero(vecs == 0))
     want = reference_sort_indices(primary, secondary, vecs)
-    assert bits(_sort_indices(primary, secondary, vecs)) == bits(want)
+    assert bits(_sort_indices(primary, secondary, _as_blocks(vecs))) == bits(want)
+    # the same columns split into sector blocks, one stack each, with the
+    # entries off the blocks zeroed
+    groups = min(m, n, 3)
+    row_of = np.r_[np.arange(groups), rng.integers(0, groups, m - groups)]
+    col_of = np.r_[np.arange(groups), rng.integers(0, groups, n - groups)]
+    vecs[row_of[:, None] != col_of[None, :]] = 0
+    blocks = [(np.flatnonzero(row_of == k)[None], np.flatnonzero(col_of == k)[None],
+               vecs[np.ix_(row_of == k, col_of == k)][None]) for k in range(groups)]
+    want = reference_sort_indices(primary, secondary, vecs)
+    assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +439,21 @@ def test_tensor_is_np_kron_bitwise(d):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_generator_is_the_kron_sum_bitwise(d):
+    """Every listed entry is the kron sum's entry bit for bit, and every
+    entry left out is 0 there.  An entry left out has a zero factor in
+    every term, and with -0.0 factors the kron sum leaves -0.0 in some of
+    them, where the scattered lists hold +0.0."""
     rng = np.random.default_rng(100 + d)
     fs = factors(rng, d)
     for k in fs.values():
         for jumps in ((), (fs["complex"],), (fs["real"], fs["signed zeros"]), (fs["identity"],)):
-            assert bits(_generator(k, jumps)) == bits(kron_generator(k, jumps))
+            rows, cols, vals = _generator(k, jumps)
+            want = kron_generator(k, jumps)
+            assert bits(vals) == bits(want[rows, cols])
+            left_out = np.ones(want.shape, dtype=bool)
+            left_out[rows, cols] = False
+            assert np.all(want[left_out] == 0)
+            assert np.all(np.diff(rows * want.shape[0] + cols) > 0)
 
 
 @pytest.mark.parametrize("name,fixed", [
@@ -384,3 +467,136 @@ def test_assemble_liouvillian_is_the_kron_sum_bitwise(name, fixed):
     heff = effective_hamiltonian(model).matrix
     want = kron_generator(heff, model.folded_jump_matrices())
     assert bits(assemble_liouvillian(model).matrix) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# sector-native spectra against the dense pipeline
+# ---------------------------------------------------------------------------
+
+def assert_matches_the_dense_pipeline(model):
+    """liouvillian_eigensystem and support_overlaps against the dense
+    pipeline on the kron-sum L: the values, the zero mask and the overlap
+    rows bit for bit, and the dense vectors view bit for bit on the stored
+    blocks.  Off the blocks the dense vectors are 0, as +0.0 in the view;
+    the dense phase rotation leaves -0.0 in some of them.  Returns the
+    stored blocks and the sector labels of the dense L."""
+    liou = assemble_liouvillian(model)
+    got = liouvillian_eigensystem(liou)
+    heff = effective_hamiltonian(model).matrix
+    vals, vecs, zero_mask, sectors = reference_eigensystem(
+        kron_generator(heff, model.folded_jump_matrices()))
+    assert bits(got.values) == bits(vals)
+    assert bits(got.zero_mask) == bits(zero_mask)
+    # the blocks partition the rows and the columns
+    for part in (0, 1):
+        listed = np.concatenate([b[part].ravel() for b in got.blocks])
+        assert np.array_equal(np.sort(listed), np.arange(vals.size))
+    inside = np.zeros(vecs.shape, dtype=bool)
+    for rows, cols, _ in got.blocks:
+        inside[rows[:, :, None], cols[:, None, :]] = True
+    view = got.vectors
+    assert bits(view[inside]) == bits(vecs[inside])
+    assert np.all(vecs[~inside] == 0) and not view[~inside].view(np.uint64).any()
+    for a, b in zip(support_overlaps(got), reference_support_overlaps(vecs)):
+        assert bits(a) == bits(b)
+    return got.blocks, sectors
+
+
+@pytest.mark.parametrize("model", [
+    example3(1.0, 0.1, 1.0, 0.5, levels=3),
+    example3(1.0, 0.125, 1.0, 0.5, levels=3),
+    example3(1.0, 0.0625, 1.0, 0.5, levels=4),
+    get_family("example1").build(),
+    get_family("example1", gamma_minus=0.4, gamma_x=1.0).build(),
+    get_family("example2").build(),
+    get_family("example2", gamma_minus=4.0).build(),
+    dephasing(1.0, 1.0, 5),
+    dephasing(0.0, 1.0, 5),
+    dephasing(1.3, 0.7, 30),
+], ids=["example3-l3", "example3-l3-ep", "example3-l4-ep", "example1", "example1-ep",
+        "example2", "example2-ep", "dephasing-l5", "dephasing-l5-degenerate", "dephasing-l30"])
+def test_eigensystem_equals_the_dense_pipeline(model):
+    assert_matches_the_dense_pipeline(model)
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_eigensystem_equals_the_dense_pipeline_where_supports_split(levels):
+    """At g = 0 the modes decouple: supports split inside a sector."""
+    blocks, sectors = assert_matches_the_dense_pipeline(example3(1.0, 0.0, 1.0, 0.5, levels))
+    assert max(v.shape[2] for _, _, v in blocks) > 1
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_zero_sector_reaching_other_sectors_is_stored_whole(levels):
+    """Zero rates close example3: L = -i[H, .] has a zero eigenvalue in
+    several sectors, and the QR of the zero sector puts entries of up to
+    1e-8 on rows of sectors that hold no zero column.  The blocks they
+    reach are merged, so no entry is lost."""
+    blocks, sectors = assert_matches_the_dense_pipeline(example3(1.0, 0.1, 0.0, 0.0, levels))
+    spans = [np.unique(sectors[rows[t]]).size for rows, _, _ in blocks for t in range(len(rows))]
+    assert max(spans) > 1
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eigensystem_equals_the_dense_pipeline_on_random_models(seed):
+    assert_matches_the_dense_pipeline(random_lindblad_model(np.random.default_rng(seed)))
+
+
+def test_eigensystem_and_overlaps_stay_within_the_sector_blocks():
+    """example3 levels=6 (n = 1296): the sector blocks hold 135,954
+    entries (2.2 MB), and the spectrum path with its overlap rows peaks
+    below half of one n x n complex array."""
+    family = get_family("example3", levels=6).liouvillian_family()
+    tracemalloc.start()
+    try:
+        support_overlaps(family.eigensystem(0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1296 * 1296 * 16 // 2
+
+
+def assert_blocks_match(got, vals, vecs):
+    """Values bit for bit; the dense vectors bit for bit on the stored
+    blocks and 0 off them (as +0.0 in the view)."""
+    assert bits(got.values) == bits(vals)
+    inside = np.zeros(vecs.shape, dtype=bool)
+    for rows, cols, _ in got.blocks:
+        inside[rows[:, :, None], cols[:, None, :]] = True
+    assert bits(got.vectors[inside]) == bits(vecs[inside])
+    assert np.all(vecs[~inside] == 0) and not got.vectors[~inside].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("heff", [
+    effective_hamiltonian(example3(1.0, 0.1, 1.0, 0.5, levels=4)).matrix,
+    effective_hamiltonian(example3(1.0, 0.125, 1.0, 0.5, levels=4)).matrix,
+    effective_hamiltonian(example3(1.0, 0.0, 1.0, 1.0, levels=3)).matrix,
+    effective_hamiltonian(get_family("example2").build()).matrix,
+    effective_hamiltonian(dephasing(0.0, 1.0, 5)).matrix,
+], ids=["example3-l4", "example3-l4-ep", "example3-degenerate", "example2", "dephasing"])
+def test_nhh_eigensystem_equals_the_dense_pipeline(heff):
+    vals, vecs, _ = reference_block_eig(heff)
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    order = reference_sort_indices(np.abs(vals.imag), vals.real, vecs)
+    vecs = vecs[:, order]
+    piv = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)[0]
+    vecs *= np.reshape([abs(p) / p if p != 0 else 1.0 for p in piv], piv.shape)
+    assert_blocks_match(nhh_eigensystem(heff), vals[order], vecs)
+
+
+def test_dense_superop_lists_every_entry_but_positive_zeros():
+    """A SuperOp made from a dense matrix lists its -0.0 entries too, so
+    the lists give the matrix back bit for bit and the sectors see the
+    dense blocks, signed zeros included."""
+    mat = kron_generator(effective_hamiltonian(example3(1.0, 0.1, 1.0, 0.5, 3)).matrix)
+    mat[np.abs(mat) < 1.5] *= -1.0
+    op = SuperOp(HilbertSpace((9,)), mat)
+    rows, cols, vals = op.entries
+    back = np.zeros_like(mat)
+    back[rows, cols] = vals
+    assert bits(back) == bits(mat) and (mat[rows, cols] == 0).any()
+    got_vals, blocks = _block_eig(81, op.entries)
+    want_vals, want_vecs, _ = reference_block_eig(mat)
+    assert bits(got_vals) == bits(want_vals)
+    assert bits(_scatter(blocks)) == bits(want_vecs)

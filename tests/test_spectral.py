@@ -16,6 +16,7 @@ from lioueps.ops_core import (
 from lioueps.ep_detect import overlap_matrix
 from lioueps.superop import (
     LindbladModel,
+    _dense_entries,
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
     devectorize,
@@ -379,7 +380,7 @@ class TestDecompositions:
         # covers the larger ones
         mat = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, bad]])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _block_eig(mat)
+            _block_eig(3, _dense_entries(mat))
 
 
 class TestCheckLemmas:
