@@ -46,7 +46,9 @@ from .spectral import (
     analyze_nhh,
     check_lemmas,
     liouvillian_eigensystem,
+    liouvillian_eigensystems,
     nhh_eigensystem,
+    nhh_eigensystems,
     pm_decomposition,
     sym_antisym,
 )

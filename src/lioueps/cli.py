@@ -430,7 +430,7 @@ def _observable_columns(model: LindbladModel):
 def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
     spec_family = _spectrum_family(cfg)
     param_val = cfg.family.params[spec_family.param_name]
-    return _write_branches(cfg, prefix, [param_val], [spec_family.eigensystem(param_val)])
+    return _write_branches(cfg, prefix, [param_val], spec_family.eigensystem(np.array([param_val])))
 
 
 def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:

@@ -6,6 +6,12 @@ what produced the eigensystem: Liouvillian eigenmatrices are compared
 with the Hilbert-Schmidt product (their vectorized form), effective
 Hamiltonian eigenvectors with the plain inner product.
 
+A sweep asks the family for its whole grid in one call, and branches
+are continued from point to point on the stored sector blocks, one group
+of blocks that share rows at a time, without a dense vector array.  Two
+branches that never share a block have disjoint supports, so the EP
+search scans only pairs that do.
+
 The search finds roots of the pair discriminant Delta = (lambda_i -
 lambda_j)^2, which is analytic through an order-2 EP and vanishes there
 linearly (quadratically at a tangential coalescence).  Parabolas through
@@ -20,13 +26,14 @@ dimension of the order estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import Eigensystem, Spectrum, _as_blocks, _canonical_phase, _components
+from .spectral import (Eigensystem, Spectrum, _as_blocks, _canonical_phase, _components,
+                       _permute)
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -39,15 +46,19 @@ MAX_REFINE = 60
 
 @dataclass(frozen=True)
 class SpectrumFamily:
-    """A parametric eigenproblem: param value -> eigensystem and raw matrix.
+    """A parametric eigenproblem: param values -> eigensystems, param value -> raw matrix.
 
-    space is the Hilbert space a Liouvillian acts on, so that generalized
+    eigensystem takes a 1-D array of values and returns one Eigensystem
+    per value, so that a caller hands it a whole grid at once (a single
+    point is a one-element array).  An exception it raises for values[k]
+    may carry point = k, which sweep reads to name the grid index.  space
+    is the Hilbert space a Liouvillian acts on, so that generalized
     eigenvectors devectorize to operators; it is None for an effective
     Hamiltonian (or any plain matrix) family.
     """
 
     param_name: str
-    eigensystem: Callable[[float], Eigensystem]
+    eigensystem: Callable[[np.ndarray], Sequence[Eigensystem]]
     matrix: Callable[[float], np.ndarray]
     space: HilbertSpace | None = None
 
@@ -59,10 +70,10 @@ class SweepResult:
     systems[k] is the eigensystem at grid[k] with its columns in branch
     order, and eigenvalues[k, i] and zero_mask[k, i] stack its values and
     zero mask: branch i at grid[k].  Branch identity is carried from one
-    grid point to the next by greedy maximal-overlap assignment: a
-    permutation at every step (an injection where the EP refinement
-    tracks only a pair), taken in whole-array rounds that provably make
-    the greedy rule's choices (_greedy_assignment).  matching_quality[k] is the worst
+    grid point to the next by greedy maximal-overlap assignment, a
+    permutation at every step, read one group of sector blocks at a time
+    (_track); the systems keep their sector blocks, renumbered, and no
+    dense vector array is formed.  matching_quality[k] is the worst
     assigned overlap of step k -> k+1; steps whose best overlap for some
     branch fell below 0.5 are recorded as continuation breaks rather
     than silently fixed.
@@ -133,6 +144,55 @@ def overlap_matrix(spec) -> np.ndarray:
     return out
 
 
+def _greedy(ovl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy rule's picks of positive overlap on each matrix of a
+    stack ovl (k, r, c), r <= c: perm[t, i] is the column that row i of
+    matrix t took, -1 where none above 0 was left for it; and tied[t],
+    whether another order of matrix t's rows could change its picks.
+
+    The rule takes the largest overlap left (the first in row-major order
+    among equal ones) and strikes out its row and column.  An entry that is
+    the first maximum of its row and of its column goes before anything
+    else there (what precedes it is smaller, the rest no larger), and
+    taking it early changes no other choice (locally dominant edges;
+    Preis, STACS 1999).  Each round takes all such entries at once, in
+    every matrix of the stack; a struck row or column reads -1.  A round
+    depends on the row order only through a column whose largest positive
+    overlap left sits in two or more rows.  A matrix leaves the stack at
+    its first round that takes nothing.
+    """
+    k, r, _ = ovl.shape
+    perm, tied = np.full((k, r), -1), np.zeros(k, dtype=bool)
+    work, at, rows = ovl.copy(), np.arange(k), np.arange(r)
+    while at.size:
+        top = work.max(axis=1)
+        tied[at] |= (((work == top[:, None]).sum(axis=1) > 1) & (top > 0)).any(axis=1)
+        best = work.argmax(axis=2)
+        stack = np.arange(at.size)[:, None]
+        take = (work.argmax(axis=1)[stack, best] == rows) & (work[stack, rows, best] > 0)
+        t, i = np.nonzero(take)
+        j = best[t, i]
+        perm[at[t], i] = j
+        work[t, i, :] = -1.0
+        work[t, :, j] = -1.0
+        # a matrix whose rows all took a column is done as well
+        busy = take.any(axis=1) & (perm[at] < 0).any(axis=1)
+        work, at = work[busy], at[busy]
+    return perm, tied
+
+
+def _pair_rest(perm: np.ndarray, c: int) -> np.ndarray:
+    """perm with its rows of -1 given the columns 0..c-1 that no row took,
+    in ascending order: what the greedy rule does once every overlap left
+    is 0."""
+    free = perm < 0
+    if free.any():
+        taken = np.zeros(c, dtype=bool)
+        taken[perm[~free]] = True
+        perm[free] = np.flatnonzero(~taken)[:free.sum()]
+    return perm
+
+
 def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy maximal-overlap matching of current branches to previous ones.
 
@@ -140,33 +200,119 @@ def _greedy_assignment(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.
     branch i, with assigned overlap overlaps[i].  prev_vecs has no more
     columns than cur_vecs, so perm is an injection: a permutation when
     both are square, the pair's two columns for an n x 2 reference.
-
-    The rule takes the largest overlap left (the first in row-major order
-    among equal ones) and strikes out its row and column.  An entry that is
-    the first maximum of its row and of its column goes before anything
-    else there (what precedes it is smaller, the rest no larger), and
-    taking it early changes no other choice (locally dominant edges;
-    Preis, STACS 1999).  Each round takes all such entries at once.
     """
     ovl = np.abs(prev_vecs.conj().T @ cur_vecs)
-    perm = np.full(ovl.shape[0], -1, dtype=int)
-    rows, cols = np.arange(ovl.shape[0]), np.arange(ovl.shape[1])
-    work = ovl
-    while rows.size:
-        best = work.argmax(axis=1)
-        i = np.flatnonzero(work.argmax(axis=0)[best] == np.arange(rows.size))
-        perm[rows[i]] = cols[best[i]]
-        keep_r, keep_c = np.ones(rows.size, dtype=bool), np.ones(cols.size, dtype=bool)
-        keep_r[i] = keep_c[best[i]] = False
-        rows, cols, work = rows[keep_r], cols[keep_c], work[np.ix_(keep_r, keep_c)]
+    perm = _pair_rest(_greedy(ovl[None])[0][0], ovl.shape[1])
     return perm, ovl[np.arange(perm.size), perm]
+
+
+def _track(systems) -> tuple[list, np.ndarray, tuple]:
+    """Branch order over a grid: perms[k][i] is the column of systems[k]
+    that continues branch i, with each step's worst assigned overlap and
+    its continuation breaks.
+
+    Step k is _greedy_assignment of the vectors of point k - 1, in branch
+    order, to those of point k.  Their overlap matrix is 0 between blocks
+    that share no row, so it is read one group of blocks at a time: the
+    blocks of points k - 1 and k joined by shared rows.  Where the two
+    points have the same sectors a group is one block of each, and the
+    groups of one block shape take one matmul for the whole grid; where
+    they differ (g = 0 on the grid) the blocks of a group are merged.
+    Picks in different groups never meet, so the rule runs in each group
+    alone until no positive overlap is left there; the rows left then
+    take the columns left in ascending order, as on the dense matrix.  The
+    rows' branch order is known only after step k - 1, and decides only
+    between equal positive overlaps in one column: a group with such a tie
+    is run again once that order is known.
+    """
+    n, points = systems[0].size, len(systems)
+    m = sum(r.size for r, _, _ in systems[0].blocks)
+    # the grid's blocks by shape, on rows p m + r and columns p n + c
+    shapes = {}
+    for p, system in enumerate(systems):
+        for r, c, v in system.blocks:
+            shapes.setdefault(v.shape[1:], []).append((p * m + r, p * n + c, v))
+    stacks = [tuple(np.concatenate(x) for x in zip(*parts)) for parts in shapes.values()]
+    first = np.cumsum([0] + [len(r) for r, _, _ in stacks])
+    nb = first[-1]
+    row_block = np.empty(points * m, dtype=np.intp)
+    for f, (r, _, _) in zip(first, stacks):
+        row_block[r] = f + np.arange(len(r))[:, None]
+    # block bp of point k - 1 and block bc of point k share a row
+    bp, bc = np.divmod(np.unique(row_block[:-m] * nb + row_block[m:]), nb)
+    stack = np.searchsorted(first, np.arange(nb), side="right") - 1
+    alone = ((np.bincount(bp, minlength=nb)[bp] == 1) & (np.bincount(bc, minlength=nb)[bc] == 1)
+             & (stack[bp] == stack[bc]))
+    pieces = []
+    for s, (_, c, v) in enumerate(stacks):
+        on = alone & (stack[bp] == s)
+        tp, tc = bp[on] - first[s], bc[on] - first[s]
+        prev = np.conjugate(v[tp])
+        pieces.append((c[tp], c[tc], np.abs(np.matmul(prev.transpose(0, 2, 1), v[tc]))))
+    if not alone.all():
+        label = _components(2 * nb, bp[~alone], nb + bc[~alone])
+        nodes = np.unique(np.r_[bp[~alone], nb + bc[~alone]])
+        nodes = nodes[np.argsort(label[nodes], kind="stable")]
+        for group in np.split(nodes, np.flatnonzero(np.diff(label[nodes])) + 1):
+            pieces.append(_merged_overlaps(stacks, first, stack, group[group < nb],
+                                           group[group >= nb] - nb))
+
+    # match[c]: the column of the next point that column c (of the grid) took
+    match, value, ties = np.full(points * n, -1), np.zeros(points * n), {}
+    for pr, pc, ovl in pieces:
+        order = np.argsort(pc, axis=1)
+        pc = np.take_along_axis(pc, order, 1) % n
+        ovl = ovl[np.arange(len(ovl))[:, None, None], np.arange(ovl.shape[1])[:, None], order[:, None]]
+        pick, tied = _greedy(ovl)
+        t, i = np.nonzero(pick >= 0)
+        match[pr[t, i]], value[pr[t, i]] = pc[t, pick[t, i]], ovl[t, i, pick[t, i]]
+        for t in np.flatnonzero(tied):
+            ties.setdefault(pr[t, 0] // n + 1, []).append((pr[t], pc[t], ovl[t]))
+
+    perms = np.empty((points, n), dtype=np.intp)
+    perms[0] = np.arange(n)
+    for k in range(1, points):
+        for pr, pc, ovl in ties.get(k, ()):
+            rank = np.empty(n, dtype=np.intp)
+            rank[perms[k - 1]] = np.arange(n)
+            order = np.argsort(rank[pr % n])
+            pick = _greedy(ovl[order][None])[0][0]
+            took = pick >= 0
+            match[pr[order]] = np.where(took, pc[pick], -1)
+            value[pr[order]] = np.where(took, ovl[order, pick], 0.0)
+        perms[k] = _pair_rest(match[(k - 1) * n + perms[k - 1]], n)
+    # the assigned overlap of branch i at step k
+    assigned = value[np.arange(points - 1)[:, None] * n + perms[:-1]]
+    return perms, assigned.min(axis=1), tuple(map(tuple, np.argwhere(assigned < 0.5).tolist()))
+
+
+def _merged_overlaps(stacks, first, stack, prev, cur):
+    """(prev columns, cur columns, |prev^H cur|) of the blocks prev of one
+    point and cur of the next, each side merged into one dense block on the
+    rows they cover (the same rows of the two points, in ascending order),
+    as a stack of one."""
+    def merged(blocks):
+        parts = [(stacks[s][0][t], stacks[s][1][t], stacks[s][2][t])
+                 for s, t in zip(stack[blocks], blocks - first[stack[blocks]])]
+        rows = np.unique(np.concatenate([r for r, _, _ in parts]))
+        cols = np.concatenate([c for _, c, _ in parts])
+        out = np.zeros((rows.size, cols.size), dtype=complex)
+        at = np.cumsum([0] + [c.size for _, c, _ in parts])
+        for (r, _, v), a in zip(parts, at):
+            out[np.searchsorted(rows, r)[:, None], a + np.arange(v.shape[1])] = v
+        return cols, out
+
+    (pc, a), (cc, b) = merged(prev), merged(cur)
+    return pc[None], cc[None], np.abs(a.conj().T @ b)[None]
 
 
 def sweep(family: SpectrumFamily, grid) -> SweepResult:
     """Evaluate the family on a grid and continue branches across it.
 
-    Each point is put in branch order against the point before it; a
-    ValueError is raised when the eigensystem size changes on the grid.
+    The family solves the whole grid in one call.  Each point is put in
+    branch order against the point before it (_track); a ValueError is
+    raised when the eigensystem size changes on the grid, and an error
+    raised for one grid point names its index.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -175,30 +321,25 @@ def sweep(family: SpectrumFamily, grid) -> SweepResult:
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
 
-    def evaluate(k):
-        try:
-            return family.eigensystem(grid[k])
-        except Exception as exc:
+    try:
+        systems = family.eigensystem(grid)
+    except Exception as exc:
+        k = getattr(exc, "point", None)
+        if k is not None:
             exc.args = (f"{exc} (at grid index {k}, {family.param_name}={grid[k]!r})",)
-            raise
-
-    systems = [evaluate(0)]
-    quality = np.ones(grid.size - 1)
-    breaks: list[tuple[int, int]] = []
-    for k in range(1, grid.size):
-        cur = evaluate(k)
-        if cur.vectors.shape != systems[0].vectors.shape:
+        raise
+    shape = [(s.size, sum(r.size for r, _, _ in s.blocks)) for s in systems]
+    for k, (size, _) in enumerate(shape):
+        if shape[k] != shape[0]:
             raise ValueError(
-                f"eigensystem size changed from {systems[0].size} to {cur.size} at grid "
+                f"eigensystem size changed from {systems[0].size} to {size} at grid "
                 f"index {k} ({family.param_name}={grid[k]!r}): branches cannot be continued")
-        perm, q = _greedy_assignment(systems[-1].vectors, cur.vectors)
-        systems.append(Eigensystem(cur.values[perm], cur.vectors[:, perm], cur.zero_mask[perm]))
-        quality[k - 1] = q.min()
-        breaks += [(k - 1, int(i)) for i in np.flatnonzero(q < 0.5)]
-
-    return SweepResult(family.param_name, grid, tuple(systems),
+    perms, quality, breaks = _track(systems)
+    systems = tuple(Eigensystem(s.values[p], tuple(_permute(s.blocks, p)), s.zero_mask[p])
+                    for s, p in zip(systems, perms))
+    return SweepResult(family.param_name, grid, systems,
                        np.array([s.values for s in systems]),
-                       np.array([s.zero_mask for s in systems]), quality, tuple(breaks))
+                       np.array([s.zero_mask for s in systems]), quality, breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +387,7 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
 
     Returns (pair eigenvalues, pair vectors, the whole eigensystem).
     """
-    sys_g = family.eigensystem(g)
+    sys_g = family.eigensystem(np.array([g]))[0]
     perm, _ = _greedy_assignment(ref_vecs, sys_g.vectors)
     return sys_g.values[perm], sys_g.vectors[:, perm], sys_g
 
@@ -379,6 +520,24 @@ def _parabola_root(x2, y2, a, b):
     return x2 - 2.0 * y2 / den
 
 
+def _same_block(systems) -> np.ndarray:
+    """Whether branches i and j sit in one stored block at some grid point.
+
+    Two branches that never do have disjoint supports at every point: their
+    overlap is exactly 0, so they cannot coalesce.  A block is labelled by
+    its smallest branch, and each distinct labelling of the grid is read
+    once.
+    """
+    labels = np.empty((len(systems), systems[0].size), dtype=np.intp)
+    for label, system in zip(labels, systems):
+        for _, cols, _ in system.blocks:
+            label[cols] = cols.min(axis=1, keepdims=True)
+    same = np.zeros((labels.shape[1],) * 2, dtype=bool)
+    for label in np.unique(labels, axis=0):
+        same |= label[:, None] == label[None, :]
+    return same
+
+
 def _candidates(res: SweepResult, bi: np.ndarray, bj: np.ndarray) -> list[tuple[int, int, int]]:
     """Sorted (i, j, k) for the pairs (bi[p], bj[p]) and grid cells k holding a root of Delta.
 
@@ -456,7 +615,8 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
 
     The pair is either given (indices into the branch order at the
     bracket start; a ValueError names the branch count when an index is
-    out of range) or every non-steady pair is searched.  Candidate cells
+    out of range) or every non-steady pair that shares a sector block at
+    some grid point is searched (_same_block).  Candidate cells
     are refined in pair order (row-major), then by parameter, and the
     first whose eigenvectors coalesce (overlap >= 1 - 1e-6) is reported.
     Zero-eigenvalue branches of a trace-preserving generator are rejected
@@ -472,7 +632,7 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
 
     steady = res.zero_mask.any(axis=0)
     if branch_pair is None:
-        bi, bj = np.nonzero(np.triu(~(steady[:, None] | steady[None, :]), 1))
+        bi, bj = np.nonzero(np.triu(_same_block(res.systems) & ~(steady[:, None] | steady[None, :]), 1))
     elif not 0 <= min(branch_pair) <= max(branch_pair) < steady.size:
         raise ValueError(f"branch_pair {tuple(branch_pair)} out of range: the family "
                          f"has {steady.size} branches (indices 0..{steady.size - 1})")

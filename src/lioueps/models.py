@@ -34,10 +34,11 @@ import numpy as np
 from .errors import ModelBuildError
 from .ep_detect import SpectrumFamily
 from .ops_core import Operator, build_boson_ops, build_qubit_ops, tensor
-from .spectral import (DEFAULT_ZERO_TOL, Eigensystem, liouvillian_eigensystem,
-                       nhh_eigensystem)
+from .spectral import (DEFAULT_ZERO_TOL, _each_point, liouvillian_eigensystems,
+                       nhh_eigensystems)
 from .superop import (
     LindbladModel,
+    SuperOp,
     assemble_liouvillian,
     effective_hamiltonian,
 )
@@ -338,14 +339,14 @@ class ModelFamily:
                            zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
 
-        def matrix(value: float) -> np.ndarray:
-            return assemble_liouvillian(self.build(value, param)).matrix
+        def liouvillian(value: float) -> SuperOp:
+            return assemble_liouvillian(self.build(value, param))
 
-        def eigensystem(value: float) -> Eigensystem:
-            return liouvillian_eigensystem(assemble_liouvillian(self.build(value, param)),
-                                           zero_tol)
+        def eigensystem(values) -> tuple:
+            return liouvillian_eigensystems(_each_point(liouvillian, values), zero_tol)
 
-        return SpectrumFamily(param, eigensystem, matrix, self.build().space)
+        return SpectrumFamily(param, eigensystem, lambda value: liouvillian(value).matrix,
+                              self.build().space)
 
     def nhh_family(self, sweep_param: str | None = None) -> SpectrumFamily:
         param = sweep_param or self.sweep_param
@@ -353,7 +354,8 @@ class ModelFamily:
         def matrix(value: float) -> np.ndarray:
             return effective_hamiltonian(self.build(value, param)).matrix
 
-        return SpectrumFamily(param, lambda value: nhh_eigensystem(matrix(value)), matrix)
+        return SpectrumFamily(param, lambda values: nhh_eigensystems(_each_point(matrix, values)),
+                              matrix)
 
 
 _FAMILIES = {
@@ -390,7 +392,8 @@ def example3_block_family(omega: float, gamma_a: float, gamma_b: float,
     def matrix(g: float) -> np.ndarray:
         return example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)
 
-    return SpectrumFamily("g", lambda g: nhh_eigensystem(matrix(g)), matrix)
+    return SpectrumFamily("g", lambda values: nhh_eigensystems(_each_point(matrix, values)),
+                          matrix)
 
 
 # ---------------------------------------------------------------------------

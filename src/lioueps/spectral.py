@@ -70,15 +70,19 @@ NHH_DEFECT_COND = 1e8
 # helpers
 # ---------------------------------------------------------------------------
 
-def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks) -> np.ndarray:
-    """Total deterministic order: primary key, secondary key, then the
-    eigenvector entries (re, im of each, lexicographic), which only ever
-    break exact ties of the two keys.  Entries outside the union of a
-    tie's supports are 0 in each of its vectors, so only that union is
-    compared, and all ties are broken in one lexsort led by the tie."""
-    order = np.lexsort((secondary, primary))
-    p, q = primary[order], secondary[order]
-    after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1])]
+def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
+                  point: np.ndarray | None = None) -> np.ndarray:
+    """Total deterministic order: grid point (when given), primary key,
+    secondary key, then the eigenvector entries (re, im of each,
+    lexicographic), which only ever break exact ties of the keys.  Entries
+    outside the union of a tie's supports are 0 in each of its vectors, so
+    only that union is compared, and all ties are broken in one lexsort
+    led by the tie."""
+    if point is None:
+        point = np.zeros(primary.size, dtype=np.intp)
+    order = np.lexsort((secondary, primary, point))
+    p, q, g = primary[order], secondary[order], point[order]
+    after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1]) & (g[1:] == g[:-1])]
     at = np.flatnonzero(after | np.r_[after[1:], False])
     if at.size:
         tie = np.cumsum(~after[at])
@@ -219,13 +223,15 @@ def _block_eig(n: int, entries, left: bool = False):
 
     The sectors are the connected components of the graph with an edge
     per nonzero entry, and each sector's block is made dense on its own.
-    A 1x1 sector is its diagonal entry with a unit vector; only sectors of
-    size >= 2 go to eig, one call each.  Returns (vals, blocks), or (vals,
+    A 1x1 sector is its diagonal entry with a unit vector.  The sectors of
+    one size >= 2 go to eig as one stack, and their matrices are dropped
+    before the next size is filled.  Returns (vals, blocks), or (vals,
     blocks, left_blocks) with left, where vals[i] belongs to column i and
     each sector is a block with rows = cols = its indices.  Right-only
-    sectors go to np.linalg.eig; scipy.linalg.eig, imported here at first
-    use, is called only for the left vectors, which numpy does not
-    return.  Both run LAPACK geev.
+    stacks go to np.linalg.eig, which solves each matrix of a stack as it
+    would solve it alone; scipy.linalg.eig, imported here at first use, is
+    called one matrix at a time, only for the left vectors, which numpy
+    does not return.  Both run LAPACK geev.
     """
     rows, cols, values = entries
     labels = _components(n, rows[values != 0], cols[values != 0])
@@ -240,8 +246,6 @@ def _block_eig(n: int, entries, left: bool = False):
     blocks, lblocks = [], []
     for b in np.unique(size):
         idx = nodes[size[nodes] == b].reshape(-1, b)
-        vecs = np.ones((idx.shape[0], b, b), dtype=complex)
-        lvecs = vecs.copy() if left else None
         if b == 1:
             diag = np.zeros(n, dtype=values.dtype)
             on = rows == cols
@@ -250,20 +254,25 @@ def _block_eig(n: int, entries, left: bool = False):
             # eig checks its own blocks; the 1x1 sectors bypass it
             if not np.isfinite(vals[idx[:, 0]]).all():
                 raise ValueError("array must not contain infs or NaNs")
+            vecs = np.ones((idx.shape[0], 1, 1), dtype=complex)
+            lvecs = vecs.copy() if left else None
         else:
             slot = np.empty(n, dtype=np.intp)
             slot[idx] = np.arange(idx.shape[0])[:, None]
             e = np.flatnonzero(inside & (size[rows] == b))
-            mats = np.zeros(vecs.shape, dtype=values.dtype)
+            mats = np.zeros((idx.shape[0], b, b), dtype=values.dtype)
             mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
-            for t, mat in enumerate(mats):
-                if left:
-                    import scipy.linalg
+            if left:
+                import scipy.linalg
+                vecs, lvecs = np.empty(mats.shape, dtype=complex), np.empty(mats.shape, dtype=complex)
+                for t, mat in enumerate(mats):
                     vals[idx[t]], lvecs[t], vecs[t] = scipy.linalg.eig(mat, left=True)
-                else:
-                    vals[idx[t]], vecs[t] = np.linalg.eig(mat)
+            else:
+                vals[idx], vecs = np.linalg.eig(mats)
+                vecs = vecs.astype(complex, copy=False)
+            del mats
         blocks.append((idx, idx, vecs))
-        lblocks.append((idx, idx, lvecs))
+        lblocks.append((idx, idx, lvecs if left else None))
     return (vals, blocks, lblocks) if left else (vals, blocks)
 
 
@@ -368,7 +377,7 @@ class Spectrum:
         return np.array([np.trace(s @ rho0.matrix) for s in self.left_mats])
 
 
-def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
+def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> np.ndarray:
     """Complex-plane clusters of vals, replaced in place by their means.
 
     The rule is sequential: each unlabelled eigenvalue, in index order,
@@ -379,22 +388,42 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     conjugate pair sorts by Im, not by the last bit of Re.  Clusters are
     numbered in the order they are made.
 
+    With point, vals holds the spectra of several grid points, and tol is
+    a scalar or one tolerance per value (its point's): the rule runs on
+    each point's values alone, as if called for that point.
+
     A step never reaches past 2 tol from its seed or the seed's conjugate,
     so the rule runs separately in each group of the graph that joins
     values within 3 tol once folded onto Im >= 0.  Its edges are searched
     only between values in the same or adjacent cells of a 3 tol square
     grid, so the pairs tested grow with the cluster sizes, not with n:
     a window on the real parts alone tested 8M pairs (369 MB) on the
-    purely imaginary spectrum of a closed example3 at levels=8.  Groups
-    of one and two, mostly conjugate pairs, are settled in whole-array
-    steps.
+    purely imaginary spectrum of a closed example3 at levels=8.  Each
+    point's cells are shifted past the previous point's along the real
+    axis, so no edge joins two points.  Groups of one and two, mostly
+    conjugate pairs, are settled in whole-array steps.
     """
-    n, r = vals.size, 3.0 * tol
-    pts, first, same = np.unique(vals.real + 1j * np.abs(vals.imag),
-                                 return_index=True, return_inverse=True)
+    n = vals.size
+    if not n:
+        return np.zeros(0, dtype=np.intp)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    point = np.zeros(n, dtype=np.intp) if point is None else point
+    # the distinct folded values of each point, ordered by point
+    folded = vals.real + 1j * np.abs(vals.imag)
+    order = np.lexsort((folded.imag, folded.real, point))
+    f, g = folded[order], point[order]
+    new = np.concatenate(([True], (f[1:] != f[:-1]) | (g[1:] != g[:-1])))
+    pts, first, at = f[new], order[new], g[new]
+    same = np.empty(n, dtype=np.intp)
+    same[order] = np.cumsum(new) - 1
+    r = 3.0 * tol[first]
     # complex cell keys sort lexicographically; half the 3 x 3 neighbourhood
     # suffices, as every edge is found from one of its two ends
-    cell = np.floor(pts.real / r) + 1j * np.floor(pts.imag / r)
+    re, im = np.floor(pts.real / r), np.floor(pts.imag / r)
+    lead = np.flatnonzero(np.diff(at, prepend=-1))
+    lo = np.minimum.reduceat(re, lead)
+    width = np.maximum.reduceat(re, lead) - lo + 2
+    cell = re + np.repeat(np.cumsum(width) - width - lo, np.diff(lead, append=at.size)) + 1j * im
     by_cell = np.argsort(cell)
     cell = cell[by_cell]
     target = (cell[:, None] + np.array([0, 1j, 1 - 1j, 1, 1 + 1j])).ravel()
@@ -402,7 +431,7 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     width = np.searchsorted(cell, target, side="right") - lo
     a = by_cell[np.repeat(np.arange(target.size) // 5, width)]
     b = by_cell[np.repeat(lo - np.cumsum(width) + width, width) + np.arange(width.sum())]
-    near = np.abs(pts[a] - pts[b]) <= r
+    near = (np.abs(pts[a] - pts[b]) <= r[a]) & (at[a] == at[b])
     group = _components(n, np.concatenate((first[a[near]], first[same])),
                         np.concatenate((first[b[near]], np.arange(n))))
     size = np.bincount(group, minlength=n)[group]
@@ -410,15 +439,15 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     key = 2 * np.arange(n)
 
     def settle(idx, mean):
-        vals[idx] = np.where(np.abs(mean.imag) <= tol, mean.real, mean)
+        vals[idx] = np.where(np.abs(mean.imag) <= tol[idx], mean.real, mean)
 
     # the group's label is its smallest member, which seeds it; np.mean
     # sums from +0, and 0.0 + x reproduces that for the signed zeros
     j = np.flatnonzero((size == 2) & (group != np.arange(n)))
     i = group[j]
     seed = 0.0 + vals[i]
-    merged = np.abs(vals[j] - vals[i]) <= tol
-    partner = ~merged & (np.abs(seed.imag) > tol) & (np.abs(vals[j] - seed.conj()) <= tol)
+    merged = np.abs(vals[j] - vals[i]) <= tol[i]
+    partner = ~merged & (np.abs(seed.imag) > tol[i]) & (np.abs(vals[j] - seed.conj()) <= tol[i])
     alone = ~(merged | partner)
     key[j[merged]], key[j[partner]] = key[i[merged]], key[i[partner]] + 1
     mean = (seed[merged] + vals[j[merged]]) / 2
@@ -430,19 +459,19 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
 
     for root in np.unique(group[size > 2]):
         idx = np.flatnonzero(group == root)
-        v, free = vals[idx], np.ones(idx.size, dtype=bool)
+        v, free, t = vals[idx], np.ones(idx.size, dtype=bool), tol[root]
         for p in range(idx.size):
             if not free[p]:
                 continue
-            members = free & (np.abs(v - v[p]) <= tol)
+            members = free & (np.abs(v - v[p]) <= t)
             mean = v[members].mean()
             free &= ~members
             key[idx[members]] = 2 * idx[p]
-            if abs(mean.imag) <= tol:
+            if abs(mean.imag) <= t:
                 v[members] = mean.real
                 continue
             v[members] = mean
-            partners = free & (np.abs(v - mean.conjugate()) <= tol)
+            partners = free & (np.abs(v - mean.conjugate()) <= t)
             free &= ~partners
             key[idx[partners]] = 2 * idx[p] + 1
             v[partners] = mean.conjugate()
@@ -450,11 +479,13 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _cluster_sort(n: int, entries, vals: np.ndarray, blocks):
+def _cluster_sort(n: int, entries, vals: np.ndarray, blocks, starts=(0,)):
     """Unit right vectors, complex-plane cluster means and the sort.
 
-    Returns the sorted vals, the permuted blocks, the cluster labels and
-    the permutation applied, for arrays paired with the input columns.
+    starts[p] is the first index of grid point p (see _stack_entries); the
+    tolerance, the clusters and the sort are each point's own.  Returns
+    the sorted vals, the permuted blocks, the cluster labels and the
+    permutation applied, for arrays paired with the input columns.
     """
     # a defective eigenvalue splits by O(sqrt(eps ||L||)) in double
     # precision; clustering just above that scale lets the cluster mean
@@ -464,51 +495,78 @@ def _cluster_sort(n: int, entries, vals: np.ndarray, blocks):
     # by at most sqrt(1.6) = 1.27x); both sums run over the entries in
     # row-major order
     rows, cols, values = entries
+    starts = np.asarray(starts)
     mag = np.abs(values)
-    norm_bound = np.sqrt(np.bincount(cols, mag, n).max() * np.bincount(rows, mag, n).max())
-    tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
+    norm_bound = np.sqrt(np.maximum.reduceat(np.bincount(cols, mag, n), starts)
+                         * np.maximum.reduceat(np.bincount(rows, mag, n), starts))
+    tol = np.maximum(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     # clustering before the sort matters: rounding of L interleaves exactly
     # degenerate eigenvalues in (|Re|, Im) order.  Only neighbour groups of
     # three or more, found on a grid of cells, run the rule one by one.
-    labels = _cluster_labels(vals, tol)
+    point = _points(starts, n)
+    labels = _cluster_labels(vals, tol[point], point)
     _unit_columns(blocks)
-    order = _sort_indices(np.abs(vals.real), vals.imag, blocks)
+    order = _sort_indices(np.abs(vals.real), vals.imag, blocks, point)
     return vals[order], _permute(blocks, order), labels[order], order
 
 
-def _zero_sector(vals: np.ndarray, blocks, zero_tol: float):
-    """Zero mask, orthonormal zero-sector basis q, its rank, and the blocks
-    with q in place of the zero-sector columns.
+def _zero_sector(vals: np.ndarray, blocks, zero_tol: float, starts=(0,)):
+    """Zero mask, the blocks with each point's orthonormal zero-sector
+    basis q in place of its zero-sector columns, and per grid point the
+    dense zero block (n_p x z_p) and its q.
 
     The sector is guaranteed diagonalizable, so its span is an invariant
     subspace.  q is taken on the dense columns of the whole sector, and
     can reach rows outside the blocks of its columns (on a closed example3
     it does, by up to 1e-8): those blocks are then merged with the blocks
     it reaches, so that no entry is cut off.  Exact zeros outside a block
-    are stored as +0.0 whatever their sign.
+    are stored as +0.0 whatever their sign.  The points whose zero blocks
+    have one shape take one stacked QR.
     """
+    n, starts = vals.size, np.asarray(starts)
     zero_mask = np.abs(vals) <= zero_tol
-    if not zero_mask.any():
-        raise SpectralError(f"not a Liouvillian: no eigenvalue within zero_tol = {zero_tol:.2e}")
+    count = np.add.reduceat(zero_mask, starts)
+    if not count.all():
+        exc = SpectralError(f"not a Liouvillian: no eigenvalue within zero_tol = {zero_tol:.2e}")
+        exc.point = int(np.argmin(count))
+        raise exc
     zero = np.flatnonzero(zero_mask)
-    held = _find(blocks, zero)
-    zblock = np.zeros((vals.size, zero.size), dtype=complex)
-    for s, t, u, j in held:
-        r, _, v = blocks[s]
-        zblock[r[t], j[:, None]] = v[t, :, u]
-    svals = np.linalg.svd(zblock, compute_uv=False)
-    q, _ = np.linalg.qr(zblock)
+    size = np.diff(starts, append=n)
+    # point p's zero block is flat[base[p]:] in C order, the blocks of one
+    # shape (key) next to each other, and zero column j is its column zcol[j]
+    key, shape = np.unique(size * (n + 1) + count, return_inverse=True)
+    area = size * count
+    by_shape = np.argsort(shape, kind="stable")
+    base = np.empty_like(area)
+    base[by_shape] = np.cumsum(area[by_shape]) - area[by_shape]
+    zpoint = _points(starts, n)[zero]
+    zfirst = np.cumsum(count) - count
+    zcol = np.arange(zero.size) - zfirst[zpoint]
+
+    def place(j, rows):
+        p = zpoint[j]
+        return base[p] + (rows - starts[p]) * count[p] + zcol[j]
+
+    j, rows, v = _columns(blocks, zero)
+    flat = np.zeros(area.sum(), dtype=complex)
+    flat[place(j, rows)] = v
+    q, at = np.empty_like(flat), 0
+    for m, z, span in zip(*np.divmod(key, n + 1), np.bincount(shape, area).astype(int)):
+        q[at:at + span] = np.linalg.qr(flat[at:at + span].reshape(-1, m, z))[0].ravel()
+        at += span
     outside = q != 0
-    for s, t, _, j in held:
-        outside[blocks[s][0][t], j[:, None]] = False
+    outside[place(j, rows)] = False
     if outside.any():
-        row, col = np.nonzero(outside)
-        blocks = _merge(blocks, row, zero[col])
-        held = _find(blocks, zero)
-    for s, t, u, j in held:
+        f = np.flatnonzero(outside)
+        p = by_shape[np.searchsorted(base[by_shape], f, side="right") - 1]
+        r, c = np.divmod(f - base[p], count[p])
+        blocks = _merge(blocks, starts[p] + r, zero[zfirst[p] + c])
+    for s, t, u, j in _find(blocks, zero):
         r, _, v = blocks[s]
-        v[t, :, u] = q[r[t], j[:, None]]
-    return zero_mask, q, int(np.sum(svals > 1e-8 * svals[0])), blocks
+        v[t, :, u] = q[place(j[:, None], r[t])]
+    return (zero_mask, blocks,
+            *([x[base[p]:base[p] + area[p]].reshape(size[p], count[p]) for p in range(starts.size)]
+              for x in (flat, q)))
 
 
 def _check_trace_row(liou: SuperOp) -> None:
@@ -517,6 +575,88 @@ def _check_trace_row(liou: SuperOp) -> None:
         raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = "
                             f"{np.linalg.norm(trace_row(liou)):.2e} exceeds 1e-12 |L|_F = "
                             f"{1e-12 * np.linalg.norm(liou.entries[2]):.2e}")
+
+
+# ---------------------------------------------------------------------------
+# grids
+# ---------------------------------------------------------------------------
+#
+# The eigensystems of several matrices, one per grid point, are solved as
+# one: the block-diagonal matrix diag(M_1, ..., M_P) has every point's
+# sectors as its sectors, so each sector size takes one stacked eig for
+# the whole grid.  Point p owns indices starts[p] .. starts[p + 1] - 1, the
+# stages above keep each point's tolerance, clusters, order and zero
+# sector its own, and _split returns what each point alone would give.
+
+def _each_point(fn, items) -> list:
+    """[fn(x) for x in items]; an exception raised for items[k] leaves
+    with its point attribute set to k, which sweep reads to name the grid
+    index."""
+    out = []
+    for k, x in enumerate(items):
+        try:
+            out.append(fn(x))
+        except Exception as exc:
+            exc.point = k
+            raise
+    return out
+
+
+def _points(starts: np.ndarray, n: int) -> np.ndarray:
+    """The grid point of each of the n indices."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+
+
+def _stack_entries(lists, sizes):
+    """The coordinate lists of the block-diagonal matrix of the matrices
+    with lists (rows, cols, values) and the given sizes, and the first
+    index of each."""
+    starts = np.cumsum(sizes, dtype=np.intp) - sizes
+    parts = [(r + s, c + s, v) for (r, c, v), s in zip(lists, starts)]
+    return tuple(np.concatenate(x) for x in zip(*parts)), starts
+
+
+def _grid_eig(n: int, entries, starts):
+    """_block_eig of the stacked lists; a non-finite entry's error names
+    the first point that holds one."""
+    try:
+        return _block_eig(n, entries)
+    except ValueError as exc:
+        bad = np.flatnonzero(~np.isfinite(entries[2]))
+        if bad.size:
+            exc.point = int(np.searchsorted(starts, entries[0][bad[0]], side="right") - 1)
+        raise
+
+
+def _split(vals: np.ndarray, blocks, zero_mask: np.ndarray, starts) -> tuple:
+    """One Eigensystem per grid point, its rows and columns numbered from
+    0.  Every stack lists its blocks point by point, so each point takes a
+    slice of each stack."""
+    ends = np.append(starts[1:], vals.size)
+    per = [[] for _ in starts]
+    for r, c, v in blocks:
+        cut = np.searchsorted(r[:, 0], np.append(0, ends))
+        for p in np.flatnonzero(np.diff(cut)):
+            lo, hi = cut[p], cut[p + 1]
+            per[p].append((r[lo:hi] - starts[p], c[lo:hi] - starts[p], v[lo:hi]))
+    return tuple(Eigensystem(vals[a:b], tuple(bl), zero_mask[a:b])
+                 for a, b, bl in zip(starts, ends, per))
+
+
+def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
+    """liouvillian_eigensystem of each generator, all solved as one (see
+    "grids"); each result is bit for bit that of its generator alone.  An
+    exception raised for generator k carries point = k."""
+    _each_point(_check_trace_row, lious)
+    entries, starts = _stack_entries([liou.entries for liou in lious],
+                                     [liou.dim ** 2 for liou in lious])
+    n = starts[-1] + lious[-1].dim ** 2
+    vals, blocks = _grid_eig(n, entries, starts)
+    vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
+    zero_mask, blocks, _, _ = _zero_sector(vals, blocks, zero_tol, starts)
+    for _, _, v in blocks:
+        _canonical_phase(v, out=v)
+    return _split(vals, blocks, zero_mask, starts)
 
 
 def liouvillian_eigensystem(liou: SuperOp,
@@ -528,14 +668,7 @@ def liouvillian_eigensystem(liou: SuperOp,
     canonical phase.  Raises SpectralError when the trace row does not
     vanish or no eigenvalue lies within zero_tol.
     """
-    _check_trace_row(liou)
-    n = liou.dim ** 2
-    vals, blocks = _block_eig(n, liou.entries)
-    vals, blocks, _, _ = _cluster_sort(n, liou.entries, vals, blocks)
-    zero_mask, _, _, blocks = _zero_sector(vals, blocks, zero_tol)
-    for _, _, v in blocks:
-        _canonical_phase(v, out=v)
-    return Eigensystem(vals, tuple(blocks), zero_mask)
+    return liouvillian_eigensystems([liou], zero_tol)[0]
 
 
 def analyze_liouvillian(liou: SuperOp,
@@ -558,7 +691,9 @@ def analyze_liouvillian(liou: SuperOp,
     _unit_columns(lblocks)
     lvecs = _scatter(_permute(lblocks, order))
     sizes = np.bincount(labels)
-    zero_mask, q, zero_rank, blocks = _zero_sector(vals, blocks, zero_tol)
+    zero_mask, blocks, (zblock,), (q,) = _zero_sector(vals, blocks, zero_tol)
+    svals = np.linalg.svd(zblock, compute_uv=False)
+    zero_rank = int(np.sum(svals > 1e-8 * svals[0]))
     vecs = _scatter(blocks)
     # q's own bits, signed zeros off the sector blocks included
     vecs[:, zero_mask] = q
@@ -646,17 +781,26 @@ class NhhSpectrum:
         return np.outer(self.eigenvectors[:, l], self.eigenvectors[:, m].conj())
 
 
-def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
-    """Eigenvalues and unit right eigenvectors of H_eff, sorted by (|Im h|, Re h),
-    in canonical phase; the zero mask is empty."""
-    n = mat.shape[0]
-    vals, blocks = _block_eig(n, _dense_entries(mat))
+def nhh_eigensystems(mats) -> tuple:
+    """nhh_eigensystem of each matrix, all solved as one (see "grids");
+    each result is bit for bit that of its matrix alone.  An exception
+    raised for matrix k carries point = k."""
+    entries, starts = _stack_entries(_each_point(_dense_entries, mats),
+                                     [np.shape(mat)[0] for mat in mats])
+    n = starts[-1] + np.shape(mats[-1])[0]
+    vals, blocks = _grid_eig(n, entries, starts)
     _unit_columns(blocks)
-    order = _sort_indices(np.abs(vals.imag), vals.real, blocks)
+    order = _sort_indices(np.abs(vals.imag), vals.real, blocks, _points(starts, n))
     blocks = _permute(blocks, order)
     for _, _, v in blocks:
         _canonical_phase(v, out=v)
-    return Eigensystem(vals[order], tuple(blocks), np.zeros(n, dtype=bool))
+    return _split(vals[order], blocks, np.zeros(n, dtype=bool), starts)
+
+
+def nhh_eigensystem(mat: np.ndarray) -> Eigensystem:
+    """Eigenvalues and unit right eigenvectors of H_eff, sorted by (|Im h|, Re h),
+    in canonical phase; the zero mask is empty."""
+    return nhh_eigensystems([mat])[0]
 
 
 def analyze_nhh(heff: Operator) -> NhhSpectrum:

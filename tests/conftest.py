@@ -21,17 +21,19 @@ def assert_multiset_close(actual, expected, tol):
         actual.pop(k)
 
 
-def assert_one_eig_per_sector(calls, mat, left):
-    """calls, one (left, size) per eig, cover mat's sectors once: every call
-    asks for left vectors exactly when left is set, each is of size >= 2,
-    and the sizes sum to n minus the indices with no off-diagonal entry in
-    their row or column (the 1x1 sectors, which take no eig)."""
-    off = np.asarray(mat) != 0
-    np.fill_diagonal(off, False)
-    isolated = int(np.sum(~(off.any(axis=0) | off.any(axis=1))))
+def assert_one_eig_per_sector(calls, mats, left):
+    """calls, one (left, size) per matrix solved by eig, cover the sectors
+    of mats (one matrix, or a list of them: the points of a grid) once
+    each: every call asks for left vectors exactly when left is set, and
+    the sizes are those of the sectors of size >= 2, labelled here by
+    scipy's connected_components on the nonzero entries (a 1x1 sector
+    takes no eig)."""
+    sizes = []
+    for mat in ([mats] if np.ndim(mats) == 2 else mats):
+        _, comp = connected_components(coo_matrix(np.asarray(mat) != 0), directed=False)
+        sizes += [int(b) for b in np.bincount(comp) if b >= 2]
     assert [l for l, _ in calls] == [left] * len(calls)
-    assert all(size >= 2 for _, size in calls)
-    assert sum(size for _, size in calls) == off.shape[0] - isolated
+    assert sorted(size for _, size in calls) == sorted(sizes)
 
 
 def assert_overlap_rows(i, j, ovl, system):
@@ -81,16 +83,25 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class EigCalls(list):
+    """One (left, size) per matrix solved, and the number of calls."""
+    invocations = 0
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """np.linalg.eig and scipy.linalg.eig, the two entry points of
-    lioueps.spectral._block_eig, recording for each call whether left
-    vectors were asked for and the matrix size."""
-    calls = []
+    lioueps.spectral._block_eig, recording for each matrix solved (every
+    matrix of a stacked call) whether left vectors were asked for and its
+    size a.shape[-1], and counting the calls."""
+    calls = EigCalls()
 
     def counting(eig):
         def counting_eig(a, *args, **kwargs):
-            calls.append((bool(kwargs.get("left", len(args) > 1 and args[1])), len(a)))
+            shape = np.shape(a)
+            left = bool(kwargs.get("left", len(args) > 1 and args[1]))
+            calls.extend([(left, shape[-1])] * int(np.prod(shape[:-2])))
+            calls.invocations += 1
             return eig(a, *args, **kwargs)
         return counting_eig
 

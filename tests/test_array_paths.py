@@ -12,10 +12,13 @@ and tie-heavy overlap matrices, and Delta stacks with exact zeros.
 The dense pipeline that the sector blocks replace is kept here as well:
 the kron-sum L, sectors labelled on np.nonzero of the dense L, and the
 column norms, sort, zero-sector QR, phase and support overlaps over the
-n x n vector array.
+n x n vector array.  So is the per-point path that whole-grid solves
+replace: every grid point solved alone, and the branch tracker as the
+dense greedy rule on the n x n vector arrays, point after point.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,13 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lioueps.ep_detect import (SweepResult, _candidates, _greedy_assignment, support_overlaps,
-                               sweep)
-from lioueps.models import dephasing, example3, get_family
+from lioueps.errors import ModelBuildError, SpectralError
+from lioueps.ep_detect import (Eigensystem, SpectrumFamily, SweepResult, _candidates,
+                               _greedy_assignment, _same_block, _track, overlap_matrix,
+                               support_overlaps, sweep)
+from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
 from lioueps.spectral import (_as_blocks, _block_eig, _cluster_labels, _cluster_sort,
                               _components, _scatter, _sort_indices, liouvillian_eigensystem,
-                              nhh_eigensystem)
+                              liouvillian_eigensystems, nhh_eigensystem, nhh_eigensystems)
 from lioueps.superop import SuperOp, _generator, assemble_liouvillian, effective_hamiltonian
 
 from conftest import random_lindblad_model
@@ -95,6 +100,17 @@ def reference_greedy(prev_vecs, cur_vecs):
         work[i, :] = -1.0
         work[:, j] = -1.0
     return perm, quality
+
+
+def reference_track(systems):
+    """The branch order of sweep: the greedy loop on the dense vectors of
+    each point, its rows in the branch order of the point before."""
+    perms, quality = [np.arange(systems[0].size)], []
+    for prev, cur in zip(systems, systems[1:]):
+        perm, q = reference_greedy(prev.vectors[:, perms[-1]], cur.vectors)
+        perms.append(perm)
+        quality.append(q)
+    return perms, quality
 
 
 def reference_parabola_root(x, y):
@@ -374,7 +390,7 @@ def test_greedy_assignment_equals_the_argmax_loop(inputs):
 
 def test_greedy_assignment_on_a_sweep_step():
     family = get_family("example3", levels=3).liouvillian_family("g")
-    a, b = family.eigensystem(0.1), family.eigensystem(0.1 + 0.2 / 32)
+    a, b = family.eigensystem(np.array([0.1, 0.1 + 0.2 / 32]))
     for prev in (a.vectors, a.vectors[:, [7, 8]], a.vectors[:, [40, 3]]):
         for got, want in zip(_greedy_assignment(prev, b.vectors), reference_greedy(prev, b.vectors)):
             assert bits(got) == bits(want)
@@ -550,7 +566,7 @@ def test_eigensystem_and_overlaps_stay_within_the_sector_blocks():
     family = get_family("example3", levels=6).liouvillian_family()
     tracemalloc.start()
     try:
-        support_overlaps(family.eigensystem(0.1))
+        support_overlaps(family.eigensystem(np.array([0.1]))[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -600,3 +616,235 @@ def test_dense_superop_lists_every_entry_but_positive_zeros():
     want_vals, want_vecs, _ = reference_block_eig(mat)
     assert bits(got_vals) == bits(want_vals)
     assert bits(_scatter(blocks)) == bits(want_vecs)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid solves against each point alone
+# ---------------------------------------------------------------------------
+
+def assert_same_system(got, want):
+    """Values, zero mask and every stored block (rows, columns, vectors)
+    bit for bit, blocks in the same order."""
+    assert bits(got.values) == bits(want.values)
+    assert bits(got.zero_mask) == bits(want.zero_mask)
+    assert len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        for x, y in zip(a, b):
+            assert bits(x) == bits(y)
+
+
+def assert_grid_equals_each_point(family, grid):
+    systems = family.eigensystem(np.asarray(grid))
+    assert len(systems) == len(grid)
+    for g, system in zip(grid, systems):
+        assert_same_system(system, family.eigensystem(np.array([g]))[0])
+    return systems
+
+
+GRIDS = {"example1": np.linspace(0.0, 4.0, 9), "example2": np.linspace(0.5, 5.0, 10),
+         "example3": np.linspace(0.0, 0.25, 9), "dephasing": np.linspace(0.5, 1.5, 5)}
+
+
+@pytest.mark.parametrize("operator", ["liouvillian", "nhh"])
+@pytest.mark.parametrize("name", family_names())
+def test_grid_eigensystems_equal_each_point(name, operator):
+    """Every bundled family on a grid through its EPs (and g = 0 for
+    example3): one call for the grid gives each point's eigensystem."""
+    family = get_family(name)
+    spec = family.nhh_family() if operator == "nhh" else family.liouvillian_family()
+    assert_grid_equals_each_point(spec, GRIDS[name])
+
+
+@pytest.mark.parametrize("operator", ["liouvillian", "nhh"])
+def test_grid_eigensystems_where_the_sectors_change(operator):
+    """example3 levels=3 through g = 0, where the sectors split: a sector
+    size that only g = 0 has is stacked with no other point's."""
+    family = get_family("example3", levels=3)
+    spec = family.nhh_family() if operator == "nhh" else family.liouvillian_family()
+    systems = assert_grid_equals_each_point(spec, np.linspace(-0.1, 0.1, 5))
+    shapes = [sorted(v.shape[1:] for _, _, v in s.blocks) for s in systems]
+    assert shapes[2] != shapes[0] == shapes[1] == shapes[3] == shapes[4]
+
+
+def test_grid_eigensystems_of_a_closed_model():
+    """Zero rates: the zero-sector basis of every point but g = 0 reaches
+    other sectors, so blocks are merged, and g = 0 (a diagonal L) has more
+    zero columns than the rest, so its zero block has a shape of its own."""
+    family = get_family("example3", levels=3, gamma_a=0.0, gamma_b=0.0).liouvillian_family()
+    systems = assert_grid_equals_each_point(family, np.linspace(-0.1, 0.2, 4))
+    assert systems[1].zero_mask.sum() > systems[0].zero_mask.sum()
+
+
+def test_grid_keeps_each_points_tolerance_and_clusters():
+    """The cluster tolerance grows with ||L||: at omega = 1e-6 the pair
+    -0.7 +- 1e-6 i stays two values of a conjugate pair, at omega = 1e4
+    the tolerance (6e-6) would make it one real value.  Repeated points
+    have equal values, which must not form clusters across points (the
+    mean of three copies of -0.7 is not -0.7)."""
+    small = assemble_liouvillian(dephasing(1e-6, 1.4, 2))
+    lious = [small, assemble_liouvillian(dephasing(1e4, 1.4, 2)), small, small]
+    for got, liou in zip(liouvillian_eigensystems(lious), lious):
+        assert_same_system(got, liouvillian_eigensystem(liou))
+    assert np.abs(liouvillian_eigensystem(small).values.imag).max() == 1e-6
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4))
+def test_grid_eigensystems_of_random_models(seed, points):
+    """Random models of different sizes, solved as one grid, against each
+    alone: the Liouvillians and the effective Hamiltonians.  The first
+    model comes twice."""
+    rng = np.random.default_rng(seed)
+    models = [random_lindblad_model(rng) for _ in range(points)]
+    models.append(models[0])
+    lious = [assemble_liouvillian(m) for m in models]
+    for got, liou in zip(liouvillian_eigensystems(lious), lious):
+        assert_same_system(got, liouvillian_eigensystem(liou))
+    heffs = [effective_hamiltonian(m).matrix for m in models]
+    for got, heff in zip(nhh_eigensystems(heffs), heffs):
+        assert_same_system(got, nhh_eigensystem(heff))
+
+
+def test_a_failing_point_names_its_grid_index():
+    """An error raised for one grid point carries its index, from the
+    model build, the trace row, the zero sector and the eig."""
+    grid = np.array([1.0, 0.0, -1.0])
+    with pytest.raises(ModelBuildError, match=re.escape(f"(at grid index 2, gamma_minus={grid[2]!r})")):
+        sweep(get_family("example2").liouvillian_family(), grid)
+
+    ok = assemble_liouvillian(get_family("example2").build())
+    exact = assemble_liouvillian(dephasing(1.0, 1.0, 2))
+    bent = SuperOp(ok.space, ok.matrix + np.diag([0.0, 0.0, 0.0, 0.5]))
+    nan = np.array([[1.0, np.nan], [0.0, 2.0]])
+    grid = np.arange(3.0)
+    for solve, items, error, text, bad in [
+            (liouvillian_eigensystems, [ok, ok, bent], SpectralError, "trace row", 2),
+            (lambda ops: liouvillian_eigensystems(ops, zero_tol=0.0), [exact, ok, exact],
+             SpectralError, "zero_tol", 1),
+            (nhh_eigensystems, [np.eye(2), nan, nan], ValueError, "infs or NaNs", 1)]:
+        spec = SpectrumFamily("k", lambda values: solve([items[int(v)] for v in values]),
+                              lambda value: items[int(value)])
+        with pytest.raises(error, match=text + ".*" + re.escape(
+                f"(at grid index {bad}, k={grid[bad]!r})")):
+            sweep(spec, grid)
+
+
+# ---------------------------------------------------------------------------
+# the block tracker against the dense greedy rule
+# ---------------------------------------------------------------------------
+
+@st.composite
+def block_systems(draw):
+    """Eigensystems of a few grid points whose vectors live on random
+    sector blocks, the same at every point or drawn per point, with
+    entries in {0, +-1/2, +-i/2, +-1}: every overlap is exact, so the
+    block and the dense products agree bit for bit, and equal overlaps
+    (ties in a row, in a column, and exact zeros) are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, points = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    fixed = draw(st.booleans())
+    entries = np.array([0, 0.5, -0.5, 0.5j, -0.5j, 1])
+
+    def sectors():
+        rows = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, rng.integers(0, 4)),
+                                  replace=False))
+        return [np.sort(part) for part in np.split(rows, cuts)]
+
+    layout = sectors()
+    systems = []
+    for _ in range(points):
+        parts = layout if fixed else sectors()
+        cols = rng.permutation(n)
+        blocks, at = [], 0
+        for rows in parts:
+            c = cols[at:at + rows.size]
+            at += rows.size
+            v = entries[rng.integers(0, entries.size, (rows.size, rows.size))]
+            blocks.append((rows[None], c[None], v[None]))
+        if draw(st.booleans()):
+            # blocks of one shape as one stack, as the eigensolver stores them
+            by_shape = {}
+            for r, c, v in blocks:
+                by_shape.setdefault(v.shape, []).append((r, c, v))
+            blocks = [tuple(np.concatenate(x) for x in zip(*group)) for group in by_shape.values()]
+        systems.append(Eigensystem(np.zeros(n, dtype=complex), tuple(blocks),
+                                   np.zeros(n, dtype=bool)))
+    return systems
+
+
+@ORACLE
+@given(systems=block_systems())
+def test_track_equals_the_dense_greedy_loop(systems):
+    perms, quality, breaks = _track(systems)
+    want, overlaps = reference_track(systems)
+    for got, ref in zip(perms, want):
+        assert bits(np.asarray(got, dtype=int)) == bits(np.asarray(ref, dtype=int))
+    assert bits(quality) == bits(np.array([q.min() for q in overlaps]))
+    assert breaks == tuple((k, int(i)) for k, q in enumerate(overlaps)
+                           for i in np.flatnonzero(q < 0.5))
+
+
+@pytest.mark.parametrize("name, fixed, operator, grid", [
+    ("example2", {}, "liouvillian", np.linspace(0.5, 5.0, 41)),
+    ("example2", {}, "nhh", np.linspace(0.5, 5.0, 41)),
+    ("example1", {}, "liouvillian", np.linspace(0.0, 4.0, 41)),
+    ("example3", {"levels": 3}, "liouvillian", np.linspace(0.0, 0.3, 41)),
+    ("example3", {"levels": 3}, "nhh", np.linspace(0.0, 0.3, 41)),
+    ("example3", {"levels": 3, "gamma_a": 0.0, "gamma_b": 0.0}, "liouvillian",
+     np.linspace(0.0, 0.3, 21)),
+], ids=["example2", "example2-nhh", "example1", "example3-l3", "example3-l3-nhh",
+        "example3-l3-closed"])
+def test_sweep_branch_order_equals_the_dense_tracker(name, fixed, operator, grid):
+    """The branch order of sweep, and so every branch_id it writes, is the
+    dense tracker's on these sweeps.  The block overlaps differ from the
+    dense product in the last bit, which decides only near-ties: the
+    example2 Liouvillian sweep has one at 3.9875 -> 4.1, where a conjugate
+    pair leaves the real axis."""
+    family = get_family(name, **fixed)
+    spec = family.nhh_family() if operator == "nhh" else family.liouvillian_family()
+    res = sweep(spec, grid)
+    raw = spec.eigensystem(grid)
+    want, overlaps = reference_track(raw)
+    for k, (system, perm) in enumerate(zip(raw, want)):
+        assert bits(res.eigenvalues[k]) == bits(system.values[perm])
+        assert bits(res.systems[k].vectors) == bits(system.vectors[:, perm])
+    np.testing.assert_allclose(res.matching_quality, [q.min() for q in overlaps], rtol=1e-14)
+
+
+def test_sweep_holds_no_dense_vectors():
+    """A 5-point example3 levels=6 sweep (n = 1296) keeps every point in
+    its sector blocks: its peak stays below half of one n x n complex
+    array per grid point."""
+    family = get_family("example3", levels=6).liouvillian_family()
+    tracemalloc.start()
+    try:
+        sweep(family, np.linspace(0.05, 0.15, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1296 * 1296 * 16 // 2
+
+
+def test_candidate_pairs_share_a_sector_block():
+    """example3 levels=3 on a bracket of width 0.2 centred on its EP (the
+    ep-locate-l3 benchmark config at seed 0): a pair of branches that
+    never shares a stored block has overlap exactly 0 at every grid point,
+    and the candidate scan over the pairs that do is the full scan
+    without the others (3,160 pairs -> 495, 939 cells -> 628)."""
+    omega, gamma_a, gamma_b = 1.065791612069049, 1.0099521614821052, 0.3915108573095691
+    family = get_family("example3", levels=3, omega=omega, gamma_a=gamma_a, gamma_b=gamma_b)
+    lo = (gamma_a - gamma_b) / 4 - 0.1
+    res = sweep(family.liouvillian_family(), np.linspace(lo, lo + 0.2, 33))
+    same = _same_block(res.systems)
+    for system in res.systems:
+        assert np.all(overlap_matrix(system)[~same] == 0)
+    steady = res.zero_mask.any(axis=0)
+    free = np.triu(~(steady[:, None] | steady[None, :]), 1)
+    bi, bj = np.nonzero(free)
+    si, sj = np.nonzero(free & same)
+    everything = _candidates(res, bi, bj)
+    kept = _candidates(res, si, sj)
+    assert kept == [c for c in everything if same[c[0], c[1]]]
+    assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 939, 628)
+    assert kept[0] == everything[0] == (1, 6, 16)

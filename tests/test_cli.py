@@ -414,7 +414,7 @@ class TestCliRuns:
         [(i, j, ovl)] = overlap_rows(tmp_path / "spec_overlaps.csv", [1.0])
         assert i.size == 0
         family = get_family("dephasing", omega=1.0, gamma=1.0, levels=3)
-        assert_overlap_rows(i, j, ovl, family.liouvillian_family().eigensystem(1.0))
+        assert_overlap_rows(i, j, ovl, family.liouvillian_family().eigensystem(np.array([1.0]))[0])
 
     def test_float_formatting_has_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -873,7 +873,7 @@ class TestOverlapRule:
         spec = (family.nhh_family() if operator == "nhh" else family.liouvillian_family())
         value = family.params[spec.param_name]
         [(i, j, ovl)] = overlap_rows(tmp_path / "fam_overlaps.csv", [value])
-        assert_overlap_rows(i, j, ovl, spec.eigensystem(value))
+        assert_overlap_rows(i, j, ovl, spec.eigensystem(np.array([value]))[0])
 
     def test_sweep_through_zero_coupling(self, tmp_path):
         # at g = 0 the two modes decouple and the sectors split further, so

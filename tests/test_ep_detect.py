@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -37,7 +36,7 @@ def constant_family(mat):
     vals, vecs = np.linalg.eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     system = Eigensystem(vals, vecs, np.zeros(len(vals), dtype=bool))
-    return SpectrumFamily("p", lambda g: system, lambda g: mat)
+    return SpectrumFamily("p", lambda values: [system] * len(values), lambda g: mat)
 
 
 class TestSweep:
@@ -266,21 +265,16 @@ class TestOneFactorisation:
         assert len(calls) <= 3, calls
 
     def test_sweep_takes_one_right_only_eig_per_point(self, eig_calls):
-        # one right-only eig per sector of size >= 2 at every grid point
-        grid = np.linspace(0.05, 0.25, 7)
-        family = get_family("example3", levels=2).liouvillian_family()
-        per_point = []
-
-        def eigensystem(g):
-            eig_calls.clear()
-            system = family.eigensystem(g)
-            per_point.append(list(eig_calls))
-            return system
-
-        sweep(dataclasses.replace(family, eigensystem=eigensystem), grid)
-        assert len(per_point) == grid.size
-        for g, calls in zip(grid, per_point):
-            assert_one_eig_per_sector(calls, family.matrix(g), left=False)
+        # one right-only eig per sector of size >= 2 at every grid point, in
+        # one stacked call per sector size for the whole grid; the second
+        # grid passes g = 0, where the sectors split
+        for levels, grid in [(2, np.linspace(0.05, 0.25, 7)), (3, np.linspace(-0.1, 0.1, 9))]:
+            del eig_calls[:]
+            eig_calls.invocations = 0
+            family = get_family("example3", levels=levels).liouvillian_family()
+            sweep(family, grid)
+            assert_one_eig_per_sector(eig_calls, [family.matrix(g) for g in grid], left=False)
+            assert eig_calls.invocations == len({size for _, size in eig_calls})
 
     def test_spectrum_takes_one_right_only_eig(self, eig_calls, tmp_path):
         cfg = tmp_path / "spec.json"

@@ -29,16 +29,16 @@ def touching_pair_family():
         order = np.lexsort((vals.real, np.abs(vals.imag)))
         return Eigensystem(vals[order], vecs[:, order], np.zeros(2, dtype=bool))
 
-    return SpectrumFamily("g", eigensystem, matrix)
+    return SpectrumFamily("g", lambda values: [eigensystem(g) for g in values], matrix)
 
 
 def counting(family):
-    """The family with its eigensystem calls counted in the returned list."""
+    """The family with the grid values it solves listed in the returned list."""
     calls = []
 
-    def eigensystem(g):
-        calls.append(g)
-        return family.eigensystem(g)
+    def eigensystem(values):
+        calls.extend(values)
+        return family.eigensystem(values)
 
     return SpectrumFamily(family.param_name, eigensystem, family.matrix,
                           family.space), calls
