@@ -39,6 +39,7 @@ from .superop import (
     vectorize,
 )
 from .spectral import (
+    Eigensystem,
     LemmaReport,
     NhhSpectrum,
     Spectrum,

@@ -398,9 +398,9 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
     """
     n = systems[0].size
     grid = np.asarray(grid, dtype=float)
-    order = [np.lexsort((np.arange(n), s.values.imag, np.abs(s.values.real)))
+    order = [np.lexsort((np.arange(n), s.eigenvalues.imag, np.abs(s.eigenvalues.real)))
              for s in systems]
-    vals = np.concatenate([s.values[o] for s, o in zip(systems, order)])
+    vals = np.concatenate([s.eigenvalues[o] for s, o in zip(systems, order)])
     eig_path = f"{prefix}_eigenvalues.csv"
     _write_csv(cfg, eig_path, ["param", "index", "re_lambda", "im_lambda", "branch_id"],
                [[np.repeat(grid, n), np.tile(np.arange(n), grid.size),

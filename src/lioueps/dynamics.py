@@ -109,8 +109,7 @@ def propagate_modes(spectrum: Spectrum, rho0: Operator, times) -> Propagation:
             "use propagate_expm near EP")
     phases = np.exp(np.outer(spectrum.eigenvalues, times))
     coeffs = weights[:, None] * phases
-    states = np.einsum("ik,ijl->kjl", coeffs,
-                       spectrum.right_mats.reshape(len(weights), spectrum.dim, spectrum.dim))
+    states = np.einsum("ik,ijl->kjl", coeffs, spectrum.right_mats)
     if _is_density(rho0):
         # unit-norm rho_i: rounding scales with sum_i |c_i exp(lambda_i t)|
         _validate_density_track(states, times, np.maximum(np.abs(coeffs).sum(axis=0), 1.0))

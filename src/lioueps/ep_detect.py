@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import HilbertSpace, Operator
-from .spectral import (Eigensystem, Spectrum, _as_blocks, _canonical_phase, _components,
-                       _permute)
+from .spectral import Eigensystem, _canonical_phase, _components, _permute
 from .superop import SuperOp
 
 DEFAULT_RANK_TOL = 1e-8
@@ -88,11 +87,12 @@ class SweepResult:
     continuation_breaks: tuple[tuple[int, int], ...]
 
 
-def support_overlaps(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, |<v_i|v_j>|) for the column pairs i < j that share support.
+def support_overlaps(system: Eigensystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |<v_i|v_j>|) for the vector pairs i < j that share support.
 
-    vectors is an Eigensystem, read one stored sector block at a time, or
-    a dense array, read as one block.  Columns of different blocks have
+    The vectors are read one stored sector block at a time: the sectors of
+    liouvillian_eigensystem, the excitation blocks of an NhhSpectrum, the
+    one dense block of a Spectrum.  Columns of different blocks have
     disjoint supports.  Inside a block the columns fall into the
     connected components of the bipartite support graph: entry r joins
     column c wherever v[r, c] != 0.  Two columns of different components
@@ -101,9 +101,8 @@ def support_overlaps(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns takes one b x b gram, symmetrised.  The pairs come in
     row-major order.
     """
-    blocks = vectors.blocks if isinstance(vectors, Eigensystem) else _as_blocks(vectors)
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    for rows, cols, vecs in blocks:
+    for rows, cols, vecs in system.blocks:
         k, m, b = vecs.shape
         if b < 2:
             continue
@@ -131,15 +130,14 @@ def support_overlaps(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i[order], j[order], ovl[order]
 
 
-def overlap_matrix(spec) -> np.ndarray:
-    """|<v_i|v_j>| over the vectors of an Eigensystem or a Spectrum; symmetric, unit diagonal.
+def overlap_matrix(system: Eigensystem) -> np.ndarray:
+    """|<v_i|v_j>| over the vectors of an Eigensystem; symmetric, unit diagonal.
 
     The off-diagonal entries are those of support_overlaps, and exactly 0
     for every pair it leaves out.
     """
-    vectors = spec.right_vectors() if isinstance(spec, Spectrum) else spec
-    i, j, ovl = support_overlaps(vectors)
-    out = np.eye(len(spec.eigenvalues) if isinstance(spec, Spectrum) else spec.size)
+    i, j, ovl = support_overlaps(system)
+    out = np.eye(system.size)
     out[i, j] = out[j, i] = ovl
     return out
 
@@ -335,10 +333,10 @@ def sweep(family: SpectrumFamily, grid) -> SweepResult:
                 f"eigensystem size changed from {systems[0].size} to {size} at grid "
                 f"index {k} ({family.param_name}={grid[k]!r}): branches cannot be continued")
     perms, quality, breaks = _track(systems)
-    systems = tuple(Eigensystem(s.values[p], tuple(_permute(s.blocks, p)), s.zero_mask[p])
+    systems = tuple(Eigensystem(s.eigenvalues[p], tuple(_permute(s.blocks, p)), s.zero_mask[p])
                     for s, p in zip(systems, perms))
     return SweepResult(family.param_name, grid, systems,
-                       np.array([s.values for s in systems]),
+                       np.array([s.eigenvalues for s in systems]),
                        np.array([s.zero_mask for s in systems]), quality, breaks)
 
 
@@ -389,7 +387,7 @@ def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
     """
     sys_g = family.eigensystem(np.array([g]))[0]
     perm, _ = _greedy_assignment(ref_vecs, sys_g.vectors)
-    return sys_g.values[perm], sys_g.vectors[:, perm], sys_g
+    return sys_g.eigenvalues[perm], sys_g.vectors[:, perm], sys_g
 
 
 def _factor(mat: np.ndarray, lambda_ep: complex, rank_tol: float):
@@ -603,7 +601,7 @@ def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
         if not np.min(np.abs(g_new - np.asarray(g))) > param_tol:
             break
         vals, vecs, sys_new = _pair_track(family, g_new, vecs)
-        values = sys_new.values
+        values = sys_new.eigenvalues
         g, delta = g[1:] + [g_new], delta[1:] + [(vals[0] - vals[1]) ** 2]
     return g[-1], vals, vecs, values
 

@@ -23,6 +23,12 @@ spectral expansion of the dynamics is invalid exactly at an exceptional
 point, and silently rescaled left eigenmatrices there would poison every
 downstream coefficient.
 
+There is one result type, Eigensystem: eigenvalues, vectors in sector
+blocks, zero mask.  analyze_liouvillian's Spectrum is an Eigensystem
+whose right vectors are one dense block, plus the left vectors, defect
+flags and steady state; analyze_nhh's NhhSpectrum is H_eff's
+Eigensystem plus a near-defective flag.
+
 Sorting convention: |Re(lambda)| ascending, ties broken by Im(lambda)
 ascending; only exact ties of both fall through to a deterministic
 tiebreak on the eigenvector entries (lexicographic).  For effective
@@ -64,6 +70,12 @@ DEFAULT_ZERO_TOL = 1e-10
 DEFAULT_DEFECT_TOL = 1e-6
 # eigenvector-matrix condition number that flags H_eff near-defective
 NHH_DEFECT_COND = 1e8
+# entries of the zero-padded tie keys that _sort_indices builds at once,
+# counted as columns times the widest union of supports that a tie of the
+# batch can have; the largest tie-break of the benchmark workloads
+# (spectrum-dephasing30: 898 columns in ties of up to 30 1 x 1 sectors)
+# holds 26,940
+TIE_BATCH_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +88,10 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
     secondary key, then the eigenvector entries (re, im of each,
     lexicographic), which only ever break exact ties of the keys.  Entries
     outside the union of a tie's supports are 0 in each of its vectors, so
-    only that union is compared, and all ties are broken in one lexsort
-    led by the tie."""
+    only that union is compared, and the ties are broken in lexsorts led
+    by the tie, one batch of whole ties at a time (_tie_batches).  The
+    zeros that pad a tie's keys to the batch's width are shared by all its
+    members, so the batches give the order of one lexsort over all ties."""
     if point is None:
         point = np.zeros(primary.size, dtype=np.intp)
     order = np.lexsort((secondary, primary, point))
@@ -85,10 +99,36 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
     after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1]) & (g[1:] == g[:-1])]
     at = np.flatnonzero(after | np.r_[after[1:], False])
     if at.size:
-        tie = np.cumsum(~after[at])
-        keys = _support_rows(blocks, order[at], tie)
-        order[at] = order[at][np.lexsort((*keys.T[::-1], tie))]
+        tie, cols = np.cumsum(~after[at]), order[at]
+        for lo, hi in _tie_batches(blocks, cols, tie):
+            keys = _support_rows(blocks, cols[lo:hi], tie[lo:hi])
+            order[at[lo:hi]] = cols[lo:hi][np.lexsort((*keys.T[::-1], tie[lo:hi]))]
     return order
+
+
+def _tie_batches(blocks, cols: np.ndarray, tie: np.ndarray) -> list:
+    """Slices (lo, hi) of cols, whose ties are runs of consecutive
+    numbers, into batches of whole ties with at most TIE_BATCH_ENTRIES
+    padded key entries (a larger tie is a batch alone).  A tie's union of
+    supports is bounded by the rows of the distinct blocks its columns
+    sit in."""
+    first = np.cumsum([0] + [r.shape[0] for r, _, _ in blocks])
+    block = np.empty(sum(c.size for _, c, _ in blocks), dtype=np.intp)
+    height = np.empty(first[-1], dtype=np.intp)
+    for s, (r, c, _) in enumerate(blocks):
+        block[c] = first[s] + np.arange(r.shape[0])[:, None]
+        height[first[s]:first[s + 1]] = r.shape[1]
+    pairs = np.unique((tie - tie[0]) * first[-1] + block[cols])
+    width = np.bincount(pairs // first[-1], height[pairs % first[-1]])
+    end = np.flatnonzero(np.r_[tie[1:] != tie[:-1], True]) + 1
+    cuts, lo, t = [], 0, 0
+    while t < end.size:
+        # both factors grow with the ties taken
+        size = (end[t:] - lo) * np.maximum.accumulate(width[t:])
+        t += max(int(np.searchsorted(size, TIE_BATCH_ENTRIES, side="right")), 1)
+        cuts.append((lo, end[t - 1]))
+        lo = end[t - 1]
+    return cuts
 
 
 def _canonical_phase(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -324,7 +364,7 @@ class Eigensystem:
     blocks on first use.
     """
 
-    values: np.ndarray
+    eigenvalues: np.ndarray
     blocks: tuple
     zero_mask: np.ndarray
 
@@ -335,7 +375,7 @@ class Eigensystem:
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self.eigenvalues)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -343,34 +383,41 @@ class Eigensystem:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Sorted eigensystem of a trace-preserving generator.
+class Spectrum(Eigensystem):
+    """Sorted eigensystem of a trace-preserving generator, with its left
+    eigenvectors.
 
-    right_mats[i] has unit Hilbert-Schmidt norm; left_mats[i] is scaled
-    so that Tr(left_mats[i] @ right_mats[j]) = delta_ij wherever no
-    defect flag is set.  For flagged (near-defective) indices the left
-    matrix is kept at unit norm and unscaled.
+    The right vectors are the vectorized eigenmatrices rho_i at unit
+    Hilbert-Schmidt norm, one dense block.  Column i of left_vectors is
+    y_i = vec(sigma_i^dag), scaled so that Tr(sigma_i rho_j) =
+    y_i^dag vec(rho_j) = delta_ij wherever no defect flag is set; for
+    flagged (near-defective) indices it is kept at unit norm and unscaled.
     """
 
     space: HilbertSpace
-    eigenvalues: np.ndarray
-    right_mats: np.ndarray
-    left_mats: np.ndarray
+    left_vectors: np.ndarray
     defect_flags: np.ndarray
     steady_state: Operator
-    zero_indices: tuple[int, ...]
     zero_sector_rank: int
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def right(self, i: int) -> Operator:
-        return Operator(self.space, self.right_mats[i])
+    @property
+    def right_mats(self) -> np.ndarray:
+        """rho_i, shape (n, D, D), C-contiguous."""
+        return np.ascontiguousarray(self.vectors.T).reshape(self.size, self.dim, self.dim)
 
-    def right_vectors(self) -> np.ndarray:
-        """Vectorized right eigenmatrices as unit columns, shape (D^2, n)."""
-        return self.right_mats.reshape(len(self.eigenvalues), -1).T.copy()
+    @property
+    def left_mats(self) -> np.ndarray:
+        """sigma_i = devec(y_i)^dag, shape (n, D, D), C-contiguous, so
+        that Tr(sigma_i rho_j) = y_i^dag vec(rho_j)."""
+        d = self.dim
+        return self.left_vectors.conj().T.reshape(self.size, d, d).transpose(0, 2, 1).copy()
+
+    def right(self, i: int) -> Operator:
+        return Operator(self.space, self.vectors[:, i].reshape(self.dim, self.dim))
 
     def mode_weights(self, rho0: Operator) -> np.ndarray:
         """Expansion coefficients c_i = Tr(sigma_i rho0)."""
@@ -735,21 +782,9 @@ def analyze_liouvillian(liou: SuperOp,
         else:
             left[:, cluster] = y @ np.linalg.inv(b).conj().T
 
-    d = liou.dim
-    right_mats = np.ascontiguousarray(vecs.T).reshape(n, d, d)
-    # store sigma_i = devec(y_i)^dag so that Tr(sigma_i rho_j) = y_i^dag x_j
-    left_mats = left.conj().T.reshape(n, d, d).transpose(0, 2, 1).copy()
-
-    return Spectrum(
-        space=liou.space,
-        eigenvalues=vals,
-        right_mats=right_mats,
-        left_mats=left_mats,
-        defect_flags=flags,
-        steady_state=Operator(liou.space, ss),
-        zero_indices=tuple(int(i) for i in np.flatnonzero(zero_mask)),
-        zero_sector_rank=zero_rank,
-    )
+    return Spectrum(eigenvalues=vals, blocks=vecs, zero_mask=zero_mask, space=liou.space,
+                    left_vectors=left, defect_flags=flags,
+                    steady_state=Operator(liou.space, ss), zero_sector_rank=zero_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +792,16 @@ def analyze_liouvillian(liou: SuperOp,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NhhSpectrum:
-    """Eigensystem of an effective non-Hermitian Hamiltonian.
+class NhhSpectrum(Eigensystem):
+    """Eigensystem of an effective non-Hermitian Hamiltonian, in its
+    excitation blocks.
 
-    eigenvectors holds unit columns; near_defective is set when the
-    eigenvector matrix is ill-conditioned (eigenvalues have merged).
-    The induced no-jump eigenvalues -i(h_l - h_m^*) reproduce the
-    spectrum of the no-jump generator as a multiset, with eigenmatrices
-    |phi_l><phi_m|.
+    near_defective is set when the eigenvector matrix is ill-conditioned
+    (eigenvalues have merged).  The induced no-jump eigenvalues
+    -i(h_l - h_m^*) reproduce the spectrum of the no-jump generator as a
+    multiset, with eigenmatrices |phi_l><phi_m|.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     near_defective: bool
 
     def induced_eigenvalues(self) -> np.ndarray:
@@ -778,7 +811,7 @@ class NhhSpectrum:
 
     def induced_eigenmatrix(self, l: int, m: int) -> np.ndarray:
         """Unit-norm eigenmatrix |phi_l><phi_m| of the no-jump generator."""
-        return np.outer(self.eigenvectors[:, l], self.eigenvectors[:, m].conj())
+        return np.outer(self.vectors[:, l], self.vectors[:, m].conj())
 
 
 def nhh_eigensystems(mats) -> tuple:
@@ -808,7 +841,7 @@ def analyze_nhh(heff: Operator) -> NhhSpectrum:
     eigenvector-matrix condition number is compared against NHH_DEFECT_COND."""
     es = nhh_eigensystem(heff.matrix)
     cond = np.linalg.cond(es.vectors)
-    return NhhSpectrum(es.values, es.vectors, bool(cond > NHH_DEFECT_COND))
+    return NhhSpectrum(es.eigenvalues, es.blocks, es.zero_mask, bool(cond > NHH_DEFECT_COND))
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +926,10 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
     """
     liou = assemble_liouvillian(model)
     mat = liou.matrix
-    n = len(spectrum.eigenvalues)
+    n = spectrum.size
     vals = spectrum.eigenvalues
-    vecs = spectrum.right_vectors()
+    vecs = spectrum.vectors
+    mats = spectrum.right_mats
     scale = max(np.linalg.norm(mat), 1e-300)
     checks = []
 
@@ -910,7 +944,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
 
     # L2: a nonzero trace forces a zero eigenvalue (equivalently, every
     # decaying eigenmatrix is traceless)
-    traces = np.array([abs(np.trace(spectrum.right_mats[i])) for i in range(n)])
+    traces = np.array([abs(np.trace(mats[i])) for i in range(n)])
     nonzero = np.abs(vals) > DEFAULT_ZERO_TOL
     ok2 = not np.any(nonzero & (traces > 1e-8))
     worst = float(traces[nonzero].max()) if nonzero.any() else 0.0
@@ -928,7 +962,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
             worst3 = np.inf
             break
         span = vecs[:, partners]
-        target = vectorize(spectrum.right_mats[i].conj().T)
+        target = vectorize(mats[i].conj().T)
         coef, *_ = np.linalg.lstsq(span, target, rcond=None)
         resid3 = float(np.linalg.norm(span @ coef - target))
         worst3 = max(worst3, resid3)
@@ -941,10 +975,10 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
     commuting = all(c <= 1e-12 * max(np.abs(heff).max(), 1.0) for c in comms)
     if commuting and model.jumps:
         nhh = analyze_nhh(effective_hamiltonian(model))
-        phi = nhh.eigenvectors
+        phi = nhh.vectors
         worst4 = 1.0
         for i in range(n):
-            ovl = np.abs(phi.conj().T @ spectrum.right_mats[i] @ phi).max()
+            ovl = np.abs(phi.conj().T @ mats[i] @ phi).max()
             worst4 = min(worst4, float(ovl))
         checks.append(LemmaCheck("commuting-jumps", worst4 >= 1 - 1e-8,
                                  f"min best overlap with |phi_l><phi_m| = {worst4:.12f}"))
@@ -953,7 +987,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
                                  "not applicable (jump operators do not commute with H_eff)"))
 
     # L5: zero sector diagonalizable
-    zi = list(spectrum.zero_indices)
+    zi = np.flatnonzero(spectrum.zero_mask)
     mult = len(zi)
     resid5 = max(float(np.linalg.norm(mat @ vecs[:, i])) for i in zi)
     ok5 = spectrum.zero_sector_rank == mult and resid5 <= 1e-8 * scale
@@ -962,7 +996,7 @@ def check_lemmas(spectrum: Spectrum, model: LindbladModel,
                              f"max |L rho| = {resid5:.2e}"))
 
     # T1 guard: steady-state branches never coalesce
-    ok_t1 = not any(spectrum.defect_flags[i] for i in zi)
+    ok_t1 = not spectrum.defect_flags[zi].any()
     checks.append(LemmaCheck("no-steady-state-ep", ok_t1,
                              "zero-eigenvalue branches carry no defect flag"))
 

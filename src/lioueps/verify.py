@@ -112,7 +112,7 @@ def _check_vacuum_column_identity(lines, failures):
     vac[0] = 1.0
     worst = 0.0
     for l in range(model.dim):
-        rho = Operator(model.space, np.outer(nhh.eigenvectors[:, l], vac.conj()))
+        rho = Operator(model.space, np.outer(nhh.vectors[:, l], vac.conj()))
         resid = apply_liouvillian(model, rho).matrix + 1j * nhh.eigenvalues[l] * rho.matrix
         worst = max(worst, float(np.linalg.norm(resid)))
     ok = worst <= 1e-10

@@ -142,7 +142,7 @@ def test_criterion_3_example3_block_ladder():
     vac[0] = 1.0
     worst_t2 = 0.0
     for l in range(model.dim):
-        rho = Operator(model.space, np.outer(nhh.eigenvectors[:, l], vac.conj()))
+        rho = Operator(model.space, np.outer(nhh.vectors[:, l], vac.conj()))
         resid = apply_liouvillian(model, rho).matrix + 1j * nhh.eigenvalues[l] * rho.matrix
         worst_t2 = max(worst_t2, float(np.linalg.norm(resid)))
 
@@ -175,7 +175,7 @@ def test_criterion_3_slow_high_cutoff_vacuum_columns():
     vac[0] = 1.0
     worst = 0.0
     for l in range(model.dim):
-        rho = Operator(model.space, np.outer(nhh.eigenvectors[:, l], vac.conj()))
+        rho = Operator(model.space, np.outer(nhh.vectors[:, l], vac.conj()))
         resid = apply_liouvillian(model, rho).matrix + 1j * nhh.eigenvalues[l] * rho.matrix
         worst = max(worst, float(np.linalg.norm(resid)))
     report("3-slow", worst <= 1e-10,

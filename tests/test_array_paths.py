@@ -20,6 +20,7 @@ dense greedy rule on the n x n vector arrays, point after point.
 import itertools
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from lioueps.ep_detect import (Eigensystem, SpectrumFamily, SweepResult, _candid
                                support_overlaps, sweep)
 from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
-from lioueps.spectral import (_as_blocks, _block_eig, _cluster_labels, _cluster_sort,
-                              _components, _scatter, _sort_indices, liouvillian_eigensystem,
+from lioueps import spectral
+from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_labels,
+                              _cluster_sort, _components, _scatter, _sort_indices,
+                              _support_rows, _tie_batches, analyze_nhh, liouvillian_eigensystem,
                               liouvillian_eigensystems, nhh_eigensystem, nhh_eigensystems)
 from lioueps.superop import SuperOp, _generator, assemble_liouvillian, effective_hamiltonian
 
@@ -84,6 +87,22 @@ def reference_sort_indices(primary, secondary, vecs):
         varying = (rows != rows[0]).any(axis=0)
         if varying.any():
             order[start:stop + 1] = group[np.lexsort(rows[:, varying].T[::-1])]
+    return order
+
+
+def one_shot_sort_indices(primary, secondary, blocks, point=None):
+    """_sort_indices with every tie broken in one lexsort, all tied
+    columns' keys padded to the widest union of supports at once."""
+    if point is None:
+        point = np.zeros(primary.size, dtype=np.intp)
+    order = np.lexsort((secondary, primary, point))
+    p, q, g = primary[order], secondary[order], point[order]
+    after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1]) & (g[1:] == g[:-1])]
+    at = np.flatnonzero(after | np.r_[after[1:], False])
+    if at.size:
+        tie = np.cumsum(~after[at])
+        keys = _support_rows(blocks, order[at], tie)
+        order[at] = order[at][np.lexsort((*keys.T[::-1], tie))]
     return order
 
 
@@ -332,8 +351,8 @@ def test_cluster_sort_equals_the_loops_at_exceptional_points(levels, g, largest)
 
 @ORACLE
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 6),
-       levels=st.integers(1, 4))
-def test_sort_indices_equals_the_per_run_lexsort(seed, n, m, levels):
+       levels=st.integers(1, 4), budget=st.integers(1, 200))
+def test_sort_indices_equals_the_per_run_lexsort(seed, n, m, levels, budget):
     rng = np.random.default_rng(seed)
     primary = rng.integers(0, levels + 1, n).astype(float)
     secondary = rng.integers(0, 2, n) * rng.choice([1.0, -1.0, 0.0, -0.0], n)
@@ -352,6 +371,66 @@ def test_sort_indices_equals_the_per_run_lexsort(seed, n, m, levels):
                vecs[np.ix_(row_of == k, col_of == k)][None]) for k in range(groups)]
     want = reference_sort_indices(primary, secondary, vecs)
     assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
+    # the ties broken in one lexsort, and in batches of at most budget entries
+    assert bits(one_shot_sort_indices(primary, secondary, blocks)) == bits(want)
+    with mock.patch.object(spectral, "TIE_BATCH_ENTRIES", budget):
+        assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
+
+
+def tied_columns(primary, secondary):
+    """The tied columns in sorted order and their tie numbers, as
+    _sort_indices finds them."""
+    order = np.lexsort((secondary, primary))
+    p, q = primary[order], secondary[order]
+    after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1])]
+    at = np.flatnonzero(after | np.r_[after[1:], False])
+    return order[at], np.cumsum(~after[at])
+
+
+@pytest.mark.parametrize("model", [dephasing(1.0, 1.0, 12), dephasing(0.0, 1.0, 8),
+                                   example3(1.0, 0.1, 0.0, 0.0, levels=5),
+                                   example3(1.0, 0.0, 1.0, 0.5, levels=4)],
+                         ids=["dephasing", "dephasing-degenerate", "example3-closed",
+                              "example3-g0"])
+def test_batched_tie_break_equals_one_lexsort(model):
+    """Spectra with hundreds of tied columns, broken in batches as small
+    as one tie and as large as several."""
+    liou = assemble_liouvillian(model)
+    n = liou.dim ** 2
+    vals, blocks = _block_eig(n, liou.entries)
+    _cluster_labels(vals, 1e-7)
+    for _, _, v in blocks:
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    primary, secondary = np.abs(vals.real), vals.imag
+    cols, tie = tied_columns(primary, secondary)
+    assert cols.size >= 60
+    want = one_shot_sort_indices(primary, secondary, blocks)
+    assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
+    for budget in (1, 37, 400):
+        with mock.patch.object(spectral, "TIE_BATCH_ENTRIES", budget):
+            assert len(_tie_batches(blocks, cols, tie)) > 1
+            assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
+
+
+def test_batched_tie_break_memory():
+    """example3 levels=8, g = 0.1 (n = 4096) has 1,376 tied columns in 331
+    ties, with supports of up to 343 rows: broken in one lexsort, the tie
+    keys and their gather peak 34.7 MB above the sector blocks (16 MB).
+    In batches of at most TIE_BATCH_ENTRIES padded entries the tie-break
+    stays under 15.5 MB."""
+    liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=8))
+    n = liou.dim ** 2
+    vals, blocks = _block_eig(n, liou.entries)
+    _cluster_labels(vals, 1e-7)
+    primary, secondary = np.abs(vals.real), vals.imag
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _sort_indices(primary, secondary, blocks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 15.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +580,7 @@ def assert_matches_the_dense_pipeline(model):
     heff = effective_hamiltonian(model).matrix
     vals, vecs, zero_mask, sectors = reference_eigensystem(
         kron_generator(heff, model.folded_jump_matrices()))
-    assert bits(got.values) == bits(vals)
+    assert bits(got.eigenvalues) == bits(vals)
     assert bits(got.zero_mask) == bits(zero_mask)
     # the blocks partition the rows and the columns
     for part in (0, 1):
@@ -573,10 +652,34 @@ def test_eigensystem_and_overlaps_stay_within_the_sector_blocks():
     assert peak < 1296 * 1296 * 16 // 2
 
 
+def test_spectrum_types_are_eigensystems():
+    assert issubclass(Spectrum, Eigensystem) and issubclass(NhhSpectrum, Eigensystem)
+
+
+def test_nhh_spectrum_overlaps_stay_within_excitation_blocks():
+    """analyze_nhh keeps H_eff's excitation blocks: a pair of vectors in
+    different blocks has overlap exactly 0, and every other pair equals
+    the dense reference."""
+    nhh = analyze_nhh(effective_hamiltonian(example3(1.0, 0.1, 1.0, 0.5, levels=3)))
+    block, count = np.empty(nhh.size, dtype=np.intp), 0
+    for _, cols, _ in nhh.blocks:
+        block[cols] = count + np.arange(cols.shape[0])[:, None]
+        count += cols.shape[0]
+    apart = block[:, None] != block[None, :]
+    got = overlap_matrix(nhh)
+    assert apart.any() and not got[apart].view(np.uint64).any()
+    i, j, ovl = reference_support_overlaps(nhh.vectors)
+    want = np.eye(nhh.size)
+    want[i, j] = want[j, i] = ovl
+    assert bits(got) == bits(want)
+    for a, b in zip(support_overlaps(nhh), (i, j, ovl)):
+        assert bits(a) == bits(b)
+
+
 def assert_blocks_match(got, vals, vecs):
     """Values bit for bit; the dense vectors bit for bit on the stored
     blocks and 0 off them (as +0.0 in the view)."""
-    assert bits(got.values) == bits(vals)
+    assert bits(got.eigenvalues) == bits(vals)
     inside = np.zeros(vecs.shape, dtype=bool)
     for rows, cols, _ in got.blocks:
         inside[rows[:, :, None], cols[:, None, :]] = True
@@ -625,7 +728,7 @@ def test_dense_superop_lists_every_entry_but_positive_zeros():
 def assert_same_system(got, want):
     """Values, zero mask and every stored block (rows, columns, vectors)
     bit for bit, blocks in the same order."""
-    assert bits(got.values) == bits(want.values)
+    assert bits(got.eigenvalues) == bits(want.eigenvalues)
     assert bits(got.zero_mask) == bits(want.zero_mask)
     assert len(got.blocks) == len(want.blocks)
     for a, b in zip(got.blocks, want.blocks):
@@ -685,7 +788,7 @@ def test_grid_keeps_each_points_tolerance_and_clusters():
     lious = [small, assemble_liouvillian(dephasing(1e4, 1.4, 2)), small, small]
     for got, liou in zip(liouvillian_eigensystems(lious), lious):
         assert_same_system(got, liouvillian_eigensystem(liou))
-    assert np.abs(liouvillian_eigensystem(small).values.imag).max() == 1e-6
+    assert np.abs(liouvillian_eigensystem(small).eigenvalues.imag).max() == 1e-6
 
 
 @ORACLE
@@ -807,7 +910,7 @@ def test_sweep_branch_order_equals_the_dense_tracker(name, fixed, operator, grid
     raw = spec.eigensystem(grid)
     want, overlaps = reference_track(raw)
     for k, (system, perm) in enumerate(zip(raw, want)):
-        assert bits(res.eigenvalues[k]) == bits(system.values[perm])
+        assert bits(res.eigenvalues[k]) == bits(system.eigenvalues[perm])
         assert bits(res.systems[k].vectors) == bits(system.vectors[:, perm])
     np.testing.assert_allclose(res.matching_quality, [q.min() for q in overlaps], rtol=1e-14)
 

@@ -780,7 +780,7 @@ class TestCsvWriter:
             blocks = overlap_rows(prefix + "_overlaps.csv", grid)
         want_eig, want_ovl = [], []
         for g, sys_k, (i, j, listed) in zip(grid, systems, blocks):
-            vals = sys_k.values
+            vals = sys_k.eigenvalues
             order = sorted(range(n), key=lambda i: (abs(vals[i].real), vals[i].imag, i))
             want_eig += [reference_line((g, pos, vals[b].real, vals[b].imag, b))
                          for pos, b in enumerate(order)]

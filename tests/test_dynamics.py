@@ -127,9 +127,10 @@ class TestPropagation:
         # the mode at -1/2 has a Hermitian eigenmatrix and carries weight
         # in this rho0; rotated by i it makes every state non-Hermitian
         k = int(np.argmin(np.abs(spec.eigenvalues + 0.5)))
-        right = spec.right_mats.copy()
-        right[k] = 1j * right[k]
-        bad = dataclasses.replace(spec, right_mats=right)
+        right = spec.vectors.copy()
+        right[:, k] = 1j * right[:, k]
+        bad = dataclasses.replace(spec, blocks=right)
+        assert np.array_equal(bad.right_mats[k], 1j * spec.right_mats[k])
         with pytest.raises(SpectralError, match="Hermiticity violated"):
             propagate_modes(bad, rho0, times)
 

@@ -79,7 +79,7 @@ class TestSweep:
         res = sweep(EX1.liouvillian_family(), np.linspace(0.0, 4.0, 21))
         assert len(res.systems) == res.grid.size
         for k, system in enumerate(res.systems):
-            assert np.array_equal(system.values, res.eigenvalues[k])
+            assert np.array_equal(system.eigenvalues, res.eigenvalues[k])
             assert np.array_equal(system.zero_mask, res.zero_mask[k])
         # branch order: each point continues the previous one column by column
         for k in range(1, res.grid.size):

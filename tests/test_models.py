@@ -182,7 +182,7 @@ class TestExample3:
         vac = np.zeros(model.dim, dtype=complex)
         vac[0] = 1.0
         for l in range(model.dim):
-            rho = Operator(model.space, np.outer(nhh.eigenvectors[:, l], vac.conj()))
+            rho = Operator(model.space, np.outer(nhh.vectors[:, l], vac.conj()))
             resid = apply_liouvillian(model, rho).matrix \
                 + 1j * nhh.eigenvalues[l] * rho.matrix
             assert np.linalg.norm(resid) <= 1e-10

@@ -95,7 +95,7 @@ class TestAnalyzeLiouvillian:
             # (unique steady state for generic random channels)
             traces = np.array([abs(np.trace(m)) for m in spec.right_mats])
             carriers = set(np.flatnonzero(traces > 1e-8).tolist())
-            assert carriers == set(spec.zero_indices)
+            assert carriers == set(np.flatnonzero(spec.zero_mask).tolist())
 
     def test_h_only_model_has_maximally_mixed_steady_state(self):
         h = Operator(SPACE, 0.7 * Q["sigma_z"].matrix)
@@ -104,9 +104,9 @@ class TestAnalyzeLiouvillian:
 
     def test_degenerate_zero_sector_is_orthonormalized(self):
         spec = analyze_liouvillian(assemble_liouvillian(dephasing(1.0, 1.0, 4)))
-        assert len(spec.zero_indices) == 4
+        assert spec.zero_mask.sum() == 4
         assert spec.zero_sector_rank == 4
-        block = spec.right_vectors()[:, list(spec.zero_indices)]
+        block = spec.vectors[:, spec.zero_mask]
         assert np.abs(block.conj().T @ block - np.eye(4)).max() <= 1e-12
         assert_allclose(spec.steady_state.matrix, np.eye(4) / 4, atol=1e-10)
 
@@ -127,7 +127,7 @@ class TestAnalyzeLiouvillian:
         merged = np.flatnonzero(np.abs(spec.eigenvalues + 3.0) < 1e-6)
         assert merged.size == 2
         assert spec.defect_flags[merged].any()
-        assert not spec.defect_flags[list(spec.zero_indices)].any()
+        assert not spec.defect_flags[spec.zero_mask].any()
 
     def test_complex_ep_clusters_are_conjugate(self):
         # complex EPs at -0.375 +- 1j and -1.125 +- 1j: each conjugate pair
@@ -163,9 +163,9 @@ def test_spectrum_invariants_on_random_models(seed):
     assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
     # the right-only eigensystem is the same spectrum, in the same order
     lean = liouvillian_eigensystem(liou)
-    assert np.array_equal(lean.values, vals)
-    assert np.array_equal(np.flatnonzero(lean.zero_mask), spec.zero_indices)
-    overlaps = np.abs(np.sum(lean.vectors.conj() * spec.right_vectors(), axis=0))
+    assert np.array_equal(lean.eigenvalues, vals)
+    assert np.array_equal(lean.zero_mask, spec.zero_mask)
+    overlaps = np.abs(np.sum(lean.vectors.conj() * spec.vectors, axis=0))
     assert overlaps.min() >= 1 - 1e-8
     # trace preservation: vec(1)^dag L = 0; the steady state is a density matrix
     assert np.linalg.norm(trace_row(liou)) <= 1e-12 * np.linalg.norm(liou.matrix)
@@ -189,7 +189,7 @@ def test_blockwise_spectrum_matches_the_dense_one(kind, levels, seed):
     liou = assemble_liouvillian(model)
     mat = liou.matrix
     lean = liouvillian_eigensystem(liou)
-    dist = np.abs(lean.values[:, None] - scipy.linalg.eigvals(mat)[None, :])
+    dist = np.abs(lean.eigenvalues[:, None] - scipy.linalg.eigvals(mat)[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-9 * np.abs(mat).max()
     # sectors: weakly connected components of the sparsity graph
@@ -219,14 +219,14 @@ class TestAnalyzeNhh:
         assert_multiset_close(nhh.eigenvalues, cf["h"], 1e-12)
         # eigenvectors match the printed ones up to phase
         for k in range(2):
-            overlaps = [abs(np.vdot(cf["phis"][:, k], nhh.eigenvectors[:, j]))
+            overlaps = [abs(np.vdot(cf["phis"][:, k], nhh.vectors[:, j]))
                         for j in range(2)]
             assert max(overlaps) >= 1 - 1e-12
         assert not nhh.near_defective
         # eigenpair residuals
         for k in range(2):
-            resid = heff.matrix @ nhh.eigenvectors[:, k] \
-                - nhh.eigenvalues[k] * nhh.eigenvectors[:, k]
+            resid = heff.matrix @ nhh.vectors[:, k] \
+                - nhh.eigenvalues[k] * nhh.vectors[:, k]
             assert np.linalg.norm(resid) <= 1e-10
 
     def test_example1_nhh_never_merges(self):
