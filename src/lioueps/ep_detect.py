@@ -149,24 +149,32 @@ def _greedy(ovl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whether another order of matrix t's rows could change its picks.
 
     The rule takes the largest overlap left (the first in row-major order
-    among equal ones) and strikes out its row and column.  An entry that is
-    the first maximum of its row and of its column goes before anything
-    else there (what precedes it is smaller, the rest no larger), and
-    taking it early changes no other choice (locally dominant edges;
-    Preis, STACS 1999).  Each round takes all such entries at once, in
-    every matrix of the stack; a struck row or column reads -1.  A round
-    depends on the row order only through a column whose largest positive
-    overlap left sits in two or more rows.  A matrix leaves the stack at
-    its first round that takes nothing.
+    among equal ones) and strikes out its row and column.  Overlaps are
+    compared rounded to 12 decimals, so that overlaps equal up to rounding
+    tie: a conjugate pair of eigenmatrices has exactly equal overlaps with
+    a Hermitian one, as where a pair leaves the real axis at an EP, and
+    the row order, not the last bit, decides which branch continues
+    where.  An entry that is the first maximum of its row and of its
+    column goes before anything else there (what precedes it is smaller,
+    the rest no larger), and taking it early changes no other choice
+    (locally dominant edges; Preis, STACS 1999).  Each round takes all
+    such entries at once, in every matrix of the stack; a struck row or
+    column reads -1.  A row's first maximum does not depend on the row
+    order, so a round does only through a column whose largest positive
+    overlap left sits in two or more rows and is the first maximum of one
+    of them.  A matrix leaves the stack at its first round that takes
+    nothing.
     """
     k, r, _ = ovl.shape
     perm, tied = np.full((k, r), -1), np.zeros(k, dtype=bool)
-    work, at, rows = ovl.copy(), np.arange(k), np.arange(r)
+    work, at, rows = np.round(ovl, 12), np.arange(k), np.arange(r)
     while at.size:
         top = work.max(axis=1)
-        tied[at] |= (((work == top[:, None]).sum(axis=1) > 1) & (top > 0)).any(axis=1)
         best = work.argmax(axis=2)
         stack = np.arange(at.size)[:, None]
+        shared = ((work == top[:, None]).sum(axis=1) > 1) & (top > 0)
+        on_top = work[stack, rows, best] == top[stack, best]
+        tied[at] |= (on_top & shared[stack, best]).any(axis=1)
         take = (work.argmax(axis=1)[stack, best] == rows) & (work[stack, rows, best] > 0)
         t, i = np.nonzero(take)
         j = best[t, i]
@@ -221,7 +229,8 @@ def _track(systems) -> tuple[list, np.ndarray, tuple]:
     take the columns left in ascending order, as on the dense matrix.  The
     rows' branch order is known only after step k - 1, and decides only
     between equal positive overlaps in one column: a group with such a tie
-    is run again once that order is known.
+    is run again once that order is known, the tied groups of one step
+    and shape as one stack.
     """
     n, points = systems[0].size, len(systems)
     m = sum(r.size for r, _, _ in systems[0].blocks)
@@ -265,19 +274,24 @@ def _track(systems) -> tuple[list, np.ndarray, tuple]:
         t, i = np.nonzero(pick >= 0)
         match[pr[t, i]], value[pr[t, i]] = pc[t, pick[t, i]], ovl[t, i, pick[t, i]]
         for t in np.flatnonzero(tied):
-            ties.setdefault(pr[t, 0] // n + 1, []).append((pr[t], pc[t], ovl[t]))
+            step = ties.setdefault(pr[t, 0] // n + 1, {})
+            step.setdefault(ovl.shape[1:], []).append((pr[t], pc[t], ovl[t]))
 
     perms = np.empty((points, n), dtype=np.intp)
     perms[0] = np.arange(n)
     for k in range(1, points):
-        for pr, pc, ovl in ties.get(k, ()):
-            rank = np.empty(n, dtype=np.intp)
-            rank[perms[k - 1]] = np.arange(n)
-            order = np.argsort(rank[pr % n])
-            pick = _greedy(ovl[order][None])[0][0]
-            took = pick >= 0
-            match[pr[order]] = np.where(took, pc[pick], -1)
-            value[pr[order]] = np.where(took, ovl[order, pick], 0.0)
+        # step k's tied groups, one stack per shape, run again with their
+        # rows in the branch order of point k - 1
+        rank = np.empty(n, dtype=np.intp)
+        rank[perms[k - 1]] = np.arange(n)
+        for group in ties.get(k, {}).values():
+            pr, pc, ovl = (np.stack(x) for x in zip(*group))
+            order = np.argsort(rank[pr % n], axis=1)
+            pr, ovl = np.take_along_axis(pr, order, 1), ovl[np.arange(len(ovl))[:, None], order]
+            pick = _greedy(ovl)[0]
+            took, pick = pick >= 0, np.maximum(pick, 0)
+            match[pr] = np.where(took, np.take_along_axis(pc, pick, 1), -1)
+            value[pr] = np.where(took, np.take_along_axis(ovl, pick[:, :, None], 2)[:, :, 0], 0.0)
         perms[k] = _pair_rest(match[(k - 1) * n + perms[k - 1]], n)
     # the assigned overlap of branch i at step k
     assigned = value[np.arange(points - 1)[:, None] * n + perms[:-1]]

@@ -4,9 +4,16 @@ liouvillian_eigensystem is what spectra, sweeps and the EP search read:
 one right-only eig of a trace-preserving generator.  Every eig is taken
 one weakly connected sector of the matrix at a time (_block_eig), read
 from the coordinate lists of the matrix: the weak-symmetry blocks of a
-Liouvillian, the excitation blocks of H_eff.  The vectors stay in those
-sector blocks through every stage below (see "sector blocks"), and an
-Eigensystem scatters them into a dense array only when asked to.
+Liouvillian, the excitation blocks of H_eff.  A Liouvillian preserves
+Hermiticity, P conj(L) P = L for the swap P of vec(|m><n|) and
+vec(|n><m|), so its sectors come in orbits under P: a partner pair (k,
+-k) is solved once and the partner written as its exact conjugate, and
+the self-conjugate sector (k = 0) is solved as a real matrix in the
+Hermitian basis.  Its spectrum is then closed under conjugation bit for
+bit; a generator off that symmetry by more than 1e-12 |L|_F is refused
+with SpectralError.  The vectors stay in the sector blocks through every
+stage below (see "sector blocks"), and an Eigensystem scatters them into
+a dense array only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
 zero-eigenvalue sector is orthonormalized.  The grouping rule is
@@ -257,24 +264,113 @@ def _merge(blocks, rows: np.ndarray, cols: np.ndarray) -> list:
     return kept
 
 
-def _block_eig(n: int, entries, left: bool = False):
+def _partner(dims) -> np.ndarray:
+    """P of the block-diagonal generator of generators on spaces of the
+    given dimensions: the index of vec(|n><m|) at the index of
+    vec(|m><n|), within each generator's own indices."""
+    starts = np.cumsum([d * d for d in dims]) - np.square(dims)
+    return np.concatenate([s + np.arange(d * d).reshape(d, d).T.ravel()
+                           for d, s in zip(dims, starts)])
+
+
+def _eig(mats: np.ndarray, left: bool):
+    """(vals, right, left or None) of each matrix of a stack, as complex
+    arrays.  Right-only stacks go to np.linalg.eig, which solves each
+    matrix of a stack as it would solve it alone; scipy.linalg.eig,
+    imported here at first use, is called one matrix at a time, only for
+    the left vectors, which numpy does not return.  Both run LAPACK geev,
+    the real one on a real stack, whose complex eigenpairs come out as
+    exact conjugates."""
+    if not left:
+        vals, vecs = np.linalg.eig(mats)
+        return vals.astype(complex, copy=False), vecs.astype(complex, copy=False), None
+    import scipy.linalg
+    vals = np.empty(mats.shape[:2], dtype=complex)
+    vecs, lvecs = np.empty(mats.shape, dtype=complex), np.empty(mats.shape, dtype=complex)
+    for t, mat in enumerate(mats):
+        vals[t], lvecs[t], vecs[t] = scipy.linalg.eig(mat, left=True)
+    return vals, vecs, lvecs
+
+
+def _to_hermitian_basis(mats: np.ndarray, mate: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The real matrices B = T^-1 M T of self-conjugate blocks M, made
+    from mats in place.
+
+    Position j of a block holds index u, and mate[:, j] the position of
+    P u; side is +1 where u < P u, -1 where u > P u and 0 where u = P u.
+    Column j of T is vec(|m><n| + |n><m|) at side +1 (u = vec |m><n|),
+    vec(i|m><n| - i|n><m|) at side -1 (u = vec |n><m|) and vec(|m><m|) at
+    0: the Hermitian basis, with its pairs scaled by sqrt(2) so that every
+    step below is exact but for one addition in each stage.  B is real
+    when P conj(M) P = M; its imaginary rounding is dropped, and signed
+    zeros are made +0.0."""
+    cols = np.take_along_axis(mats, mate[:, None, :], axis=2)
+    up, down = side[:, None, :] > 0, side[:, None, :] < 0
+    # M T: column u is M_u + M_w, column w is i (M_u - M_w)
+    np.add(mats, cols, out=mats, where=up)
+    np.subtract(cols, mats, out=mats, where=down)
+    np.multiply(mats, 1j, out=mats, where=down)
+    del cols
+    # T^-1 (M T): row u is Re(X_u + X_w) / 2, row w is Im(X_u - X_w) / 2
+    up, down = side[:, :, None] > 0, side[:, :, None] < 0
+    out = mats.real.copy()
+    np.add(mats.real, np.take_along_axis(mats.real, mate[:, :, None], axis=1), out=out, where=up)
+    np.subtract(np.take_along_axis(mats.imag, mate[:, :, None], axis=1), mats.imag,
+                out=out, where=down)
+    np.divide(out, 2, out=out, where=up | down)
+    out += 0.0
+    return out
+
+
+def _from_hermitian_basis(y: np.ndarray, mate: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """x = T y for the T of _to_hermitian_basis, entry by entry and in
+    place: for w = P u, x_u = y_u + i y_w and x_w = conj(y_u) - i conj(y_w)
+    conjugated, each part of x_w with the operands of the same part of
+    x_u, so that x of the eigenvector conj(y) is P conj(x) bit for bit."""
+    up, down = side[:, :, None] > 0, side[:, :, None] < 0
+    # at u: re = y_u.re - y_w.im, im = y_u.im + y_w.re; at w: re = the
+    # latter, im = -(the former)
+    diff = y.real - np.take_along_axis(y.imag, mate[:, :, None], axis=1)
+    total = y.imag + np.take_along_axis(y.real, mate[:, :, None], axis=1)
+    np.copyto(y.real, diff, where=up)
+    np.copyto(y.real, total, where=down)
+    np.copyto(y.imag, total, where=up)
+    np.negative(diff, out=y.imag, where=down)
+    return y
+
+
+def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None = None):
     """eig of the n x n matrix with coordinate lists entries = (rows, cols,
     values), every other entry 0, one weakly connected sector at a time.
 
     The sectors are the connected components of the graph with an edge
     per nonzero entry, and each sector's block is made dense on its own.
-    A 1x1 sector is its diagonal entry with a unit vector.  The sectors of
-    one size >= 2 go to eig as one stack, and their matrices are dropped
-    before the next size is filled.  Returns (vals, blocks), or (vals,
-    blocks, left_blocks) with left, where vals[i] belongs to column i and
-    each sector is a block with rows = cols = its indices.  Right-only
-    stacks go to np.linalg.eig, which solves each matrix of a stack as it
-    would solve it alone; scipy.linalg.eig, imported here at first use, is
-    called one matrix at a time, only for the left vectors, which numpy
-    does not return.  Both run LAPACK geev.
+    Returns (vals, blocks), or (vals, blocks, left_blocks) with left,
+    where vals[i] belongs to column i and each sector is a block with rows
+    = cols = its indices.  The sectors of one size go to eig (_eig) as one
+    stack, and their matrices are dropped before the next size is filled;
+    a 1x1 sector is its diagonal entry with a unit vector.
+
+    partner, an involution P of the indices with P conj(M) P = M (the
+    swap vec(|m><n|) <-> vec(|n><m|) of a Hermiticity-preserving
+    generator), solves each orbit of sectors under P once.  Where P would
+    map a sector across two (an entry whose mirror is 0), the mirrored
+    edges join the graph, so P maps sectors onto sectors.  Of a partner
+    pair (S, P S), the sector with the smaller first index is solved, and
+    the other is its exact conjugate: conjugated values, and vectors (left
+    ones too) conjugated with their rows moved by P.  A self-conjugate
+    sector (S = P S) is real in the Hermitian basis and goes to the real
+    geev (_to_hermitian_basis), its vectors mapped back entry by entry:
+    its real eigenvalues have Im exactly 0 and its complex pairs stay
+    exact P-conjugate pairs.  So the values are closed under conjugation
+    bit for bit.
     """
     rows, cols, values = entries
-    labels = _components(n, rows[values != 0], cols[values != 0])
+    src, dst = rows[values != 0], cols[values != 0]
+    labels = _components(n, src, dst)
+    if partner is not None and not np.array_equal(labels[partner], labels[partner[labels]]):
+        # P maps some sector across two: the mirrored edges join them
+        labels = _components(n, np.r_[src, partner[src]], np.r_[dst, partner[dst]])
     size = np.bincount(labels, minlength=n)[labels]
     # nodes grouped by sector, sectors by smallest node; rank within sector
     nodes = np.argsort(labels, kind="stable")
@@ -286,33 +382,68 @@ def _block_eig(n: int, entries, left: bool = False):
     blocks, lblocks = [], []
     for b in np.unique(size):
         idx = nodes[size[nodes] == b].reshape(-1, b)
+        k = idx.shape[0]
+        # each sector's first index is its label; mate is its partner's
+        mate = idx[:, 0] if partner is None else labels[partner[idx[:, 0]]]
+        real, mirror = (mate == idx[:, 0]) & (partner is not None), mate < idx[:, 0]
         if b == 1:
             diag = np.zeros(n, dtype=values.dtype)
             on = rows == cols
             diag[rows[on]] = values[on]
-            vals[idx[:, 0]] = diag[idx[:, 0]]
             # eig checks its own blocks; the 1x1 sectors bypass it
-            if not np.isfinite(vals[idx[:, 0]]).all():
+            if not np.isfinite(diag[idx[:, 0]]).all():
                 raise ValueError("array must not contain infs or NaNs")
-            vecs = np.ones((idx.shape[0], 1, 1), dtype=complex)
+            vals[idx[:, 0]] = np.where(real, diag[idx[:, 0]].real, diag[idx[:, 0]])
+            vecs = np.ones((k, 1, 1), dtype=complex)
             lvecs = vecs.copy() if left else None
         else:
-            slot = np.empty(n, dtype=np.intp)
-            slot[idx] = np.arange(idx.shape[0])[:, None]
-            e = np.flatnonzero(inside & (size[rows] == b))
-            mats = np.zeros((idx.shape[0], b, b), dtype=values.dtype)
-            mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
-            if left:
-                import scipy.linalg
-                vecs, lvecs = np.empty(mats.shape, dtype=complex), np.empty(mats.shape, dtype=complex)
-                for t, mat in enumerate(mats):
-                    vals[idx[t]], lvecs[t], vecs[t] = scipy.linalg.eig(mat, left=True)
-            else:
-                vals[idx], vecs = np.linalg.eig(mats)
-                vecs = vecs.astype(complex, copy=False)
-            del mats
+            vecs = lvecs = None
+            # the self-conjugate sectors, then the solved sides of the pairs
+            for at in (np.flatnonzero(real), np.flatnonzero(~real & ~mirror)):
+                if not at.size:
+                    continue
+                slot = np.full(n, -1, dtype=np.intp)
+                slot[idx[at]] = np.arange(at.size)[:, None]
+                e = np.flatnonzero(inside & (slot[rows] >= 0))
+                mats = np.zeros((at.size, b, b), dtype=values.dtype)
+                mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
+                if real[at[0]]:
+                    mate_pos, side = rank[partner[idx[at]]], np.sign(partner[idx[at]] - idx[at])
+                    mats = _to_hermitian_basis(mats.astype(complex, copy=False), mate_pos, side)
+                    w, v, lv = _eig(mats, left)
+                    del mats
+                    _from_hermitian_basis(v, mate_pos, side)
+                    if left:
+                        # left vectors map by T^-dag = T diag(1/2 on the pairs, 1)
+                        lv *= np.where(side != 0, 0.5, 1.0)[:, :, None]
+                        _from_hermitian_basis(lv, mate_pos, side)
+                else:
+                    w, v, lv = _eig(mats, left)
+                    del mats
+                vals[idx[at]] = w
+                if at.size == k:
+                    vecs, lvecs = v, lv
+                    continue
+                if vecs is None:
+                    vecs = np.empty((k, b, b), dtype=complex)
+                    lvecs = np.empty_like(vecs) if left else None
+                vecs[at] = v
+                if left:
+                    lvecs[at] = lv
+                del v, lv
+        if mirror.any():
+            # the solved partner of each mirrored sector, and the row of
+            # its block that each row of the mirrored block reads
+            at = np.searchsorted(idx[:, 0], mate[mirror])
+            vals[idx[mirror]] = vals[idx[at]].conj()
+            if b > 1:
+                read = rank[partner[idx[mirror]]]
+                for stack in (vecs, lvecs) if left else (vecs,):
+                    part = stack[at[:, None], read]
+                    stack[mirror] = np.conjugate(part, out=part)
+                    del part
         blocks.append((idx, idx, vecs))
-        lblocks.append((idx, idx, lvecs if left else None))
+        lblocks.append((idx, idx, lvecs))
     return (vals, blocks, lblocks) if left else (vals, blocks)
 
 
@@ -624,6 +755,35 @@ def _check_trace_row(liou: SuperOp) -> None:
                             f"{1e-12 * np.linalg.norm(liou.entries[2]):.2e}")
 
 
+def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> None:
+    """Refuse generators whose conjugate sectors _block_eig would mirror
+    wrongly.  entries are the stacked lists of the generators that start
+    at starts, and partner is their P, the swap vec(|m><n|) <->
+    vec(|n><m|): max |L[Pr, Pc] - conj L[r, c]| over a generator's listed
+    entries (an unlisted entry is 0) must not exceed 1e-12 |L|_F.  The
+    error's point is the first generator that fails."""
+    rows, cols, values = entries
+    if not values.size:
+        return
+    n = partner.size
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    want = partner[rows] * n + partner[cols]
+    at = order[np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)]
+    gap = np.abs(np.where(key[at] == want, values[at], 0) - values.conj())
+    point = np.searchsorted(starts, rows, side="right") - 1
+    worst = np.zeros(len(starts))
+    np.maximum.at(worst, point, gap)
+    scale = 1e-12 * np.sqrt(np.bincount(point, np.abs(values) ** 2, len(starts)))
+    bad = np.flatnonzero(worst > scale)
+    if bad.size:
+        p = int(bad[0])
+        exc = SpectralError(f"not a Liouvillian: |P conj(L) P - L| = {worst[p]:.2e} exceeds "
+                            f"1e-12 |L|_F = {scale[p]:.2e} (L does not preserve Hermiticity)")
+        exc.point = p
+        raise exc
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -663,11 +823,11 @@ def _stack_entries(lists, sizes):
     return tuple(np.concatenate(x) for x in zip(*parts)), starts
 
 
-def _grid_eig(n: int, entries, starts):
+def _grid_eig(n: int, entries, starts, partner: np.ndarray | None = None):
     """_block_eig of the stacked lists; a non-finite entry's error names
     the first point that holds one."""
     try:
-        return _block_eig(n, entries)
+        return _block_eig(n, entries, partner=partner)
     except ValueError as exc:
         bad = np.flatnonzero(~np.isfinite(entries[2]))
         if bad.size:
@@ -698,7 +858,9 @@ def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple
     entries, starts = _stack_entries([liou.entries for liou in lious],
                                      [liou.dim ** 2 for liou in lious])
     n = starts[-1] + lious[-1].dim ** 2
-    vals, blocks = _grid_eig(n, entries, starts)
+    partner = _partner([liou.dim for liou in lious])
+    _check_hermiticity_preserving(entries, partner, starts)
+    vals, blocks = _grid_eig(n, entries, starts, partner)
     vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
     zero_mask, blocks, _, _ = _zero_sector(vals, blocks, zero_tol, starts)
     for _, _, v in blocks:
@@ -730,10 +892,11 @@ def analyze_liouvillian(liou: SuperOp,
     left eigenmatrices.
     """
     _check_trace_row(liou)
-    n = liou.dim ** 2
+    n, partner = liou.dim ** 2, _partner([liou.dim])
+    _check_hermiticity_preserving(liou.entries, partner)
     # left vector i is paired with eigenvalue i:
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
-    vals, blocks, lblocks = _block_eig(n, liou.entries, left=True)
+    vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=partner)
     vals, blocks, labels, order = _cluster_sort(n, liou.entries, vals, blocks)
     _unit_columns(lblocks)
     lvecs = _scatter(_permute(lblocks, order))

@@ -4,6 +4,7 @@ import scipy.linalg
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from lioueps import spectral
 from lioueps.ep_detect import overlap_matrix
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
@@ -22,18 +23,50 @@ def assert_multiset_close(actual, expected, tol):
 
 
 def assert_one_eig_per_sector(calls, mats, left):
-    """calls, one (left, size) per matrix solved by eig, cover the sectors
-    of mats (one matrix, or a list of them: the points of a grid) once
-    each: every call asks for left vectors exactly when left is set, and
-    the sizes are those of the sectors of size >= 2, labelled here by
-    scipy's connected_components on the nonzero entries (a 1x1 sector
-    takes no eig)."""
-    sizes = []
+    """calls, one (left, size, real) per matrix solved by eig, cover the
+    sector orbits of the Liouvillians mats (one matrix, or a list of them:
+    the points of a grid) once each.  The sectors are labelled here by
+    scipy's connected_components on the nonzero entries, and an orbit is a
+    sector S with its partner P S under the swap P of vec(|m><n|) and
+    vec(|n><m|): a partner pair takes one complex eig, a self-conjugate
+    sector (S = P S) one real eig, and an orbit of 1x1 sectors none.  Every
+    call asks for left vectors exactly when left is set."""
+    want = []
     for mat in ([mats] if np.ndim(mats) == 2 else mats):
         _, comp = connected_components(coo_matrix(np.asarray(mat) != 0), directed=False)
-        sizes += [int(b) for b in np.bincount(comp) if b >= 2]
-    assert [l for l, _ in calls] == [left] * len(calls)
-    assert sorted(size for _, size in calls) == sorted(sizes)
+        d = int(round(np.sqrt(comp.size)))
+        partner = comp[np.arange(comp.size).reshape(d, d).T.ravel()]
+        for s, size in enumerate(np.bincount(comp)):
+            mate = partner[np.flatnonzero(comp == s)[0]]
+            if size >= 2 and mate >= s:
+                want.append((int(size), bool(mate == s)))
+    assert [l for l, _, _ in calls] == [left] * len(calls)
+    assert sorted((size, real) for _, size, real in calls) == sorted(want)
+
+
+def conjugation_key(vals):
+    """The multiset of vals as sorted (re, im) pairs, a zero imaginary part
+    read as +0.0: equal for vals and vals.conj() exactly when the values
+    are closed under conjugation bit for bit."""
+    return sorted(zip(vals.real.tolist(), (vals.imag + 0.0).tolist()))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def conjugate_closed_solves():
+    """Every solve that _block_eig makes with the partner swap, in any
+    test, returns values closed under conjugation bit for bit, before any
+    clustering."""
+    block_eig = spectral._block_eig
+
+    def checked(n, entries, left=False, partner=None):
+        out = block_eig(n, entries, left, partner)
+        if partner is not None:
+            assert conjugation_key(out[0]) == conjugation_key(out[0].conj())
+        return out
+
+    spectral._block_eig = checked
+    yield
+    spectral._block_eig = block_eig
 
 
 def assert_overlap_rows(i, j, ovl, system):
@@ -84,7 +117,7 @@ def rng():
 
 
 class EigCalls(list):
-    """One (left, size) per matrix solved, and the number of calls."""
+    """One (left, size, real) per matrix solved, and the number of calls."""
     invocations = 0
 
 
@@ -92,15 +125,16 @@ class EigCalls(list):
 def eig_calls(monkeypatch):
     """np.linalg.eig and scipy.linalg.eig, the two entry points of
     lioueps.spectral._block_eig, recording for each matrix solved (every
-    matrix of a stacked call) whether left vectors were asked for and its
-    size a.shape[-1], and counting the calls."""
+    matrix of a stacked call) whether left vectors were asked for, its
+    size a.shape[-1] and whether it is real, and counting the calls."""
     calls = EigCalls()
 
     def counting(eig):
         def counting_eig(a, *args, **kwargs):
             shape = np.shape(a)
             left = bool(kwargs.get("left", len(args) > 1 and args[1]))
-            calls.extend([(left, shape[-1])] * int(np.prod(shape[:-2])))
+            real = not np.iscomplexobj(a)
+            calls.extend([(left, shape[-1], real)] * int(np.prod(shape[:-2])))
             calls.invocations += 1
             return eig(a, *args, **kwargs)
         return counting_eig

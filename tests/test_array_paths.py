@@ -18,6 +18,7 @@ dense greedy rule on the n x n vector arrays, point after point.
 """
 
 import itertools
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -107,11 +108,13 @@ def one_shot_sort_indices(primary, secondary, blocks, point=None):
 
 
 def reference_greedy(prev_vecs, cur_vecs):
+    """The argmax loop on the overlaps rounded to 12 decimals, with the
+    unrounded overlap of each pick."""
     n = prev_vecs.shape[1]
     ovl = np.abs(prev_vecs.conj().T @ cur_vecs)
     perm = np.full(n, -1, dtype=int)
     quality = np.zeros(n)
-    work = ovl.copy()
+    work = np.round(ovl, 12)
     for _ in range(n):
         i, j = np.unravel_index(np.argmax(work), work.shape)
         perm[i] = j
@@ -166,25 +169,65 @@ def kron_generator(k, jumps=()):
     return mat
 
 
-def reference_block_eig(mat):
+def reference_block_eig(mat, mirror=False):
+    """eig of each sector of the dense matrix, labelled on np.nonzero.
+
+    With mirror (a Liouvillian), each orbit of sectors under the swap P of
+    vec(|m><n|) and vec(|n><m|) is solved once: of a partner pair, the
+    sector with the smaller first index by the complex eig, the other as
+    its conjugate with the rows moved by P; a self-conjugate sector by the
+    real eig of W T^dag M T, T the dense change to the basis |m><n| +
+    |n><m|, i|m><n| - i|n><m|, |m><m| and W = T^-1 T^-dag, and each
+    eigenvector mapped back pair of entries by pair of entries."""
     n = mat.shape[0]
     labels = _components(n, *np.nonzero(mat))
-    sizes = np.bincount(labels, minlength=n)[labels]
     vals = np.empty(n, dtype=complex)
     vecs = np.zeros((n, n), dtype=complex)
-    single = np.flatnonzero(sizes == 1)
-    vals[single] = mat[single, single]
-    vecs[single, single] = 1.0
-    for root in np.unique(labels[sizes > 1]):
+    p = np.arange(n).reshape(math.isqrt(n), -1).T.ravel() if mirror else np.arange(n)
+    for root in np.unique(labels):
         idx = np.flatnonzero(labels == root)
-        vals[idx], vecs[np.ix_(idx, idx)] = np.linalg.eig(mat[np.ix_(idx, idx)])
+        mate = labels[p[root]] if mirror else n
+        if mate < root:
+            continue
+        block = mat[np.ix_(idx, idx)]
+        if mate > root:
+            if idx.size == 1:
+                vals[idx], vecs[idx, idx] = block[0], 1.0
+            else:
+                vals[idx], vecs[np.ix_(idx, idx)] = np.linalg.eig(block)
+            if mirror:
+                pidx = np.flatnonzero(labels == mate)
+                vals[pidx] = vals[idx].conj()
+                vecs[np.ix_(pidx, pidx)] = vecs[np.ix_(p[pidx], idx)].conj() if idx.size > 1 else 1.0
+            continue
+        pos = {u: j for j, u in enumerate(idx)}
+        t, w, pairs = np.zeros(block.shape, dtype=complex), np.ones(idx.size), []
+        for j, u in enumerate(idx):
+            k = pos[p[u]]
+            if u < p[u]:
+                t[j, j] = t[k, j] = 1.0
+                t[j, k], t[k, k] = 1j, -1j
+                w[[j, k]] = 0.5
+                pairs.append((j, k))
+            elif u == p[u]:
+                t[j, j] = 1.0
+        real = ((w[:, None] * t.conj().T) @ (block @ t)).real + 0.0
+        vals[idx], y = np.linalg.eig(real)
+        y = y.astype(complex)
+        x = y.copy()
+        for j, k in pairs:
+            # x_j = y_j + i y_k, and x_k = conj(conj(y_j) + i conj(y_k))
+            x.real[j], x.imag[j] = y[j].real - y[k].imag, y[j].imag + y[k].real
+            a, b = y[j].conj(), y[k].conj()
+            x.real[k], x.imag[k] = a.real - b.imag, -(a.imag + b.real)
+        vecs[np.ix_(idx, idx)] = x
     return vals, vecs, labels
 
 
 def reference_eigensystem(mat, zero_tol=1e-10):
     """liouvillian_eigensystem on the dense L and the n x n vector array.
     Returns its values, vectors and zero mask, and the sector labels."""
-    vals, vecs, sectors = reference_block_eig(mat)
+    vals, vecs, sectors = reference_block_eig(mat, mirror=True)
     norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     reference_cluster(vals, tol)
@@ -901,9 +944,11 @@ def test_track_equals_the_dense_greedy_loop(systems):
 def test_sweep_branch_order_equals_the_dense_tracker(name, fixed, operator, grid):
     """The branch order of sweep, and so every branch_id it writes, is the
     dense tracker's on these sweeps.  The block overlaps differ from the
-    dense product in the last bit, which decides only near-ties: the
-    example2 Liouvillian sweep has one at 3.9875 -> 4.1, where a conjugate
-    pair leaves the real axis."""
+    dense product in the last bits, and both trackers compare overlaps
+    rounded to 12 decimals, so the overlaps that a conjugate pair has with
+    a Hermitian eigenmatrix, equal but for rounding, tie: where a pair
+    leaves the real axis (example2 at 3.9875 -> 4.1, example1 at 3.0 ->
+    3.1, example3 at 0.18125 -> 0.1875)."""
     family = get_family(name, **fixed)
     spec = family.nhh_family() if operator == "nhh" else family.liouvillian_family()
     res = sweep(spec, grid)
@@ -934,7 +979,7 @@ def test_candidate_pairs_share_a_sector_block():
     ep-locate-l3 benchmark config at seed 0): a pair of branches that
     never shares a stored block has overlap exactly 0 at every grid point,
     and the candidate scan over the pairs that do is the full scan
-    without the others (3,160 pairs -> 495, 939 cells -> 628)."""
+    without the others (3,160 pairs -> 495, 710 cells -> 524)."""
     omega, gamma_a, gamma_b = 1.065791612069049, 1.0099521614821052, 0.3915108573095691
     family = get_family("example3", levels=3, omega=omega, gamma_a=gamma_a, gamma_b=gamma_b)
     lo = (gamma_a - gamma_b) / 4 - 0.1
@@ -949,5 +994,5 @@ def test_candidate_pairs_share_a_sector_block():
     everything = _candidates(res, bi, bj)
     kept = _candidates(res, si, sj)
     assert kept == [c for c in everything if same[c[0], c[1]]]
-    assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 939, 628)
+    assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 710, 524)
     assert kept[0] == everything[0] == (1, 6, 16)

@@ -739,10 +739,15 @@ class TestCsvWriter:
     cfg = RunConfig(command="sweep", raw={"command": "sweep"})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), kinds=st.lists(st.booleans(), min_size=1, max_size=5))
-    def test_rows_match_reference_formatter(self, data, kinds):
+    @given(data=st.data(), kinds=st.lists(st.booleans(), min_size=1, max_size=5),
+           constant=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_rows_match_reference_formatter(self, data, kinds, constant):
+        # a column marked constant repeats its first row's value, which the
+        # writer formats once; with every column constant (a one-row block,
+        # say) the row format holds no field, and the rows are still written
         rows = data.draw(st.lists(st.tuples(*[INTS if k else FLOATS for k in kinds]),
                                   max_size=30))
+        rows = [tuple(rows[0][c] if constant[c] else x for c, x in enumerate(r)) for r in rows]
         columns = [np.array([r[c] for r in rows], dtype=np.int64 if k else float)
                    for c, k in enumerate(kinds)]
         names = [f"c{c}" for c in range(len(kinds))]

@@ -265,16 +265,17 @@ class TestOneFactorisation:
         assert len(calls) <= 3, calls
 
     def test_sweep_takes_one_right_only_eig_per_point(self, eig_calls):
-        # one right-only eig per sector of size >= 2 at every grid point, in
-        # one stacked call per sector size for the whole grid; the second
-        # grid passes g = 0, where the sectors split
+        # one right-only eig per sector orbit of size >= 2 at every grid
+        # point, in one stacked call per sector size and kind (real or
+        # complex) for the whole grid; the second grid passes g = 0, where
+        # the sectors split
         for levels, grid in [(2, np.linspace(0.05, 0.25, 7)), (3, np.linspace(-0.1, 0.1, 9))]:
             del eig_calls[:]
             eig_calls.invocations = 0
             family = get_family("example3", levels=levels).liouvillian_family()
             sweep(family, grid)
             assert_one_eig_per_sector(eig_calls, [family.matrix(g) for g in grid], left=False)
-            assert eig_calls.invocations == len({size for _, size in eig_calls})
+            assert eig_calls.invocations == len({(size, real) for _, size, real in eig_calls})
 
     def test_spectrum_takes_one_right_only_eig(self, eig_calls, tmp_path):
         cfg = tmp_path / "spec.json"

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from lioueps.errors import HermiticityError, SpectralError
 from lioueps.ops_core import (
+    HilbertSpace,
     Operator,
     build_qubit_ops,
     hermitian_spectral_decomposition,
@@ -16,6 +17,7 @@ from lioueps.ops_core import (
 from lioueps.ep_detect import overlap_matrix
 from lioueps.superop import (
     LindbladModel,
+    SuperOp,
     _dense_entries,
     assemble_liouvillian,
     assemble_liouvillian_no_jumps,
@@ -30,8 +32,11 @@ from lioueps.spectral import (
     check_lemmas,
     _block_eig,
     _canonical_phase,
+    _partner,
+    _scatter,
     hermitian_representative,
     liouvillian_eigensystem,
+    liouvillian_eigensystems,
     pm_decomposition,
     sym_antisym,
 )
@@ -42,8 +47,10 @@ from lioueps.models import (
     example2,
     example2_closed_form,
     example3,
+    family_names,
+    get_family,
 )
-from conftest import assert_multiset_close, random_lindblad_model
+from conftest import assert_multiset_close, conjugation_key, random_lindblad_model
 
 Q = build_qubit_ops()
 SPACE = Q["identity"].space
@@ -122,6 +129,46 @@ class TestAnalyzeLiouvillian:
         with pytest.raises(SpectralError, match="trace row"):
             analysis(liou)
 
+    @pytest.mark.parametrize("analysis", [analyze_liouvillian, liouvillian_eigensystem])
+    def test_rejects_a_generator_that_does_not_preserve_hermiticity(self, analysis):
+        # one entry off by 1e-6 on a row of an off-diagonal vec index: the
+        # trace row still vanishes, but P conj(L) P = L fails, and the
+        # mirrored sector would be the conjugate of the wrong block
+        ok = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=3))
+        rows, cols, values = ok.entries
+        d = ok.dim
+        k = np.flatnonzero((rows // d != rows % d) & (rows != cols))[0]
+        values = values.copy()
+        values[k] += 1e-6
+        bent = SuperOp(ok.space, entries=(rows, cols, values))
+        assert np.linalg.norm(trace_row(bent)) <= 1e-12 * np.linalg.norm(values)
+        with pytest.raises(SpectralError, match="preserve Hermiticity"):
+            analysis(bent)
+        with pytest.raises(SpectralError, match="preserve Hermiticity") as err:
+            liouvillian_eigensystems([ok, bent])
+        assert err.value.point == 1
+
+    def test_an_entry_without_its_mirror_joins_the_partner_sectors(self):
+        # an entry of 1e-14 |L|_F, below the symmetry check, from a k = 1
+        # row to a k = 0 column: its mirror (k = -1 to k = 0) is 0, so the
+        # three sectors (19 + 16 + 16 rows) are solved as one self-conjugate
+        # sector, and the values stay closed under conjugation
+        mat = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=3)).matrix.copy()
+        mat[1, 0] = 1e-14 * np.linalg.norm(mat)
+        bent = SuperOp(HilbertSpace((9,)), mat)
+        vals, blocks = _block_eig(81, bent.entries, partner=_partner([9]))
+        assert sorted(r.shape[1] for r, _, _ in blocks for _ in r) == [1, 1, 4, 4, 10, 10, 51]
+        assert conjugation_key(vals) == conjugation_key(vals.conj())
+        assert_multiset_close(liouvillian_eigensystem(bent).eigenvalues,
+                              np.linalg.eigvals(mat), 1e-12)
+
+    def test_example3_takes_one_eig_per_conjugate_orbit(self, eig_calls):
+        # levels=5: 17 sectors, two of them 1x1; 7 partner pairs take one
+        # complex eig each and the self-conjugate sector one real eig
+        liouvillian_eigensystem(assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5)))
+        assert len(eig_calls) == 8
+        assert sorted(real for _, _, real in eig_calls) == [False] * 7 + [True]
+
     def test_defect_flags_at_exceptional_point(self):
         spec = analyze_liouvillian(assemble_liouvillian(example2(1.0, 4.0)))
         merged = np.flatnonzero(np.abs(spec.eigenvalues + 3.0) < 1e-6)
@@ -161,9 +208,10 @@ def test_spectrum_invariants_on_random_models(seed):
         assert np.abs(vals - lam.conjugate()).min() <= 1e-8
     # conjugate pairs are exact: the spectrum is closed under conjugation bitwise
     assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
-    # the right-only eigensystem is the same spectrum, in the same order
+    # the right-only eigensystem is the same spectrum, in the same order,
+    # bit for bit
     lean = liouvillian_eigensystem(liou)
-    assert np.array_equal(lean.eigenvalues, vals)
+    assert lean.eigenvalues.tobytes() == vals.tobytes()
     assert np.array_equal(lean.zero_mask, spec.zero_mask)
     overlaps = np.abs(np.sum(lean.vectors.conj() * spec.vectors, axis=0))
     assert overlaps.min() >= 1 - 1e-8
@@ -172,6 +220,52 @@ def test_spectrum_invariants_on_random_models(seed):
     ss = spec.steady_state.matrix
     assert abs(np.trace(ss) - 1) <= 1e-12
     assert np.linalg.eigvalsh(ss).min() >= -1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["random"] + family_names()), seed=st.integers(0, 2**32 - 1))
+def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
+    """_block_eig with the partner swap P, before any clustering: the
+    values are closed under conjugation bit for bit; a mirrored sector's
+    values and vectors, right and left, are the conjugates of its partner's
+    with the rows moved by P, bit for bit; in a self-conjugate sector a
+    value with Im exactly 0 has a Hermitian eigenmatrix, and every other
+    value's conjugate is a value of the sector whose vector is P conj of
+    its own, bit for bit; the multiset is the dense eig's within 1e-12 |L|."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        model = random_lindblad_model(rng)
+    else:
+        model = get_family(kind).build(float(rng.uniform(0.05, 2.0)))
+    liou = assemble_liouvillian(model)
+    n, p = liou.dim ** 2, _partner([liou.dim])
+    vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=p)
+    right_only = _block_eig(n, liou.entries, partner=p)
+    assert right_only[0].tobytes() == vals.tobytes()
+    assert conjugation_key(vals) == conjugation_key(vals.conj())
+    vecs, lvecs = _scatter(blocks), _scatter(lblocks)
+    sectors = [(r, c) for r, c, _ in blocks for r, c in zip(r, c)]
+    first = {int(r[0]): (r, c) for r, c in sectors}
+    for r, c in sectors:
+        mate_rows, mate_cols = first[int(np.sort(p[r])[0])]
+        if mate_rows[0] < r[0]:
+            assert vals[c].tobytes() == vals[mate_cols].conj().tobytes()
+            # a 1x1 sector holds the unit vector
+            for v in (vecs, lvecs) if r.size > 1 else ():
+                assert v[np.ix_(r, c)].tobytes() == v[np.ix_(p[r], mate_cols)].conj().tobytes()
+        elif mate_rows[0] == r[0]:
+            for j in c:
+                x = vecs[r, j]
+                if vals[j].imag == 0:
+                    assert np.array_equal(x, vecs[p[r], j].conj())
+                    continue
+                k = c[(vals[c].real == vals[j].real) & (vals[c].imag == -vals[j].imag)]
+                assert k.size == 1
+                assert vecs[r, k[0]].tobytes() == vecs[p[r], j].conj().tobytes()
+    dense = np.linalg.eigvals(liou.matrix)
+    dist = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(liou.entries[2])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
