@@ -519,11 +519,11 @@ def _run_trajectories(cfg: RunConfig, prefix: str) -> list[str]:
     cols = _observable_columns(model)
     names = ["time", "survival"]
     names += [f"p{k}_mean" for k in range(model.dim)]
-    columns = [ens.times, ens.survival]
-    columns += list(np.diagonal(ens.ensemble_average, axis1=1, axis2=2).real.T)
-    for name, mat in cols:
+    pops, means, stderrs = ens.statistics([Operator(model.space, mat) for _, mat in cols])
+    columns = [ens.times, ens.survival, *pops.T]
+    for (name, _), mean, stderr in zip(cols, means, stderrs):
         names += [f"{name}_mean", f"{name}_stderr"]
-        columns += ens.observable_stats(Operator(model.space, mat))
+        columns += [mean, stderr]
     path = f"{prefix}_dynamics.csv"
     _write_csv(cfg, path, names, [columns],
                {"seed": seed, "n_traj": n_traj, "dt": f"{dt:.17g}"})

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,6 +190,9 @@ _FILL = 4
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
 _MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# bytes of trajectory states that TrajectoryEnsemble.statistics reads per
+# slab; each slab's temporaries are a few times that
+_SLAB_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,11 @@ class TrajectoryEnsemble:
     uniform, then channel uniform per jump, then the next waiting
     uniform; reruns with the same seed are bit-identical and trajectories
     are independent.
+
+    statistics() reads the ensemble means in one pass over the states, a
+    slab of trajectories at a time, so no (n_traj, n_times, D, D) stack
+    of outer products is ever held; observable_stats is a read of it, and
+    ensemble_average takes its populations as the diagonal.
     """
 
     seed: int
@@ -216,21 +225,52 @@ class TrajectoryEnsemble:
     no_jump_states: np.ndarray
     survival: np.ndarray
 
+    def statistics(self, ops=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean populations, and the ensemble mean and standard error of
+        each Re <psi|op|psi>, per sample time.
+
+        Returns populations of shape (n_times, D), the mean of |psi_i|^2,
+        and means and stderrs of shape (len(ops), n_times).  With psi read
+        as the real vector v = (Re psi, Im psi), Re <psi|O|psi> = v^T M v
+        for the real 2D x 2D matrix M = [[Re O, -Im O], [Im O, Re O]]; a
+        slab of trajectories at a time, v is laid out as columns and each
+        op takes one product M v over the slab, so its values do not
+        depend on which other operators were asked for.
+        """
+        states = self.trajectory_states
+        n, t, d = states.shape
+        mats = [np.block([[op.matrix.real, -op.matrix.imag], [op.matrix.imag, op.matrix.real]])
+                for op in ops]
+        pops = np.zeros((d, t))
+        vals = np.empty((len(mats), n, t))
+        step = max(1, _SLAB_BYTES // (16 * t * d))
+        for a in range(0, n, step):
+            rows = min(step, n - a)
+            pairs = np.ascontiguousarray(states[a:a + rows], dtype=complex).view(float)
+            v = pairs.reshape(rows * t, d, 2).transpose(2, 1, 0).reshape(2 * d, rows * t)
+            sq = v ** 2
+            pops += (sq[:d] + sq[d:]).reshape(d, rows, t).sum(axis=1)
+            for val, m in zip(vals, mats):
+                val[a:a + rows] = ((m @ v) * v).sum(axis=0).reshape(rows, t)
+        means = np.array([val.mean(axis=0) for val in vals]).reshape(-1, t)
+        stderrs = np.array([val.std(axis=0, ddof=1) for val in vals]).reshape(-1, t) / np.sqrt(n)
+        return pops.T / n, means, stderrs
+
     @property
     def ensemble_average(self) -> np.ndarray:
-        """Mean density matrix per sample time, shape (n_times, D, D)."""
-        return np.einsum("rki,rkj->kij",
-                         self.trajectory_states,
-                         self.trajectory_states.conj()) / self.n_traj
+        """Mean density matrix per sample time, shape (n_times, D, D),
+        rho_ij = E[psi_i psi_j^*]: one product per sample time, with the
+        populations of statistics() as its diagonal."""
+        states = self.trajectory_states
+        rho = np.stack([x.T @ x.conj() for x in states.transpose(1, 0, 2)]) / self.n_traj
+        diag = np.arange(states.shape[2])
+        rho[:, diag, diag] = self.statistics()[0]
+        return rho
 
     def observable_stats(self, op: Operator) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and standard error of <op> per sample time."""
-        vals = np.real(np.einsum("rki,ij,rkj->rk",
-                                 self.trajectory_states.conj(), op.matrix,
-                                 self.trajectory_states))
-        mean = vals.mean(axis=0)
-        stderr = vals.std(axis=0, ddof=1) / np.sqrt(self.n_traj)
-        return mean, stderr
+        """Ensemble mean and standard error of Re <op> per sample time."""
+        _, means, stderrs = self.statistics((op,))
+        return means[0], stderrs[0]
 
     def no_jump_density(self) -> np.ndarray:
         """Normalized conditional density matrices of the no-jump branch."""
@@ -308,6 +348,30 @@ def _collapse(phi: np.ndarray, gts: list[np.ndarray], v: np.ndarray):
     return _normalized(cand[np.arange(len(channel)), channel])[0], channel
 
 
+class _Propagators(NamedTuple):
+    """The no-jump step matrices of a run, all acting on row vectors."""
+
+    powers: np.ndarray  # powers[k] = (exp(-i dt H_eff)^T)^k, k = 0.._BLOCK
+    mids: np.ndarray    # mids[k] steps on to the midpoint of the next cell
+    half: np.ndarray    # half a step
+    gts: list           # the transposed jump matrices Gamma_mu^T
+    grams: np.ndarray   # column k: G_k = powers[k] powers[k]^dag as real pairs
+
+
+def _jump_cells(psi, u, room, prop):
+    """For each row, the first cell (k - 1, k], k in 1..room, whose end
+    norm^2 |psi powers[k]|^2 reaches u; room when no earlier one does.
+
+    |psi powers[k]|^2 = sum_ij psi_i psi_j^* G_ij with G = G_k Hermitian, so
+    one real product of the rows' outer products, read as (re, im) pairs,
+    with the columns (Re G, -Im G) of every k gives all the cells at once.
+    """
+    outer = (psi[:, :, None] * psi[:, None, :].conj()).view(float).reshape(len(psi), -1)
+    reached = outer @ prop.grams[:, 1:room.max() + 1] <= u[:, None]
+    reached[np.arange(len(psi)), room - 1] = True
+    return reached.argmax(axis=1) + 1
+
+
 def _resolve_jumps(rows, psi, u, g, start, prop, draws, events):
     """Jumps of the trajectories rows inside the block of g steps that
     starts at grid index start.
@@ -318,35 +382,28 @@ def _resolve_jumps(rows, psi, u, g, start, prop, draws, events):
     returns the normalized states at the block end with the thresholds
     rescaled to them.
     """
-    powers, mids, half, gts = prop
     end_states, end_u = np.empty_like(psi), np.empty_like(u)
     pos = np.arange(rows.size)          # where each pending row's results go
     at = np.zeros(rows.size, dtype=int)  # steps into the block
     while pos.size:
         r = rows[pos]
-        # first cell (k - 1, k] after `at` whose end norm^2 reaches u: the
-        # norm never increases, so bisect between 1 > u at 0 and g - at
-        lo, hi = np.zeros_like(at), g - at
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            below = _normalized(np.einsum("ri,rij->rj", psi, powers[mid]))[1] <= u
-            lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+        hi = _jump_cells(psi, u, g - at, prop)
         # the jump sits at the cell midpoint, reached by a half step
-        phi, channel = _collapse(_normalized(np.einsum("ri,rij->rj", psi, mids[hi - 1]))[0],
-                                 gts, draws.take(r))
+        phi, channel = _collapse(_normalized(np.einsum("ri,rij->rj", psi, prop.mids[hi - 1]))[0],
+                                 prop.gts, draws.take(r))
         at = at + hi
         events.append((r, 2 * (start + at) - 1, channel))
         u = draws.take(r)
-        psi, n2 = _normalized(phi @ half)
+        psi, n2 = _normalized(phi @ prop.half)
         # the new threshold may already be reached at the grid point
         now = np.flatnonzero(n2 <= u)
         if now.size:
-            psi[now], channel = _collapse(psi[now], gts, draws.take(r[now]))
+            psi[now], channel = _collapse(psi[now], prop.gts, draws.take(r[now]))
             events.append((r[now], 2 * (start + at[now]), channel))
             u[now] = draws.take(r[now])
             n2[now] = 1.0
         u = u / n2
-        state, n2 = _normalized(np.einsum("ri,rij->rj", psi, powers[g - at]))
+        state, n2 = _normalized(np.einsum("ri,rij->rj", psi, prop.powers[g - at]))
         again = n2 <= u
         done = ~again
         end_states[pos[done]] = state[done]
@@ -367,8 +424,11 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     exp(-i dt H_eff); blocks are the sample intervals, split every _BLOCK
     steps.  At each block end every row is renormalized and its u divided
     by the block's norm^2.  A row whose norm^2 reached u jumped inside the
-    block: bisection over the powers finds the first dt cell where it
-    did, and the jump is placed at the cell midpoint.  A second uniform
+    block.  The norm^2 after k steps is psi G_k psi^dag with the Gram
+    matrix G_k = P_k P_k^dag of the k-th power P_k, all precomputed, so one
+    product of the row's outer product with the stacked G_k gives the
+    norm^2 at every cell end; the first dt cell that reaches u holds the
+    jump, which is placed at the cell midpoint.  A second uniform
     picks channel mu with weight |Gamma_mu psi|^2, the state collapses to
     Gamma_mu psi / |Gamma_mu psi|, and a fresh u is drawn; if the half
     step to the next grid point already reaches it, the next jump happens
@@ -412,12 +472,13 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     heff = effective_hamiltonian(model).matrix
     m0t = scipy.linalg.expm(-1j * dt * heff).T
     half = scipy.linalg.expm(-0.5j * dt * heff).T
-    # powers[k] = m0t^k; mids[k] steps on to the midpoint of the next cell
     powers = np.empty((min(_BLOCK, n_steps) + 1, d, d), dtype=complex)
     powers[0] = np.eye(d)
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] @ m0t
-    prop = (powers, powers[:-1] @ half, half, [g.T.copy() for g in gammas])
+    grams = powers @ powers.conj().transpose(0, 2, 1)
+    grams = np.stack([grams.real, -grams.imag], axis=-1).reshape(len(powers), -1).T.copy()
+    prop = _Propagators(powers, powers[:-1] @ half, half, [g.T.copy() for g in gammas], grams)
 
     draws = _Draws(seed, n_traj)
     # rows 0..n_traj-1 are the trajectories, row n_traj the no-jump branch

@@ -14,6 +14,7 @@ under the sign of sigma_y, so nothing downstream depends on handedness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class HilbertSpace:
     @property
     def dim(self) -> int:
         """Total dimension D = product of the factor dimensions."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index_of(self, multi: tuple[int, ...]) -> int:
         """Flat basis index of a multi-index (row-major over factors)."""

@@ -15,6 +15,11 @@ column norms, sort, zero-sector QR, phase and support overlaps over the
 n x n vector array.  So is the per-point path that whole-grid solves
 replace: every grid point solved alone, and the branch tracker as the
 dense greedy rule on the n x n vector arrays, point after point.
+
+The trajectory stepper's jump search is checked against the bisection
+over the propagator powers that it replaces, for the same jump records
+and the same bits of every state, and the one-pass ensemble statistics
+against the einsum formulas of the mean density and of <psi|O|psi>.
 """
 
 import itertools
@@ -34,7 +39,8 @@ from lioueps.ep_detect import (Eigensystem, SpectrumFamily, SweepResult, _candid
                                support_overlaps, sweep)
 from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
-from lioueps import spectral
+from lioueps import dynamics, spectral
+from lioueps.dynamics import trajectories
 from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_labels,
                               _cluster_sort, _components, _scatter, _sort_indices,
                               _support_rows, _tie_batches, analyze_nhh, liouvillian_eigensystem,
@@ -996,3 +1002,167 @@ def test_candidate_pairs_share_a_sector_block():
     assert kept == [c for c in everything if same[c[0], c[1]]]
     assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 710, 524)
     assert kept[0] == everything[0] == (1, 6, 16)
+
+
+# ---------------------------------------------------------------------------
+# trajectories: the jump-cell search and the ensemble statistics
+# ---------------------------------------------------------------------------
+
+def reference_jump_cells(psi, u, room, prop):
+    """The bisection over the propagator powers that the Gram contraction
+    replaces: the norm never increases, so bisect between 1 > u at 0 and
+    room, the cell that holds the jump when no earlier one does."""
+    lo, hi = np.zeros_like(room), room
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        below = np.linalg.norm(np.einsum("ri,rij->rj", psi, prop.powers[mid]), axis=1) ** 2 <= u
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return hi
+
+
+def assert_same_unravelling(model, psi0, **run):
+    """trajectories with the Gram search and with the bisection: the same
+    jump records and the same bits of every state and survival."""
+    got = trajectories(model, psi0, **run)
+    with mock.patch.object(dynamics, "_jump_cells", reference_jump_cells):
+        want = trajectories(model, psi0, **run)
+    assert got.jump_records == want.jump_records
+    assert bits(got.trajectory_states) == bits(want.trajectory_states)
+    assert bits(got.no_jump_states) == bits(want.no_jump_states)
+    assert bits(got.survival) == bits(want.survival)
+    assert sum(map(len, got.jump_records)) > 0
+    return got
+
+
+def two_jumps_in_a_block(ens):
+    """Whether a trajectory jumped twice inside one block; with n_samples
+    = 2 the blocks are the runs of _BLOCK steps from t = 0, and a jump at
+    half-step index h lies in block (ceil(h / 2) - 1) // _BLOCK."""
+    for record in ens.jump_records:
+        halves = np.rint(2 * np.array([t for t, _ in record]) / ens.dt).astype(int)
+        blocks = ((halves + 1) // 2 - 1) // dynamics._BLOCK
+        if np.any(np.diff(blocks) == 0):
+            return True
+    return False
+
+
+def excited(model):
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[-1] = 1.0
+    return psi0
+
+
+@pytest.mark.parametrize("name, params, dt", [
+    ("example1", {}, 1e-3),
+    ("example2", {}, 1e-3),
+    ("example3", {"levels": 3}, 1e-2),
+    ("dephasing", {}, 1e-3),
+])
+def test_jump_search_equals_the_bisection(name, params, dt):
+    model = get_family(name, **params).build()
+    assert_same_unravelling(model, excited(model), n_traj=200, dt=dt, t_max=400 * dt, seed=3,
+                            n_samples=7)
+
+
+def test_jump_search_equals_the_bisection_with_two_jumps_in_a_block():
+    # dephasing at rate 24: each row jumps about 3 times per 128-step block
+    h = Operator(HilbertSpace((2,)), 0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
+    z = Operator(h.space, np.diag([1.0, -1.0]).astype(complex))
+    model = dynamics.LindbladModel(h, ((24.0, z),))
+    ens = assert_same_unravelling(model, [0, 1], n_traj=40, dt=1e-3, t_max=0.6, seed=11,
+                                  n_samples=2)
+    assert two_jumps_in_a_block(ens)
+
+
+def test_jump_search_equals_the_bisection_where_h_dt_is_not_small():
+    # ||H|| dt = 0.75: the norm^2 falls in steps, not smoothly, across cells
+    model = get_family("example2", omega_x=300.0, gamma_minus=1.0).build()
+    assert_same_unravelling(model, [0, 1], n_traj=200, dt=5e-3, t_max=3.0, seed=5,
+                            n_samples=4)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jump_search_equals_the_bisection_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, max_dim=4)
+    dt = 0.02 / max(np.linalg.norm(g.conj().T @ g, 2) for g in model.folded_jump_matrices())
+    psi0 = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    assert_same_unravelling(model, psi0 / np.linalg.norm(psi0), n_traj=60, dt=dt,
+                            t_max=300 * dt, seed=seed, n_samples=3)
+
+
+def reference_ensemble_average(ens):
+    states = ens.trajectory_states
+    return np.einsum("rki,rkj->kij", states, states.conj()) / ens.n_traj
+
+
+def reference_observable_stats(ens, op):
+    vals = np.real(np.einsum("rki,ij,rkj->rk", ens.trajectory_states.conj(), op.matrix,
+                             ens.trajectory_states))
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(ens.n_traj)
+
+
+def ensemble_of(states):
+    n, t, _ = states.shape
+    return dynamics.TrajectoryEnsemble(
+        seed=0, n_traj=n, dt=0.1, times=0.1 * np.arange(t), trajectory_states=states,
+        jump_records=((),) * n, no_jump_states=states[0], survival=np.ones(t))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("slab", [dynamics._SLAB_BYTES, 1000])
+def test_statistics_equal_the_einsum_formulas(d, slab):
+    rng = np.random.default_rng(d)
+    states = rng.standard_normal((301, 5, d)) + 1j * rng.standard_normal((301, 5, d))
+    ens = ensemble_of(states / np.linalg.norm(states, axis=2, keepdims=True))
+    space = HilbertSpace((d,))
+    ops = [Operator(space, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+           for _ in range(3)]
+    with mock.patch.object(dynamics, "_SLAB_BYTES", slab):
+        pops, means, stderrs = ens.statistics(ops)
+        rho = ens.ensemble_average
+        for k, op in enumerate(ops):
+            mean, stderr = reference_observable_stats(ens, op)
+            np.testing.assert_allclose(means[k], mean, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(stderrs[k], stderr, rtol=1e-12, atol=1e-14)
+            # one operator's values do not depend on the others asked for
+            assert bits(np.array(ens.observable_stats(op))) == bits(np.array([means[k], stderrs[k]]))
+    np.testing.assert_allclose(rho, reference_ensemble_average(ens), rtol=1e-12, atol=1e-14)
+    assert bits(np.diagonal(rho, axis1=1, axis2=2)) == bits(pops.astype(complex))
+
+
+def test_statistics_orientation():
+    # every trajectory holds psi = (1, 1 + i) / sqrt(3): rho_01 = psi_0 psi_1^*
+    # = (1 - i) / 3, and the non-Hermitian O = i |0><1| has <psi|O|psi> =
+    # i psi_0^* psi_1 = (i - 1) / 3 (its transpose would give (1 + i) / 3)
+    psi = np.array([1, 1 + 1j]) / np.sqrt(3)
+    ens = ensemble_of(np.tile(psi, (4, 3, 1)))
+    rho = ens.ensemble_average
+    np.testing.assert_allclose(rho[:, 0, 1], (1 - 1j) / 3, atol=1e-15)
+    np.testing.assert_allclose(rho[:, 1, 0], (1 + 1j) / 3, atol=1e-15)
+    op = Operator(HilbertSpace((2,)), np.array([[0, 1j], [0, 0]]))
+    mean, stderr = ens.observable_stats(op)
+    np.testing.assert_allclose(mean, -1 / 3, atol=1e-15)
+    np.testing.assert_allclose(stderr, 0, atol=1e-15)
+    pops = ens.statistics()[0]
+    np.testing.assert_allclose(pops, np.tile([1 / 3, 2 / 3], (3, 1)), atol=1e-15)
+
+
+def test_statistics_hold_no_outer_product_stack():
+    """2000 trajectories x 51 samples at D = 4: statistics with three
+    operators peaks at its (3, n_traj, n_times) values (2.4 MB) and one
+    slab, below a fifth of the (n_traj, n_times, D, D) complex stack of
+    outer products (26 MB)."""
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((2000, 51, 4)) + 1j * rng.standard_normal((2000, 51, 4))
+    ens = ensemble_of(states)
+    space = HilbertSpace((4,))
+    ops = [Operator(space, rng.standard_normal((4, 4)).astype(complex)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        ens.statistics(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 51 * 16 * 16 // 5
