@@ -16,15 +16,17 @@ stage below (see "sector blocks"), and an Eigensystem scatters them into
 a dense array only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
-zero-eigenvalue sector is orthonormalized.  The grouping rule is
-sequential; it runs member by member only inside neighbour groups of
-three or more, found on a square grid of cells, and settles the groups
-of one and two in whole-array steps.  analyze_liouvillian runs the same
-stages on one eig that also returns the left eigenvectors, already
-paired: the clusters decide which eigenmatrices get a Hermitian
-representative and are the blocks in which left and right eigenmatrices
-are scaled so that Tr(sigma_i rho_j) = delta_ij, on the dense vector
-arrays, and the steady state comes from the zero-eigenvalue sector.
+zero-eigenvalue sector is orthonormalized inside each sector.  The
+grouping rule is sequential; it runs member by member only inside
+neighbour groups of three or more, found on a square grid of cells, and
+settles the groups of one and two in whole-array steps.
+analyze_liouvillian runs the same stages on one eig that also returns
+the left eigenvectors, already paired: an isolated real mode is
+Hermitian by construction (the real eig of its self-conjugate sector)
+and takes only a sign, and the clusters are the blocks in which left and
+right eigenmatrices are scaled so that Tr(sigma_i rho_j) = delta_ij, on
+the dense vector arrays; the steady state comes from the
+zero-eigenvalue sector.
 Near-defective clusters are flagged instead of force-normalized: the
 spectral expansion of the dynamics is invalid exactly at an exceptional
 point, and silently rescaled left eigenmatrices there would poison every
@@ -242,28 +244,6 @@ def _permute(blocks, order: np.ndarray) -> list:
     return [(r, place[c], v) for r, c, v in blocks]
 
 
-def _merge(blocks, rows: np.ndarray, cols: np.ndarray) -> list:
-    """The blocks with the block of column cols[e] and the block of row
-    rows[e] merged into one, with all their rows and columns, for each e."""
-    first = np.cumsum([0] + [r.shape[0] for r, _, _ in blocks])
-    row_block = np.empty(sum(r.size for r, _, _ in blocks), dtype=np.intp)
-    col_block = np.empty(sum(c.size for _, c, _ in blocks), dtype=np.intp)
-    for s, (r, c, _) in enumerate(blocks):
-        row_block[r] = col_block[c] = first[s] + np.arange(r.shape[0])[:, None]
-    group = _components(first[-1], row_block[rows], col_block[cols])
-    merged = np.bincount(group)[group] > 1
-    kept = [(r[keep], c[keep], v[keep]) for s, (r, c, v) in enumerate(blocks)
-            if (keep := ~merged[first[s]:first[s + 1]]).any()]
-    for g in np.unique(group[merged]):
-        r = np.flatnonzero(group[row_block] == g)
-        c = np.flatnonzero(group[col_block] == g)
-        j, rows, vals = _columns(blocks, c)
-        v = np.zeros((1, r.size, c.size), dtype=complex)
-        v[0, np.searchsorted(r, rows), j] = vals
-        kept.append((r[None], c[None], v))
-    return kept
-
-
 def _partner(dims) -> np.ndarray:
     """P of the block-diagonal generator of generators on spaces of the
     given dimensions: the index of vec(|n><m|) at the index of
@@ -447,40 +427,6 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
     return (vals, blocks, lblocks) if left else (vals, blocks)
 
 
-def hermitian_representative(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best Hermitian phase rotation of a matrix.
-
-    Finds the phase theta minimizing the anti-Hermitian residual of
-    m * exp(i theta) and returns (Hermitian part of the rotated matrix,
-    relative residual).  Eigensolvers return real-eigenvalue
-    eigenmatrices with arbitrary phases; this recovers the Hermitian
-    representative they are proportional to.
-    """
-    h1 = 0.5 * (m + m.conj().T)
-    h2 = (m - m.conj().T) / 2j
-    g11 = np.vdot(h2, h2).real
-    g22 = np.vdot(h1, h1).real
-    g12 = np.vdot(h1, h2).real
-    gram = np.array([[g11, g12], [g12, g22]])
-    w, u = np.linalg.eigh(gram)
-    c, s = u[:, 0]
-    theta = np.arctan2(s, c)
-    rot = m * np.exp(1j * theta)
-    herm = 0.5 * (rot + rot.conj().T)
-    anti = 0.5 * (rot - rot.conj().T)
-    scale = max(np.linalg.norm(m), 1e-300)
-    return herm, float(np.linalg.norm(anti) / scale)
-
-
-def _canonical_sign(m: np.ndarray) -> np.ndarray:
-    """Fix the +-1 ambiguity of a Hermitian matrix deterministically."""
-    flat = m.reshape(-1)
-    k = int(np.argmax(np.abs(flat)))
-    piv = flat[k]
-    ref = piv.real if abs(piv.real) >= abs(piv.imag) else piv.imag
-    return -m if ref < 0 else m
-
-
 # ---------------------------------------------------------------------------
 # Liouvillian spectra
 # ---------------------------------------------------------------------------
@@ -551,8 +497,8 @@ class Spectrum(Eigensystem):
         return Operator(self.space, self.vectors[:, i].reshape(self.dim, self.dim))
 
     def mode_weights(self, rho0: Operator) -> np.ndarray:
-        """Expansion coefficients c_i = Tr(sigma_i rho0)."""
-        return np.array([np.trace(s @ rho0.matrix) for s in self.left_mats])
+        """Expansion coefficients c_i = Tr(sigma_i rho0) = y_i^dag vec(rho0)."""
+        return self.left_vectors.conj().T @ vectorize(rho0)
 
 
 def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> np.ndarray:
@@ -688,63 +634,35 @@ def _cluster_sort(n: int, entries, vals: np.ndarray, blocks, starts=(0,)):
     return vals[order], _permute(blocks, order), labels[order], order
 
 
-def _zero_sector(vals: np.ndarray, blocks, zero_tol: float, starts=(0,)):
-    """Zero mask, the blocks with each point's orthonormal zero-sector
-    basis q in place of its zero-sector columns, and per grid point the
-    dense zero block (n_p x z_p) and its q.
+def _zero_sector(vals: np.ndarray, blocks, zero_tol: float, starts=(0,)) -> np.ndarray:
+    """Zero mask, with each block's zero-sector columns made orthonormal
+    in place.
 
-    The sector is guaranteed diagonalizable, so its span is an invariant
-    subspace.  q is taken on the dense columns of the whole sector, and
-    can reach rows outside the blocks of its columns (on a closed example3
-    it does, by up to 1e-8): those blocks are then merged with the blocks
-    it reaches, so that no entry is cut off.  Exact zeros outside a block
-    are stored as +0.0 whatever their sign.  The points whose zero blocks
-    have one shape take one stacked QR.
+    The sector is guaranteed diagonalizable, and every sector of L is
+    invariant, so a sector's share of the kernel is spanned by its own
+    zero columns.  Where a block holds two or more, they are replaced by
+    the Q of a QR on the block's rows, taken in ascending column number;
+    the blocks of one stack with the same number take one stacked QR.  A
+    lone zero column is unit already (_unit_columns).  Raises
+    SpectralError, with the point, when a grid point has no eigenvalue
+    within zero_tol.
     """
-    n, starts = vals.size, np.asarray(starts)
     zero_mask = np.abs(vals) <= zero_tol
     count = np.add.reduceat(zero_mask, starts)
     if not count.all():
         exc = SpectralError(f"not a Liouvillian: no eigenvalue within zero_tol = {zero_tol:.2e}")
         exc.point = int(np.argmin(count))
         raise exc
-    zero = np.flatnonzero(zero_mask)
-    size = np.diff(starts, append=n)
-    # point p's zero block is flat[base[p]:] in C order, the blocks of one
-    # shape (key) next to each other, and zero column j is its column zcol[j]
-    key, shape = np.unique(size * (n + 1) + count, return_inverse=True)
-    area = size * count
-    by_shape = np.argsort(shape, kind="stable")
-    base = np.empty_like(area)
-    base[by_shape] = np.cumsum(area[by_shape]) - area[by_shape]
-    zpoint = _points(starts, n)[zero]
-    zfirst = np.cumsum(count) - count
-    zcol = np.arange(zero.size) - zfirst[zpoint]
-
-    def place(j, rows):
-        p = zpoint[j]
-        return base[p] + (rows - starts[p]) * count[p] + zcol[j]
-
-    j, rows, v = _columns(blocks, zero)
-    flat = np.zeros(area.sum(), dtype=complex)
-    flat[place(j, rows)] = v
-    q, at = np.empty_like(flat), 0
-    for m, z, span in zip(*np.divmod(key, n + 1), np.bincount(shape, area).astype(int)):
-        q[at:at + span] = np.linalg.qr(flat[at:at + span].reshape(-1, m, z))[0].ravel()
-        at += span
-    outside = q != 0
-    outside[place(j, rows)] = False
-    if outside.any():
-        f = np.flatnonzero(outside)
-        p = by_shape[np.searchsorted(base[by_shape], f, side="right") - 1]
-        r, c = np.divmod(f - base[p], count[p])
-        blocks = _merge(blocks, starts[p] + r, zero[zfirst[p] + c])
-    for s, t, u, j in _find(blocks, zero):
-        r, _, v = blocks[s]
-        v[t, :, u] = q[place(j[:, None], r[t])]
-    return (zero_mask, blocks,
-            *([x[base[p]:base[p] + area[p]].reshape(size[p], count[p]) for p in range(starts.size)]
-              for x in (flat, q)))
+    for _, c, v in blocks:
+        held = zero_mask[c]
+        per = held.sum(axis=1)
+        for z in np.unique(per[per > 1]):
+            t = np.flatnonzero(per == z)
+            # each block's zero columns, in ascending column number
+            u = np.argsort(np.where(held[t], c[t], vals.size), axis=1)[:, :z]
+            t = t[:, None]
+            v[t, :, u] = np.linalg.qr(v[t, :, u].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+    return zero_mask
 
 
 def _check_trace_row(liou: SuperOp) -> None:
@@ -862,7 +780,7 @@ def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple
     _check_hermiticity_preserving(entries, partner, starts)
     vals, blocks = _grid_eig(n, entries, starts, partner)
     vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
-    zero_mask, blocks, _, _ = _zero_sector(vals, blocks, zero_tol, starts)
+    zero_mask = _zero_sector(vals, blocks, zero_tol, starts)
     for _, _, v in blocks:
         _canonical_phase(v, out=v)
     return _split(vals, blocks, zero_mask, starts)
@@ -901,12 +819,16 @@ def analyze_liouvillian(liou: SuperOp,
     _unit_columns(lblocks)
     lvecs = _scatter(_permute(lblocks, order))
     sizes = np.bincount(labels)
-    zero_mask, blocks, (zblock,), (q,) = _zero_sector(vals, blocks, zero_tol)
-    svals = np.linalg.svd(zblock, compute_uv=False)
-    zero_rank = int(np.sum(svals > 1e-8 * svals[0]))
     vecs = _scatter(blocks)
-    # q's own bits, signed zeros off the sector blocks included
-    vecs[:, zero_mask] = q
+    zero_mask = _zero_sector(vals, blocks, zero_tol)
+    zero = np.flatnonzero(zero_mask)
+    # the rank of the zero columns before, the steady state from them after
+    # their QR
+    svals = np.linalg.svd(vecs[:, zero], compute_uv=False)
+    zero_rank = int(np.sum(svals > 1e-8 * svals[0]))
+    j, rows, v = _columns(blocks, zero)
+    vecs[rows, zero[j]] = v
+    q = vecs[:, zero]
 
     # steady state: trace-carrying combination of the zero sector
     trace_vec = vectorize(np.eye(liou.dim))
@@ -919,16 +841,20 @@ def analyze_liouvillian(liou: SuperOp,
     if np.linalg.eigvalsh(ss).min() < -1e-10:
         raise SpectralError("steady-state extraction produced an indefinite matrix")
 
-    # deterministic representatives: Hermitian rotation for isolated real
-    # eigenvalues, canonical phase otherwise
-    phased = np.ones(n, dtype=bool)
-    isolated_real = ~zero_mask & (sizes[labels] == 1) & (np.abs(vals.imag) <= zero_tol)
-    for i in np.flatnonzero(isolated_real):
-        m, resid = hermitian_representative(devectorize(vecs[:, i]))
-        if resid <= 1e-8:
-            vecs[:, i] = _canonical_sign(m / np.linalg.norm(m)).reshape(-1)
-            phased[i] = False
-    vecs[:, phased] = _canonical_phase(vecs[:, phased])
+    # deterministic representatives.  An isolated real mode comes from the
+    # real geev of a self-conjugate sector, so its eigenmatrix is Hermitian
+    # bit for bit and only its sign is free: the real part of its largest
+    # entry, or the imaginary part where that is larger, is made positive.
+    # Every other column, a real singleton of a partner sector's pair too
+    # (made real by the cluster rule), takes the canonical phase.
+    herm = ~zero_mask & (sizes[labels] == 1) & (vals.imag == 0)
+    cols = vecs[:, herm]
+    herm[herm] = (cols == cols[partner].conj()).all(axis=0)
+    cols = vecs[:, herm]
+    piv = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    ref = np.where(np.abs(piv.real) >= np.abs(piv.imag), piv.real, piv.imag)
+    vecs[:, herm] = np.where(ref < 0, -cols, cols)
+    vecs[:, ~herm] = _canonical_phase(vecs[:, ~herm])
 
     # biorthonormalize within each cluster; a singular overlap block marks
     # a (near-)defective cluster, whose left vectors stay at unit norm

@@ -232,7 +232,9 @@ def reference_block_eig(mat, mirror=False):
 
 def reference_eigensystem(mat, zero_tol=1e-10):
     """liouvillian_eigensystem on the dense L and the n x n vector array.
-    Returns its values, vectors and zero mask, and the sector labels."""
+    Returns its values, vectors and zero mask, and the sector labels.  The
+    zero columns of each sector that holds two or more are replaced by the
+    Q of their QR on that sector's rows."""
     vals, vecs, sectors = reference_block_eig(mat, mirror=True)
     norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
@@ -241,7 +243,11 @@ def reference_eigensystem(mat, zero_tol=1e-10):
     order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs)
     vals, vecs = vals[order], vecs[:, order]
     zero_mask = np.abs(vals) <= zero_tol
-    vecs[:, zero_mask] = np.linalg.qr(vecs[:, zero_mask])[0]
+    for s in np.unique(sectors[order][zero_mask]):
+        cols = np.flatnonzero(zero_mask & (sectors[order] == s))
+        if cols.size > 1:
+            part = np.ix_(np.flatnonzero(sectors == s), cols)
+            vecs[part] = np.linalg.qr(vecs[part])[0]
     piv = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)[0]
     vecs *= np.reshape([abs(p) / p if p != 0 else 1.0 for p in piv], piv.shape)
     return vals, vecs, zero_mask, sectors
@@ -671,14 +677,29 @@ def test_eigensystem_equals_the_dense_pipeline_where_supports_split(levels):
 
 
 @pytest.mark.parametrize("levels", [3, 4])
-def test_zero_sector_reaching_other_sectors_is_stored_whole(levels):
+def test_zero_sector_is_orthonormalized_inside_each_sector(levels):
     """Zero rates close example3: L = -i[H, .] has a zero eigenvalue in
-    several sectors, and the QR of the zero sector puts entries of up to
-    1e-8 on rows of sectors that hold no zero column.  The blocks they
-    reach are merged, so no entry is lost."""
-    blocks, sectors = assert_matches_the_dense_pipeline(example3(1.0, 0.1, 0.0, 0.0, levels))
-    spans = [np.unique(sectors[rows[t]]).size for rows, _, _ in blocks for t in range(len(rows))]
-    assert max(spans) > 1
+    several sectors, some with two or more zero columns.  Each sector's
+    zero columns are orthonormalized on its own rows, the sectors of one
+    size and zero count in one stacked QR, so every stored block spans
+    one sector and the basis stays in the kernel."""
+    model = example3(1.0, 0.1, 0.0, 0.0, levels)
+    _, sectors = assert_matches_the_dense_pipeline(model)
+    liou = assemble_liouvillian(model)
+    got = liouvillian_eigensystem(liou)
+    stacked = []
+    for rows, cols, v in got.blocks:
+        held = got.zero_mask[cols]
+        per = held.sum(axis=1)
+        stacked += [(int((per == z).sum()), v.shape[1], z) for z in np.unique(per[per > 1])]
+        for t in range(len(rows)):
+            assert np.unique(sectors[rows[t]]).size == 1
+            q = v[t][:, held[t]]
+            assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-14
+    if levels == 3:
+        assert stacked == [(2, 4, 2), (1, 9, 3)]
+    q = got.vectors[:, got.zero_mask]
+    assert np.linalg.norm(liou.matrix @ q) <= 1e-12
 
 
 @ORACLE
@@ -819,9 +840,10 @@ def test_grid_eigensystems_where_the_sectors_change(operator):
 
 
 def test_grid_eigensystems_of_a_closed_model():
-    """Zero rates: the zero-sector basis of every point but g = 0 reaches
-    other sectors, so blocks are merged, and g = 0 (a diagonal L) has more
-    zero columns than the rest, so its zero block has a shape of its own."""
+    """Zero rates: several sectors of every point hold two or more zero
+    columns, which take stacked QRs across the grid, and g = 0 (a
+    diagonal L) has more zero columns than the rest, each alone in its
+    1 x 1 sector."""
     family = get_family("example3", levels=3, gamma_a=0.0, gamma_b=0.0).liouvillian_family()
     systems = assert_grid_equals_each_point(family, np.linspace(-0.1, 0.2, 4))
     assert systems[1].zero_mask.sum() > systems[0].zero_mask.sum()
