@@ -2,6 +2,8 @@
 systems: assembly, eigenanalysis, exceptional-point localization, time
 propagation, and counting-trajectory unraveling."""
 
+import importlib
+
 from .errors import (
     ConfigError,
     HermiticityError,
@@ -38,30 +40,6 @@ from .superop import (
     right_action,
     vectorize,
 )
-from .spectral import (
-    Eigensystem,
-    LemmaReport,
-    NhhSpectrum,
-    Spectrum,
-    analyze_liouvillian,
-    analyze_nhh,
-    check_lemmas,
-    liouvillian_eigensystem,
-    liouvillian_eigensystems,
-    nhh_eigensystem,
-    nhh_eigensystems,
-    pm_decomposition,
-    sym_antisym,
-)
-from .ep_detect import (
-    EPReport,
-    SpectrumFamily,
-    SweepResult,
-    jordan_chain,
-    locate_ep,
-    overlap_matrix,
-    sweep,
-)
 from .models import (
     ModelFamily,
     dephasing,
@@ -72,13 +50,61 @@ from .models import (
     get_family,
     sigma_z_expectations,
 )
-from .dynamics import (
-    Propagation,
-    TrajectoryEnsemble,
-    ep_decay_fit,
-    propagate_expm,
-    propagate_modes,
-    trajectories,
-)
+
+# The compute modules load when one of their names is first read (PEP 562),
+# so a CLI process loads only the modules its command runs.
+_LAZY = {
+    "spectral": (
+        "Eigensystem",
+        "LemmaReport",
+        "NhhSpectrum",
+        "Spectrum",
+        "analyze_liouvillian",
+        "analyze_nhh",
+        "check_lemmas",
+        "liouvillian_eigensystem",
+        "liouvillian_eigensystems",
+        "nhh_eigensystem",
+        "nhh_eigensystems",
+        "pm_decomposition",
+        "sym_antisym",
+    ),
+    "ep_detect": (
+        "EPReport",
+        "SpectrumFamily",
+        "SweepResult",
+        "jordan_chain",
+        "locate_ep",
+        "overlap_matrix",
+        "sweep",
+    ),
+    "dynamics": (
+        "Propagation",
+        "TrajectoryEnsemble",
+        "ep_decay_fit",
+        "propagate_expm",
+        "propagate_modes",
+        "trajectories",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, type(importlib))}
+                 | set(_MODULE_OF))
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"

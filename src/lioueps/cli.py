@@ -29,13 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, LiouepsError, ModelBuildError
-from .ops_core import Operator, build_qubit_ops
+from .ops_core import (DEFAULT_DEFECT_TOL, DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL,
+                       DEFAULT_ZERO_TOL, Operator, build_qubit_ops)
 from .superop import LindbladModel, assemble_liouvillian, assemble_liouvillian_no_jumps
-from .spectral import DEFAULT_DEFECT_TOL, DEFAULT_ZERO_TOL, analyze_liouvillian
-from .ep_detect import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, locate_ep, support_overlaps, sweep
 from .models import ModelFamily, family_names, get_family
-from .dynamics import propagate_expm, propagate_modes, trajectories
-from .verify import run_verification
+
+# Each command imports the compute modules it runs in its own body (spectral
+# and ep_detect for the spectral commands, dynamics for the time evolutions,
+# verify for verify), so that a CLI process loads only those.
 
 COMMANDS = ("spectrum", "sweep", "ep-locate", "dynamics", "trajectories", "verify")
 CONVENTION = ("vec-rowmajor; jump operators folded as sqrt(gamma)*X; "
@@ -161,9 +162,11 @@ def parse_config(text: str) -> RunConfig:
       verify        nothing besides command
     sweep.param must be a model parameter whose family-table value is a
     float: an integer one (levels) fixes the model size and cannot be
-    swept.  ep.branch_pair holds two distinct indices below the branch
-    count n, D^2 for the Liouvillian and D for "nhh" (D the model
-    dimension).  The model is built to range-check its parameters, and
+    swept.  sweep.steps (at least 2) is the point count of a sweep's grid;
+    ep-locate takes it as the point count of its coarse scan, raising a
+    value below 5 to 5.  ep.branch_pair holds two distinct indices below
+    the branch count n, D^2 for the Liouvillian and D for "nhh" (D the
+    model dimension).  The model is built to range-check its parameters, and
     rho0 or psi0 is resolved against its dimension, before any
     computation starts.  All findings are reported at once through
     ConfigError.
@@ -416,6 +419,8 @@ def _write_branches(cfg: RunConfig, prefix: str, grid, systems) -> list[str]:
     built one grid point at a time; every other pair has overlap exactly
     0 and is left out, as a header line of the file states.
     """
+    from .ep_detect import support_overlaps
+
     n = systems[0].size
     grid = np.asarray(grid, dtype=float)
     order = [np.lexsort((np.arange(n), s.eigenvalues.imag, np.abs(s.eigenvalues.real)))
@@ -454,6 +459,8 @@ def _run_spectrum(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
+    from .ep_detect import sweep
+
     spec_family = _spectrum_family(cfg)
     grid = np.linspace(cfg["sweep", "from"], cfg["sweep", "to"], cfg["sweep", "steps"])
     result = sweep(spec_family, grid)
@@ -461,6 +468,8 @@ def _run_sweep(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
+    from .ep_detect import locate_ep
+
     report = locate_ep(
         _spectrum_family(cfg), (cfg["sweep", "from"], cfg["sweep", "to"]),
         branch_pair=cfg["ep", "branch_pair"],
@@ -482,6 +491,8 @@ def _run_ep_locate(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
+    from .dynamics import propagate_expm, propagate_modes
+
     model = cfg.family.build()
     generator, method, rho0 = (cfg["dynamics", key] for key in ("generator", "method", "rho0"))
     liou = (assemble_liouvillian(model) if generator == "liouvillian"
@@ -490,6 +501,8 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
     if method == "modes" or isinstance(rho0, str):
         # one analysis of the full generator serves the steady rho0 and the
         # mode expansion (parse_config admits modes only for the full one)
+        from .spectral import analyze_liouvillian
+
         full = liou if generator == "liouvillian" else assemble_liouvillian(model)
         spec = analyze_liouvillian(full, cfg["tolerances", "zero_tol"],
                                    cfg["tolerances", "defect_tol"])
@@ -510,6 +523,8 @@ def _run_dynamics(cfg: RunConfig, prefix: str) -> list[str]:
 
 
 def _run_trajectories(cfg: RunConfig, prefix: str) -> list[str]:
+    from .dynamics import trajectories
+
     model = cfg.family.build()
     n_traj, dt = cfg["trajectories", "n_traj"], cfg["trajectories", "dt"]
     seed = cfg["trajectories", "seed"]
@@ -552,6 +567,8 @@ def execute(cfg: RunConfig, output_dir: str | None = None, threads: int = 1,
             raise ConfigError(errors)
         cfg = replace(cfg, values={**cfg.values, ("trajectories", "seed"): seed})
     if cfg.command == "verify":
+        from .verify import run_verification
+
         lines, ok = run_verification()
         for line in lines:
             print(line, file=stream)

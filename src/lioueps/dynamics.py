@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import SpectralError
 from .ops_core import Operator
-from .spectral import Spectrum
 from .superop import (
     LindbladModel,
     SuperOp,
@@ -46,6 +45,9 @@ from .superop import (
     is_trace_preserving,
     vectorize,
 )
+
+if TYPE_CHECKING:  # an annotation only: dynamics runs without spectral
+    from .spectral import Spectrum
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
-from .ops_core import HilbertSpace, Operator
+from .ops_core import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, HilbertSpace, Operator
 from .spectral import Eigensystem, _canonical_phase, _components, _permute
 from .superop import SuperOp
 
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_PARAM_TOL = 1e-8
 MAX_ORDER = 8
 # Muller's iteration converges superlinearly at an order-2 root but only
 # linearly on the pair discriminant of a higher-order EP

@@ -27,21 +27,21 @@ qubit basis (|g>, |e>) of ops_core.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ModelBuildError
-from .ep_detect import SpectrumFamily
-from .ops_core import Operator, build_boson_ops, build_qubit_ops, tensor
-from .spectral import (DEFAULT_ZERO_TOL, _each_point, liouvillian_eigensystems,
-                       nhh_eigensystems)
+from .ops_core import DEFAULT_ZERO_TOL, Operator, build_boson_ops, build_qubit_ops, tensor
 from .superop import (
     LindbladModel,
     SuperOp,
     assemble_liouvillian,
     effective_hamiltonian,
 )
+
+if TYPE_CHECKING:
+    from .ep_detect import SpectrumFamily
 
 
 def _require_rate(name: str, value: float) -> float:
@@ -337,6 +337,10 @@ class ModelFamily:
 
     def liouvillian_family(self, sweep_param: str | None = None,
                            zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
+        # the EP search and the eigensolvers load only when a family is made
+        from .ep_detect import SpectrumFamily
+        from .spectral import _each_point, liouvillian_eigensystems
+
         param = sweep_param or self.sweep_param
 
         def liouvillian(value: float) -> SuperOp:
@@ -349,6 +353,9 @@ class ModelFamily:
                               self.build().space)
 
     def nhh_family(self, sweep_param: str | None = None) -> SpectrumFamily:
+        from .ep_detect import SpectrumFamily
+        from .spectral import _each_point, nhh_eigensystems
+
         param = sweep_param or self.sweep_param
 
         def matrix(value: float) -> np.ndarray:
@@ -388,6 +395,8 @@ def get_family(name: str, **fixed) -> ModelFamily:
 def example3_block_family(omega: float, gamma_a: float, gamma_b: float,
                           n_exc: int) -> SpectrumFamily:
     """Coupling sweep of one excitation block of the two-mode model."""
+    from .ep_detect import SpectrumFamily
+    from .spectral import _each_point, nhh_eigensystems
 
     def matrix(g: float) -> np.ndarray:
         return example3_excitation_block(omega, g, gamma_a, gamma_b, n_exc)

@@ -23,6 +23,20 @@ from .errors import HermiticityError, SpaceMismatchError
 
 #: Relative tolerance used by default for Hermiticity checks.
 DEFAULT_HERM_TOL = 1e-12
+# The default tolerances of the spectral and EP analyses live here, beside
+# DEFAULT_HERM_TOL, so that the CLI reads them without loading either module
+# (spectral and ep_detect import them from here).
+#: |lambda| up to which an eigenvalue of L counts as zero.
+DEFAULT_ZERO_TOL = 1e-10
+# At an exact EP the eigensolver splits the defective pair by O(sqrt(eps)),
+# and |Tr(sigma rho)| of the returned unit vectors lands at the same scale
+# (~1e-8): a much smaller threshold would never fire in double precision,
+# while healthy pairs sit at O(0.1).
+DEFAULT_DEFECT_TOL = 1e-6
+#: Relative singular-value cut of the Jordan analysis at an EP.
+DEFAULT_RANK_TOL = 1e-8
+#: Parameter tolerance of the EP refinement.
+DEFAULT_PARAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ import numpy as np
 
 from .errors import HermiticityError, SpectralError
 from .ops_core import (
+    DEFAULT_DEFECT_TOL,
+    DEFAULT_ZERO_TOL,
     HilbertSpace,
     Operator,
     hermitian_spectral_decomposition,
@@ -71,12 +73,6 @@ from .superop import (
     vectorize,
 )
 
-DEFAULT_ZERO_TOL = 1e-10
-# At an exact EP the eigensolver splits the defective pair by O(sqrt(eps)),
-# and |Tr(sigma rho)| of the returned unit vectors lands at the same scale
-# (~1e-8): a much smaller threshold would never fire in double precision,
-# while healthy pairs sit at O(0.1).
-DEFAULT_DEFECT_TOL = 1e-6
 # eigenvector-matrix condition number that flags H_eff near-defective
 NHH_DEFECT_COND = 1e8
 # entries of the zero-padded tie keys that _sort_indices builds at once,

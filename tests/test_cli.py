@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -360,6 +361,22 @@ class TestCliRuns:
         assert payload["ep"]["param_value"] == pytest.approx(4.0, abs=1e-6)
         assert payload["ep"]["order_estimate"] == 2
 
+    def test_ep_locate_scans_at_least_five_coarse_points(self, tmp_path):
+        # sweep.steps is the coarse scan's point count, raised to 5 when
+        # smaller: steps 2 and 5 run the same search
+        blocks = []
+        for steps in (2, 5):
+            cfg = write_config(tmp_path, {
+                "command": "ep-locate",
+                "model": {"name": "example2", "omega_x": 1.0},
+                "sweep": {"param": "gamma_minus", "from": 3.1, "to": 5.3, "steps": steps},
+                "output": f"steps{steps}",
+            })
+            assert main([cfg, "--output-dir", str(tmp_path)]) == 0
+            blocks.append(json.loads((tmp_path / f"steps{steps}_ep.json").read_text())["ep"])
+        assert blocks[0] == blocks[1]
+        assert blocks[0]["param_value"] == pytest.approx(4.0, abs=1e-6)
+
     def test_dynamics_output_columns(self, tmp_path):
         cfg = write_config(tmp_path, {
             "command": "dynamics",
@@ -666,50 +683,152 @@ class TestExitCodes:
         assert "coefficient-ordering" in out
 
 
+def fresh_python(code, *args):
+    """The stdout of code run in a fresh interpreter that imports this
+    checkout's lioueps; fails on a nonzero exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lioueps.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 COLD_START = """
 import json, sys
-from lioueps.cli import main
+import lioueps
+from lioueps.cli import main, parse_config
 
 
-def run(paths):
-    return [main([p, "--output-dir", sys.argv[1]]) for p in paths]
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lioueps."))
 
 
-numpy_only = run(sys.argv[2:8])
-scipy_loaded = "scipy" in sys.modules
-print(json.dumps([numpy_only, scipy_loaded, run(sys.argv[8:])]))
+out, parse_only, groups = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+for path in parse_only + [p for group in groups for p in group]:
+    with open(path, encoding="utf-8") as fh:
+        parse_config(fh.read())
+report = [loaded()]
+for group in groups:
+    codes = [main([p, "--output-dir", out]) for p in group]
+    report.append([codes, loaded(), "scipy" in sys.modules])
+print(json.dumps(report))
 """
+# the submodules that `import lioueps` and parse_config of any command load
+PARSE_MODULES = ["cli", "errors", "models", "ops_core", "superop"]
 
 
 class TestColdStart:
+    """The test process has every module loaded already, so a fresh
+    interpreter imports lioueps, parses the configs, then runs groups of
+    them through main one group after another; it reports the lioueps
+    submodules loaded after parsing, and after each group the exit codes,
+    the submodules and whether scipy is loaded."""
+
+    @staticmethod
+    def cold_start(tmp_path, parse_only, groups):
+        stdout = fresh_python(COLD_START, str(tmp_path), json.dumps(parse_only),
+                              json.dumps(groups))
+        return json.loads(stdout.splitlines()[-1])
+
+    @staticmethod
+    def config(tmp_path, command, **sections):
+        name = f"run{len(list(tmp_path.iterdir()))}"  # written before any run
+        return write_config(tmp_path, {
+            "command": command, "model": {"name": "example3", "levels": 2},
+            "output": name, **sections}, name=f"{name}.json")
+
+    def evolutions(self, tmp_path):
+        return [self.config(tmp_path, "trajectories",
+                            trajectories={"n_traj": 2, "dt": 1e-3, "t_max": 0.1}),
+                self.config(tmp_path, "dynamics", dynamics={"t_max": 1.0, "n_times": 3})]
+
     def test_spectra_sweeps_and_ep_search_never_import_scipy(self, tmp_path):
-        # the test process has scipy loaded already, so a fresh interpreter
-        # runs the CLI: spectrum, sweep and ep-locate on both operators with
-        # numpy alone, then dynamics and trajectories, which load scipy
-        configs = []
-
-        def config(command, **sections):
-            name = f"run{len(configs)}"
-            configs.append(write_config(tmp_path, {
-                "command": command, "model": {"name": "example3", "levels": 2},
-                "output": name, **sections}, name=f"{name}.json"))
-
+        # parsing every command's config loads no compute module; spectrum,
+        # sweep and ep-locate on both operators then run with numpy alone
+        # and load neither dynamics nor verify; trajectories and dynamics
+        # load scipy
         grid = {"param": "g", "from": 0.05, "to": 0.25, "steps": 9}
-        for operator in ("liouvillian", "nhh"):
-            config("spectrum", operator=operator)
-            config("sweep", operator=operator, sweep=grid)
-            config("ep-locate", operator=operator, sweep=grid)
-        config("dynamics", dynamics={"t_max": 1.0, "n_times": 3})
-        config("trajectories", trajectories={"n_traj": 2, "dt": 1e-3, "t_max": 0.1})
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lioueps.__file__)))
-        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), *configs],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        numpy_only, scipy_loaded, with_scipy = json.loads(proc.stdout.splitlines()[-1])
-        assert numpy_only == [0] * 6
+        spectral = [self.config(tmp_path, command, operator=operator,
+                                **({} if command == "spectrum" else {"sweep": grid}))
+                    for operator in ("liouvillian", "nhh")
+                    for command in ("spectrum", "sweep", "ep-locate")]
+        verify = write_config(tmp_path, {"command": "verify"}, name="verify.json")
+        parsed, (codes, modules, scipy_loaded), (evolved, _, _) = self.cold_start(
+            tmp_path, [verify], [spectral, self.evolutions(tmp_path)])
+        assert parsed == PARSE_MODULES
+        assert codes == [0] * 6
+        assert {"spectral", "ep_detect"} <= set(modules)
+        assert not {"dynamics", "verify"} & set(modules)
         assert not scipy_loaded
-        assert with_scipy == [0, 0]
+        assert evolved == [0, 0]
+
+    def test_trajectories_never_load_the_spectral_modules(self, tmp_path):
+        # nor does dynamics by expm from a given state, which runs no
+        # eigenanalysis
+        trajectories, dynamics = self.evolutions(tmp_path)
+        parsed, (codes, modules, _), (evolved, after, _) = self.cold_start(
+            tmp_path, [], [[trajectories], [dynamics]])
+        assert parsed == PARSE_MODULES
+        assert codes == [0] and evolved == [0]
+        assert "dynamics" in modules
+        assert not {"spectral", "ep_detect", "verify"} & set(modules)
+        assert not {"spectral", "ep_detect", "verify"} & set(after)
+
+
+# every name that `import lioueps` bound before the compute modules loaded
+# lazily, by the module that defines it
+PUBLIC_API = {
+    "errors": ["ConfigError", "HermiticityError", "JordanOrderError", "LiouepsError",
+               "ModelBuildError", "NoEPBracketedError", "SpaceMismatchError", "SpectralError"],
+    "ops_core": ["HermitianDecomposition", "HilbertSpace", "Operator", "build_boson_ops",
+                 "build_qubit_ops", "hermitian_spectral_decomposition", "hs_inner", "hs_norm",
+                 "tensor"],
+    "superop": ["LindbladModel", "SuperOp", "apply_liouvillian", "assemble_liouvillian",
+                "assemble_liouvillian_no_jumps", "devectorize", "dissipator_superop",
+                "effective_hamiltonian", "jump_superop", "kraus_step", "left_action",
+                "right_action", "vectorize"],
+    "spectral": ["Eigensystem", "LemmaReport", "NhhSpectrum", "Spectrum", "analyze_liouvillian",
+                 "analyze_nhh", "check_lemmas", "liouvillian_eigensystem",
+                 "liouvillian_eigensystems", "nhh_eigensystem", "nhh_eigensystems",
+                 "pm_decomposition", "sym_antisym"],
+    "ep_detect": ["EPReport", "SpectrumFamily", "SweepResult", "jordan_chain", "locate_ep",
+                  "overlap_matrix", "sweep"],
+    "models": ["ModelFamily", "dephasing", "example1", "example2", "example3", "family_names",
+               "get_family", "sigma_z_expectations"],
+    "dynamics": ["Propagation", "TrajectoryEnsemble", "ep_decay_fit", "propagate_expm",
+                 "propagate_modes", "trajectories"],
+}
+
+
+class TestPublicApi:
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC_API.items()
+                                              for n in names])
+    def test_name_is_the_defining_modules_object(self, module, name):
+        defining = importlib.import_module(f"lioueps.{module}")
+        assert getattr(lioueps, name) is getattr(defining, name)
+        assert name in lioueps.__all__ and name in dir(lioueps)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from lioueps import *", namespace)
+        for module, names in PUBLIC_API.items():
+            defining = importlib.import_module(f"lioueps.{module}")
+            for name in names:
+                assert namespace[name] is getattr(defining, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'lioueps' has no attribute 'spectrm'"):
+            lioueps.spectrm
+        assert not hasattr(lioueps, "_LIOUEPS_UNKNOWN")
+
+    def test_from_import_returns_the_submodules(self):
+        # in a fresh interpreter, where neither is loaded before
+        fresh_python("import sys, lioueps\n"
+                     "from lioueps import dynamics, spectral\n"
+                     "assert spectral is sys.modules['lioueps.spectral']\n"
+                     "assert dynamics is sys.modules['lioueps.dynamics']\n"
+                     "assert lioueps.ep_detect is sys.modules['lioueps.ep_detect']\n")
 
 
 # ---------------------------------------------------------------------------
