@@ -27,6 +27,7 @@ qubit basis (|g>, |e>) of ops_core.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import ModelBuildError
 from .ops_core import DEFAULT_ZERO_TOL, Operator, build_boson_ops, build_qubit_ops, tensor
 from .superop import (
     LindbladModel,
-    SuperOp,
+    _assemble_grid,
     assemble_liouvillian,
     effective_hamiltonian,
 )
@@ -63,6 +64,14 @@ def _require_levels(name: str, value) -> int:
     if iv != value or iv < 2:
         raise ModelBuildError(f"{name} must be an integer >= 2, got {value}")
     return iv
+
+
+@lru_cache(maxsize=16)
+def _boson_ops(levels: int) -> tuple[Operator, Operator, Operator]:
+    """The ladder, number and identity operators of build_boson_ops, built
+    once per cutoff: an Operator is frozen and its matrix read-only."""
+    bos = build_boson_ops(levels)
+    return bos["a"], bos["n"], bos["identity"]
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +194,25 @@ def example2_closed_form(omega_x: float, gamma_minus: float) -> dict:
 # example 3: two coupled lossy bosonic modes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _two_mode_ops(levels: int) -> tuple:
+    """a, b, the read-only matrices n_a + n_b and a^dag b + b^dag a of the
+    two-mode model at a cutoff, built once per cutoff."""
+    ladder, n, ident = _boson_ops(levels)
+    a, b = tensor(ladder, ident), tensor(ident, ladder)
+    number = tensor(n, ident).matrix + tensor(ident, n).matrix
+    hop = a.matrix.conj().T @ b.matrix + b.matrix.conj().T @ a.matrix
+    number.flags.writeable = hop.flags.writeable = False
+    return a, b, number, hop
+
+
 def example3(omega: float, g: float, gamma_a: float, gamma_b: float,
              levels: int = 4) -> LindbladModel:
     ga = _require_rate("gamma_a", gamma_a)
     gb = _require_rate("gamma_b", gamma_b)
     lv = _require_levels("levels", levels)
-    w, gg = float(omega), float(g)
-    bos = build_boson_ops(lv)
-    ident = bos["identity"]
-    a = tensor(bos["a"], ident)
-    b = tensor(ident, bos["a"])
-    na = tensor(bos["n"], ident)
-    nb = tensor(ident, bos["n"])
-    hmat = w * (na.matrix + nb.matrix) + gg * (
-        a.matrix.conj().T @ b.matrix + b.matrix.conj().T @ a.matrix)
-    h = Operator(a.space, hmat)
+    a, b, number, hop = _two_mode_ops(lv)
+    h = Operator(a.space, float(omega) * number + float(g) * hop)
     return LindbladModel(h, ((ga, a), (gb, b)))
 
 
@@ -290,9 +303,9 @@ def example3_ep_pair_states() -> np.ndarray:
 def dephasing(omega: float, gamma: float, levels: int = 4) -> LindbladModel:
     gm = _require_rate("gamma", gamma)
     lv = _require_levels("levels", levels)
-    bos = build_boson_ops(lv)
-    h = Operator(bos["n"].space, float(omega) * bos["n"].matrix)
-    return LindbladModel(h, ((gm, bos["n"]),))
+    n = _boson_ops(lv)[1]
+    h = Operator(n.space, float(omega) * n.matrix)
+    return LindbladModel(h, ((gm, n),))
 
 
 def dephasing_closed_form(omega: float, gamma: float, levels: int = 4) -> dict:
@@ -339,17 +352,20 @@ class ModelFamily:
                            zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumFamily:
         # the EP search and the eigensolvers load only when a family is made
         from .ep_detect import SpectrumFamily
-        from .spectral import _each_point, liouvillian_eigensystems
+        from .spectral import _each_point, _grid_eigensystems
 
         param = sweep_param or self.sweep_param
 
-        def liouvillian(value: float) -> SuperOp:
-            return assemble_liouvillian(self.build(value, param))
+        def build(value: float) -> LindbladModel:
+            return self.build(value, param)
 
         def eigensystem(values) -> tuple:
-            return liouvillian_eigensystems(_each_point(liouvillian, values), zero_tol)
+            # every point's model is built and validated, then the grid is
+            # assembled as one block-diagonal generator
+            return _grid_eigensystems(*_assemble_grid(_each_point(build, values)), zero_tol)
 
-        return SpectrumFamily(param, eigensystem, lambda value: liouvillian(value).matrix,
+        return SpectrumFamily(param, eigensystem,
+                              lambda value: assemble_liouvillian(build(value)).matrix,
                               self.build().space)
 
     def nhh_family(self, sweep_param: str | None = None) -> SpectrumFamily:

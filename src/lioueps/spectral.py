@@ -17,9 +17,10 @@ a dense array only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
 zero-eigenvalue sector is orthonormalized inside each sector.  The
-grouping rule is sequential; it runs member by member only inside
-neighbour groups of three or more, found on a square grid of cells, and
-settles the groups of one and two in whole-array steps.
+grouping rule is sequential; it runs member by member only inside the
+neighbour groups, found on a square grid of cells, whose outcome is not
+fixed by their first cluster, and settles every other group in
+whole-array steps.
 analyze_liouvillian runs the same stages on one eig that also returns
 the left eigenvectors, already paired: an isolated real mode is
 Hermitian by construction (the real eig of its self-conjugate sector)
@@ -65,11 +66,10 @@ from .superop import (
     LindbladModel,
     SuperOp,
     _dense_entries,
+    _trace_norms,
     assemble_liouvillian,
     devectorize,
     effective_hamiltonian,
-    is_trace_preserving,
-    trace_row,
     vectorize,
 )
 
@@ -520,8 +520,16 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     a window on the real parts alone tested 8M pairs (369 MB) on the
     purely imaginary spectrum of a closed example3 at levels=8.  Each
     point's cells are shifted past the previous point's along the real
-    axis, so no edge joins two points.  Groups of one and two, mostly
-    conjugate pairs, are settled in whole-array steps.
+    axis, so no edge joins two points.
+
+    A group whose every member lies within tol of its seed (its smallest
+    index), or within tol of the conjugate of the mean of those that do,
+    has an outcome fixed in advance: one cluster, with its partner when
+    the mean is not made real.  Those groups, singletons and conjugate
+    pairs among them, are settled in whole-array steps, the means of the
+    first clusters taken one cluster size at a time (_row_means); only
+    the chained groups left run the rule member by member
+    (_cluster_chain).
     """
     n = vals.size
     if not n:
@@ -554,49 +562,66 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     near = (np.abs(pts[a] - pts[b]) <= r[a]) & (at[a] == at[b])
     group = _components(n, np.concatenate((first[a[near]], first[same])),
                         np.concatenate((first[b[near]], np.arange(n))))
-    size = np.bincount(group, minlength=n)[group]
     # a cluster is keyed by its seed and whether it is the partner cluster
     key = 2 * np.arange(n)
-
-    def settle(idx, mean):
-        vals[idx] = np.where(np.abs(mean.imag) <= tol[idx], mean.real, mean)
-
-    # the group's label is its smallest member, which seeds it; np.mean
-    # sums from +0, and 0.0 + x reproduces that for the signed zeros
-    j = np.flatnonzero((size == 2) & (group != np.arange(n)))
-    i = group[j]
-    seed = 0.0 + vals[i]
-    merged = np.abs(vals[j] - vals[i]) <= tol[i]
-    partner = ~merged & (np.abs(seed.imag) > tol[i]) & (np.abs(vals[j] - seed.conj()) <= tol[i])
-    alone = ~(merged | partner)
-    key[j[merged]], key[j[partner]] = key[i[merged]], key[i[partner]] + 1
-    mean = (seed[merged] + vals[j[merged]]) / 2
-    settle(i[merged], mean)
-    settle(j[merged], mean)
-    vals[i[partner]], vals[j[partner]] = seed[partner], seed[partner].conj()
-    single = np.concatenate((np.flatnonzero(size == 1), i[alone], j[alone]))
-    settle(single, 0.0 + vals[single])
-
-    for root in np.unique(group[size > 2]):
-        idx = np.flatnonzero(group == root)
-        v, free, t = vals[idx], np.ones(idx.size, dtype=bool), tol[root]
-        for p in range(idx.size):
-            if not free[p]:
-                continue
-            members = free & (np.abs(v - v[p]) <= t)
-            mean = v[members].mean()
-            free &= ~members
-            key[idx[members]] = 2 * idx[p]
-            if abs(mean.imag) <= t:
-                v[members] = mean.real
-                continue
-            v[members] = mean
-            partners = free & (np.abs(v - mean.conjugate()) <= t)
-            free &= ~partners
-            key[idx[partners]] = 2 * idx[p] + 1
-            v[partners] = mean.conjugate()
-        vals[idx] = v
+    # each group's first cluster: its seed, the smallest member, and every
+    # member within tol of it, with their mean gathered in index order
+    t = tol[group]
+    claim = np.abs(vals - vals[group]) <= t
+    mean = _row_means(vals, group[claim], np.flatnonzero(claim), n)[group]
+    real = np.abs(mean.imag) <= t
+    partner = ~claim & ~real & (np.abs(vals - mean.conj()) <= t)
+    # a group whose every member is in its first cluster or that cluster's
+    # partner is settled whole; the others (chained groups) run the rule
+    chained = np.zeros(n, dtype=bool)
+    chained[group[~(claim | partner)]] = True
+    done = ~chained[group]
+    at = done & claim
+    vals[at] = np.where(real[at], mean[at].real, mean[at])
+    key[at] = 2 * group[at]
+    at = done & partner
+    vals[at] = mean[at].conj()
+    key[at] = 2 * group[at] + 1
+    for root in np.flatnonzero(chained):
+        _cluster_chain(vals, key, np.flatnonzero(group == root), tol[root])
     return np.unique(key, return_inverse=True)[1]
+
+
+def _row_means(vals: np.ndarray, row: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """Length n, holding at each r of row the mean of vals[at[row == r]]
+    (at ascending), and 0 elsewhere.  The rows of one length take one
+    mean(axis=1), which gives each row's 1-D np.mean bit for bit."""
+    order = np.argsort(row, kind="stable")
+    row, at = row[order], at[order]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    count = np.diff(first, append=row.size)
+    out = np.zeros(n, dtype=complex)
+    for size in np.unique(count):
+        lead = first[count == size]
+        out[row[lead]] = vals[at[lead[:, None] + np.arange(size)]].mean(axis=1)
+    return out
+
+
+def _cluster_chain(vals: np.ndarray, key: np.ndarray, idx: np.ndarray, t: float) -> None:
+    """The sequential rule of _cluster_labels on the group of values idx
+    (ascending), member by member, in place."""
+    v, free = vals[idx], np.ones(idx.size, dtype=bool)
+    for p in range(idx.size):
+        if not free[p]:
+            continue
+        members = free & (np.abs(v - v[p]) <= t)
+        mean = v[members].mean()
+        free &= ~members
+        key[idx[members]] = 2 * idx[p]
+        if abs(mean.imag) <= t:
+            v[members] = mean.real
+            continue
+        v[members] = mean
+        partners = free & (np.abs(v - mean.conjugate()) <= t)
+        free &= ~partners
+        key[idx[partners]] = 2 * idx[p] + 1
+        v[partners] = mean.conjugate()
+    vals[idx] = v
 
 
 def _cluster_sort(n: int, entries, vals: np.ndarray, blocks, starts=(0,)):
@@ -661,12 +686,19 @@ def _zero_sector(vals: np.ndarray, blocks, zero_tol: float, starts=(0,)) -> np.n
     return zero_mask
 
 
-def _check_trace_row(liou: SuperOp) -> None:
-    """Refuse a generator that is not trace preserving."""
-    if not is_trace_preserving(liou):
-        raise SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = "
-                            f"{np.linalg.norm(trace_row(liou)):.2e} exceeds 1e-12 |L|_F = "
-                            f"{1e-12 * np.linalg.norm(liou.entries[2]):.2e}")
+def _check_trace_rows(entries, dims) -> None:
+    """Refuse generators that are not trace preserving: entries are the
+    stacked lists of generators of the given dimensions, each tested as
+    is_trace_preserving tests it.  The error's point is the first
+    generator that fails."""
+    trace, frob = _trace_norms(entries, dims)
+    bad = np.flatnonzero(~(trace <= 1e-12 * frob))
+    if bad.size:
+        p = int(bad[0])
+        exc = SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = {trace[p]:.2e} "
+                            f"exceeds 1e-12 |L|_F = {1e-12 * frob[p]:.2e}")
+        exc.point = p
+        raise exc
 
 
 def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> None:
@@ -708,6 +740,12 @@ def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> 
 # the whole grid.  Point p owns indices starts[p] .. starts[p + 1] - 1, the
 # stages above keep each point's tolerance, clusters, order and zero
 # sector its own, and _split returns what each point alone would give.
+# A Liouvillian family's grid is assembled as that block-diagonal matrix
+# in one pass (superop._assemble_grid) and its lists go straight to
+# _grid_eigensystems; liouvillian_eigensystems stacks the lists of
+# generators made one by one (_stack_entries).  Either way one
+# whole-array check of the trace rows and one of P conj(L) P = L refuse
+# a bad point by its index.
 
 def _each_point(fn, items) -> list:
     """[fn(x) for x in items]; an exception raised for items[k] leaves
@@ -768,11 +806,20 @@ def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple
     """liouvillian_eigensystem of each generator, all solved as one (see
     "grids"); each result is bit for bit that of its generator alone.  An
     exception raised for generator k carries point = k."""
-    _each_point(_check_trace_row, lious)
-    entries, starts = _stack_entries([liou.entries for liou in lious],
-                                     [liou.dim ** 2 for liou in lious])
-    n = starts[-1] + lious[-1].dim ** 2
-    partner = _partner([liou.dim for liou in lious])
+    entries, _ = _stack_entries([liou.entries for liou in lious],
+                                [liou.dim ** 2 for liou in lious])
+    return _grid_eigensystems(entries, [liou.dim for liou in lious], zero_tol)
+
+
+def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
+    """liouvillian_eigensystems of the generators of the given dimensions
+    whose stacked lists are entries, as _stack_entries or _assemble_grid
+    stacks them."""
+    sizes = np.square(dims)
+    starts = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    _check_trace_rows(entries, dims)
+    partner = _partner(dims)
     _check_hermiticity_preserving(entries, partner, starts)
     vals, blocks = _grid_eig(n, entries, starts, partner)
     vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
@@ -805,7 +852,7 @@ def analyze_liouvillian(liou: SuperOp,
     Hermitian, positive semidefinite and trace one) and biorthonormal
     left eigenmatrices.
     """
-    _check_trace_row(liou)
+    _check_trace_rows(liou.entries, [liou.dim])
     n, partner = liou.dim ** 2, _partner([liou.dim])
     _check_hermiticity_preserving(liou.entries, partner)
     # left vector i is paired with eigenvalue i:

@@ -25,10 +25,17 @@ for the bundled models against the D^2 of a dense row; the spectral
 code reads the lists sector by sector, and the dense matrix is scattered
 from them only for the callers that read it (dynamics, verify, the
 Jordan analysis of an EP).
+
+The assembly runs over a stack of points: K of shape (P, D, D) and the
+jumps of shape (P, m, D, D) give the lists of the block-diagonal
+diag(L_1, ..., L_P), each point's values summed in the order above, so
+that a parameter grid (_assemble_grid) is one call whose every point
+has the bits it has alone.  A single builder is the stack of one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,29 +179,40 @@ def right_action(o: Operator) -> SuperOp:
     return SuperOp(o.space, np.kron(eye, o.matrix.T))
 
 
-def _generator(k: np.ndarray, jumps=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate lists of rho -> -i(K rho - rho K^dag) + sum_g g rho g^dag:
-    the one assembly behind every builder (module docstring).
+def _generator(k: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate lists of rho -> -i(K rho - rho K^dag) + sum_g g rho g^dag
+    at each of P points, as one block-diagonal matrix: the one assembly
+    behind every builder (module docstring).
 
-    Entry (a D + b, c D + e) of kron(x, y) is x[a, c] y[b, e].  The lists
-    run over the entries where some term's two factors are both nonzero,
-    and each value sums all terms there in the order of the kron sum
-    kron(-iK, 1) + kron(1, iK^*) + sum_g kron(g, g^*), exact zeros
-    included, so it is that sum's entry bit for bit."""
-    d = k.shape[0]
-    n, eye = d * d, np.eye(d)
-    terms = [(-1j * k, eye), (eye, 1j * k.conj())] + [(g, g.conj()) for g in jumps]
+    k has shape (P, D, D) and jumps shape (P, m, D, D).  Point p owns
+    indices p D^2 .. (p + 1) D^2 - 1, and entry (a D + b, c D + e) of its
+    kron(x, y) is x[a, c] y[b, e].  The lists run over the entries where
+    some term's two factors are both nonzero at that point, and each value
+    sums all terms there in the order of the kron sum kron(-iK, 1) +
+    kron(1, iK^*) + sum_g kron(g, g^*), exact zeros included, so it is
+    that sum's entry bit for bit."""
+    points, d = k.shape[:2]
+    n, eye = d * d, np.broadcast_to(np.eye(d), k.shape)
+    terms = [(-1j * k, eye), (eye, 1j * k.conj())]
+    terms += [(jumps[:, t], jumps[:, t].conj()) for t in range(jumps.shape[1])]
     keys = []
     for x, y in terms:
-        (a, c), (b, e) = np.nonzero(x), np.nonzero(y)
-        keys.append((((a * d)[:, None] + b) * n + (c * d)[:, None] + e).ravel())
+        (p, a, c), (q, b, e) = np.nonzero(x), np.nonzero(y)
+        # every nonzero of x with every nonzero of y at the same point
+        per = np.bincount(q, minlength=points)
+        i = np.repeat(np.arange(p.size), per[p])
+        j = np.arange(i.size) - np.repeat(np.cumsum(per[p]) - per[p] - (np.cumsum(per) - per)[p],
+                                          per[p])
+        # keyed by the global row and the column within the point
+        keys.append((p[i] * n + a[i] * d + b[j]) * n + c[i] * d + e[j])
     keys = np.sort(np.concatenate(keys))
     rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    (a, b), (c, e) = np.divmod(rows, d), np.divmod(cols, d)
-    vals = terms[0][0][a, c] * terms[0][1][b, e]
+    p = rows // n
+    (a, b), (c, e) = np.divmod(rows - p * n, d), np.divmod(cols, d)
+    vals = terms[0][0][p, a, c] * terms[0][1][p, b, e]
     for x, y in terms[1:]:
-        vals += x[a, c] * y[b, e]
-    return rows, cols, vals
+        vals += x[p, a, c] * y[p, b, e]
+    return rows, cols + p * n, vals
 
 
 def dissipator_superop(gamma_op: Operator) -> SuperOp:
@@ -204,21 +222,34 @@ def dissipator_superop(gamma_op: Operator) -> SuperOp:
     the rate, if any, is expected to be folded into Gamma already.
     """
     g = gamma_op.matrix
-    return SuperOp(gamma_op.space, entries=_generator(-0.5j * (g.conj().T @ g), (g,)))
+    return SuperOp(gamma_op.space,
+                   entries=_generator((-0.5j * (g.conj().T @ g))[None], g[None, None]))
 
 
 def jump_superop(gamma_op: Operator) -> SuperOp:
     """Matrix of the jump term rho -> Gamma rho Gamma^dag (= Gamma kron Gamma^*, K = 0)."""
     g = gamma_op.matrix
-    return SuperOp(gamma_op.space, entries=_generator(np.zeros_like(g), (g,)))
+    return SuperOp(gamma_op.space, entries=_generator(np.zeros_like(g)[None], g[None, None]))
+
+
+def _stacked(models) -> tuple[np.ndarray, np.ndarray]:
+    """(H_eff, Gamma) of models with one dimension D and one number m of
+    channels, stacked point by point: shapes (P, D, D) and (P, m, D, D),
+    each point's arrays bit for bit those of its model alone."""
+    p, d, m = len(models), models[0].dim, len(models[0].jumps)
+    rates = np.array([[g for g, _ in model.jumps] for model in models]).reshape(p, m)
+    ops = np.array([[x.matrix for _, x in model.jumps] for model in models],
+                   dtype=complex).reshape(p, m, d, d)
+    gammas = np.sqrt(rates)[:, :, None, None] * ops
+    heff = np.array([model.H.matrix for model in models], dtype=complex)
+    for t in range(m):
+        heff -= 0.5j * (gammas[:, t].conj().transpose(0, 2, 1) @ gammas[:, t])
+    return heff, gammas
 
 
 def effective_hamiltonian(model: LindbladModel) -> Operator:
     """H_eff = H - (i/2) sum_mu Gamma_mu^dag Gamma_mu."""
-    m = model.H.matrix.astype(complex).copy()
-    for g in model.folded_jump_matrices():
-        m -= 0.5j * (g.conj().T @ g)
-    return Operator(model.space, m)
+    return Operator(model.space, _stacked([model])[0][0])
 
 
 def assemble_liouvillian(model: LindbladModel) -> SuperOp:
@@ -226,14 +257,31 @@ def assemble_liouvillian(model: LindbladModel) -> SuperOp:
 
     The result annihilates the trace row: vec(1)^dag L = 0.
     """
-    heff = effective_hamiltonian(model).matrix
-    return SuperOp(model.space, entries=_generator(heff, model.folded_jump_matrices()))
+    return SuperOp(model.space, entries=_generator(*_stacked([model])))
 
 
 def assemble_liouvillian_no_jumps(model: LindbladModel) -> SuperOp:
     """No-jump generator L' = -i(H_eff . - . H_eff^dag); not trace
     preserving as soon as any jump operator is nonzero."""
-    return SuperOp(model.space, entries=_generator(effective_hamiltonian(model).matrix))
+    heff, gammas = _stacked([model])
+    return SuperOp(model.space, entries=_generator(heff, gammas[:, :0]))
+
+
+def _assemble_grid(models) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
+    """Coordinate lists of diag(L_1, ..., L_P), the full generators of the
+    models, and the dimension D of each: point p owns the D^2 indices after
+    those of the points before it, and its lists are assemble_liouvillian's
+    bit for bit.  Each run of consecutive models of one dimension and
+    channel count takes one _generator call; only a grid over a cutoff has
+    more than one run."""
+    parts, start = [], 0
+    for _, run in itertools.groupby(models, lambda model: (model.dim, len(model.jumps))):
+        run = list(run)
+        rows, cols, vals = _generator(*_stacked(run))
+        parts.append((rows + start, cols + start, vals) if start else (rows, cols, vals))
+        start += len(run) * run[0].dim ** 2
+    entries = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+    return entries, [model.dim for model in models]
 
 
 def apply_liouvillian(model: LindbladModel, rho: Operator) -> Operator:
@@ -263,9 +311,26 @@ def trace_row(s: SuperOp) -> np.ndarray:
     return out
 
 
+def _trace_norms(entries, dims) -> tuple[np.ndarray, np.ndarray]:
+    """|vec(1)^dag L| and |L|_F of each generator of the block-diagonal
+    matrix with coordinate lists entries, whose generators have the given
+    dimensions: the two sides of the trace-preservation test."""
+    rows, cols, vals = entries
+    dims = np.asarray(dims)
+    starts = np.cumsum(dims * dims) - dims * dims
+    point = np.searchsorted(starts, rows, side="right") - 1
+    # the rows of vec(1) are a D + a within each generator
+    diag = (rows - starts[point]) % (dims[point] + 1) == 0
+    row = np.zeros(np.sum(dims * dims), dtype=complex)
+    np.add.at(row, cols[diag], vals[diag])
+    trace = np.sqrt(np.add.reduceat(row.real ** 2 + row.imag ** 2, starts))
+    return trace, np.sqrt(np.bincount(point, np.abs(vals) ** 2, dims.size))
+
+
 def is_trace_preserving(s: SuperOp) -> bool:
     """Whether the trace row vanishes to within 1e-12 ||L||_F."""
-    return bool(np.linalg.norm(trace_row(s)) <= 1e-12 * np.linalg.norm(s.entries[2]))
+    trace, frob = _trace_norms(s.entries, [s.dim])
+    return bool(trace[0] <= 1e-12 * frob[0])
 
 
 def kraus_step(model: LindbladModel, rho: Operator, tau: float) -> Operator:

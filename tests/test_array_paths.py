@@ -41,11 +41,13 @@ from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
 from lioueps import dynamics, spectral
 from lioueps.dynamics import trajectories
-from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_labels,
-                              _cluster_sort, _components, _scatter, _sort_indices,
+from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_chain,
+                              _cluster_labels, _cluster_sort, _components, _scatter, _sort_indices,
                               _support_rows, _tie_batches, analyze_nhh, liouvillian_eigensystem,
                               liouvillian_eigensystems, nhh_eigensystem, nhh_eigensystems)
-from lioueps.superop import SuperOp, _generator, assemble_liouvillian, effective_hamiltonian
+from lioueps import superop
+from lioueps.superop import (SuperOp, _assemble_grid, _generator, assemble_liouvillian,
+                             effective_hamiltonian)
 
 from conftest import random_lindblad_model
 
@@ -327,12 +329,27 @@ def test_cluster_labels_equal_the_sequential_rule(vals):
     assert bits(got) == bits(want)
 
 
-@pytest.mark.parametrize("count", [1, 2])
+@ORACLE
+@given(vals=planted_spectra())
+def test_cluster_chain_is_the_sequential_rule(vals):
+    """The member-by-member loop that a chained group runs, here on a
+    whole planted spectrum as one group: the sequential rule's values and
+    cluster numbers."""
+    want = vals.copy()
+    labels = reference_cluster(want, TOL)
+    key = 2 * np.arange(vals.size)
+    _cluster_chain(vals, key, np.arange(vals.size), TOL)
+    assert bits(np.unique(key, return_inverse=True)[1]) == bits(labels)
+    assert bits(vals) == bits(want)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
 def test_cluster_labels_on_signed_zeros(count):
-    """Every spectrum of one or two values from a set of signed zeros,
-    units and tolerances: the means of one and two members keep np.mean's
-    signs, and a seed exactly tol off the real axis takes no partner."""
-    parts = (0.0, -0.0, 1.0, TOL, -TOL)
+    """Every spectrum of one to three values from a set of signed zeros,
+    units and tolerances: the means of one to three members keep
+    np.mean's signs, and a seed exactly tol off the real axis takes no
+    partner.  Triples draw from signed zeros and tol only."""
+    parts = (0.0, -0.0, 1.0, TOL, -TOL) if count < 3 else (0.0, -0.0, TOL)
     points = [complex(a, b) for a, b in itertools.product(parts, parts)]
     for vals in itertools.product(points, repeat=count):
         want = np.array(vals)
@@ -589,21 +606,30 @@ def test_tensor_is_np_kron_bitwise(d):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_generator_is_the_kron_sum_bitwise(d):
-    """Every listed entry is the kron sum's entry bit for bit, and every
-    entry left out is 0 there.  An entry left out has a zero factor in
-    every term, and with -0.0 factors the kron sum leaves -0.0 in some of
-    them, where the scattered lists hold +0.0."""
+    """At every point of a stack, every listed entry is the point's kron
+    sum entry bit for bit, and every entry left out is 0 there.  An entry
+    left out has a zero factor in every term, and with -0.0 factors the
+    kron sum leaves -0.0 in some of them, where the scattered lists hold
+    +0.0.  The points differ in their sparsity (an all-zero K, the
+    identity, dense and signed-zero factors), and point p's lists are its
+    own offset by p D^2, in row-major order over the stack."""
     rng = np.random.default_rng(100 + d)
-    fs = factors(rng, d)
-    for k in fs.values():
-        for jumps in ((), (fs["complex"],), (fs["real"], fs["signed zeros"]), (fs["identity"],)):
-            rows, cols, vals = _generator(k, jumps)
-            want = kron_generator(k, jumps)
-            assert bits(vals) == bits(want[rows, cols])
+    fs = list(factors(rng, d).values()) + [np.zeros((d, d))]
+    n, points = d * d, len(fs)
+    for m in range(3):
+        jumps = [[fs[(p + t + 1) % points] for t in range(m)] for p in range(points)]
+        rows, cols, vals = _generator(np.array(fs, dtype=complex),
+                                      np.array(jumps, dtype=complex).reshape(points, m, d, d))
+        assert np.all(np.diff(rows * n * points + cols) > 0)
+        assert np.array_equal(rows // n, cols // n)
+        for p in range(points):
+            at = rows // n == p
+            want = kron_generator(fs[p], [np.asarray(g, dtype=complex) for g in jumps[p]])
+            r, c = rows[at] - p * n, cols[at] - p * n
+            assert bits(vals[at]) == bits(want[r, c])
             left_out = np.ones(want.shape, dtype=bool)
-            left_out[rows, cols] = False
+            left_out[r, c] = False
             assert np.all(want[left_out] == 0)
-            assert np.all(np.diff(rows * want.shape[0] + cols) > 0)
 
 
 @pytest.mark.parametrize("name,fixed", [
@@ -617,6 +643,66 @@ def test_assemble_liouvillian_is_the_kron_sum_bitwise(name, fixed):
     heff = effective_hamiltonian(model).matrix
     want = kron_generator(heff, model.folded_jump_matrices())
     assert bits(assemble_liouvillian(model).matrix) == bits(want)
+
+
+def assert_grid_assembly_is_each_models(models):
+    """_assemble_grid against assemble_liouvillian of each model and the
+    kron sum of its H_eff and jumps: point p's lists, moved back by the
+    indices of the points before it, bit for bit.  Returns the number of
+    entries of each point."""
+    (rows, cols, vals), dims = _assemble_grid(models)
+    assert dims == [model.dim for model in models]
+    sizes = np.square(dims)
+    starts = np.cumsum(sizes) - sizes
+    point = np.searchsorted(starts, rows, side="right") - 1
+    assert np.all(np.diff(rows * sizes.sum() + cols) > 0)
+    counts = []
+    for p, model in enumerate(models):
+        at = point == p
+        got = (rows[at] - starts[p], cols[at] - starts[p], vals[at])
+        for a, b in zip(got, assemble_liouvillian(model).entries):
+            assert bits(a) == bits(b)
+        heff = effective_hamiltonian(model).matrix
+        want = kron_generator(heff, model.folded_jump_matrices())
+        assert bits(got[2]) == bits(want[got[0], got[1]])
+        left_out = np.ones(want.shape, dtype=bool)
+        left_out[got[0], got[1]] = False
+        assert np.all(want[left_out] == 0)
+        counts.append(int(at.sum()))
+    return counts
+
+
+@pytest.mark.parametrize("name", family_names())
+def test_grid_assembly_is_each_models_bitwise(name):
+    """Every bundled family on its grid through its EPs: example1 and
+    example2 from a zero rate, example3 through g = 0, where its sparsity
+    pattern changes."""
+    family = get_family(name)
+    counts = assert_grid_assembly_is_each_models([family.build(v) for v in GRIDS[name]])
+    if name == "example3":
+        assert counts[0] < counts[1] == counts[-1]
+
+
+@pytest.mark.parametrize("name, fixed, param, grid", [
+    ("example3", {"levels": 3, "gamma_a": 0.0, "gamma_b": 0.0}, "g", np.linspace(-0.1, 0.2, 4)),
+    ("example3", {"levels": 3}, "gamma_b", np.linspace(0.0, 1.0, 3)),
+    ("dephasing", {"levels": 5}, "gamma", np.linspace(0.0, 1.0, 3)),
+    ("example1", {"gamma_y": 0.0}, "gamma_minus", np.linspace(0.0, 1.0, 3)),
+], ids=["example3-closed", "example3-gamma_b", "dephasing", "example1"])
+def test_grid_assembly_with_zero_rates(name, fixed, param, grid):
+    """Zero rates leave a channel's Gamma at 0, so the point lists fewer
+    entries; a closed model has no jump term at all."""
+    family = get_family(name, **fixed)
+    assert_grid_assembly_is_each_models([family.build(v, param) for v in grid])
+
+
+def test_grid_assembly_over_a_cutoff():
+    """Models of different sizes: one _generator call per run of one
+    size, point p still at the indices after the points before it."""
+    models = [example3(1.0, 0.1, 1.0, 0.5, levels) for levels in (2, 2, 3, 2)]
+    with mock.patch.object(superop, "_generator", wraps=superop._generator) as generator:
+        assert_grid_assembly_is_each_models(models)
+    assert [call.args[0].shape[0] for call in generator.call_args_list][:3] == [2, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +987,74 @@ def test_a_failing_point_names_its_grid_index():
         with pytest.raises(error, match=text + ".*" + re.escape(
                 f"(at grid index {bad}, k={grid[bad]!r})")):
             sweep(spec, grid)
+
+
+def bent_generator(point, bend):
+    """superop._generator with bend(rows, cols, vals) applied to the
+    lists of one grid point, its indices numbered from 0 as the point's
+    own."""
+    generator = superop._generator
+
+    def bent(k, jumps):
+        rows, cols, vals = generator(k, jumps)
+        n = k.shape[1] ** 2
+        at = rows // n == point
+        vals = vals.copy()
+        part = vals[at]
+        bend(rows[at] % n, cols[at] % n, part, k.shape[1])
+        vals[at] = part
+        return rows, cols, vals
+
+    return mock.patch.object(superop, "_generator", bent)
+
+
+def off_trace_row_entry(rows, cols, d):
+    """The first listed entry off the diagonal on a row of an off-diagonal
+    vec index, so off every trace row."""
+    return np.flatnonzero((rows // d != rows % d) & (rows != cols))[0]
+
+
+def spoil_trace_row(rows, cols, vals, d):
+    vals[np.flatnonzero(rows % (d + 1) == 0)[0]] += 0.5
+
+
+def spoil_symmetry(rows, cols, vals, d):
+    vals[off_trace_row_entry(rows, cols, d)] += 1e-6
+
+
+def spoil_finiteness(rows, cols, vals, d):
+    vals[off_trace_row_entry(rows, cols, d)] = np.inf
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+@pytest.mark.parametrize("spoil, error, text", [
+    (spoil_trace_row, SpectralError, "trace row"),
+    (spoil_symmetry, SpectralError, "preserve Hermiticity"),
+    (spoil_finiteness, ValueError, "infs or NaNs"),
+], ids=["trace-row", "symmetry", "non-finite"])
+def test_a_failing_point_of_the_stacked_assembly_names_its_grid_index(spoil, error, text, bad):
+    """A Liouvillian family assembles its grid as one stack: an entry
+    spoiled at one point of it is refused with that point's index, as
+    .point and in the sweep's message."""
+    family = get_family("example3", levels=2).liouvillian_family()
+    grid = np.linspace(0.05, 0.2, 4)
+    with bent_generator(bad, spoil):
+        with pytest.raises(error, match=text) as err:
+            family.eigensystem(grid)
+        assert err.value.point == bad
+        with pytest.raises(error, match=text + ".*" + re.escape(
+                f"(at grid index {bad}, g={grid[bad]!r})")):
+            sweep(family, grid)
+
+
+def test_a_failing_build_of_the_stacked_assembly_names_its_grid_index():
+    family = get_family("example3", levels=2).liouvillian_family("gamma_b")
+    grid = np.array([0.5, 0.0, -0.5])
+    with pytest.raises(ModelBuildError) as err:
+        family.eigensystem(grid)
+    assert err.value.point == 2
+    with pytest.raises(ModelBuildError, match=re.escape(f"(at grid index 2, gamma_b={grid[2]!r})")):
+        sweep(family, grid)
 
 
 # ---------------------------------------------------------------------------

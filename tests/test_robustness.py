@@ -4,12 +4,14 @@ budget, degenerate spectra, concurrency of the pure analyzers, and
 full-generator EPs of the two-mode model at a small cutoff."""
 
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from lioueps import models, spectral, superop
 from lioueps.ep_detect import Eigensystem, SpectrumFamily, locate_ep, overlap_matrix, sweep
-from lioueps.ops_core import Operator, qubit_space
+from lioueps.ops_core import Operator, build_boson_ops, qubit_space, tensor
 from lioueps.spectral import analyze_liouvillian, check_lemmas
 from lioueps.superop import assemble_liouvillian
 from lioueps.models import dephasing, example3, get_family
@@ -85,6 +87,41 @@ class TestOffGridBrackets:
         report = locate_ep(family, (lo, lo + 0.2))
         assert report.param_value == pytest.approx(0.125, abs=1e-6)
         assert len(calls) <= 40
+
+    def test_stacked_sweep_budget(self):
+        """The Python around LAPACK in a 33-point locate_ep: its sweep takes
+        one _generator call for the whole grid (every later call is one
+        point: the Jordan analysis reads one matrix), the cutoff operators
+        are built once per cutoff, and on the ep-locate-l3 benchmark grid
+        at seed 0, whose clusters reach three members, the sequential
+        cluster rule runs for no group."""
+        models._boson_ops.cache_clear()
+        models._two_mode_ops.cache_clear()
+        with mock.patch.object(superop, "_generator", wraps=superop._generator) as generator, \
+                mock.patch.object(models, "build_boson_ops", wraps=build_boson_ops) as ladders, \
+                mock.patch.object(models, "tensor", wraps=tensor) as products:
+            for family in (EX3_L3, EX3_L2, EX3_L3):
+                locate_ep(family.liouvillian_family(), (0.025, 0.225))
+        points = [call.args[0].shape[0] for call in generator.call_args_list]
+        assert points.count(33) == 3 and set(points) == {1, 33}
+        assert [call.args[0] for call in ladders.call_args_list] == [3, 2]
+        assert products.call_count == 8
+
+        omega, gamma_a, gamma_b = 1.065791612069049, 1.0099521614821052, 0.3915108573095691
+        family = get_family("example3", levels=3, omega=omega, gamma_a=gamma_a, gamma_b=gamma_b)
+        lo = (gamma_a - gamma_b) / 4 - 0.1
+        sizes = []
+
+        def cluster_labels(*args):
+            labels = cluster(*args)
+            sizes.append(np.bincount(labels).max())
+            return labels
+
+        cluster = spectral._cluster_labels
+        with mock.patch.object(spectral, "_cluster_labels", cluster_labels), \
+                mock.patch.object(spectral, "_cluster_chain") as chain:
+            locate_ep(family.liouvillian_family(), (lo, lo + 0.2))
+        assert max(sizes) >= 3 and chain.call_count == 0
 
 
     def test_same_conjugate_member_at_every_offset(self):
