@@ -502,11 +502,17 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
 
     The rule is sequential: each unlabelled eigenvalue, in index order,
     claims every unlabelled eigenvalue within tol, and the cluster is
-    replaced by its mean.  A mean within tol of the real axis is made
-    real; otherwise the unlabelled eigenvalues within tol of its conjugate
-    form the partner cluster, which takes the exact conjugate mean, so a
-    conjugate pair sorts by Im, not by the last bit of Re.  Clusters are
-    numbered in the order they are made.
+    replaced by its mean.  The unlabelled eigenvalues within tol of the
+    conjugate of a member are its mirrors.  A mean within tol of the real
+    axis is made real, and the cluster takes the mirrors too; otherwise
+    the mirrors and the unlabelled eigenvalues within tol of the
+    conjugate mean form the partner cluster, which takes the exact
+    conjugate mean, so a conjugate pair sorts by Im, not by the last bit
+    of Re.  So the two members of a conjugate pair that _block_eig
+    returns, whose first member a cluster claims, land in that cluster or
+    in it and its partner: a real value between them no longer leaves
+    one made real on its own.  Clusters are numbered in the order they
+    are made.
 
     With point, vals holds the spectra of several grid points, and tol is
     a scalar or one tolerance per value (its point's): the rule runs on
@@ -523,13 +529,13 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     axis, so no edge joins two points.
 
     A group whose every member lies within tol of its seed (its smallest
-    index), or within tol of the conjugate of the mean of those that do,
-    has an outcome fixed in advance: one cluster, with its partner when
-    the mean is not made real.  Those groups, singletons and conjugate
-    pairs among them, are settled in whole-array steps, the means of the
-    first clusters taken one cluster size at a time (_row_means); only
-    the chained groups left run the rule member by member
-    (_cluster_chain).
+    index), is a mirror of one that does, or (for a mean not made real)
+    lies within tol of their conjugate mean, has an outcome fixed in
+    advance: one cluster, with its partner when the mean is not made
+    real.  Those groups, singletons and conjugate pairs among them, are
+    settled in whole-array steps, the first clusters gathered one size at
+    a time (_gather); only the chained groups left run the rule member by
+    member (_cluster_chain).
     """
     n = vals.size
     if not n:
@@ -565,21 +571,35 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     # a cluster is keyed by its seed and whether it is the partner cluster
     key = 2 * np.arange(n)
     # each group's first cluster: its seed, the smallest member, and every
-    # member within tol of it, with their mean gathered in index order
+    # member within tol of it, gathered in index order one cluster size at
+    # a time; the mean of each, and the other members that lie within tol
+    # of some member's conjugate
     t = tol[group]
     claim = np.abs(vals - vals[group]) <= t
-    mean = _row_means(vals, group[claim], np.flatnonzero(claim), n)[group]
+    mean, mirror = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool)
+    rest = np.flatnonzero(~claim)
+    for roots, members in _gather(group[claim], np.flatnonzero(claim)):
+        mean[roots] = vals[members].mean(axis=1)
+        row = np.full(n, -1)
+        row[roots] = np.arange(roots.size)
+        j = rest[row[group[rest]] >= 0]
+        near = np.abs(vals[j, None] - vals[members[row[group[j]]]].conj()) <= t[j, None]
+        mirror[j] = near.any(axis=1)
+    mean = mean[group]
     real = np.abs(mean.imag) <= t
-    partner = ~claim & ~real & (np.abs(vals - mean.conj()) <= t)
-    # a group whose every member is in its first cluster or that cluster's
-    # partner is settled whole; the others (chained groups) run the rule
+    # a real cluster takes the mirrors, a complex one leaves them to its
+    # partner with the values within tol of its conjugate mean
+    partner = ~claim & (mirror | (~real & (np.abs(vals - mean.conj()) <= t)))
+    # a group whose every member is in its first cluster or the values
+    # that cluster takes is settled whole; the others (chained groups) run
+    # the rule
     chained = np.zeros(n, dtype=bool)
     chained[group[~(claim | partner)]] = True
     done = ~chained[group]
-    at = done & claim
+    at = done & (claim | (partner & real))
     vals[at] = np.where(real[at], mean[at].real, mean[at])
     key[at] = 2 * group[at]
-    at = done & partner
+    at = done & partner & ~real
     vals[at] = mean[at].conj()
     key[at] = 2 * group[at] + 1
     for root in np.flatnonzero(chained):
@@ -587,19 +607,17 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     return np.unique(key, return_inverse=True)[1]
 
 
-def _row_means(vals: np.ndarray, row: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
-    """Length n, holding at each r of row the mean of vals[at[row == r]]
-    (at ascending), and 0 elsewhere.  The rows of one length take one
-    mean(axis=1), which gives each row's 1-D np.mean bit for bit."""
+def _gather(row: np.ndarray, at: np.ndarray) -> list:
+    """(rows, members) for each row length: the rows r of that length and,
+    as one row of members each, at[row == r] in ascending order (at
+    ascending).  A mean(axis=1) over vals[members] gives each row's 1-D
+    np.mean bit for bit."""
     order = np.argsort(row, kind="stable")
     row, at = row[order], at[order]
     first = np.flatnonzero(np.diff(row, prepend=-1))
     count = np.diff(first, append=row.size)
-    out = np.zeros(n, dtype=complex)
-    for size in np.unique(count):
-        lead = first[count == size]
-        out[row[lead]] = vals[at[lead[:, None] + np.arange(size)]].mean(axis=1)
-    return out
+    return [(row[lead], at[lead[:, None] + np.arange(size)])
+            for size in np.unique(count) for lead in [first[count == size]]]
 
 
 def _cluster_chain(vals: np.ndarray, key: np.ndarray, idx: np.ndarray, t: float) -> None:
@@ -612,12 +630,16 @@ def _cluster_chain(vals: np.ndarray, key: np.ndarray, idx: np.ndarray, t: float)
         members = free & (np.abs(v - v[p]) <= t)
         mean = v[members].mean()
         free &= ~members
-        key[idx[members]] = 2 * idx[p]
+        mirrors = free & (np.abs(v[:, None] - v[members].conj()) <= t).any(axis=1)
         if abs(mean.imag) <= t:
+            members |= mirrors
+            free &= ~mirrors
+            key[idx[members]] = 2 * idx[p]
             v[members] = mean.real
             continue
+        key[idx[members]] = 2 * idx[p]
         v[members] = mean
-        partners = free & (np.abs(v - mean.conjugate()) <= t)
+        partners = mirrors | (free & (np.abs(v - mean.conjugate()) <= t))
         free &= ~partners
         key[idx[partners]] = 2 * idx[p] + 1
         v[partners] = mean.conjugate()

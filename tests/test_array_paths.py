@@ -49,7 +49,7 @@ from lioueps import superop
 from lioueps.superop import (SuperOp, _assemble_grid, _generator, assemble_liouvillian,
                              effective_hamiltonian)
 
-from conftest import random_lindblad_model
+from conftest import conjugation_key, random_lindblad_model
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -74,11 +74,16 @@ def reference_cluster(vals, tol):
         mean = vals[members].mean()
         labels[members] = n_clusters
         n_clusters += 1
+        # the free values within tol of the conjugate of some member
+        mirrors = [k for k in np.flatnonzero(labels < 0)
+                   if any(abs(vals[k] - np.conj(vals[m])) <= tol for m in members)]
         if abs(mean.imag) <= tol:
-            vals[members] = mean.real
+            labels[mirrors] = labels[members[0]]
+            vals[np.r_[members, mirrors].astype(int)] = mean.real
             continue
         vals[members] = mean
-        partners = np.flatnonzero((labels < 0) & (np.abs(vals - mean.conjugate()) <= tol))
+        near = np.flatnonzero((labels < 0) & (np.abs(vals - mean.conjugate()) <= tol))
+        partners = np.union1d(near, mirrors).astype(int)
         if partners.size:
             labels[partners] = n_clusters
             vals[partners] = mean.conjugate()
@@ -394,6 +399,34 @@ def test_cluster_labels_on_a_closed_system():
             assert bits(got) == bits(labels)
             assert bits(vals) == bits(want)
         assert peak < 4 * 2**20
+
+
+def test_a_real_value_between_a_conjugate_pair_joins_both_members():
+    """example3 at omega = 3e-8: -1.8 +- 9e-8 i sit in two partner
+    sectors and -1.8 in the self-conjugate one, all within the cluster
+    tolerance (1.4e-7) of each other or of the real axis.  The seed
+    -1.8 + 9e-8 i claims -1.8, their mean is made real, and the cluster
+    takes -1.8 - 9e-8 i too, as the mirror of a member: one cluster, one
+    value.  Without that, the pair's other member was made real alone as
+    -1.7999999999999998, with an eigenmatrix that is not Hermitian."""
+    liou = assemble_liouvillian(example3(3e-8, 0.1, 1.0, 0.5, levels=3))
+    vals, blocks = _block_eig(81, liou.entries, partner=spectral._partner([9]))
+    raw = np.flatnonzero(np.abs(vals + 1.8) < 1e-6)
+    assert np.allclose(np.sort(vals[raw].imag), [-9e-8, 0.0, 9e-8], rtol=1e-6, atol=0.0)
+    got, _, labels, order = _cluster_sort(81, liou.entries, vals, blocks)
+    at = np.isin(order, raw)
+    assert np.unique(labels[at]).size == 1
+    assert bits(got[at]) == bits(np.full(3, got[at][0])) and got[at][0].imag == 0
+    spectrum = liouvillian_eigensystem(liou).eigenvalues
+    assert np.count_nonzero(spectrum == got[at][0]) == 3
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1))
+def test_clustered_spectra_are_closed_under_conjugation(seed):
+    liou = assemble_liouvillian(random_lindblad_model(np.random.default_rng(seed)))
+    vals = liouvillian_eigensystem(liou).eigenvalues
+    assert conjugation_key(vals) == conjugation_key(vals.conj())
 
 
 @pytest.mark.parametrize("levels,g,largest", [(3, 0.125, 2), (4, 0.125, 4), (3, 0.0, 3),

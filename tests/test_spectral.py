@@ -260,20 +260,38 @@ def test_isolated_real_modes_are_hermitian_through_the_eps(name, grid):
     assert count > 0
 
 
-def test_a_real_singleton_that_is_not_hermitian_keeps_the_canonical_phase():
+def test_a_real_cluster_of_a_conjugate_pair_keeps_the_canonical_phase():
     """At omega = 3e-8 example3 has the values -1.8 +- 9e-8 i in two
     partner sectors and -1.8 in the self-conjugate one, all within the
-    cluster tolerance (1.4e-7) of the real axis.  The cluster rule joins
-    -1.8 + 9e-8 i with -1.8 and leaves -1.8 - 9e-8 i a real singleton
-    whose eigenmatrix is not Hermitian.  Such columns take the canonical
-    phase: a real positive largest entry."""
+    cluster tolerance (1.4e-7) of each other or of the real axis.  The
+    cluster rule joins all three into one real cluster, whose eigenmatrices
+    are not Hermitian: they take the canonical phase, a real positive
+    largest entry, and no real singleton is left with a non-Hermitian
+    eigenmatrix."""
     spec = analyze_liouvillian(assemble_liouvillian(example3(3e-8, 0.1, 1.0, 0.5, levels=3)))
     vecs, p = spec.vectors, _partner([spec.dim])
-    odd = [x for x in vecs[:, real_singletons(spec)].T if not np.array_equal(x, x[p].conj())]
-    assert max(np.count_nonzero(x) for x in odd) > 1
+    cluster = np.flatnonzero(spec.eigenvalues == -1.8)
+    assert cluster.size == 3
+    odd = [x for x in vecs[:, cluster].T if not np.array_equal(x, x[p].conj())]
+    assert len(odd) == 2 and max(np.count_nonzero(x) for x in odd) > 1
     for x in odd:
         piv = x[np.argmax(np.abs(x))]
         assert piv.imag == 0 and piv.real > 0
+    isolated_real_modes_are_hermitian(spec)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_isolated_real_modes_are_hermitian_near_the_closed_limit(levels):
+    """example3 at omega of the order of the cluster tolerance, where
+    near-real conjugate pairs of partner sectors sit next to real values of
+    the self-conjugate one: each pair lands in one cluster with them, so
+    every real singleton is a Hermitian mode (46 were not before)."""
+    count = 0
+    for omega in np.linspace(1e-8, 2e-7, 20):
+        for g in (0.05, 0.1, 0.3):
+            liou = assemble_liouvillian(example3(float(omega), g, 1.0, 0.5, levels=levels))
+            count += isolated_real_modes_are_hermitian(analyze_liouvillian(liou))
+    assert count > 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
