@@ -533,9 +533,9 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     lies within tol of their conjugate mean, has an outcome fixed in
     advance: one cluster, with its partner when the mean is not made
     real.  Those groups, singletons and conjugate pairs among them, are
-    settled in whole-array steps, the first clusters gathered one size at
-    a time (_gather); only the chained groups left run the rule member by
-    member (_cluster_chain).
+    settled in whole-array steps, the means of the first clusters taken
+    one cluster size at a time; only the chained groups left run the rule
+    member by member (_cluster_chain).
     """
     n = vals.size
     if not n:
@@ -571,20 +571,27 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     # a cluster is keyed by its seed and whether it is the partner cluster
     key = 2 * np.arange(n)
     # each group's first cluster: its seed, the smallest member, and every
-    # member within tol of it, gathered in index order one cluster size at
-    # a time; the mean of each, and the other members that lie within tol
-    # of some member's conjugate
+    # member within tol of it; claimed[offset[g]:offset[g] + count[g]] holds
+    # those of seed g in index order
     t = tol[group]
     claim = np.abs(vals - vals[group]) <= t
-    mean, mirror = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool)
+    claimed = np.flatnonzero(claim)
+    claimed = claimed[np.argsort(group[claimed], kind="stable")]
+    count = np.bincount(group[claimed], minlength=n)
+    offset = np.cumsum(count) - count
+    # their means, one mean(axis=1) per cluster size, which gives each
+    # cluster's 1-D np.mean bit for bit
+    mean = np.zeros(n, dtype=complex)
+    for size in np.unique(count[count > 0]):
+        seeds = np.flatnonzero(count == size)
+        mean[seeds] = vals[claimed[offset[seeds, None] + np.arange(size)]].mean(axis=1)
+    # the other members that lie within tol of some member's conjugate
     rest = np.flatnonzero(~claim)
-    for roots, members in _gather(group[claim], np.flatnonzero(claim)):
-        mean[roots] = vals[members].mean(axis=1)
-        row = np.full(n, -1)
-        row[roots] = np.arange(roots.size)
-        j = rest[row[group[rest]] >= 0]
-        near = np.abs(vals[j, None] - vals[members[row[group[j]]]].conj()) <= t[j, None]
-        mirror[j] = near.any(axis=1)
+    per = count[group[rest]]
+    j = np.repeat(rest, per)
+    m = claimed[np.repeat(offset[group[rest]] - np.cumsum(per) + per, per) + np.arange(per.sum())]
+    mirror = np.zeros(n, dtype=bool)
+    mirror[j[np.abs(vals[j] - vals[m].conj()) <= t[j]]] = True
     mean = mean[group]
     real = np.abs(mean.imag) <= t
     # a real cluster takes the mirrors, a complex one leaves them to its
@@ -605,19 +612,6 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     for root in np.flatnonzero(chained):
         _cluster_chain(vals, key, np.flatnonzero(group == root), tol[root])
     return np.unique(key, return_inverse=True)[1]
-
-
-def _gather(row: np.ndarray, at: np.ndarray) -> list:
-    """(rows, members) for each row length: the rows r of that length and,
-    as one row of members each, at[row == r] in ascending order (at
-    ascending).  A mean(axis=1) over vals[members] gives each row's 1-D
-    np.mean bit for bit."""
-    order = np.argsort(row, kind="stable")
-    row, at = row[order], at[order]
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    count = np.diff(first, append=row.size)
-    return [(row[lead], at[lead[:, None] + np.arange(size)])
-            for size in np.unique(count) for lead in [first[count == size]]]
 
 
 def _cluster_chain(vals: np.ndarray, key: np.ndarray, idx: np.ndarray, t: float) -> None:

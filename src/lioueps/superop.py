@@ -303,28 +303,30 @@ def apply_liouvillian(model: LindbladModel, rho: Operator) -> Operator:
 
 def trace_row(s: SuperOp) -> np.ndarray:
     """vec(1)^dag L, the row that must vanish for a trace-preserving generator."""
-    rows, cols, vals = s.entries
-    # the rows of vec(1) are a D + a
-    diag = rows % (s.dim + 1) == 0
-    out = np.zeros(s.dim ** 2, dtype=complex)
-    np.add.at(out, cols[diag], vals[diag])
-    return out
+    return _trace_rows(s.entries, [s.dim])[0]
 
 
-def _trace_norms(entries, dims) -> tuple[np.ndarray, np.ndarray]:
-    """|vec(1)^dag L| and |L|_F of each generator of the block-diagonal
-    matrix with coordinate lists entries, whose generators have the given
-    dimensions: the two sides of the trace-preservation test."""
+def _trace_rows(entries, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trace rows of the generators, of the given dimensions, of the
+    block-diagonal matrix with coordinate lists entries, side by side;
+    the first index of each generator, and the generator of each entry."""
     rows, cols, vals = entries
     dims = np.asarray(dims)
     starts = np.cumsum(dims * dims) - dims * dims
     point = np.searchsorted(starts, rows, side="right") - 1
     # the rows of vec(1) are a D + a within each generator
     diag = (rows - starts[point]) % (dims[point] + 1) == 0
-    row = np.zeros(np.sum(dims * dims), dtype=complex)
-    np.add.at(row, cols[diag], vals[diag])
+    out = np.zeros(np.sum(dims * dims), dtype=complex)
+    np.add.at(out, cols[diag], vals[diag])
+    return out, starts, point
+
+
+def _trace_norms(entries, dims) -> tuple[np.ndarray, np.ndarray]:
+    """|vec(1)^dag L| and |L|_F of each generator of _trace_rows: the two
+    sides of the trace-preservation test."""
+    row, starts, point = _trace_rows(entries, dims)
     trace = np.sqrt(np.add.reduceat(row.real ** 2 + row.imag ** 2, starts))
-    return trace, np.sqrt(np.bincount(point, np.abs(vals) ** 2, dims.size))
+    return trace, np.sqrt(np.bincount(point, np.abs(entries[2]) ** 2, starts.size))
 
 
 def is_trace_preserving(s: SuperOp) -> bool:

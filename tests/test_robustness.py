@@ -123,7 +123,6 @@ class TestOffGridBrackets:
             locate_ep(family.liouvillian_family(), (lo, lo + 0.2))
         assert max(sizes) >= 3 and chain.call_count == 0
 
-
     def test_same_conjugate_member_at_every_offset(self):
         # the complex EP comes as a conjugate pair; the pair sorts by Im at
         # every grid point, so the bracket offset does not pick the member
