@@ -508,11 +508,11 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     the mirrors and the unlabelled eigenvalues within tol of the
     conjugate mean form the partner cluster, which takes the exact
     conjugate mean, so a conjugate pair sorts by Im, not by the last bit
-    of Re.  So the two members of a conjugate pair that _block_eig
-    returns, whose first member a cluster claims, land in that cluster or
-    in it and its partner: a real value between them no longer leaves
-    one made real on its own.  Clusters are numbered in the order they
-    are made.
+    of Re.  So when a cluster claims one member of a conjugate pair that
+    _block_eig returns and the other is still unlabelled, the other joins
+    that cluster or its partner: a real value between the two no longer
+    leaves one made real on its own.  Clusters are numbered in the order
+    they are made.
 
     With point, vals holds the spectra of several grid points, and tol is
     a scalar or one tolerance per value (its point's): the rule runs on
