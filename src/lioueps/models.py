@@ -37,6 +37,7 @@ from .ops_core import DEFAULT_ZERO_TOL, Operator, build_boson_ops, build_qubit_o
 from .superop import (
     LindbladModel,
     _assemble_grid,
+    _effective_hamiltonians,
     assemble_liouvillian,
     effective_hamiltonian,
 )
@@ -216,9 +217,63 @@ def example3(omega: float, g: float, gamma_a: float, gamma_b: float,
     return LindbladModel(h, ((ga, a), (gb, b)))
 
 
+def example3_spectrum(omega: float, g: float, gamma_a: float, gamma_b: float,
+                      levels: int) -> dict:
+    """The spectrum of the untruncated two-mode generator, the oracle of
+    the truncated one.
+
+    H_eff keeps the excitation numbers (N_l, N_r) of |m><n| and the jumps
+    lower both, so L is block triangular on the (N_l, N_r) blocks, whose
+    eigenvalues, without a cutoff, are the lattice
+        lambda = m1 kappa1 + m2 kappa2 + n1 conj(kappa1) + n2 conj(kappa2),
+    m1 + m2 = N_l, n1 + n2 = N_r, over the eigenvalues kappa of
+    -i example3_mean_field_matrix: kappa = -i omega - gbar/2 -+ i theta,
+    theta^2 = g^2 - gamma^2/4 (gbar, gamma as in
+    example3_one_excitation_closed_form).
+
+    Returns lambdas over every (N_l, N_r) with N_l, N_r <= 2 (levels - 1),
+    the largest excitation number under the cutoff; sectors, each
+    value's (N_l, N_r), with m1 then n1 descending inside a sector;
+    complete, set where N_l, N_r <= levels - 1, the blocks that the
+    cutoff leaves whole, so that their eigenvalues are exactly these; and
+    jordan, each sector's Jordan partition at kappa1 = kappa2 (g =
+    gamma/2), where H_eff's N-excitation block is one Jordan block of size
+    N + 1, and the Kronecker sum of two such blocks splits as
+    N_l + N_r + 1, N_l + N_r - 1, ..., |N_l - N_r| + 1.
+    """
+    w, gg = float(omega), float(g)
+    gbar = (float(gamma_a) + float(gamma_b)) / 2
+    gamma = (float(gamma_a) - float(gamma_b)) / 2
+    theta = np.sqrt(complex(gg ** 2 - gamma ** 2 / 4))
+    kappa = -1j * np.array([w - 0.5j * gbar + theta, w - 0.5j * gbar - theta])
+    top = 2 * (_require_levels("levels", levels) - 1)
+    sectors, counts = [], []
+    for nl in range(top + 1):
+        for nr in range(top + 1):
+            for m1 in range(nl, -1, -1):
+                for n1 in range(nr, -1, -1):
+                    sectors.append((nl, nr))
+                    counts.append((m1, nl - m1, n1, nr - n1))
+    sectors, counts = np.array(sectors), np.array(counts)
+    lambdas = (counts[:, 0] * kappa[0] + counts[:, 1] * kappa[1]
+               + counts[:, 2] * kappa[0].conj() + counts[:, 3] * kappa[1].conj())
+    return {
+        "lambdas": lambdas,
+        "sectors": sectors,
+        "complete": sectors.max(axis=1) <= levels - 1,
+        "jordan": {(nl, nr): tuple(range(nl + nr + 1, abs(nl - nr), -2))
+                   for nl in range(top + 1) for nr in range(top + 1)},
+        "kappa": kappa,
+        "theta": theta,
+        "gbar": gbar,
+        "gamma": gamma,
+    }
+
+
 def example3_one_excitation_closed_form(omega: float, g: float, gamma_a: float,
                                         gamma_b: float) -> dict:
-    """Single-excitation block of the two-mode effective Hamiltonian.
+    """Single-excitation block of the two-mode effective Hamiltonian: the
+    N = 1 case of example3_spectrum, h = i lambda on sector (1, 0).
 
     In the basis (|1,0>, |0,1>) the block is
     (omega - i gbar/2) 1 + [[-i gamma/2, g], [g, +i gamma/2]] with
@@ -226,11 +281,10 @@ def example3_one_excitation_closed_form(omega: float, g: float, gamma_a: float,
     eigenvalues h = omega - i gbar/2 +- theta, theta^2 = g^2 - gamma^2/4,
     eigenvectors g |1,0> + (i gamma/2 +- theta)|0,1>; EP at g = gamma/2.
     """
-    w, gg = float(omega), float(g)
-    gbar = (float(gamma_a) + float(gamma_b)) / 2
-    gamma = (float(gamma_a) - float(gamma_b)) / 2
-    theta = np.sqrt(complex(gg ** 2 - gamma ** 2 / 4))
-    h = np.array([w - 0.5j * gbar + theta, w - 0.5j * gbar - theta])
+    spec = example3_spectrum(omega, g, gamma_a, gamma_b, levels=2)
+    one = (spec["sectors"] == (1, 0)).all(axis=1)
+    gg, gamma, theta = float(g), spec["gamma"], spec["theta"]
+    h = 1j * spec["lambdas"][one]
     phis = np.stack([
         np.array([gg, 0.5j * gamma + theta]),
         np.array([gg, 0.5j * gamma - theta]),
@@ -241,7 +295,7 @@ def example3_one_excitation_closed_form(omega: float, g: float, gamma_a: float,
         "h": h,
         "phis": phis,
         "theta": theta,
-        "gbar": gbar,
+        "gbar": spec["gbar"],
         "gamma": gamma,
         "ep_coupling": gamma / 2,
     }
@@ -374,11 +428,16 @@ class ModelFamily:
 
         param = sweep_param or self.sweep_param
 
-        def matrix(value: float) -> np.ndarray:
-            return effective_hamiltonian(self.build(value, param)).matrix
+        def build(value: float) -> LindbladModel:
+            return self.build(value, param)
 
-        return SpectrumFamily(param, lambda values: nhh_eigensystems(_each_point(matrix, values)),
-                              matrix)
+        def eigensystem(values) -> tuple:
+            # every point's model is built and validated, then the grid's
+            # H_eff stack is made in one pass
+            return nhh_eigensystems(_effective_hamiltonians(_each_point(build, values)))
+
+        return SpectrumFamily(param, eigensystem,
+                              lambda value: effective_hamiltonian(build(value)).matrix)
 
 
 _FAMILIES = {

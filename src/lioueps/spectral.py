@@ -2,18 +2,21 @@
 
 liouvillian_eigensystem is what spectra, sweeps and the EP search read:
 one right-only eig of a trace-preserving generator.  Every eig is taken
-one weakly connected sector of the matrix at a time (_block_eig), read
-from the coordinate lists of the matrix: the weak-symmetry blocks of a
-Liouvillian, the excitation blocks of H_eff.  A Liouvillian preserves
-Hermiticity, P conj(L) P = L for the swap P of vec(|m><n|) and
-vec(|n><m|), so its sectors come in orbits under P: a partner pair (k,
--k) is solved once and the partner written as its exact conjugate, and
-the self-conjugate sector (k = 0) is solved as a real matrix in the
-Hermitian basis.  Its spectrum is then closed under conjugation bit for
-bit; a generator off that symmetry by more than 1e-12 |L|_F is refused
-with SpectralError.  The vectors stay in the sector blocks through every
-stage below (see "sector blocks"), and an Eigensystem scatters them into
-a dense array only when asked to.
+one weakly connected sector of the matrix at a time, read from the
+coordinate lists of the matrix, by sectors._block_eig: a partner pair
+of sectors under the swap P of vec(|m><n|) and vec(|n><m|) is solved
+once and the self-conjugate sector as a real matrix, so that the
+spectrum is closed under conjugation bit for bit; a generator off that
+symmetry by more than 1e-12 |L|_F is refused with SpectralError.  The
+right-only solve takes a large sector apart into its strongly connected
+components (the (N_l, N_r) blocks of a Liouvillian whose jumps lower
+the excitation numbers), solves their diagonal blocks alone and
+back-substitutes the vectors, and falls back to the dense solve of the
+sector where a residual check fails, near an exceptional point; the
+left vectors always come from the dense solve (see sectors).  The
+vectors stay in the sector blocks through every stage below (see
+"sector blocks"), and an Eigensystem scatters them into a dense array
+only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
 zero-eigenvalue sector is orthonormalized inside each sector.  The
@@ -40,11 +43,13 @@ flags and steady state; analyze_nhh's NhhSpectrum is H_eff's
 Eigensystem plus a near-defective flag.
 
 Sorting convention: |Re(lambda)| ascending, ties broken by Im(lambda)
-ascending; only exact ties of both fall through to a deterministic
-tiebreak on the eigenvector entries (lexicographic).  For effective
-Hamiltonians the analogous order is |Im(h)| ascending then Re(h): the
-no-jump generator maps h onto -i(h_l - h_m^*), so Im(h) plays the role
-of Re(lambda).
+ascending.  For a generator, |Re| values within the cluster tolerance
+of the next smaller one count as tied, so that values equal but for
+rounding order by Im, then by |Re|; only exact ties of both fall through
+to a deterministic tiebreak on the eigenvector entries (lexicographic).
+For effective Hamiltonians the analogous order is |Im(h)| ascending then
+Re(h), compared exactly: the no-jump generator maps h onto
+-i(h_l - h_m^*), so Im(h) plays the role of Re(lambda).
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .ops_core import (
     Operator,
     hermitian_spectral_decomposition,
 )
+from .sectors import _block_eig, _components, _partner
 from .superop import (
     LindbladModel,
     SuperOp,
@@ -88,7 +94,7 @@ TIE_BATCH_ENTRIES = 1 << 16
 # ---------------------------------------------------------------------------
 
 def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
-                  point: np.ndarray | None = None) -> np.ndarray:
+                  point: np.ndarray | None = None, tol=None) -> np.ndarray:
     """Total deterministic order: grid point (when given), primary key,
     secondary key, then the eigenvector entries (re, im of each,
     lexicographic), which only ever break exact ties of the keys.  Entries
@@ -96,11 +102,28 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
     only that union is compared, and the ties are broken in lexsorts led
     by the tie, one batch of whole ties at a time (_tie_batches).  The
     zeros that pad a tie's keys to the batch's width are shared by all its
-    members, so the batches give the order of one lexsort over all ties."""
+    members, so the batches give the order of one lexsort over all ties.
+
+    With tol (one per value), primary keys are compared in runs: in ascending order, a key more than tol above the one before
+    starts a new run, and inside a run the order is by the secondary key,
+    then the primary key, so that keys equal but for rounding do not
+    order by their last bits."""
     if point is None:
         point = np.zeros(primary.size, dtype=np.intp)
     order = np.lexsort((secondary, primary, point))
     p, q, g = primary[order], secondary[order], point[order]
+    if tol is not None:
+        step, same = np.diff(p), g[1:] == g[:-1]
+        close = (step > 0) & (step <= tol[order][1:]) & same
+        if close.any():
+            # the runs that join distinct keys, each re-sorted in place
+            run = np.cumsum(np.r_[True, ~(close | (step == 0)) | ~same])
+            joined = np.zeros(run[-1] + 1, dtype=bool)
+            joined[run[1:][close]] = True
+            at = np.flatnonzero(joined[run])
+            cols = order[at]
+            order[at] = cols[np.lexsort((primary[cols], secondary[cols], run[at]))]
+            p, q, g = primary[order], secondary[order], point[order]
     after = np.r_[False, (p[1:] == p[:-1]) & (q[1:] == q[:-1]) & (g[1:] == g[:-1])]
     at = np.flatnonzero(after | np.r_[after[1:], False])
     if at.size:
@@ -149,22 +172,6 @@ def _canonical_phase(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     scale = [abs(p) / p if p != 0 else 1.0 for p in piv.ravel()]
     shape = v.shape[:-2] + (1, b) if v.ndim > 1 else (1,)
     return np.multiply(v, np.reshape(scale, shape), out=out)
-
-
-def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Connected components of the undirected graph on nodes 0..n-1 with
-    one edge src[k] -- dst[k] per k, by min-label propagation: each node
-    is labelled with the smallest node of its component."""
-    src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    labels = np.arange(n)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, src, labels[dst])
-        # pointer jumping: each label is a smaller node of the same component
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
 
 
 # ---------------------------------------------------------------------------
@@ -238,189 +245,6 @@ def _permute(blocks, order: np.ndarray) -> list:
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
     return [(r, place[c], v) for r, c, v in blocks]
-
-
-def _partner(dims) -> np.ndarray:
-    """P of the block-diagonal generator of generators on spaces of the
-    given dimensions: the index of vec(|n><m|) at the index of
-    vec(|m><n|), within each generator's own indices."""
-    starts = np.cumsum([d * d for d in dims]) - np.square(dims)
-    return np.concatenate([s + np.arange(d * d).reshape(d, d).T.ravel()
-                           for d, s in zip(dims, starts)])
-
-
-def _eig(mats: np.ndarray, left: bool):
-    """(vals, right, left or None) of each matrix of a stack, as complex
-    arrays.  Right-only stacks go to np.linalg.eig, which solves each
-    matrix of a stack as it would solve it alone; scipy.linalg.eig,
-    imported here at first use, is called one matrix at a time, only for
-    the left vectors, which numpy does not return.  Both run LAPACK geev,
-    the real one on a real stack, whose complex eigenpairs come out as
-    exact conjugates."""
-    if not left:
-        vals, vecs = np.linalg.eig(mats)
-        return vals.astype(complex, copy=False), vecs.astype(complex, copy=False), None
-    import scipy.linalg
-    vals = np.empty(mats.shape[:2], dtype=complex)
-    vecs, lvecs = np.empty(mats.shape, dtype=complex), np.empty(mats.shape, dtype=complex)
-    for t, mat in enumerate(mats):
-        vals[t], lvecs[t], vecs[t] = scipy.linalg.eig(mat, left=True)
-    return vals, vecs, lvecs
-
-
-def _to_hermitian_basis(mats: np.ndarray, mate: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """The real matrices B = T^-1 M T of self-conjugate blocks M, made
-    from mats in place.
-
-    Position j of a block holds index u, and mate[:, j] the position of
-    P u; side is +1 where u < P u, -1 where u > P u and 0 where u = P u.
-    Column j of T is vec(|m><n| + |n><m|) at side +1 (u = vec |m><n|),
-    vec(i|m><n| - i|n><m|) at side -1 (u = vec |n><m|) and vec(|m><m|) at
-    0: the Hermitian basis, with its pairs scaled by sqrt(2) so that every
-    step below is exact but for one addition in each stage.  B is real
-    when P conj(M) P = M; its imaginary rounding is dropped, and signed
-    zeros are made +0.0."""
-    cols = np.take_along_axis(mats, mate[:, None, :], axis=2)
-    up, down = side[:, None, :] > 0, side[:, None, :] < 0
-    # M T: column u is M_u + M_w, column w is i (M_u - M_w)
-    np.add(mats, cols, out=mats, where=up)
-    np.subtract(cols, mats, out=mats, where=down)
-    np.multiply(mats, 1j, out=mats, where=down)
-    del cols
-    # T^-1 (M T): row u is Re(X_u + X_w) / 2, row w is Im(X_u - X_w) / 2
-    up, down = side[:, :, None] > 0, side[:, :, None] < 0
-    out = mats.real.copy()
-    np.add(mats.real, np.take_along_axis(mats.real, mate[:, :, None], axis=1), out=out, where=up)
-    np.subtract(np.take_along_axis(mats.imag, mate[:, :, None], axis=1), mats.imag,
-                out=out, where=down)
-    np.divide(out, 2, out=out, where=up | down)
-    out += 0.0
-    return out
-
-
-def _from_hermitian_basis(y: np.ndarray, mate: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """x = T y for the T of _to_hermitian_basis, entry by entry and in
-    place: for w = P u, x_u = y_u + i y_w and x_w = conj(y_u) - i conj(y_w)
-    conjugated, each part of x_w with the operands of the same part of
-    x_u, so that x of the eigenvector conj(y) is P conj(x) bit for bit."""
-    up, down = side[:, :, None] > 0, side[:, :, None] < 0
-    # at u: re = y_u.re - y_w.im, im = y_u.im + y_w.re; at w: re = the
-    # latter, im = -(the former)
-    diff = y.real - np.take_along_axis(y.imag, mate[:, :, None], axis=1)
-    total = y.imag + np.take_along_axis(y.real, mate[:, :, None], axis=1)
-    np.copyto(y.real, diff, where=up)
-    np.copyto(y.real, total, where=down)
-    np.copyto(y.imag, total, where=up)
-    np.negative(diff, out=y.imag, where=down)
-    return y
-
-
-def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None = None):
-    """eig of the n x n matrix with coordinate lists entries = (rows, cols,
-    values), every other entry 0, one weakly connected sector at a time.
-
-    The sectors are the connected components of the graph with an edge
-    per nonzero entry, and each sector's block is made dense on its own.
-    Returns (vals, blocks), or (vals, blocks, left_blocks) with left,
-    where vals[i] belongs to column i and each sector is a block with rows
-    = cols = its indices.  The sectors of one size go to eig (_eig) as one
-    stack, and their matrices are dropped before the next size is filled;
-    a 1x1 sector is its diagonal entry with a unit vector.
-
-    partner, an involution P of the indices with P conj(M) P = M (the
-    swap vec(|m><n|) <-> vec(|n><m|) of a Hermiticity-preserving
-    generator), solves each orbit of sectors under P once.  Where P would
-    map a sector across two (an entry whose mirror is 0), the mirrored
-    edges join the graph, so P maps sectors onto sectors.  Of a partner
-    pair (S, P S), the sector with the smaller first index is solved, and
-    the other is its exact conjugate: conjugated values, and vectors (left
-    ones too) conjugated with their rows moved by P.  A self-conjugate
-    sector (S = P S) is real in the Hermitian basis and goes to the real
-    geev (_to_hermitian_basis), its vectors mapped back entry by entry:
-    its real eigenvalues have Im exactly 0 and its complex pairs stay
-    exact P-conjugate pairs.  So the values are closed under conjugation
-    bit for bit.
-    """
-    rows, cols, values = entries
-    src, dst = rows[values != 0], cols[values != 0]
-    labels = _components(n, src, dst)
-    if partner is not None and not np.array_equal(labels[partner], labels[partner[labels]]):
-        # P maps some sector across two: the mirrored edges join them
-        labels = _components(n, np.r_[src, partner[src]], np.r_[dst, partner[dst]])
-    size = np.bincount(labels, minlength=n)[labels]
-    # nodes grouped by sector, sectors by smallest node; rank within sector
-    nodes = np.argsort(labels, kind="stable")
-    start = np.flatnonzero(np.r_[True, np.diff(labels[nodes]) != 0])
-    rank = np.empty(n, dtype=np.intp)
-    rank[nodes] = np.arange(n) - np.repeat(start, np.diff(np.r_[start, n]))
-    inside = labels[rows] == labels[cols]
-    vals = np.empty(n, dtype=complex)
-    blocks, lblocks = [], []
-    for b in np.unique(size):
-        idx = nodes[size[nodes] == b].reshape(-1, b)
-        k = idx.shape[0]
-        # each sector's first index is its label; mate is its partner's
-        mate = idx[:, 0] if partner is None else labels[partner[idx[:, 0]]]
-        real, mirror = (mate == idx[:, 0]) & (partner is not None), mate < idx[:, 0]
-        if b == 1:
-            diag = np.zeros(n, dtype=values.dtype)
-            on = rows == cols
-            diag[rows[on]] = values[on]
-            # eig checks its own blocks; the 1x1 sectors bypass it
-            if not np.isfinite(diag[idx[:, 0]]).all():
-                raise ValueError("array must not contain infs or NaNs")
-            vals[idx[:, 0]] = np.where(real, diag[idx[:, 0]].real, diag[idx[:, 0]])
-            vecs = np.ones((k, 1, 1), dtype=complex)
-            lvecs = vecs.copy() if left else None
-        else:
-            vecs = lvecs = None
-            # the self-conjugate sectors, then the solved sides of the pairs
-            for at in (np.flatnonzero(real), np.flatnonzero(~real & ~mirror)):
-                if not at.size:
-                    continue
-                slot = np.full(n, -1, dtype=np.intp)
-                slot[idx[at]] = np.arange(at.size)[:, None]
-                e = np.flatnonzero(inside & (slot[rows] >= 0))
-                mats = np.zeros((at.size, b, b), dtype=values.dtype)
-                mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
-                if real[at[0]]:
-                    mate_pos, side = rank[partner[idx[at]]], np.sign(partner[idx[at]] - idx[at])
-                    mats = _to_hermitian_basis(mats.astype(complex, copy=False), mate_pos, side)
-                    w, v, lv = _eig(mats, left)
-                    del mats
-                    _from_hermitian_basis(v, mate_pos, side)
-                    if left:
-                        # left vectors map by T^-dag = T diag(1/2 on the pairs, 1)
-                        lv *= np.where(side != 0, 0.5, 1.0)[:, :, None]
-                        _from_hermitian_basis(lv, mate_pos, side)
-                else:
-                    w, v, lv = _eig(mats, left)
-                    del mats
-                vals[idx[at]] = w
-                if at.size == k:
-                    vecs, lvecs = v, lv
-                    continue
-                if vecs is None:
-                    vecs = np.empty((k, b, b), dtype=complex)
-                    lvecs = np.empty_like(vecs) if left else None
-                vecs[at] = v
-                if left:
-                    lvecs[at] = lv
-                del v, lv
-        if mirror.any():
-            # the solved partner of each mirrored sector, and the row of
-            # its block that each row of the mirrored block reads
-            at = np.searchsorted(idx[:, 0], mate[mirror])
-            vals[idx[mirror]] = vals[idx[at]].conj()
-            if b > 1:
-                read = rank[partner[idx[mirror]]]
-                for stack in (vecs, lvecs) if left else (vecs,):
-                    part = stack[at[:, None], read]
-                    stack[mirror] = np.conjugate(part, out=part)
-                    del part
-        blocks.append((idx, idx, vecs))
-        lblocks.append((idx, idx, lvecs))
-    return (vals, blocks, lblocks) if left else (vals, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +489,10 @@ def _cluster_sort(n: int, entries, vals: np.ndarray, blocks, starts=(0,)):
     # degenerate eigenvalues in (|Re|, Im) order.  Only neighbour groups of
     # three or more, found on a grid of cells, run the rule one by one.
     point = _points(starts, n)
-    labels = _cluster_labels(vals, tol[point], point)
+    tol = tol[point]
+    labels = _cluster_labels(vals, tol, point)
     _unit_columns(blocks)
-    order = _sort_indices(np.abs(vals.real), vals.imag, blocks, point)
+    order = _sort_indices(np.abs(vals.real), vals.imag, blocks, point, tol)
     return vals[order], _permute(blocks, order), labels[order], order
 
 
@@ -965,10 +790,14 @@ class NhhSpectrum(Eigensystem):
 def nhh_eigensystems(mats) -> tuple:
     """nhh_eigensystem of each matrix, all solved as one (see "grids");
     each result is bit for bit that of its matrix alone.  An exception
-    raised for matrix k carries point = k."""
-    entries, starts = _stack_entries(_each_point(_dense_entries, mats),
-                                     [np.shape(mat)[0] for mat in mats])
-    n = starts[-1] + np.shape(mats[-1])[0]
+    raised for matrix k carries point = k.  Matrices of one shape are
+    listed as one stack."""
+    sizes = [np.shape(mat)[0] for mat in mats]
+    if len({np.shape(mat) for mat in mats}) == 1:
+        entries, starts = _dense_entries(np.asarray(mats)), np.arange(len(mats)) * sizes[0]
+    else:
+        entries, starts = _stack_entries(_each_point(_dense_entries, mats), sizes)
+    n = starts[-1] + sizes[-1]
     vals, blocks = _grid_eig(n, entries, starts)
     _unit_columns(blocks)
     order = _sort_indices(np.abs(vals.imag), vals.real, blocks, _points(starts, n))

@@ -136,11 +136,14 @@ def _read_only(arrays) -> tuple[np.ndarray, ...]:
 def _dense_entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, values) of every entry of a matrix whose bits are not
     +0.0, in row-major order: -0.0 is listed, so that scattering
-    the lists gives the matrix back bit for bit."""
+    the lists gives the matrix back bit for bit.  A stack (P, D, D) gives
+    the lists of the block-diagonal diag(mat[0], ..., mat[P - 1])."""
     mat = np.ascontiguousarray(mat)
     bits = mat.view(np.uint64).reshape(*mat.shape, -1)
-    rows, cols = np.nonzero(bits.any(axis=2))
-    return rows, cols, mat[rows, cols]
+    at = np.nonzero(bits.any(axis=-1))
+    if mat.ndim == 2:
+        return at[0], at[1], mat[at]
+    return at[0] * mat.shape[1] + at[1], at[0] * mat.shape[1] + at[2], mat[at]
 
 
 def vectorize(a) -> np.ndarray:
@@ -250,6 +253,16 @@ def _stacked(models) -> tuple[np.ndarray, np.ndarray]:
 def effective_hamiltonian(model: LindbladModel) -> Operator:
     """H_eff = H - (i/2) sum_mu Gamma_mu^dag Gamma_mu."""
     return Operator(model.space, _stacked([model])[0][0])
+
+
+def _effective_hamiltonians(models) -> list[np.ndarray]:
+    """The H_eff matrix of each model, bit for bit effective_hamiltonian's:
+    each run of consecutive models of one dimension and channel count
+    takes one _stacked pass."""
+    out = []
+    for _, run in itertools.groupby(models, lambda model: (model.dim, len(model.jumps))):
+        out.extend(_stacked(list(run))[0])
+    return out
 
 
 def assemble_liouvillian(model: LindbladModel) -> SuperOp:

@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lioueps import spectral
+from lioueps import sectors, spectral
 from lioueps.ep_detect import overlap_matrix
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
@@ -22,24 +22,38 @@ def assert_multiset_close(actual, expected, tol):
         actual.pop(k)
 
 
-def assert_one_eig_per_sector(calls, mats, left):
-    """calls, one (left, size, real) per matrix solved by eig, cover the
-    sector orbits of the Liouvillians mats (one matrix, or a list of them:
-    the points of a grid) once each.  The sectors are labelled here by
-    scipy's connected_components on the nonzero entries, and an orbit is a
-    sector S with its partner P S under the swap P of vec(|m><n|) and
-    vec(|n><m|): a partner pair takes one complex eig, a self-conjugate
-    sector (S = P S) one real eig, and an orbit of 1x1 sectors none.  Every
-    call asks for left vectors exactly when left is set."""
+def assert_one_eig_per_orbit(calls, mats, left):
+    """calls, one (left, size, real) per matrix solved by eig, cover once
+    each the orbits of the units that _block_eig solves in the Liouvillians
+    mats (one matrix, or a list of them: the points of a grid).  Labelled
+    here by scipy's connected_components on the nonzero entries: a unit is
+    a sector (a weakly connected component), or, on the right-only path, a
+    strongly connected component of a sector of at least
+    sectors.SCC_MIN_SIZE indices, joined with its mirror P C in a
+    self-conjugate sector; P is the swap of vec(|m><n|) and vec(|n><m|).
+    Of a partner pair of sectors (S, P S) the units of the one with the
+    smaller first index are solved, by one complex eig each, and a unit of
+    a self-conjugate sector (S = P S) by one real eig; a 1x1 unit takes
+    none.  Every call asks for left vectors exactly when left is set."""
     want = []
     for mat in ([mats] if np.ndim(mats) == 2 else mats):
-        _, comp = connected_components(coo_matrix(np.asarray(mat) != 0), directed=False)
-        d = int(round(np.sqrt(comp.size)))
-        partner = comp[np.arange(comp.size).reshape(d, d).T.ravel()]
-        for s, size in enumerate(np.bincount(comp)):
-            mate = partner[np.flatnonzero(comp == s)[0]]
-            if size >= 2 and mate >= s:
-                want.append((int(size), bool(mate == s)))
+        pattern = coo_matrix(np.asarray(mat) != 0)
+        _, comp = connected_components(pattern, directed=False)
+        _, strong = connected_components(pattern, directed=True, connection="strong")
+        n = comp.size
+        d = int(round(np.sqrt(n)))
+        p = np.arange(n).reshape(d, d).T.ravel()
+        first = np.full(comp.max() + 1, n)
+        np.minimum.at(first, comp, np.arange(n))
+        mate = comp[p[first[comp]]]
+        split = ~left & (np.bincount(comp)[comp] >= sectors.SCC_MIN_SIZE)
+        unit = np.where(split, n + np.where(mate == comp, np.minimum(strong, strong[p]), strong),
+                        comp)
+        for u in np.unique(unit):
+            nodes = np.flatnonzero(unit == u)
+            s = comp[nodes[0]]
+            if nodes.size >= 2 and first[mate[nodes[0]]] >= first[s]:
+                want.append((int(nodes.size), bool(mate[nodes[0]] == s)))
     assert [l for l, _, _ in calls] == [left] * len(calls)
     assert sorted((size, real) for _, size, real in calls) == sorted(want)
 
@@ -53,15 +67,27 @@ def conjugation_key(vals):
 
 @pytest.fixture(scope="session", autouse=True)
 def conjugate_closed_solves():
-    """Every solve that _block_eig makes with the partner swap, in any
-    test, returns values closed under conjugation bit for bit, before any
-    clustering."""
+    """Every solve that _block_eig makes with the partner swap P, in any
+    test, is closed under conjugation bit for bit, before any clustering,
+    one orbit of sectors at a time: a self-conjugate sector's values as a
+    multiset, and a mirrored sector's values as the conjugates of its
+    partner's.  That holds per strongly connected component too: a split
+    sector's values are its components', each component C solved with its
+    mirror P C (in the Hermitian basis, where C = P C) or mirrored from
+    it, and a sector that fails the residual check is solved whole."""
     block_eig = spectral._block_eig
 
     def checked(n, entries, left=False, partner=None):
         out = block_eig(n, entries, left, partner)
         if partner is not None:
-            assert conjugation_key(out[0]) == conjugation_key(out[0].conj())
+            vals = out[0]
+            assert conjugation_key(vals) == conjugation_key(vals.conj())
+            sectors = [(r, c) for rows, cols, _ in out[1] for r, c in zip(rows, cols)]
+            first = {int(r[0]): c for r, c in sectors}
+            for r, c in sectors:
+                mate = int(partner[r].min())
+                want = vals[c] if mate == r[0] else vals[first[mate]]
+                assert conjugation_key(vals[c].conj()) == conjugation_key(want)
         return out
 
     spectral._block_eig = checked

@@ -40,6 +40,7 @@ from lioueps.ep_detect import (Eigensystem, SpectrumFamily, SweepResult, _candid
 from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
 from lioueps import dynamics, spectral
+from lioueps.sectors import SCC_MIN_SIZE
 from lioueps.dynamics import trajectories
 from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_chain,
                               _cluster_labels, _cluster_sort, _components, _scatter, _sort_indices,
@@ -91,8 +92,15 @@ def reference_cluster(vals, tol):
     return labels
 
 
-def reference_sort_indices(primary, secondary, vecs):
-    order = np.lexsort((secondary, primary))
+def reference_sort_indices(primary, secondary, vecs, tol=None):
+    if tol is None:
+        order = np.lexsort((secondary, primary))
+    else:
+        # runs of primary keys, each within tol of the one before
+        run, up = np.zeros(primary.size, dtype=np.intp), np.argsort(primary, kind="stable")
+        for k in range(1, up.size):
+            run[up[k]] = run[up[k - 1]] + (primary[up[k]] - primary[up[k - 1]] > tol)
+        order = np.lexsort((primary, secondary, run))
     p, q = primary[order], secondary[order]
     tied = np.r_[0, (p[1:] == p[:-1]) & (q[1:] == q[:-1]), 0].astype(np.int8)
     for start, stop in np.flatnonzero(np.diff(tied)).reshape(-1, 2):
@@ -237,17 +245,20 @@ def reference_block_eig(mat, mirror=False):
     return vals, vecs, labels
 
 
-def reference_eigensystem(mat, zero_tol=1e-10):
-    """liouvillian_eigensystem on the dense L and the n x n vector array.
-    Returns its values, vectors and zero mask, and the sector labels.  The
-    zero columns of each sector that holds two or more are replaced by the
-    Q of their QR on that sector's rows."""
+def reference_eigensystem(mat, zero_tol=1e-10, solve=None):
+    """liouvillian_eigensystem on the dense L and the n x n vector array,
+    from the eigenpairs solve = (vals, vecs) when given, else from
+    reference_block_eig.  Returns its values, vectors and zero mask, and
+    the sector labels.  The zero columns of each sector that holds two or
+    more are replaced by the Q of their QR on that sector's rows."""
     vals, vecs, sectors = reference_block_eig(mat, mirror=True)
+    if solve is not None:
+        vals, vecs = (x.copy() for x in solve)
     norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     reference_cluster(vals, tol)
     vecs /= np.linalg.norm(vecs, axis=0)
-    order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs)
+    order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs, tol)
     vals, vecs = vals[order], vecs[:, order]
     zero_mask = np.abs(vals) <= zero_tol
     for s in np.unique(sectors[order][zero_mask]):
@@ -437,13 +448,19 @@ def test_cluster_sort_equals_the_loops_at_exceptional_points(levels, g, largest)
     liou = assemble_liouvillian(example3(1.0, g, 1.0, 0.5, levels=levels))
     n, mat = liou.dim ** 2, liou.matrix
     vals, blocks = _block_eig(n, liou.entries)
+    # the loops start from the same eigenpairs: the dense eig of each
+    # sector's, bit for bit, unless a sector is split into its strongly
+    # connected components (levels=4 has sectors of 44 and 40 indices)
+    ref_vals, ref_vecs, sectors = reference_block_eig(mat)
+    if np.bincount(sectors).max() < SCC_MIN_SIZE:
+        assert bits(vals) == bits(ref_vals) and bits(_scatter(blocks)) == bits(ref_vecs)
+    want_vals, vecs = vals.copy(), _scatter(blocks)
     got_vals, got_blocks, got_labels, got_order = _cluster_sort(n, liou.entries, vals, blocks)
-    vals, vecs, _ = reference_block_eig(mat)
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    vals, vecs = want_vals, vecs / np.linalg.norm(vecs, axis=0)
     norm_bound = np.sqrt(np.linalg.norm(mat, 1) * np.linalg.norm(mat, np.inf))
     tol = max(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     labels = reference_cluster(vals, tol)
-    order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs)
+    order = reference_sort_indices(np.abs(vals.real), vals.imag, vecs, tol)
     assert np.bincount(labels).max() == largest
     for a, b in zip((got_vals, _scatter(got_blocks), got_labels, got_order),
                     (vals[order], vecs[:, order], labels[order], order)):
@@ -747,13 +764,20 @@ def assert_matches_the_dense_pipeline(model):
     pipeline on the kron-sum L: the values, the zero mask and the overlap
     rows bit for bit, and the dense vectors view bit for bit on the stored
     blocks.  Off the blocks the dense vectors are 0, as +0.0 in the view;
-    the dense phase rotation leaves -0.0 in some of them.  Returns the
-    stored blocks and the sector labels of the dense L."""
+    the dense phase rotation leaves -0.0 in some of them.  Where L has a
+    sector of at least SCC_MIN_SIZE indices, which _block_eig solves by
+    its strongly connected components, the dense pipeline starts from
+    _block_eig's eigenpairs; otherwise from the dense eig of each sector.
+    Returns the stored blocks and the sector labels of the dense L."""
     liou = assemble_liouvillian(model)
     got = liouvillian_eigensystem(liou)
     heff = effective_hamiltonian(model).matrix
-    vals, vecs, zero_mask, sectors = reference_eigensystem(
-        kron_generator(heff, model.folded_jump_matrices()))
+    mat = kron_generator(heff, model.folded_jump_matrices())
+    solve = None
+    if np.bincount(reference_block_eig(mat)[2]).max() >= SCC_MIN_SIZE:
+        vals, blocks = _block_eig(mat.shape[0], liou.entries, partner=spectral._partner([model.dim]))
+        solve = (vals, _scatter(blocks))
+    vals, vecs, zero_mask, sectors = reference_eigensystem(mat, solve=solve)
     assert bits(got.eigenvalues) == bits(vals)
     assert bits(got.zero_mask) == bits(zero_mask)
     # the blocks partition the rows and the columns
@@ -1194,7 +1218,7 @@ def test_candidate_pairs_share_a_sector_block():
     ep-locate-l3 benchmark config at seed 0): a pair of branches that
     never shares a stored block has overlap exactly 0 at every grid point,
     and the candidate scan over the pairs that do is the full scan
-    without the others (3,160 pairs -> 495, 710 cells -> 524)."""
+    without the others (3,160 pairs -> 495, 711 cells -> 524)."""
     omega, gamma_a, gamma_b = 1.065791612069049, 1.0099521614821052, 0.3915108573095691
     family = get_family("example3", levels=3, omega=omega, gamma_a=gamma_a, gamma_b=gamma_b)
     lo = (gamma_a - gamma_b) / 4 - 0.1
@@ -1209,7 +1233,7 @@ def test_candidate_pairs_share_a_sector_block():
     everything = _candidates(res, bi, bj)
     kept = _candidates(res, si, sj)
     assert kept == [c for c in everything if same[c[0], c[1]]]
-    assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 710, 524)
+    assert (bi.size, si.size, len(everything), len(kept)) == (3160, 495, 711, 524)
     assert kept[0] == everything[0] == (1, 6, 16)
 
 

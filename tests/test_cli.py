@@ -18,7 +18,7 @@ from lioueps.models import example1_closed_form, family_names, get_family
 from lioueps.ops_core import build_qubit_ops
 from lioueps.spectral import liouvillian_eigensystem
 from lioueps.superop import assemble_liouvillian
-from conftest import assert_one_eig_per_sector, assert_overlap_rows, random_lindblad_model
+from conftest import assert_one_eig_per_orbit, assert_overlap_rows, random_lindblad_model
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -475,7 +475,7 @@ class TestCliVariants:
         })
         assert main([cfg, "--output-dir", str(tmp_path)]) == 0
         family = get_family("example3", levels=3).liouvillian_family()
-        assert_one_eig_per_sector(eig_calls, family.matrix(0.1), left=True)
+        assert_one_eig_per_orbit(eig_calls, family.matrix(0.1), left=True)
 
     def test_modes_method_refuses_the_no_jump_generator(self, tmp_path, capsys):
         # L' has no steady state to expand around: refused before any analysis

@@ -26,7 +26,7 @@ from lioueps.models import (
     example3_block_family,
     get_family,
 )
-from conftest import assert_one_eig_per_sector
+from conftest import assert_one_eig_per_orbit
 
 EX1 = get_family("example1").with_params(omega=1.0, gamma_y=2.0, gamma_minus=0.0)
 EX2 = get_family("example2").with_params(omega_x=1.0)
@@ -274,7 +274,7 @@ class TestOneFactorisation:
             eig_calls.invocations = 0
             family = get_family("example3", levels=levels).liouvillian_family()
             sweep(family, grid)
-            assert_one_eig_per_sector(eig_calls, [family.matrix(g) for g in grid], left=False)
+            assert_one_eig_per_orbit(eig_calls, [family.matrix(g) for g in grid], left=False)
             assert eig_calls.invocations == len({(size, real) for _, size, real in eig_calls})
 
     def test_spectrum_takes_one_right_only_eig(self, eig_calls, tmp_path):
@@ -283,7 +283,7 @@ class TestOneFactorisation:
                                    "model": {"name": "example3", "levels": 2}}))
         assert main([str(cfg), "--output-dir", str(tmp_path)]) == 0
         family = get_family("example3", levels=2).liouvillian_family()
-        assert_one_eig_per_sector(eig_calls, family.matrix(0.1), left=False)
+        assert_one_eig_per_orbit(eig_calls, family.matrix(0.1), left=False)
 
     def test_diagonal_spectrum_takes_no_eig(self, eig_calls, tmp_path):
         # the dephasing L is diagonal: every sector is 1x1

@@ -26,6 +26,7 @@ from lioueps.superop import (
     trace_row,
     vectorize,
 )
+from lioueps.sectors import SCC_MIN_SIZE
 from lioueps.spectral import (
     analyze_liouvillian,
     analyze_nhh,
@@ -49,7 +50,8 @@ from lioueps.models import (
     family_names,
     get_family,
 )
-from conftest import assert_multiset_close, conjugation_key, random_lindblad_model
+from conftest import (assert_multiset_close, assert_one_eig_per_orbit, conjugation_key,
+                      random_lindblad_model)
 
 Q = build_qubit_ops()
 SPACE = Q["identity"].space
@@ -162,10 +164,24 @@ class TestAnalyzeLiouvillian:
                               np.linalg.eigvals(mat), 1e-12)
 
     def test_example3_takes_one_eig_per_conjugate_orbit(self, eig_calls):
-        # levels=5: 17 sectors, two of them 1x1; 7 partner pairs take one
-        # complex eig each and the self-conjugate sector one real eig
-        liouvillian_eigensystem(assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5)))
-        assert len(eig_calls) == 8
+        # levels=5: 17 sectors, two of them 1x1.  The sectors of at least
+        # SCC_MIN_SIZE = 32 indices (85, 2 x 80, 2 x 68, 2 x 52, 2 x 35) are
+        # solved by their strongly connected components, the (N_l, N_r)
+        # blocks: the self-conjugate sector's 9, seven of them 2 x 2 or
+        # larger, by one real eig each, and the 8 + 7 + 6 + 5 components of
+        # one sector of each of the four split partner pairs by one complex
+        # eig each; the three partner pairs left (20, 10 and 4 indices) take
+        # one complex eig each
+        liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5))
+        liouvillian_eigensystem(liou)
+        assert_one_eig_per_orbit(eig_calls, liou.matrix, left=False)
+        assert len(eig_calls) == 36
+        assert sorted(real for _, _, real in eig_calls) == [False] * 29 + [True] * 7
+        assert max(size for _, size, _ in eig_calls) == 25
+        del eig_calls[:]
+        # the left vectors still take one eig per orbit of whole sectors
+        analyze_liouvillian(liou)
+        assert_one_eig_per_orbit(eig_calls, liou.matrix, left=True)
         assert sorted(real for _, _, real in eig_calls) == [False] * 7 + [True]
 
     def test_defect_flags_at_exceptional_point(self):
@@ -297,13 +313,17 @@ def test_isolated_real_modes_are_hermitian_near_the_closed_limit(levels):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["random"] + family_names()), seed=st.integers(0, 2**32 - 1))
 def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
-    """_block_eig with the partner swap P, before any clustering: the
-    values are closed under conjugation bit for bit; a mirrored sector's
-    values and vectors, right and left, are the conjugates of its partner's
-    with the rows moved by P, bit for bit; in a self-conjugate sector a
-    value with Im exactly 0 has a Hermitian eigenmatrix, and every other
-    value's conjugate is a value of the sector whose vector is P conj of
-    its own, bit for bit; the multiset is the dense eig's within 1e-12 |L|."""
+    """_block_eig with the partner swap P, before any clustering, with the
+    left vectors (every sector solved whole) and without (the sectors of
+    at least SCC_MIN_SIZE indices solved by their strongly connected
+    components): the values are closed under conjugation bit for bit; a
+    mirrored sector's values and vectors, right and left, are the
+    conjugates of its partner's with the rows moved by P, bit for bit; in
+    a self-conjugate sector a value with Im exactly 0 has a Hermitian
+    eigenmatrix, and every other value's conjugate is a value of the
+    sector whose vector is P conj of its own, bit for bit; the multiset is
+    the dense eig's within 1e-12 |L|.  The two solves agree bit for bit on
+    every sector that is not split."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         model = random_lindblad_model(rng)
@@ -312,10 +332,24 @@ def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
     liou = assemble_liouvillian(model)
     n, p = liou.dim ** 2, _partner([liou.dim])
     vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=p)
-    right_only = _block_eig(n, liou.entries, partner=p)
-    assert right_only[0].tobytes() == vals.tobytes()
-    assert conjugation_key(vals) == conjugation_key(vals.conj())
-    vecs, lvecs = _scatter(blocks), _scatter(lblocks)
+    right_vals, right_blocks = _block_eig(n, liou.entries, partner=p)
+    dense = np.linalg.eigvals(liou.matrix)
+    for got, stored in ((vals, (blocks, lblocks)), (right_vals, (right_blocks,))):
+        assert conjugation_key(got) == conjugation_key(got.conj())
+        assert_conjugate_orbits(got, [_scatter(b) for b in stored], stored[0], p)
+        dist = np.abs(got[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(liou.entries[2])
+    whole = np.concatenate([c.ravel() for r, c, _ in blocks if r.shape[1] < SCC_MIN_SIZE]
+                           + [np.zeros(0, dtype=np.intp)])
+    assert right_vals[whole].tobytes() == vals[whole].tobytes()
+
+
+def assert_conjugate_orbits(vals, vectors, blocks, p):
+    """The bitwise orbit rules of test_block_eig_solves_each_conjugate_orbit_exactly
+    for the values and the dense vector arrays (right, and left if given)
+    of one solve, whose sectors are the blocks."""
+    vecs = vectors[0]
     sectors = [(r, c) for r, c, _ in blocks for r, c in zip(r, c)]
     first = {int(r[0]): (r, c) for r, c in sectors}
     for r, c in sectors:
@@ -323,7 +357,7 @@ def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
         if mate_rows[0] < r[0]:
             assert vals[c].tobytes() == vals[mate_cols].conj().tobytes()
             # a 1x1 sector holds the unit vector
-            for v in (vecs, lvecs) if r.size > 1 else ():
+            for v in vectors if r.size > 1 else ():
                 assert v[np.ix_(r, c)].tobytes() == v[np.ix_(p[r], mate_cols)].conj().tobytes()
         elif mate_rows[0] == r[0]:
             for j in c:
@@ -331,13 +365,10 @@ def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
                 if vals[j].imag == 0:
                     assert np.array_equal(x, vecs[p[r], j].conj())
                     continue
+                # a repeated eigenvalue of one component can come out with
+                # the same bits twice
                 k = c[(vals[c].real == vals[j].real) & (vals[c].imag == -vals[j].imag)]
-                assert k.size == 1
-                assert vecs[r, k[0]].tobytes() == vecs[p[r], j].conj().tobytes()
-    dense = np.linalg.eigvals(liou.matrix)
-    dist = np.abs(vals[:, None] - dense[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(liou.entries[2])
+                assert any(vecs[r, i].tobytes() == vecs[p[r], j].conj().tobytes() for i in k)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
