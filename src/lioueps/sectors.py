@@ -19,15 +19,16 @@ whose jumps lower them both is block triangular on the (N_l, N_r)
 blocks, the strongly connected components of its graph (Duff and Reid,
 ACM TOMS 4, 137 (1978)), and its eigenvalues are those of the diagonal
 blocks.  The right-only solve (_scc_eig) takes each sector of at least
-SCC_MIN_SIZE indices apart: the diagonal blocks are solved alone,
-stacked by size across sectors and grid points, each component and its
-P-mirror in one orbit, and each block's right vectors are
-back-substituted through the blocks downstream.  A sector is accepted
-when the residual of every vector passes SCC_RESIDUAL_TOL; a sector that
-fails, which happens near an exceptional point where the blocks are
-defective, is solved dense, as every sector is when the left vectors
-are asked for (_dense_sectors).  The components are labelled with numpy
-alone (_strong_components), so the spectral commands load no scipy.
+SCC_MIN_SIZE indices and several components apart: the diagonal blocks
+are solved alone, stacked by size across sectors and grid points, each
+component and its P-mirror in one orbit, and each block's right vectors
+are back-substituted through the blocks downstream.  A sector is
+accepted when the residual of every vector passes SCC_RESIDUAL_TOL; a
+sector that fails, which happens near an exceptional point where the
+blocks are defective, is solved dense (_dense_eig), as is every other
+sector, and every sector when the left vectors are asked for.
+The components are labelled with numpy alone (_strong_components), so
+the spectral commands load no scipy.
 """
 
 from __future__ import annotations
@@ -155,26 +156,34 @@ def _ranked(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, rank
 
 
+def _listed(n: int, src: np.ndarray, dst: np.ndarray, qsrc: np.ndarray,
+            qdst: np.ndarray) -> np.ndarray:
+    """Whether each edge qsrc[k] -> qdst[k] is among the edges src -> dst
+    (at least one) of a graph on nodes 0..n-1."""
+    # the edge keys, sorted already for lists in row-major order (src the column)
+    key, want = dst * n + src, qdst * n + qsrc
+    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key)
+    at = np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)
+    return key[at if order is None else order[at]] == want
+
+
 def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Strongly connected components of the directed graph on nodes
-    0..n-1 with an edge src[k] -> dst[k] per k: each node is labelled with
-    the smallest node of its component.
+    0..n-1 with an edge src[k] -> dst[k] per k, where its weakly
+    connected pieces are acyclic once contracted: each node is labelled
+    with the smallest node of its component.
 
     Two nodes joined both ways lie in one component, so those edges are
-    contracted first (_components); when the contracted graph has no
-    cycle, which a longest-path relaxation settles, that is all.
-    Otherwise each weakly connected piece of it is resolved by the
-    transitive closure of its dense adjacency, squared until it stops
-    growing, the pieces of one size stacked: two nodes are in one
-    component when each reaches the other.
+    contracted (_components); in a piece whose contracted graph has no
+    cycle, which a longest-path relaxation settles in fewer steps than
+    the piece has nodes, the contracted nodes are the components.  A
+    piece with a cycle through one-way edges is labelled whole, as one
+    component: a matrix is block triangular on that coarser partition
+    too, and its sector is then solved whole.
     """
     if not src.size:
         return np.arange(n)
-    # the edge keys, sorted already for lists in row-major order (src the column)
-    key, back = dst * n + src, src * n + dst
-    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key)
-    at = np.minimum(np.searchsorted(key, back, sorter=order), key.size - 1)
-    both = key[at if order is None else order[at]] == back
+    both = _listed(n, src, dst, dst, src)
     labels = _components(n, src[both], dst[both])
     s, d = labels[src], labels[dst]
     s, d = s[s != d], d[s != d]
@@ -185,36 +194,18 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     num = np.empty(n, dtype=np.intp)
     num[reps] = np.arange(reps.size)
     s, d = num[s], num[d]
-    # a contracted graph without a cycle is done: its longest path
-    # settles in fewer than q relaxation steps
+    piece = _components(reps.size, s, d)
     level = np.zeros(reps.size, dtype=np.intp)
-    for _ in range(min(reps.size, 64)):
+    for _ in range(np.bincount(piece).max()):
         new = level.copy()
         np.maximum.at(new, d, level[s] + 1)
-        if np.array_equal(new, level):
+        grew = new != level
+        if not grew.any():
             return labels
         level = new
-    piece = _components(reps.size, s, d)
-    size = np.bincount(piece)[piece]
-    nodes, rank = _ranked(piece)
-    root = np.arange(reps.size)
-    for b in np.unique(size[s]):
-        idx = nodes[size[nodes] == b].reshape(-1, b)
-        slot = np.full(reps.size, -1, dtype=np.intp)
-        slot[idx] = np.arange(idx.shape[0])[:, None]
-        e = slot[s] >= 0
-        reach = np.zeros((idx.shape[0], b, b), dtype=np.float32)
-        reach[:, np.arange(b), np.arange(b)] = 1
-        reach[slot[s[e]], rank[s[e]], rank[d[e]]] = 1
-        while True:
-            grown = np.minimum(reach @ reach, 1)
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        # the first node of each node's component, in ascending order
-        first = np.argmax((reach > 0) & (reach.transpose(0, 2, 1) > 0), axis=2)
-        root[idx] = np.take_along_axis(idx, first, axis=1)
-    return reps[root[num[labels]]]
+    # only a cycle still lengthens the paths into its nodes
+    whole = np.isin(piece, piece[grew])
+    return reps[np.where(whole, piece, np.arange(reps.size))[num[labels]]]
 
 
 def _dense_blocks(entries, idx: np.ndarray, rank: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -251,25 +242,18 @@ def _solve(mats: np.ndarray, idx: np.ndarray, rank: np.ndarray, real: bool,
     return w, v, lv
 
 
-def _dense_sectors(entries, sectors: np.ndarray, rank: np.ndarray, inside: np.ndarray,
-                   real: bool, partner: np.ndarray | None, left: bool):
-    """(vals, vecs, left vecs or None) of the whole sectors sectors (k, b),
-    b >= 2, all self-conjugate (real) or none: the dense sector solve, for
-    the left vectors and for a sector whose strongly connected solve fails
-    its residual check."""
-    return _solve(_dense_blocks(entries, sectors, rank, inside), sectors, rank, real, partner,
-                  left)
-
-
-def _dense_eig(entries, labels, rank, idx, real, mirror, partner, vals, left: bool):
-    """The dense solve of every sector that is not mirrored: its values in
+def _dense_eig(entries, labels, rank, idx, real, skip, partner, vals, left: bool, out=None):
+    """The dense solve of every sector that skip leaves out: its values in
     vals, and its right vectors (and left ones with left) in one stack per
-    sector size (idx), the sectors of one size and kind solved as one
-    stack (_dense_sectors); a mirrored sector's block is left to fill."""
+    sector size (idx), the sectors of one size and kind made dense and
+    solved as one stack (_dense_blocks, _solve); the block of a skipped
+    sector (a mirrored one, or one that _scc_eig solves) is left to fill.
+    out, when given, holds the right-vector stacks to fill."""
     rows, cols, values = entries
     inside = labels[rows] == labels[cols]
     vecs, lvecs = [], []
-    for sec in idx:
+    for k, sec in enumerate(idx):
+        v = None if out is None else out[k]
         if sec.shape[1] == 1:
             # each 1x1 sector is its diagonal entry, real where
             # self-conjugate, with a unit vector
@@ -280,19 +264,22 @@ def _dense_eig(entries, labels, rank, idx, real, mirror, partner, vals, left: bo
             if not np.isfinite(w).all():
                 raise ValueError("array must not contain infs or NaNs")
             vals[sec[:, 0]] = np.where(real[sec[:, 0]], w.real, w)
-            vecs.append(np.ones(sec.shape + (1,), dtype=complex))
-            lvecs.append(vecs[-1].copy() if left else None)
+            if v is None:
+                v = np.empty(sec.shape + (1,), dtype=complex)
+            v[:] = 1
+            vecs.append(v)
+            lvecs.append(v.copy() if left else None)
             continue
-        v = lv = None
+        lv = None
         # the self-conjugate sectors, then the solved sides of the pairs
-        for at in (np.flatnonzero(real[sec[:, 0]]),
-                   np.flatnonzero(~real[sec[:, 0]] & ~mirror[sec[:, 0]])):
+        for at in (np.flatnonzero(real[sec[:, 0]] & ~skip[sec[:, 0]]),
+                   np.flatnonzero(~real[sec[:, 0]] & ~skip[sec[:, 0]])):
             if not at.size:
                 continue
-            w, v_at, lv_at = _dense_sectors(entries, sec[at], rank, inside,
-                                            bool(real[sec[at[0], 0]]), partner, left)
+            w, v_at, lv_at = _solve(_dense_blocks(entries, sec[at], rank, inside), sec[at], rank,
+                                    bool(real[sec[at[0], 0]]), partner, left)
             vals[sec[at]] = w
-            if at.size == sec.shape[0]:
+            if v is None and at.size == sec.shape[0]:
                 v, lv = v_at, lv_at
                 continue
             if v is None:
@@ -348,13 +335,17 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     and the values, in vals, of every sector that is not mirrored.
 
     Inside a sector, M is block triangular on the strongly connected
-    components of the graph src -> dst (_strong_components): its
-    eigenvalues are those of the diagonal blocks, which are solved alone,
-    stacked by size across sectors (and grid points).  In a
-    self-conjugate sector, a component C and its mirror P C are one unit,
-    which P maps onto itself, solved by the real geev in the Hermitian
-    basis; elsewhere a unit is one component.  A sector of one unit is
-    solved as the dense solve solves it, bit for bit.
+    components of the graph src -> dst (_strong_components), here with
+    the P-mirror of every edge added, so that P maps components onto
+    components.  Its eigenvalues are those of the diagonal blocks, which
+    are solved alone, stacked by size across sectors (and grid points).
+    In a self-conjugate sector, a component C and its mirror P C are one
+    unit, which P maps onto itself, solved by the real geev in the
+    Hermitian basis; elsewhere a unit is one component.  With the
+    mirrored edges P maps the graph onto itself and so keeps the length
+    of the longest path into each component; those lengths rise along
+    every edge between units, so the units' graph has no cycle.  A
+    sector of one unit is solved whole (_dense_eig).
 
     In a sector of several units, the vector of eigenvalue lam of unit I
     is V_I's column on I, 0 on the units I does not reach, and on each
@@ -366,8 +357,8 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     each solve takes one step of refinement on its block row's residual.
     Each column's residual |M x - lam x| is summed over the
     back-substituted blocks as they are made; a sector whose worst exceeds
-    SCC_RESIDUAL_TOL |x| |M|_1 (M its block) is solved again by
-    _dense_sectors.  Near an exceptional point V_J is ill-conditioned,
+    SCC_RESIDUAL_TOL |x| |M|_1 (M its block) is solved again, whole
+    (_dense_eig).  Near an exceptional point V_J is ill-conditioned,
     which is where that happens.  Last, in an accepted self-conjugate
     sector, the vector of a real value is averaged with its P-conjugate,
     and that of a value with Im < 0 is made the P-conjugate of its
@@ -381,17 +372,23 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     # the sectors split into components; every other sector is one unit
     split = width[labels] >= SCC_MIN_SIZE
     src, dst = src[split[src]], dst[split[src]]
-    scc = _strong_components(n, src, dst)
-    if partner is not None and not np.array_equal(scc[partner], scc[partner[scc]]):
-        scc = _strong_components(n, np.r_[src, partner[src]], np.r_[dst, partner[dst]])
-    scc = np.where(split, scc, labels)
+    if partner is not None:
+        ps, pd = partner[src], partner[dst]
+        # the P-mirrors of the edges that are not edges already: none where
+        # the mirrored keys, sorted, are the keys (sorted for row-major lists)
+        if not np.array_equal(np.sort(pd * n + ps), dst * n + src):
+            missing = ~_listed(n, src, dst, ps, pd)
+            src, dst = np.r_[src, ps[missing]], np.r_[dst, pd[missing]]
+    scc = np.where(split, _strong_components(n, src, dst), labels)
     unit = scc if partner is None else np.where(real, np.minimum(scc, scc[partner]), scc)
+    head = unit == np.arange(n)
+    multi = (np.bincount(labels[head], minlength=n) > 1)[labels]
+    if not multi.any():
+        return _dense_eig(entries, labels, rank, idx, real, mirror, partner, vals, False)[0]
     units, urank = _ranked(unit)
     ustart = np.searchsorted(unit[units], np.arange(n))
     usize = np.bincount(unit, minlength=n)
-    head = unit == np.arange(n)
-    multi = (np.bincount(labels[head], minlength=n) > 1)[labels]
-    solved = ~mirror
+    solved = multi & ~mirror
     # levels: the longest path of units into each unit
     us, ud = unit[src], unit[dst]
     edge = np.unique(us[us != ud] * n + ud[us != ud])
@@ -404,18 +401,16 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
             break
         level = new
 
-    # one flat store holds the sector blocks, each at base[its label]
-    sizes = [sec.shape[1] for sec in idx]
+    # one flat store holds the sector blocks, each at base[its label]; the
+    # sectors of one unit are solved whole into it
     ends = np.cumsum([sec.size * sec.shape[1] for sec in idx])
     buf = np.zeros(ends[-1], dtype=complex)
     stacks = [buf[e - sec.size * sec.shape[1]:e].reshape(sec.shape + sec.shape[1:])
               for e, sec in zip(ends, idx)]
-    if sizes[0] == 1:
-        stacks[0][:] = 1
-    base, spos = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    _dense_eig(entries, labels, rank, idx, real, mirror | multi, partner, vals, False, stacks)
+    base = np.empty(n, dtype=np.intp)
     for e, sec in zip(ends, idx):
-        spos[sec[:, 0]] = np.arange(sec.shape[0])
-        base[sec[:, 0]] = e - sec.size * sec.shape[1] + spos[sec[:, 0]] * sec.shape[1] ** 2
+        base[sec[:, 0]] = e - sec.size * sec.shape[1] + np.arange(sec.shape[0]) * sec.shape[1] ** 2
 
     # the units' M, V and V^-1, each unit's block at uo[its label], in
     # stacks of one kind and size
@@ -446,27 +441,21 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
             w, v, _ = _solve(mats.copy(), uidx, urank, kk, partner, False)
         vals[uidx] = w
         vflat[at] = v.ravel()
-        split = multi[hb]
-        if not split.all():
-            stacks[sizes.index(bb)][spos[labels[hb[~split]]]] = v[~split]
-        if split.any():
-            # V_I on its own rows and columns of its sector's block
-            r, sec = rank[uidx[split]], labels[hb[split]]
-            buf[(base[sec][:, None] + r * width[sec][:, None])[:, :, None] + r[:, None, :]] = v[split]
-        down = np.flatnonzero(split & (level[hb] > 0))
+        # V_I on its own rows and columns of its sector's block
+        r, sec = rank[uidx], labels[hb]
+        buf[(base[sec][:, None] + r * width[sec][:, None])[:, :, None] + r[:, None, :]] = v
+        down = np.flatnonzero(level[hb] > 0)
         if down.size:
             viflat[at].reshape(-1, bb, bb)[down] = _inverse(v[down])
-    if not multi.any():
-        return stacks
     # the real geev puts each complex pair +Im first
-    neg = np.flatnonzero(multi & real & solved & (urank > 0) & (vals.imag < 0))
+    neg = np.flatnonzero(real & solved & (urank > 0) & (vals.imag < 0))
     pair[neg] = units[ustart[unit[neg]] + urank[neg] - 1]
 
     # back-substitution, one level at a time: each unit's rows, the indices
     # that feed it (fnode[fstart:fstart + f]) and the columns of the units
     # of lower levels of its sector (order[ostart:ostart + u]); the units
     # of one level and shape are stacked (_batches)
-    targets = heads[multi[heads] & (level[heads] > 0)]
+    targets = heads[level[heads] > 0]
     ex = np.flatnonzero((values != 0) & (unit[rows] != unit[cols]) & solved[rows])
     into = unit[rows[ex]]
     fkey, fpos = np.unique(into * n + cols[ex], return_inverse=True)
@@ -527,27 +516,21 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     # the residual check, and the dense solve of the sectors that fail it
     nrm2 = np.ones(n)
     for stack, sec in zip(stacks, idx):
-        for t in np.flatnonzero(multi[sec[:, 0]] & solved[sec[:, 0]]):
+        for t in np.flatnonzero(solved[sec[:, 0]]):
             nrm2[sec[t]] = _abs2(stack[t]).sum(axis=0)
-    q = np.flatnonzero(multi & solved)
+    q = np.flatnonzero(solved)
     norm = np.zeros(n)
     np.maximum.at(norm, labels, np.bincount(cols, np.abs(values), n))
     ok = np.sqrt(res2[q] / nrm2[q]) <= SCC_RESIDUAL_TOL * norm[labels[q]]
     bad = np.zeros(n, dtype=bool)
     bad[labels[q[~ok]]] = True
-    inside = None
+    bad = bad[labels]
+    if bad.any():
+        _dense_eig(entries, labels, rank, idx, real, ~bad, partner, vals, False, stacks)
+    # an accepted self-conjugate sector closed under P-conjugation, one
+    # column set at a time: the real values' vectors averaged with their
+    # P-conjugates, then the Im < 0 ones made their pairs' P-conjugates
     for stack, sec in zip(stacks, idx):
-        for kk in (True, False):
-            at = np.flatnonzero(bad[sec[:, 0]] & (real[sec[:, 0]] == kk))
-            if at.size:
-                if inside is None:
-                    inside = labels[rows] == labels[cols]
-                w, stack[at], _ = _dense_sectors(entries, sec[at], rank, inside, kk, partner,
-                                                 False)
-                vals[sec[at]] = w
-        # an accepted self-conjugate sector closed under P-conjugation, one
-        # column set at a time: the real values' vectors averaged with their
-        # P-conjugates, then the Im < 0 ones made their pairs' P-conjugates
         for t in np.flatnonzero(multi[sec[:, 0]] & real[sec[:, 0]] & ~bad[sec[:, 0]]):
             x, c, flip = stack[t], sec[t], rank[partner[sec[t]]][:, None]
             at = np.flatnonzero(vals[c].imag == 0)
@@ -570,14 +553,15 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
     size form one stack; a 1x1 block is its diagonal entry with a unit
     vector.
 
-    Without left, a sector of at least SCC_MIN_SIZE indices is solved one
-    strongly connected component at a time (_scc_eig), its vectors
-    back-substituted through the components downstream, and is accepted
-    when its residuals pass SCC_RESIDUAL_TOL.  Every other sector, a
-    sector that fails that check, and every sector when left is set, is
-    solved dense (_dense_eig, _dense_sectors): each sector made dense on
-    its own, the sectors of one size and kind as one stack for eig
-    (_eig), their matrices dropped before the next size.
+    Without left, a sector of at least SCC_MIN_SIZE indices that holds
+    several strongly connected components is solved one component at a
+    time (_scc_eig), its vectors back-substituted through the components
+    downstream, and is accepted when its residuals pass
+    SCC_RESIDUAL_TOL.  Every other sector, a sector that fails that
+    check, and every sector when left is set, is solved dense
+    (_dense_eig): each sector made dense on its own, the sectors of one
+    size and kind as one stack for eig (_eig), their matrices dropped
+    before the next size.
 
     partner, an involution P of the indices with P conj(M) P = M (the
     swap vec(|m><n|) <-> vec(|n><m|) of a Hermiticity-preserving

@@ -104,10 +104,11 @@ def _sort_indices(primary: np.ndarray, secondary: np.ndarray, blocks,
     zeros that pad a tie's keys to the batch's width are shared by all its
     members, so the batches give the order of one lexsort over all ties.
 
-    With tol (one per value), primary keys are compared in runs: in ascending order, a key more than tol above the one before
-    starts a new run, and inside a run the order is by the secondary key,
-    then the primary key, so that keys equal but for rounding do not
-    order by their last bits."""
+    With tol (one per value), primary keys are compared in runs: in
+    ascending order, a key more than tol above the one before starts a
+    new run, and inside a run the order is by the secondary key, then the
+    primary key, so that keys equal but for rounding do not order by
+    their last bits."""
     if point is None:
         point = np.zeros(primary.size, dtype=np.intp)
     order = np.lexsort((secondary, primary, point))

@@ -30,6 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,6 +246,19 @@ def reference_block_eig(mat, mirror=False):
     return vals, vecs, labels
 
 
+def assert_close_to_the_dense_eig(mat, vals, vecs, dense_vals, dense_vecs):
+    """Eigenpairs (vals, vecs) of a solve that splits sectors against the
+    dense eig of each sector (reference_block_eig): the values as a
+    multiset within 1e-12 |L|_1, and the worst |L x - lambda x| / |x| no
+    larger than the dense one's."""
+    dist = np.abs(vals[:, None] - dense_vals[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(mat, 1)
+    worst = [(np.linalg.norm(mat @ x - x * v, axis=0) / np.linalg.norm(x, axis=0)).max()
+             for v, x in ((vals, vecs), (dense_vals, dense_vecs))]
+    assert worst[0] <= worst[1]
+
+
 def reference_eigensystem(mat, zero_tol=1e-10, solve=None):
     """liouvillian_eigensystem on the dense L and the n x n vector array,
     from the eigenpairs solve = (vals, vecs) when given, else from
@@ -454,6 +468,8 @@ def test_cluster_sort_equals_the_loops_at_exceptional_points(levels, g, largest)
     ref_vals, ref_vecs, sectors = reference_block_eig(mat)
     if np.bincount(sectors).max() < SCC_MIN_SIZE:
         assert bits(vals) == bits(ref_vals) and bits(_scatter(blocks)) == bits(ref_vecs)
+    else:
+        assert_close_to_the_dense_eig(mat, vals, _scatter(blocks), ref_vals, ref_vecs)
     want_vals, vecs = vals.copy(), _scatter(blocks)
     got_vals, got_blocks, got_labels, got_order = _cluster_sort(n, liou.entries, vals, blocks)
     vals, vecs = want_vals, vecs / np.linalg.norm(vecs, axis=0)
@@ -767,16 +783,20 @@ def assert_matches_the_dense_pipeline(model):
     the dense phase rotation leaves -0.0 in some of them.  Where L has a
     sector of at least SCC_MIN_SIZE indices, which _block_eig solves by
     its strongly connected components, the dense pipeline starts from
-    _block_eig's eigenpairs; otherwise from the dense eig of each sector.
-    Returns the stored blocks and the sector labels of the dense L."""
+    _block_eig's eigenpairs, which are first checked against the dense eig
+    of each sector (assert_close_to_the_dense_eig); otherwise from the
+    dense eig of each sector.  Returns the stored blocks and the sector
+    labels of the dense L."""
     liou = assemble_liouvillian(model)
     got = liouvillian_eigensystem(liou)
     heff = effective_hamiltonian(model).matrix
     mat = kron_generator(heff, model.folded_jump_matrices())
     solve = None
-    if np.bincount(reference_block_eig(mat)[2]).max() >= SCC_MIN_SIZE:
+    dense_vals, dense_vecs, sectors = reference_block_eig(mat, mirror=True)
+    if np.bincount(sectors).max() >= SCC_MIN_SIZE:
         vals, blocks = _block_eig(mat.shape[0], liou.entries, partner=spectral._partner([model.dim]))
         solve = (vals, _scatter(blocks))
+        assert_close_to_the_dense_eig(mat, *solve, dense_vals, dense_vecs)
     vals, vecs, zero_mask, sectors = reference_eigensystem(mat, solve=solve)
     assert bits(got.eigenvalues) == bits(vals)
     assert bits(got.zero_mask) == bits(zero_mask)

@@ -21,11 +21,11 @@ from scipy.sparse.csgraph import connected_components
 
 from lioueps import sectors
 from lioueps.models import example3, example3_spectrum, get_family
-from lioueps.ops_core import Operator, build_boson_ops, tensor
+from lioueps.ops_core import HilbertSpace, Operator, build_boson_ops, tensor
 from lioueps.sectors import _block_eig, _partner, _strong_components
 from lioueps.spectral import (_scatter, liouvillian_eigensystem, liouvillian_eigensystems,
                               nhh_eigensystem)
-from lioueps.superop import LindbladModel, assemble_liouvillian, effective_hamiltonian
+from lioueps.superop import LindbladModel, SuperOp, assemble_liouvillian, effective_hamiltonian
 
 from conftest import random_hermitian, random_lindblad_model
 
@@ -43,20 +43,39 @@ def smallest_node_labels(labels):
     return first[labels]
 
 
+def expected_components(n, src, dst):
+    """scipy's strong components, renamed to their smallest nodes, with
+    each weakly connected piece whose strong components are more than the
+    components of its edges present both ways labelled whole: the pieces
+    whose contracted graph has a cycle."""
+    graph = scipy.sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
+    labels = [smallest_node_labels(connected_components(g, directed=directed, connection=kind)[1])
+              for g, directed, kind in ((graph, True, "strong"),
+                                        (graph.multiply(graph.T), False, "weak"),
+                                        (graph, False, "weak"))]
+    strong, mutual, weak = labels
+    cyclic = np.zeros(n, dtype=bool)
+    cyclic[weak[strong != mutual]] = True
+    return np.where(cyclic[weak], weak, strong), cyclic[weak]
+
+
 @ORACLE
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["random", "mirrored", "chain"]))
 def test_strong_components_match_scipy(seed, shape):
     """Random directed graphs: sparse and dense ones, with nodes on no
     edge (1x1 components), edges mirrored by the swap P of a Liouvillian's
-    indices, cycles through one-way edges and acyclic chains longer than
-    the relaxation that _strong_components tries first."""
+    indices, and acyclic chains longer than 64 steps, with or without one
+    edge back that closes a long cycle.  Where a piece's edges one way
+    only close no cycle, the labels are scipy's strong components; a
+    piece where they do is labelled whole, the sector it is solved as."""
     rng = np.random.default_rng(seed)
     if shape == "chain":
         n = int(rng.integers(60, 90))
         src = np.r_[np.arange(n - 1), rng.integers(0, n, 5)]
         dst = np.r_[np.arange(1, n), rng.integers(0, n, 5)]
         src, dst = src[src < dst], dst[src < dst]
-        if rng.random() < 0.5:
+        back = rng.random() < 0.5
+        if back:
             # one edge back closes a long cycle
             src, dst = np.r_[src, n - 1 - int(rng.integers(0, 5))], np.r_[dst, int(rng.integers(0, 5))]
     else:
@@ -67,9 +86,50 @@ def test_strong_components_match_scipy(seed, shape):
         if shape == "mirrored":
             p = _partner([d])
             src, dst = np.r_[src, p[src]], np.r_[dst, p[dst]]
-    graph = scipy.sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
-    _, want = connected_components(graph, directed=True, connection="strong")
-    assert np.array_equal(_strong_components(n, src, dst), smallest_node_labels(want))
+    want, whole = expected_components(n, src, dst)
+    assert np.array_equal(_strong_components(n, src, dst), want)
+    if shape == "chain":
+        assert whole.all() == back and (whole.any() or np.unique(want).size == n)
+
+
+def mirrored_cycle_model():
+    """A five-level generator whose self-conjugate sector holds the
+    components C = {|0><1|}, P C, D = {|2><3|} and P D, with C -> D: a
+    one-way entry D -> P C of 1e-14 |L|_F, whose mirror P D -> C is 0,
+    closes a cycle only through the mirrored edges."""
+    d, e = 5, np.eye(5)
+    space = HilbertSpace((d,))
+    jumps = (np.outer(e[2], e[0]) + 0.7 * np.outer(e[3], e[1]), np.outer(e[0] + 0.5 * e[1], e[4]))
+    model = LindbladModel(Operator(space, np.diag([0.0, 0.3, 0.7, 1.1, 1.6]).astype(complex)),
+                          tuple((rate, Operator(space, j)) for rate, j in zip((1.0, 0.6), jumps)))
+    mat = assemble_liouvillian(model).matrix.copy()
+    mat[1 * d + 0, 2 * d + 3] = 1e-14 * np.linalg.norm(mat)
+    return SuperOp(space, mat)
+
+
+def example3_one_way_model():
+    """example3 at levels=5 with a one-way entry of 1e-14 |L|_F from
+    |00><00| into |10><01|, against the jumps, whose mirror is 0."""
+    mat = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5)).matrix.copy()
+    mat[5 * 25 + 1, 0] = 1e-14 * np.linalg.norm(mat)
+    return SuperOp(HilbertSpace((5, 5)), mat)
+
+
+@pytest.mark.parametrize("build,min_size", [(mirrored_cycle_model, 1),
+                                            (example3_one_way_model, sectors.SCC_MIN_SIZE)])
+def test_one_way_entries_within_the_hermiticity_tolerance(build, min_size):
+    """Generators that pass the 1e-12 |L|_F Hermiticity check with an
+    entry whose P-mirror is 0: the components are those of the graph with
+    the mirrored edges added, so the units of a self-conjugate sector
+    form no cycle and the solve ends, with the dense eigenvalues (the
+    five-level sector is split with SCC_MIN_SIZE = 1)."""
+    liou = build()
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", min_size):
+        got = liouvillian_eigensystem(liou).eigenvalues
+    want = np.linalg.eigvals(liou.matrix)
+    dist = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(liou.matrix, 1)
 
 
 def random_lowering_model(rng, levels):
@@ -198,8 +258,9 @@ def test_the_one_excitation_closed_form_is_the_n1_case():
 def test_the_fallback_fires_only_at_the_ep(levels, min_size):
     """The ep-locate-l3 benchmark grid (seed 0) at levels=3, every sector
     split, and at levels=4, where the sectors of 44 and 40 indices are:
-    the dense solve of a sector that fails the residual check, counted by
-    wrapping it, runs at the EP point (16) alone, where back-substitution
+    the dense solve of the sectors that fail the residual check, the
+    second call of _dense_eig (the first solves the sectors of one
+    component), runs at the EP point (16) alone, where back-substitution
     through a defective component fails."""
     family = get_family("example3", levels=levels, omega=OMEGA, gamma_a=GAMMA_A,
                         gamma_b=GAMMA_B).liouvillian_family()
@@ -207,11 +268,11 @@ def test_the_fallback_fires_only_at_the_ep(levels, min_size):
     grid = np.linspace(lo, lo + 0.2, 33)
     size = min_size or sectors.SCC_MIN_SIZE
     with mock.patch.object(sectors, "SCC_MIN_SIZE", size), \
-            mock.patch.object(sectors, "_dense_sectors", wraps=sectors._dense_sectors) as dense:
+            mock.patch.object(sectors, "_dense_eig", wraps=sectors._dense_eig) as dense:
         family.eigensystem(grid)
-    points = {int(sectors[0, 0]) // levels ** 4 for (_, sectors, *_), _ in dense.call_args_list}
-    assert dense.call_count > 0 and points == {16}
-    assert all(call.args[-1] is False for call in dense.call_args_list)
+    _, again = dense.call_args_list
+    skip = again.args[5]
+    assert set(np.flatnonzero(~skip) // levels ** 4) == {16}
 
 
 @pytest.mark.parametrize("levels", [3, 5, 8])
