@@ -44,9 +44,10 @@ from lioueps import dynamics, spectral
 from lioueps.sectors import SCC_MIN_SIZE
 from lioueps.dynamics import trajectories
 from lioueps.spectral import (NhhSpectrum, Spectrum, _as_blocks, _block_eig, _cluster_chain,
-                              _cluster_labels, _cluster_sort, _components, _scatter, _sort_indices,
-                              _support_rows, _tie_batches, analyze_nhh, liouvillian_eigensystem,
-                              liouvillian_eigensystems, nhh_eigensystem, nhh_eigensystems)
+                              _cluster_labels, _cluster_sort, _components, _lex_order, _scatter,
+                              _sort_indices, _support_rows, _tie_batches, analyze_nhh,
+                              liouvillian_eigensystem, liouvillian_eigensystems, nhh_eigensystem,
+                              nhh_eigensystems)
 from lioueps import superop
 from lioueps.superop import (SuperOp, _assemble_grid, _generator, assemble_liouvillian,
                              effective_hamiltonian)
@@ -513,6 +514,19 @@ def test_sort_indices_equals_the_per_run_lexsort(seed, n, m, levels, budget):
     assert bits(one_shot_sort_indices(primary, secondary, blocks)) == bits(want)
     with mock.patch.object(spectral, "TIE_BATCH_ENTRIES", budget):
         assert bits(_sort_indices(primary, secondary, blocks)) == bits(want)
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60))
+def test_lex_order_equals_lexsort(seed, n):
+    """_lex_order's stable sort of complex keys is np.lexsort's order,
+    with exact ties, signed zeros and grid points."""
+    rng = np.random.default_rng(seed)
+    major = rng.integers(-2, 3, n) * rng.choice([1.0, 0.5, -0.0], n)
+    minor = rng.integers(-1, 2, n) * rng.choice([1.0, 0.0, -0.0], n)
+    point = rng.integers(0, 3, n)
+    assert np.array_equal(_lex_order(major, minor), np.lexsort((minor, major)))
+    assert np.array_equal(_lex_order(major, minor, point), np.lexsort((minor, major, point)))
 
 
 def tied_columns(primary, secondary):
