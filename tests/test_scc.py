@@ -64,8 +64,9 @@ def expected_components(n, src, dst):
 def test_strong_components_match_scipy(seed, shape):
     """Random directed graphs: sparse and dense ones, with nodes on no
     edge (1x1 components), edges mirrored by the swap P of a Liouvillian's
-    indices, and acyclic chains longer than 64 steps, with or without one
-    edge back that closes a long cycle.  Where a piece's edges one way
+    indices, and acyclic chains of 60 to 90 nodes, whose relaxation takes
+    about as many steps, with or without one edge back that closes a
+    long cycle.  Where a piece's edges one way
     only close no cycle, the labels are scipy's strong components; a
     piece where they do is labelled whole, the sector it is solved as."""
     rng = np.random.default_rng(seed)
