@@ -11,24 +11,31 @@ for the swap P of vec(|m><n|) and vec(|n><m|), so its sectors come in
 orbits under P: a partner pair (k, -k) is solved once and the partner
 written as its exact conjugate, and a self-conjugate sector (k = 0) is
 solved as a real matrix in the Hermitian basis.  Its values are then
-closed under conjugation bit for bit.
+closed under conjugation bit for bit.  The P-mirror of every edge joins
+the graph first, so P maps sectors onto sectors and strongly connected
+components onto components.
 
 Strongly connected components.  Inside a sector, a Liouvillian whose
 Hamiltonian part keeps the excitation numbers (N_l, N_r) of |m><n| and
 whose jumps lower them both is block triangular on the (N_l, N_r)
 blocks, the strongly connected components of its graph (Duff and Reid,
 ACM TOMS 4, 137 (1978)), and its eigenvalues are those of the diagonal
-blocks.  The right-only solve (_scc_eig) takes each sector of at least
-SCC_MIN_SIZE indices and several components apart: the diagonal blocks
-are solved alone, stacked by size across sectors and grid points, each
-component and its P-mirror in one orbit, and each block's right vectors
-are back-substituted through the blocks downstream.  A sector is
-accepted when the residual of every vector passes SCC_RESIDUAL_TOL; a
-sector that fails, which happens near an exceptional point where the
-blocks are defective, is solved dense (_dense_eig), as is every other
-sector, and every sector when the left vectors are asked for.
-The components are labelled with numpy alone (_strong_components), so
-the spectral commands load no scipy.
+blocks.  Without left vectors, a sector of at least SCC_MIN_SIZE indices
+falls into units, its components, each joined with its P-mirror in a
+self-conjugate sector; they are labelled with numpy alone
+(_strong_components), so the spectral commands load no scipy.
+
+_block_eig makes each decision once:
+- a sector of one unit is solved whole (_dense_eig), the sectors of one
+  size and kind as one stack for eig;
+- a sector of several units is solved by them (_scc_eig): the diagonal
+  blocks alone, stacked by size and kind across sectors and grid points,
+  each block's right vectors back-substituted through the blocks
+  downstream;
+- a sector that fails that solve's residual check (SCC_RESIDUAL_TOL),
+  which happens near an exceptional point where the blocks are
+  defective, is solved again whole;
+- a mirrored sector is written as its partner's exact conjugate.
 """
 
 from __future__ import annotations
@@ -47,11 +54,10 @@ SCC_RESIDUAL_TOL = 1e-14
 # saved (the 33-point example3 levels=3 grid, sectors of at most 19, took
 # 12 ms split against 8 ms whole; a levels=5 point, 8.4 against 15 ms)
 SCC_MIN_SIZE = 32
-# padded (size x columns) entries of one batch of the back-substitution,
-# so that each of its handful of complex arrays holds 1 MB at most: at
-# example3 levels=10 that took the traced peak of _block_eig from 126 to
-# 101 MB above its start (the blocks are 75 MB), and its time from 0.76 to
-# 0.47 s, as less is padded
+# entries (rows x columns) of one batch of the back-substitution, a run
+# of targets of one shape (_batches), so that each of its handful of
+# complex arrays holds 1 MB at most; at example3 levels=10 the traced
+# peak of _block_eig is 98 MB above its start, the blocks being 75 MB
 BACKSUB_BATCH_ENTRIES = 1 << 16
 
 
@@ -59,8 +65,10 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Connected components of the undirected graph on nodes 0..n-1 with
     one edge src[k] -- dst[k] per k, by min-label propagation: each node
     is labelled with the smallest node of its component."""
-    src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
     labels = np.arange(n)
+    if not src.size:
+        return labels
+    src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
     while True:
         new = labels.copy()
         np.minimum.at(new, src, labels[dst])
@@ -150,45 +158,47 @@ def _ranked(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices grouped by label (labels ascending, indices ascending
     within each), and the rank of each index within its group."""
     nodes = np.argsort(labels, kind="stable")
-    start = np.flatnonzero(np.r_[True, np.diff(labels[nodes]) != 0])
+    ordered = labels[nodes]
     rank = np.empty(labels.size, dtype=np.intp)
-    rank[nodes] = np.arange(labels.size) - np.repeat(start, np.diff(np.r_[start, labels.size]))
+    # each place in the sorted labels, less the first place of its label
+    rank[nodes] = np.arange(labels.size) - np.searchsorted(ordered, ordered)
     return nodes, rank
 
 
 def _listed(n: int, src: np.ndarray, dst: np.ndarray, qsrc: np.ndarray,
             qdst: np.ndarray) -> np.ndarray:
-    """Whether each edge qsrc[k] -> qdst[k] is among the edges src -> dst
-    (at least one) of a graph on nodes 0..n-1."""
+    """The position k of each edge qsrc -> qdst among the edges src[k] ->
+    dst[k] (at least one) of a graph on nodes 0..n-1, the first where it
+    is listed twice, and -1 where it is not listed."""
     # the edge keys, sorted already for lists in row-major order (src the column)
     key, want = dst * n + src, qdst * n + qsrc
-    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key)
+    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key, kind="stable")
     at = np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)
-    return key[at if order is None else order[at]] == want
+    at = at if order is None else order[at]
+    return np.where(key[at] == want, at, -1)
 
 
-def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _strong_components(n: int, src: np.ndarray, dst: np.ndarray):
     """Strongly connected components of the directed graph on nodes
     0..n-1 with an edge src[k] -> dst[k] per k, where its weakly
     connected pieces are acyclic once contracted: each node is labelled
-    with the smallest node of its component.
+    with the smallest node of its component.  Returns the labels and each
+    node's level, the longest path of components that leads to its own.
 
     Two nodes joined both ways lie in one component, so those edges are
     contracted (_components); in a piece whose contracted graph has no
     cycle, which a longest-path relaxation settles in fewer steps than
     the piece has nodes, the contracted nodes are the components.  A
     piece with a cycle through one-way edges is labelled whole, as one
-    component: a matrix is block triangular on that coarser partition
-    too, and its sector is then solved whole.
+    component of level 0: a matrix is block triangular on that coarser
+    partition too, and its sector is then solved whole.
     """
-    if not src.size:
-        return np.arange(n)
-    both = _listed(n, src, dst, dst, src)
+    both = _listed(n, src, dst, dst, src) >= 0
     labels = _components(n, src[both], dst[both])
     s, d = labels[src], labels[dst]
     s, d = s[s != d], d[s != d]
     if not s.size:
-        return labels
+        return labels, np.zeros(n, dtype=np.intp)
     # the contracted nodes numbered 0..q-1, in ascending order
     reps = np.flatnonzero(labels == np.arange(n))
     num = np.empty(n, dtype=np.intp)
@@ -201,34 +211,48 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.maximum.at(new, d, level[s] + 1)
         grew = new != level
         if not grew.any():
-            return labels
+            return labels, level[num[labels]]
         level = new
     # only a cycle still lengthens the paths into its nodes
     whole = np.isin(piece, piece[grew])
-    return reps[np.where(whole, piece, np.arange(reps.size))[num[labels]]]
+    node = num[labels]
+    return (reps[np.where(whole, piece, np.arange(reps.size))[node]],
+            np.where(whole, 0, level)[node])
 
 
-def _dense_blocks(entries, idx: np.ndarray, rank: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """The (k, b, b) stack of the blocks on the index sets idx (k, b), each
-    ascending: entry (rank[r], rank[c]) of block t holds the listed entry
-    (r, c) wherever inside holds and r is in idx[t]; every other entry is
-    0."""
+def _blocks(entries, unit: np.ndarray, urank: np.ndarray, heads: np.ndarray) -> tuple:
+    """The diagonal blocks of the units labelled heads, in that order, in
+    one flat array, and where each begins (at its label): the block of a
+    unit of b indices is b x b, entry (urank[r], urank[c]) the listed entry
+    (r, c) of the unit, every other entry 0."""
     rows, cols, values = entries
-    slot = np.full(rank.size, -1, dtype=np.intp)
-    slot[idx] = np.arange(idx.shape[0])[:, None]
-    e = np.flatnonzero(inside & (slot[rows] >= 0))
-    mats = np.zeros(idx.shape + idx.shape[1:], dtype=values.dtype)
-    mats[slot[rows[e]], rank[rows[e]], rank[cols[e]]] = values[e]
-    return mats
+    usize = np.bincount(unit, minlength=unit.size)
+    area = np.square(usize[heads])
+    start = np.full(unit.size, -1, dtype=np.intp)
+    start[heads] = np.cumsum(area) - area
+    flat = np.zeros(area.sum(), dtype=values.dtype)
+    u = unit[rows]
+    e = np.flatnonzero((u == unit[cols]) & (start[u] >= 0))
+    r, u = rows[e], u[e]
+    flat[start[u] + urank[r] * usize[u] + urank[cols[e]]] = values[e]
+    return flat, start
 
 
-def _solve(mats: np.ndarray, idx: np.ndarray, rank: np.ndarray, real: bool,
+def _solve(mats: np.ndarray, idx: np.ndarray, rank: np.ndarray, real: np.ndarray,
            partner: np.ndarray | None, left: bool):
-    """_eig of the blocks mats on the index sets idx, as _dense_blocks
-    makes them; real blocks, each mapped onto itself by partner, in the
-    Hermitian basis (_to_hermitian_basis), their vectors mapped back.
-    mats may be overwritten."""
-    if not real:
+    """_eig of the blocks mats on the index sets idx, as _blocks makes
+    them; blocks of self-conjugate sectors (real, on the indices), each
+    mapped onto itself by partner, in the Hermitian basis
+    (_to_hermitian_basis), their vectors mapped back.  A 1x1 block is its
+    entry, real where self-conjugate, with a unit vector on both sides;
+    larger blocks are of one kind.  mats may be overwritten."""
+    if mats.shape[-1] == 1:
+        # eig checks its own blocks; the 1x1 blocks bypass it
+        if not np.isfinite(mats).all():
+            raise ValueError("array must not contain infs or NaNs")
+        v = np.ones(mats.shape, dtype=complex)
+        return np.where(real[idx], mats[:, 0].real, mats[:, 0]).astype(complex, copy=False), v, v
+    if not real[idx[0, 0]]:
         return _eig(mats, left)
     mate_pos, side = rank[partner[idx]], np.sign(partner[idx] - idx)
     mats = _to_hermitian_basis(mats.astype(complex, copy=False), mate_pos, side)
@@ -242,56 +266,27 @@ def _solve(mats: np.ndarray, idx: np.ndarray, rank: np.ndarray, real: bool,
     return w, v, lv
 
 
-def _dense_eig(entries, labels, rank, idx, real, skip, partner, vals, left: bool, out=None):
-    """The dense solve of every sector that skip leaves out: its values in
-    vals, and its right vectors (and left ones with left) in one stack per
-    sector size (idx), the sectors of one size and kind made dense and
-    solved as one stack (_dense_blocks, _solve); the block of a skipped
-    sector (a mirrored one, or one that _scc_eig solves) is left to fill.
-    out, when given, holds the right-vector stacks to fill."""
-    rows, cols, values = entries
-    inside = labels[rows] == labels[cols]
-    vecs, lvecs = [], []
-    for k, sec in enumerate(idx):
-        v = None if out is None else out[k]
-        if sec.shape[1] == 1:
-            # each 1x1 sector is its diagonal entry, real where
-            # self-conjugate, with a unit vector
-            w = np.zeros(labels.size, dtype=values.dtype)
-            w[rows[rows == cols]] = values[rows == cols]
-            w = w[sec[:, 0]]
-            # eig checks its own blocks; the 1x1 sectors bypass it
-            if not np.isfinite(w).all():
-                raise ValueError("array must not contain infs or NaNs")
-            vals[sec[:, 0]] = np.where(real[sec[:, 0]], w.real, w)
-            if v is None:
-                v = np.empty(sec.shape + (1,), dtype=complex)
-            v[:] = 1
-            vecs.append(v)
-            lvecs.append(v.copy() if left else None)
-            continue
-        lv = None
-        # the self-conjugate sectors, then the solved sides of the pairs
-        for at in (np.flatnonzero(real[sec[:, 0]] & ~skip[sec[:, 0]]),
-                   np.flatnonzero(~real[sec[:, 0]] & ~skip[sec[:, 0]])):
-            if not at.size:
-                continue
-            w, v_at, lv_at = _solve(_dense_blocks(entries, sec[at], rank, inside), sec[at], rank,
-                                    bool(real[sec[at[0], 0]]), partner, left)
-            vals[sec[at]] = w
-            if v is None and at.size == sec.shape[0]:
-                v, lv = v_at, lv_at
-                continue
-            if v is None:
-                v = np.empty(sec.shape + sec.shape[1:], dtype=complex)
-                lv = np.empty_like(v) if left else None
-            v[at] = v_at
-            if left:
-                lv[at] = lv_at
-            del v_at, lv_at
-        vecs.append(v)
-        lvecs.append(lv)
-    return vecs, lvecs
+def _dense_eig(entries, labels, rank, idx, real, skip, partner, vals, vecs, lvecs) -> None:
+    """The dense solve of every sector that skip leaves out: its values
+    into vals, and its right vectors (and left ones, unless lvecs is None)
+    into the block stacks vecs (lvecs), one per sector size (idx).  The
+    sectors of one size and kind (the 1x1 ones of both kinds) are solved
+    as one stack (_solve), the self-conjugate ones first, their blocks
+    made in one pass (_blocks)."""
+    todo = ~skip
+    kinds = real & todo, ~real & todo
+    runs = [(k, at) for k, sec in enumerate(idx) for kind in (kinds if sec.shape[1] > 1 else [todo])
+            if (at := np.flatnonzero(kind[sec[:, 0]])).size]
+    if not runs:
+        return
+    flat, start = _blocks(entries, labels, rank, np.concatenate([idx[k][at, 0] for k, at in runs]))
+    for k, at in runs:
+        sec = idx[k][at]
+        b = sec.shape[1]
+        mats = flat[start[sec[0, 0]]:start[sec[-1, 0]] + b * b].reshape(-1, b, b)
+        vals[sec], vecs[k][at], lv = _solve(mats, sec, rank, real, partner, lvecs is not None)
+        if lvecs is not None:
+            lvecs[k][at] = lv
 
 
 def _inverse(mats: np.ndarray) -> np.ndarray:
@@ -330,115 +325,73 @@ def _batches(shape: np.ndarray, size: np.ndarray) -> list:
     return cuts
 
 
-def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) -> list:
-    """The right vectors of _block_eig, one stack per sector size (idx),
-    and the values, in vals, of every sector that is not mirrored.
+def _stacks(idx: list) -> tuple:
+    """One zeroed flat store of sector blocks, and its views: one (k, b, b)
+    stack per sector size (idx)."""
+    ends = np.cumsum([sec.size * sec.shape[1] for sec in idx])
+    buf = np.zeros(ends[-1], dtype=complex)
+    return buf, [buf[e - sec.size * sec.shape[1]:e].reshape(sec.shape + sec.shape[1:])
+                 for e, sec in zip(ends, idx)]
 
-    Inside a sector, M is block triangular on the strongly connected
-    components of the graph src -> dst (_strong_components), here with
-    the P-mirror of every edge added, so that P maps components onto
-    components.  Its eigenvalues are those of the diagonal blocks, which
-    are solved alone, stacked by size across sectors (and grid points).
-    In a self-conjugate sector, a component C and its mirror P C are one
-    unit, which P maps onto itself, solved by the real geev in the
-    Hermitian basis; elsewhere a unit is one component.  With the
-    mirrored edges P maps the graph onto itself and so keeps the length
-    of the longest path into each component; those lengths rise along
-    every edge between units, so the units' graph has no cycle.  A
-    sector of one unit is solved whole (_dense_eig).
 
-    In a sector of several units, the vector of eigenvalue lam of unit I
-    is V_I's column on I, 0 on the units I does not reach, and on each
-    unit J downstream, taken in order of its level (the longest path of
-    units that leads to it),
+def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, vals, buf,
+             stacks) -> np.ndarray:
+    """The solve of the sectors where solved holds, each of several units,
+    by its units: their values into vals, their right vectors into the
+    block stacks (views of the flat store buf, as _stacks makes them).
+    Returns where a sector fails the residual check, for _block_eig to
+    solve whole.
+
+    Inside a sector, M is block triangular on its units (unit, each
+    labelled by its smallest index), and its eigenvalues are those of the
+    diagonal blocks, solved alone, stacked by size and kind.
+
+    The vector of eigenvalue lam of unit I is V_I's column on I, 0 on the
+    units I does not reach, and on each unit J downstream, taken in order
+    of its level (the longest path of components that leads to it: P,
+    which maps the graph onto itself, keeps it, so a unit's components
+    share it, and it rises along every edge between units),
         x_J = V_J (V_J^-1 b_J / (Lambda_J - lam)),  b_J = -sum_K M_JK x_K,
     the eigenbasis solve of (M_JJ - lam) x_J = b_J.  The units of one
-    level are stacked, in batches padded to their largest (_batches), and
-    each solve takes one step of refinement on its block row's residual.
-    Each column's residual |M x - lam x| is summed over the
-    back-substituted blocks as they are made; a sector whose worst exceeds
-    SCC_RESIDUAL_TOL |x| |M|_1 (M its block) is solved again, whole
-    (_dense_eig).  Near an exceptional point V_J is ill-conditioned,
-    which is where that happens.  Last, in an accepted self-conjugate
-    sector, the vector of a real value is averaged with its P-conjugate,
-    and that of a value with Im < 0 is made the P-conjugate of its
-    pair's, so that, as in the dense solve, the sector's real values
-    have Hermitian eigenmatrices and its complex pairs exact P-conjugate
-    ones.
+    level and shape are stacked, in batches (_batches), and each solve
+    takes one step of refinement on its block row's residual.  Each
+    column's residual |M x - lam x| is summed over the back-substituted
+    blocks as they are made; a sector fails when its worst exceeds
+    SCC_RESIDUAL_TOL |x| |M|_1 (M its block).  Near an exceptional point
+    V_J is ill-conditioned, which is where that happens.  Last, in an
+    accepted self-conjugate sector, the vector of a real value is
+    averaged with its P-conjugate, and that of a value with Im < 0 is
+    made the P-conjugate of its pair's, so that, as in the dense solve,
+    the sector's real values have Hermitian eigenmatrices and its complex
+    pairs exact P-conjugate ones.
     """
     rows, cols, values = entries
     n = labels.size
     width = np.bincount(labels, minlength=n)
-    # the sectors split into components; every other sector is one unit
-    split = width[labels] >= SCC_MIN_SIZE
-    src, dst = src[split[src]], dst[split[src]]
-    if partner is not None:
-        ps, pd = partner[src], partner[dst]
-        # the P-mirrors of the edges that are not edges already: none where
-        # the mirrored keys, sorted, are the keys (sorted for row-major lists)
-        if not np.array_equal(np.sort(pd * n + ps), dst * n + src):
-            missing = ~_listed(n, src, dst, ps, pd)
-            src, dst = np.r_[src, ps[missing]], np.r_[dst, pd[missing]]
-    scc = np.where(split, _strong_components(n, src, dst), labels)
-    unit = scc if partner is None else np.where(real, np.minimum(scc, scc[partner]), scc)
-    head = unit == np.arange(n)
-    multi = (np.bincount(labels[head], minlength=n) > 1)[labels]
-    if not multi.any():
-        return _dense_eig(entries, labels, rank, idx, real, mirror, partner, vals, False)[0]
     units, urank = _ranked(unit)
     ustart = np.searchsorted(unit[units], np.arange(n))
     usize = np.bincount(unit, minlength=n)
-    solved = multi & ~mirror
-    # levels: the longest path of units into each unit
-    us, ud = unit[src], unit[dst]
-    edge = np.unique(us[us != ud] * n + ud[us != ud])
-    us, ud = np.divmod(edge, n)
-    level = np.zeros(n, dtype=np.intp)
-    while us.size:
-        new = level.copy()
-        np.maximum.at(new, ud, level[us] + 1)
-        if np.array_equal(new, level):
-            break
-        level = new
-
-    # one flat store holds the sector blocks, each at base[its label]; the
-    # sectors of one unit are solved whole into it
+    # each sector's block sits at base[its label] of buf
     ends = np.cumsum([sec.size * sec.shape[1] for sec in idx])
-    buf = np.zeros(ends[-1], dtype=complex)
-    stacks = [buf[e - sec.size * sec.shape[1]:e].reshape(sec.shape + sec.shape[1:])
-              for e, sec in zip(ends, idx)]
-    _dense_eig(entries, labels, rank, idx, real, mirror | multi, partner, vals, False, stacks)
     base = np.empty(n, dtype=np.intp)
     for e, sec in zip(ends, idx):
         base[sec[:, 0]] = e - sec.size * sec.shape[1] + np.arange(sec.shape[0]) * sec.shape[1] ** 2
 
     # the units' M, V and V^-1, each unit's block at uo[its label], in
     # stacks of one kind and size
-    heads = np.flatnonzero(head & solved)
+    heads = np.flatnonzero((unit == np.arange(n)) & solved)
     kind, b = real[heads], usize[heads]
     by = np.lexsort((heads, b, kind))
     heads, kind, b = heads[by], kind[by], b[by]
-    uo = np.empty(n, dtype=np.intp)
-    uo[heads] = np.cumsum(b * b) - b * b
-    mflat = np.zeros(int(np.sum(b * b)), dtype=values.dtype)
-    e = np.flatnonzero((unit[rows] == unit[cols]) & solved[rows])
-    mflat[uo[unit[rows[e]]] + urank[rows[e]] * usize[unit[rows[e]]] + urank[cols[e]]] = values[e]
+    mflat, uo = _blocks(entries, unit, urank, heads)
     vflat, viflat = np.empty(mflat.size, dtype=complex), np.empty(mflat.size, dtype=complex)
     res2, pair = np.zeros(n), np.arange(n)
     cuts = np.flatnonzero(np.r_[True, (np.diff(b) != 0) | (np.diff(kind) != 0), True])
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        hb, bb, kk = heads[lo:hi], int(b[lo]), bool(kind[lo])
+        hb, bb = heads[lo:hi], int(b[lo])
         at = slice(uo[hb[0]], uo[hb[-1]] + bb * bb)
         uidx = units[ustart[hb][:, None] + np.arange(bb)]
-        mats = mflat[at].reshape(-1, bb, bb)
-        if bb == 1:
-            # eig checks its own blocks; the 1x1 blocks bypass it
-            if not np.isfinite(mats).all():
-                raise ValueError("array must not contain infs or NaNs")
-            w = (mats[:, 0].real if kk else mats[:, 0]).astype(complex)
-            v = np.ones(mats.shape, dtype=complex)
-        else:
-            w, v, _ = _solve(mats.copy(), uidx, urank, kk, partner, False)
+        w, v, _ = _solve(mflat[at].reshape(-1, bb, bb).copy(), uidx, urank, real, partner, False)
         vals[uidx] = w
         vflat[at] = v.ravel()
         # V_I on its own rows and columns of its sector's block
@@ -463,10 +416,9 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     fpos -= np.searchsorted(ftgt, into)
     fstart = np.searchsorted(ftgt, targets)
     f = np.searchsorted(ftgt, targets, side="right") - fstart
-    nlev = level[unit]
-    order = np.lexsort((nlev, labels))
-    top = int(nlev.max()) + 1
-    key = labels[order] * top + nlev[order]
+    order = np.lexsort((level, labels))
+    top = int(level.max()) + 1
+    key = labels[order] * top + level[order]
     ostart = np.searchsorted(key, labels[targets] * top)
     u = np.searchsorted(key, labels[targets] * top + level[targets]) - ostart
     bt = usize[targets]
@@ -513,7 +465,7 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
         np.add.at(res2, ucol[us], _abs2(m_ @ x - x * lam - rhs).sum(axis=1).ravel())
         buf[(b0 + jr[js].reshape(g, bb) * w0)[:, :, None] + cols_u] = x
 
-    # the residual check, and the dense solve of the sectors that fail it
+    # the residual check
     nrm2 = np.ones(n)
     for stack, sec in zip(stacks, idx):
         for t in np.flatnonzero(solved[sec[:, 0]]):
@@ -525,13 +477,11 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
     bad = np.zeros(n, dtype=bool)
     bad[labels[q[~ok]]] = True
     bad = bad[labels]
-    if bad.any():
-        _dense_eig(entries, labels, rank, idx, real, ~bad, partner, vals, False, stacks)
     # an accepted self-conjugate sector closed under P-conjugation, one
     # column set at a time: the real values' vectors averaged with their
     # P-conjugates, then the Im < 0 ones made their pairs' P-conjugates
     for stack, sec in zip(stacks, idx):
-        for t in np.flatnonzero(multi[sec[:, 0]] & real[sec[:, 0]] & ~bad[sec[:, 0]]):
+        for t in np.flatnonzero((solved & real & ~bad)[sec[:, 0]]):
             x, c, flip = stack[t], sec[t], rank[partner[sec[t]]][:, None]
             at = np.flatnonzero(vals[c].imag == 0)
             y = np.conjugate(x[flip, at])
@@ -539,64 +489,71 @@ def _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals) 
             x[:, at] = np.multiply(y, 0.5, out=y)
             at = np.flatnonzero(pair[c] != c)
             x[:, at] = np.conjugate(x[flip, rank[pair[c[at]]]])
-    return stacks
+    return bad
 
 
 def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None = None):
     """eig of the n x n matrix with coordinate lists entries = (rows, cols,
     values), every other entry 0, one weakly connected sector at a time.
 
-    The sectors are the connected components of the graph with an edge
-    per nonzero entry.  Returns (vals, blocks), or (vals, blocks,
-    left_blocks) with left, where vals[i] belongs to column i and each
-    sector is a block with rows = cols = its indices.  The blocks of one
-    size form one stack; a 1x1 block is its diagonal entry with a unit
-    vector.
-
-    Without left, a sector of at least SCC_MIN_SIZE indices that holds
-    several strongly connected components is solved one component at a
-    time (_scc_eig), its vectors back-substituted through the components
-    downstream, and is accepted when its residuals pass
-    SCC_RESIDUAL_TOL.  Every other sector, a sector that fails that
-    check, and every sector when left is set, is solved dense
-    (_dense_eig): each sector made dense on its own, the sectors of one
-    size and kind as one stack for eig (_eig), their matrices dropped
-    before the next size.
+    Returns (vals, blocks), or (vals, blocks, left_blocks) with left,
+    where vals[i] belongs to column i and each sector is a block with
+    rows = cols = its indices.  The blocks of one size form one stack; a
+    1x1 block is its diagonal entry with a unit vector.
 
     partner, an involution P of the indices with P conj(M) P = M (the
     swap vec(|m><n|) <-> vec(|n><m|) of a Hermiticity-preserving
-    generator), solves each orbit of sectors under P once.  Where P would
-    map a sector across two (an entry whose mirror is 0), the mirrored
-    edges join the graph, so P maps sectors onto sectors.  Of a partner
+    generator), solves each orbit of sectors under P once.  Of a partner
     pair (S, P S), the sector with the smaller first index is solved, and
     the other is its exact conjugate: conjugated values, and vectors (left
     ones too) conjugated with their rows moved by P.  A self-conjugate
-    sector (S = P S) is real in the Hermitian basis and goes to the real
-    geev (_to_hermitian_basis), its vectors mapped back entry by entry:
-    its real eigenvalues have Im exactly 0 and its complex pairs stay
-    exact P-conjugate pairs.  So the values are closed under conjugation
-    bit for bit.
+    sector (S = P S) goes to the real geev in the Hermitian basis
+    (_to_hermitian_basis), its vectors mapped back entry by entry, so its
+    real eigenvalues have Im exactly 0 and its complex pairs stay exact
+    P-conjugate pairs.  How each sector is solved is decided here, once
+    (see the module docstring).
     """
     rows, cols, values = entries
-    src, dst = cols[values != 0], rows[values != 0]
+    # an edge per nonzero entry off the diagonal: a loop joins nothing
+    edge = (values != 0) & (rows != cols)
+    src, dst = cols[edge], rows[edge]
+    if partner is not None and src.size:
+        ps, pd = partner[src], partner[dst]
+        # the P-mirrors of the edges that are not edges already: none where
+        # the mirrored keys, sorted, are the keys (sorted for row-major lists)
+        if not np.array_equal(np.sort(pd * n + ps), dst * n + src):
+            missing = _listed(n, src, dst, ps, pd) < 0
+            src, dst = np.concatenate((src, ps[missing])), np.concatenate((dst, pd[missing]))
     labels = _components(n, src, dst)
-    if partner is not None and not np.array_equal(labels[partner], labels[partner[labels]]):
-        # P maps some sector across two: the mirrored edges join them
-        src, dst = np.r_[src, partner[src]], np.r_[dst, partner[dst]]
-        labels = _components(n, src, dst)
     size = np.bincount(labels, minlength=n)[labels]
     nodes, rank = _ranked(labels)
     # each sector's first index is its label; mate is its partner's
     mate = labels if partner is None else labels[partner[labels]]
     real, mirror = (mate == labels) & (partner is not None), mate < labels
-    sizes = np.unique(size)
+    sizes = np.flatnonzero(np.bincount(size))
     idx = [nodes[size[nodes] == b].reshape(-1, b) for b in sizes]
+    # the units of the sectors that split, and whether each sector has several
+    split = (size >= SCC_MIN_SIZE) & (not left)
+    multi = np.zeros(n, dtype=bool)
+    if split.any():
+        unit, level = _strong_components(n, src[split[src]], dst[split[src]])
+        unit = np.where(split, unit, labels)
+        if partner is not None:
+            unit = np.where(real, np.minimum(unit, unit[partner]), unit)
+        multi = (np.bincount(labels[unit == np.arange(n)], minlength=n) > 1)[labels]
     vals = np.empty(n, dtype=complex)
-    if left or sizes[-1] < SCC_MIN_SIZE:
-        vecs, lvecs = _dense_eig(entries, labels, rank, idx, real, mirror, partner, vals, left)
-    else:
-        vecs = _scc_eig(entries, src, dst, labels, rank, idx, real, mirror, partner, vals)
-    for b, sec in zip(sizes, idx):
+    buf, vecs = _stacks(idx)
+    lvecs = _stacks(idx)[1] if left else None
+    # every 1x1 sector is solved, the mirrored ones too: a unit vector
+    # conjugated would read 1 - 0j
+    _dense_eig(entries, labels, rank, idx, real, multi | (mirror & (size > 1)), partner, vals,
+               vecs, lvecs)
+    if multi.any():
+        bad = _scc_eig(entries, labels, rank, idx, unit, level, real, multi & ~mirror, partner,
+                       vals, buf, vecs)
+        if bad.any():
+            _dense_eig(entries, labels, rank, idx, real, ~bad, partner, vals, vecs, None)
+    for b, sec, v, lv in zip(sizes, idx, vecs, lvecs or vecs):
         mir = mirror[sec[:, 0]]
         if not mir.any():
             continue
@@ -607,8 +564,7 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
         if b == 1:
             continue
         read = rank[partner[sec[mir]]]
-        for stacks in (vecs, lvecs) if left else (vecs,):
-            stack = stacks[np.searchsorted(sizes, b)]
+        for stack in (v, lv) if left else (v,):
             part = stack[at[:, None], read]
             stack[mir] = np.conjugate(part, out=part)
             del part

@@ -67,7 +67,7 @@ from .ops_core import (
     Operator,
     hermitian_spectral_decomposition,
 )
-from .sectors import _block_eig, _components, _partner
+from .sectors import _block_eig, _components, _listed, _partner, _ragged
 from .superop import (
     LindbladModel,
     SuperOp,
@@ -406,7 +406,7 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     lo = np.searchsorted(cell, target)
     width = np.searchsorted(cell, target, side="right") - lo
     a = by_cell[np.repeat(np.arange(target.size) // 5, width)]
-    b = by_cell[np.repeat(lo - np.cumsum(width) + width, width) + np.arange(width.sum())]
+    b = by_cell[_ragged(lo, width)]
     near = (np.abs(pts[a] - pts[b]) <= r[a]) & (at[a] == at[b])
     group = _components(n, np.concatenate((first[a[near]], first[same])),
                         np.concatenate((first[b[near]], np.arange(n))))
@@ -431,7 +431,7 @@ def _cluster_labels(vals: np.ndarray, tol, point: np.ndarray | None = None) -> n
     rest = np.flatnonzero(~claim)
     per = count[group[rest]]
     j = np.repeat(rest, per)
-    m = claimed[np.repeat(offset[group[rest]] - np.cumsum(per) + per, per) + np.arange(per.sum())]
+    m = claimed[_ragged(offset[group[rest]], per)]
     mirror = np.zeros(n, dtype=bool)
     mirror[j[np.abs(vals[j] - vals[m].conj()) <= t[j]]] = True
     mean = mean[group]
@@ -570,12 +570,9 @@ def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> 
     rows, cols, values = entries
     if not values.size:
         return
-    n = partner.size
-    key = rows * n + cols
-    order = np.argsort(key, kind="stable")
-    want = partner[rows] * n + partner[cols]
-    at = order[np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)]
-    gap = np.abs(np.where(key[at] == want, values[at], 0) - values.conj())
+    # the position of each entry's mirror (Pr, Pc), -1 where it is not listed
+    at = _listed(partner.size, cols, rows, partner[cols], partner[rows])
+    gap = np.abs(np.where(at >= 0, values[at], 0) - values.conj())
     point = np.searchsorted(starts, rows, side="right") - 1
     worst = np.zeros(len(starts))
     np.maximum.at(worst, point, gap)
@@ -663,8 +660,9 @@ def _split(vals: np.ndarray, blocks, zero_mask: np.ndarray, starts) -> tuple:
 
 def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple:
     """liouvillian_eigensystem of each generator, all solved as one (see
-    "grids"); each result is bit for bit that of its generator alone.  An
-    exception raised for generator k carries point = k."""
+    "grids"); each result is bit for bit that of its generator alone, and
+    no generators give ().  An exception raised for generator k carries
+    point = k."""
     entries, _ = _stack_entries([liou.entries for liou in lious],
                                 [liou.dim ** 2 for liou in lious])
     return _grid_eigensystems(entries, [liou.dim for liou in lious], zero_tol)
@@ -673,7 +671,9 @@ def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple
 def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
     """liouvillian_eigensystems of the generators of the given dimensions
     whose stacked lists are entries, as _stack_entries or _assemble_grid
-    stacks them."""
+    stacks them; () for no generators."""
+    if not dims:
+        return ()
     sizes = np.square(dims)
     starts = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
@@ -809,7 +809,9 @@ def nhh_eigensystems(mats) -> tuple:
     """nhh_eigensystem of each matrix, all solved as one (see "grids");
     each result is bit for bit that of its matrix alone.  An exception
     raised for matrix k carries point = k.  Matrices of one shape are
-    listed as one stack."""
+    listed as one stack; () for no matrices."""
+    if not len(mats):
+        return ()
     sizes = [np.shape(mat)[0] for mat in mats]
     if len({np.shape(mat) for mat in mats}) == 1:
         entries, starts = _dense_entries(np.asarray(mats)), np.arange(len(mats)) * sizes[0]

@@ -1005,6 +1005,18 @@ def test_grid_eigensystems_equal_each_point(name, operator):
     assert_grid_equals_each_point(spec, GRIDS[name])
 
 
+@pytest.mark.parametrize("solve", [
+    liouvillian_eigensystems,
+    nhh_eigensystems,
+    lambda grid: get_family("example3", levels=2).liouvillian_family().eigensystem(grid),
+    lambda grid: get_family("example3", levels=2).nhh_family().eigensystem(grid),
+], ids=["liouvillian_eigensystems", "nhh_eigensystems", "liouvillian_family", "nhh_family"])
+def test_an_empty_grid_gives_no_results(solve):
+    """One result per input, so none for an empty list or grid."""
+    assert solve([]) == ()
+    assert solve(np.array([])) == ()
+
+
 @pytest.mark.parametrize("operator", ["liouvillian", "nhh"])
 def test_grid_eigensystems_where_the_sectors_change(operator):
     """example3 levels=3 through g = 0, where the sectors split: a sector

@@ -59,6 +59,27 @@ def expected_components(n, src, dst):
     return np.where(cyclic[weak], weak, strong), cyclic[weak]
 
 
+def condensation_levels(n, src, dst):
+    """The longest path into each node's strong component over scipy's
+    condensation DAG of the graph, by Kahn's topological order."""
+    graph = scipy.sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
+    strong = connected_components(graph, directed=True, connection="strong")[1]
+    edges = {(a, b) for a, b in zip(strong[src].tolist(), strong[dst].tolist()) if a != b}
+    into = np.zeros(strong.max(initial=-1) + 1, dtype=int)
+    for _, b in edges:
+        into[b] += 1
+    level = np.zeros(into.size, dtype=int)
+    ready = [c for c in range(into.size) if not into[c]]
+    while ready:
+        a = ready.pop()
+        for b in [b for x, b in edges if x == a]:
+            level[b] = max(level[b], level[a] + 1)
+            into[b] -= 1
+            if not into[b]:
+                ready.append(b)
+    return level[strong]
+
+
 @ORACLE
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["random", "mirrored", "chain"]))
 def test_strong_components_match_scipy(seed, shape):
@@ -67,8 +88,9 @@ def test_strong_components_match_scipy(seed, shape):
     indices, and acyclic chains of 60 to 90 nodes, whose relaxation takes
     about as many steps, with or without one edge back that closes a
     long cycle.  Where a piece's edges one way
-    only close no cycle, the labels are scipy's strong components; a
-    piece where they do is labelled whole, the sector it is solved as."""
+    only close no cycle, the labels are scipy's strong components and the
+    levels the longest paths over their condensation; a piece where they
+    do is labelled whole, the sector it is solved as, at level 0."""
     rng = np.random.default_rng(seed)
     if shape == "chain":
         n = int(rng.integers(60, 90))
@@ -88,7 +110,9 @@ def test_strong_components_match_scipy(seed, shape):
             p = _partner([d])
             src, dst = np.r_[src, p[src]], np.r_[dst, p[dst]]
     want, whole = expected_components(n, src, dst)
-    assert np.array_equal(_strong_components(n, src, dst), want)
+    labels, level = _strong_components(n, src, dst)
+    assert np.array_equal(labels, want)
+    assert np.array_equal(level, np.where(whole, 0, condensation_levels(n, src, dst)))
     if shape == "chain":
         assert whole.all() == back and (whole.any() or np.unique(want).size == n)
 
