@@ -41,8 +41,6 @@ from .models import ModelFamily, family_names, get_family
 COMMANDS = ("spectrum", "sweep", "ep-locate", "dynamics", "trajectories", "verify")
 CONVENTION = ("vec-rowmajor; jump operators folded as sqrt(gamma)*X; "
               "sigma_z = diag(+1,-1), ground state first")
-# rows per chunk of Python scalars in _write_csv: ~1 MB for four columns
-_CSV_CHUNK_ROWS = 8192
 
 
 # every command but verify builds a model and writes files
@@ -367,40 +365,17 @@ def _write_csv(cfg: RunConfig, path: str, names, blocks, extra: dict | None = No
     blocks is an iterable of column lists, written one after another, so
     that a caller can build its columns one block at a time.  Integer
     columns are written as %d and every other column with 17 significant
-    digits, so each float reads back exactly.  Rows are formatted from
-    Python scalars (numpy scalars format slower), one chunk of rows at a
-    time so that no column is held as Python objects whole; no list of
-    all output lines is built.  A column that holds one value in a block
-    (the param of a grid point's rows) is formatted once, into the row
-    format of that block.
+    digits, so each float reads back exactly.  csvrows formats each block
+    as bytes by whole-array arithmetic, one bounded chunk of rows at a
+    time, and formats a column that holds one value in a block (the param
+    of a grid point's rows) once.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_header(cfg, extra) + [",".join(names)]) + "\n")
+    from .csvrows import block_rows
+
+    with open(path, "wb") as fh:
+        fh.write("\n".join(_header(cfg, extra) + [",".join(names), ""]).encode("utf-8"))
         for columns in blocks:
-            columns = [np.asarray(col) for col in columns]
-            rows, parts, varying = len(columns[0]), [], []
-            for col in columns:
-                spec = "%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
-                if rows and _constant(col):
-                    # a formatted number holds no '%'
-                    parts.append(spec % col[0].item())
-                else:
-                    parts.append(spec)
-                    varying.append(col)
-            fmt = ",".join(parts) + "\n"
-            if not varying:
-                fh.write(fmt * rows)
-                continue
-            for start in range(0, rows, _CSV_CHUNK_ROWS):
-                chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in varying]
-                fh.writelines(map(fmt.__mod__, zip(*chunk)))
-
-
-def _constant(col: np.ndarray) -> bool:
-    """Whether every entry of a column has the bits of the first, so that
-    one formatted value stands for all (-0.0 and 0.0 differ)."""
-    raw = np.ascontiguousarray(col).view(np.uint8).reshape(col.size, -1)
-    return bool((raw == raw[0]).all())
+            fh.writelines(block_rows(columns))
 
 
 def _spectrum_family(cfg: RunConfig):

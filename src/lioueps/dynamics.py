@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .csvrows import _mulhilo
 from .errors import SpectralError
 from .ops_core import Operator
 from .superop import (
@@ -191,7 +192,6 @@ _BLOCK = 128
 _FILL = 4
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
-_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # bytes of trajectory states that TrajectoryEnsemble.statistics reads per
 # slab; each slab's temporaries are a few times that
 _SLAB_BYTES = 1 << 19
@@ -277,17 +277,6 @@ class TrajectoryEnsemble:
     def no_jump_density(self) -> np.ndarray:
         """Normalized conditional density matrices of the no-jump branch."""
         return np.einsum("ki,kj->kij", self.no_jump_states, self.no_jump_states.conj())
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from the
-    products of their 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
-    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
-    carry = ((x_lo * m_lo) >> _SHIFT32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-    hi = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, x * np.uint64(m)  # the low word wraps modulo 2**64
 
 
 def _philox_uniforms(seed: int, rows: np.ndarray, first: np.ndarray) -> np.ndarray:

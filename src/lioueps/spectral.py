@@ -545,6 +545,21 @@ def _zero_sector(vals: np.ndarray, blocks, zero_tol: float, starts=(0,)) -> np.n
     return zero_mask
 
 
+def _check_finite(entries, starts=(0,)) -> None:
+    """Refuse matrices with a non-finite entry, before any check or solve
+    reads one: entries are the stacked lists of the matrices that start at
+    starts.  The error's point is the first matrix that holds one."""
+    rows, cols, values = entries
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        point = np.searchsorted(starts, rows[bad], side="right") - 1
+        first, p = bad[np.argmin(point)], int(point.min())
+        exc = SpectralError(f"non-finite entry {values[first]} at ({rows[first] - starts[p]}, "
+                            f"{cols[first] - starts[p]}): the eigensolve needs finite entries")
+        exc.point = p
+        raise exc
+
+
 def _check_trace_rows(entries, dims) -> None:
     """Refuse generators that are not trace preserving: entries are the
     stacked lists of generators of the given dimensions, each tested as
@@ -631,18 +646,6 @@ def _stack_entries(lists, sizes):
     return tuple(np.concatenate(x) for x in zip(*parts)), starts
 
 
-def _grid_eig(n: int, entries, starts, partner: np.ndarray | None = None):
-    """_block_eig of the stacked lists; a non-finite entry's error names
-    the first point that holds one."""
-    try:
-        return _block_eig(n, entries, partner=partner)
-    except ValueError as exc:
-        bad = np.flatnonzero(~np.isfinite(entries[2]))
-        if bad.size:
-            exc.point = int(np.searchsorted(starts, entries[0][bad[0]], side="right") - 1)
-        raise
-
-
 def _split(vals: np.ndarray, blocks, zero_mask: np.ndarray, starts) -> tuple:
     """One Eigensystem per grid point, its rows and columns numbered from
     0.  Every stack lists its blocks point by point, so each point takes a
@@ -677,10 +680,11 @@ def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
     sizes = np.square(dims)
     starts = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
+    _check_finite(entries, starts)
     _check_trace_rows(entries, dims)
     partner = _partner(dims)
     _check_hermiticity_preserving(entries, partner, starts)
-    vals, blocks = _grid_eig(n, entries, starts, partner)
+    vals, blocks = _block_eig(n, entries, partner=partner)
     vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
     zero_mask = _zero_sector(vals, blocks, zero_tol, starts)
     for _, _, v in blocks:
@@ -711,6 +715,7 @@ def analyze_liouvillian(liou: SuperOp,
     Hermitian, positive semidefinite and trace one) and biorthonormal
     left eigenmatrices.
     """
+    _check_finite(liou.entries)
     _check_trace_rows(liou.entries, [liou.dim])
     n, partner = liou.dim ** 2, _partner([liou.dim])
     _check_hermiticity_preserving(liou.entries, partner)
@@ -818,7 +823,8 @@ def nhh_eigensystems(mats) -> tuple:
     else:
         entries, starts = _stack_entries(_each_point(_dense_entries, mats), sizes)
     n = starts[-1] + sizes[-1]
-    vals, blocks = _grid_eig(n, entries, starts)
+    _check_finite(entries, starts)
+    vals, blocks = _block_eig(n, entries)
     _unit_columns(blocks)
     order = _sort_indices(np.abs(vals.imag), vals.real, blocks, _points(starts, n))
     blocks = _permute(blocks, order)

@@ -1084,7 +1084,7 @@ def test_a_failing_point_names_its_grid_index():
             (liouvillian_eigensystems, [ok, ok, bent], SpectralError, "trace row", 2),
             (lambda ops: liouvillian_eigensystems(ops, zero_tol=0.0), [exact, ok, exact],
              SpectralError, "zero_tol", 1),
-            (nhh_eigensystems, [np.eye(2), nan, nan], ValueError, "infs or NaNs", 1)]:
+            (nhh_eigensystems, [np.eye(2), nan, nan], SpectralError, "non-finite entry", 1)]:
         spec = SpectrumFamily("k", lambda values: solve([items[int(v)] for v in values]),
                               lambda value: items[int(value)])
         with pytest.raises(error, match=text + ".*" + re.escape(
@@ -1133,7 +1133,7 @@ def spoil_finiteness(rows, cols, vals, d):
 @pytest.mark.parametrize("spoil, error, text", [
     (spoil_trace_row, SpectralError, "trace row"),
     (spoil_symmetry, SpectralError, "preserve Hermiticity"),
-    (spoil_finiteness, ValueError, "infs or NaNs"),
+    (spoil_finiteness, SpectralError, "non-finite entry"),
 ], ids=["trace-row", "symmetry", "non-finite"])
 def test_a_failing_point_of_the_stacked_assembly_names_its_grid_index(spoil, error, text, bad):
     """A Liouvillian family assembles its grid as one stack: an entry

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lioueps
 from lioueps.cli import COMMANDS, RunConfig, _KEYS, _write_branches, _write_csv, main, parse_config
+from lioueps.csvrows import _CHUNK_BYTES, UNIT
 from lioueps.dynamics import trajectories
 from lioueps.ep_detect import Eigensystem, overlap_matrix, sweep
 from lioueps.errors import ConfigError
@@ -877,6 +879,75 @@ class TestCsvWriter:
             with open(path, encoding="utf-8") as fh:
                 assert "# extra = 1\n" in fh.readlines()
         assert lines == [",".join(names)] + [reference_line(r) for r in rows]
+
+    def lines(self, blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            _write_csv(self.cfg, path, [f"c{c}" for c in range(len(blocks[0]))], blocks)
+            return written_lines(path)[1:]
+
+    def assert_floats(self, values):
+        values = np.asarray(values, dtype=float)
+        assert self.lines([[values]]) == ["%.17g" % v for v in values.tolist()]
+
+    def test_values_that_tie_half_way_at_the_17th_digit(self):
+        # m 2^-j with m odd is m 5^j 10^-j exactly, whose last digit is 5:
+        # with 18 significant digits the 17-digit rounding is an exact tie,
+        # broken to the even neighbour
+        rng = np.random.default_rng(7)
+        ties = []
+        for j in range(3, 25):
+            lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+            odd = rng.integers(lo, hi, 200) | 1
+            ties += (np.ldexp(odd, -j) * rng.choice([-1, 1], 200)).tolist()
+        assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+        self.assert_floats(ties)
+
+    def test_neighbours_of_the_powers_of_ten(self):
+        powers = [float(f"1e{k}") for k in range(-12, 18)]
+        near = [np.nextafter(np.nextafter(p, 0), 0) for p in powers]
+        near += [np.nextafter(p, side) for p in powers for side in (0, np.inf)] + powers
+        near += [np.nextafter(np.nextafter(p, np.inf), np.inf) for p in powers]
+        self.assert_floats(near + [-x for x in near])
+
+    def test_edges_and_special_values(self):
+        # the kernel covers 1e-10 <= |x| < 1e15; zero, subnormals, the
+        # largest values and non-finite ones lie outside it
+        edges = [1e-10, np.nextafter(1e-10, 0), 1e15, np.nextafter(1e15, 0),
+                 np.nextafter(1e15, np.inf), np.nextafter(1e-10, 1)]
+        special = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                   1e308, np.finfo(float).max, np.inf, np.nan]
+        self.assert_floats(edges + special + [-x for x in edges + special])
+
+    def test_int64_extremes(self):
+        info = np.iinfo(np.int64)
+        ints = np.array([info.min, info.min + 1, -1, 0, 1, 9, 10, info.max - 1, info.max])
+        assert self.lines([[ints, ints[::-1].copy()]]) == [
+            f"{a},{b}" for a, b in zip(ints.tolist(), ints[::-1].tolist())]
+
+    def test_a_block_longer_than_one_chunk(self):
+        rows = 3 * _CHUNK_BYTES // UNIT  # a row takes a unit or more: 3 chunks or more
+        rng = np.random.default_rng(3)
+        columns = [np.arange(rows) - rows // 2, rng.standard_normal(rows),
+                   rng.integers(-10 ** 6, 10 ** 6, rows), np.exp(rng.uniform(-30, 40, rows))]
+        assert self.lines([columns]) == [reference_line(r)
+                                         for r in zip(*[c.tolist() for c in columns])]
+
+    def test_blocks_with_their_own_constant_param(self):
+        # as sweep writes them: a param column that is constant within each
+        # block, with empty and one-row blocks between
+        rng = np.random.default_rng(5)
+        blocks, want = [], []
+        for g, rows in zip(np.linspace(0.05, 0.25, 6), [4, 0, 1, 7, 3, 1]):
+            cols = [np.full(rows, g), rng.integers(0, 50, rows), rng.integers(0, 50, rows),
+                    rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 3, rows)]
+            blocks.append(cols)
+            want += [reference_line(r) for r in zip(*[c.tolist() for c in cols])]
+        assert self.lines(blocks) == want
+
+    def test_random_doubles_over_the_whole_exponent_range(self):
+        bits = np.random.default_rng(11).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        self.assert_floats(bits.view(np.float64))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 10), points=st.integers(1, 3))

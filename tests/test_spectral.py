@@ -574,6 +574,20 @@ class TestDecompositions:
             _block_eig(3, _dense_entries(mat))
 
 
+@pytest.mark.parametrize("entry, bad", [((4, 8), np.inf), ((4, 8), np.nan), ((1, 1), np.inf)],
+                         ids=["mirrored-inf", "mirrored-nan", "solved-inf"])
+@pytest.mark.parametrize("solve", [liouvillian_eigensystem, analyze_liouvillian])
+def test_a_nonfinite_generator_entry_is_refused_before_any_check(solve, entry, bad):
+    # entry (4, 8) of example3 levels=2 lies in the mirrored partner sector
+    # of label 4, which _block_eig never solves, and (1, 1) in a solved one;
+    # the trace-row and Hermiticity checks would read a NaN or inf scale
+    liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, 2))
+    mat = liou.matrix.copy()
+    mat[entry] = bad
+    with pytest.raises(SpectralError, match=rf"non-finite entry .* at \({entry[0]}, {entry[1]}\)"):
+        solve(SuperOp(liou.space, mat))
+
+
 class TestCheckLemmas:
     def test_dephasing_model_all_pass_including_commuting_case(self):
         model = dephasing(1.0, 1.0, 4)
