@@ -15,12 +15,13 @@ search scans only pairs that do.
 The search finds roots of the pair discriminant Delta = (lambda_i -
 lambda_j)^2, which is analytic through an order-2 EP and vanishes there
 linearly (quadratically at a tangential coalescence).  Parabolas through
-Delta on a coarse sweep give the candidate cells, Muller's iteration
-refines each, and the first whose eigenvectors coalesce is accepted (a
-crossing of diagonalizable branches has a root but no coalescence).
-There (M - lambda_EP) is factored once: one SVD and one ||M||_2 give the
-eigenmatrix, the Jordan chain, its residual and the first kernel
-dimension of the order estimate.
+Delta on a coarse sweep, all cells at once, give the candidate cells,
+Muller's iteration refines each, and the first whose eigenvectors
+coalesce is accepted (a crossing of diagonalizable branches has a root
+but no coalescence).  There M - lambda_EP is factored once, by sectors
+(sectors._sector_svds): one stacked SVD per sector size, and one of the
+unshifted blocks for ||M||_2, give the eigenmatrix, the Jordan chain,
+its residual and the first kernel dimension of the order estimate.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import JordanOrderError, NoEPBracketedError
 from .ops_core import DEFAULT_PARAM_TOL, DEFAULT_RANK_TOL, HilbertSpace, Operator
+from .sectors import _sector_svds
 from .spectral import Eigensystem, _canonical_phase, _components, _permute
 from .superop import SuperOp
 
@@ -39,6 +41,8 @@ MAX_ORDER = 8
 # Muller's iteration converges superlinearly at an order-2 root but only
 # linearly on the pair discriminant of a higher-order EP
 MAX_REFINE = 60
+# entries (grid points x pairs) of one slab of the candidate scan's Delta
+SCAN_BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -392,48 +396,48 @@ class EPReport:
         }
 
 
-def _pair_track(family: SpectrumFamily, g: float, ref_vecs: np.ndarray):
-    """Eigensystem at g with the reference pair tracked by overlap.
-
-    Returns (pair eigenvalues, pair vectors, the whole eigensystem).
-    """
-    sys_g = family.eigensystem(np.array([g]))[0]
-    perm, _ = _greedy_assignment(ref_vecs, sys_g.vectors)
-    return sys_g.eigenvalues[perm], sys_g.vectors[:, perm], sys_g
-
-
 def _factor(mat: np.ndarray, lambda_ep: complex, rank_tol: float):
-    """(M - lambda_ep), its full SVD u, s, vh and ||M||_2.  Raises
-    JordanOrderError unless s[-1] alone is below rank_tol * ||M||_2."""
-    shifted = mat - lambda_ep * np.eye(mat.shape[0])
-    u, s, vh = np.linalg.svd(shifted)
-    norm = np.linalg.norm(mat, 2)
-    deficiency = int(np.sum(s < rank_tol * norm))
-    if deficiency != 1:
+    """_sector_svds, each stack's mask of singular values below rank_tol
+    ||M||_2, and the canonical kernel vector.  Raises JordanOrderError
+    unless one singular value alone, over every sector, is below."""
+    stacks, norm = _sector_svds(mat, lambda_ep)
+    below = [s < rank_tol * norm for _, _, _, s, _ in stacks]
+    if (deficiency := sum(int(b.sum()) for b in below)) != 1:
         raise JordanOrderError(
             f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
-    return shifted, u, s, vh, norm
+    (idx, _, _, _, vh), b = next((st, b) for st, b in zip(stacks, below) if b.any())
+    kernel = np.zeros(mat.shape[0], dtype=complex)
+    kernel[idx[b.any(axis=1)][0]] = vh[b][0].conj()
+    return stacks, norm, below, _canonical_phase(kernel)
 
 
-def _chain(shifted, u, s, vh, rho1) -> tuple[np.ndarray, complex]:
-    """Unit x2 orthogonal to v1 = rho1 / |rho1|, and A, with (M - lambda) x2 = A v1."""
+def _chain(stacks, below, rho1) -> tuple[np.ndarray, complex]:
+    """Unit x2 orthogonal to v1 = rho1 / |rho1|, and A, with (M - lambda) x2
+    = A v1: the minimal-norm least-squares solve through the SVD of each
+    sector that v1 touches, without the kernel value (below)."""
     v1 = _unit(rho1)
-    # minimal-norm least-squares solve through the SVD without its kernel
-    x2 = vh[:-1].conj().T @ ((u.conj().T @ v1)[:-1] / s[:-1])
+    x2, touched = np.zeros_like(v1), []
+    for (idx, shifted, u, s, vh), low in zip(stacks, below):
+        on = np.flatnonzero((v1[idx] != 0).any(axis=1))
+        c = (u[on].conj().transpose(0, 2, 1) @ v1[idx[on], None])[..., 0]
+        c = np.divide(c, s[on], out=np.zeros_like(c), where=~low[on])
+        x2[idx[on]] = (vh[on].conj().transpose(0, 2, 1) @ c[..., None])[..., 0]
+        touched.append((idx[on], shifted[on]))
     x2 -= (v1.conj() @ x2) * v1
     x2 /= np.linalg.norm(x2)
-    return x2, complex(v1.conj() @ (shifted @ x2))
+    return x2, complex(sum(np.vdot(v1[i], b @ x2[i, None]) for i, b in touched))
 
 
-def _kernel_dims(shifted: np.ndarray, s1: np.ndarray, scale: float,
-                 rank_tol: float) -> tuple[int, list[int]]:
-    """estimate_ep_order's (order, dims), given the singular values s1 of the shifted matrix."""
-    dims = [int(np.sum(s1 < rank_tol * scale))]
-    power = shifted
-    while len(dims) < MAX_ORDER and dims[-1] < shifted.shape[0]:
-        power = power @ shifted
-        s = np.linalg.svd(power, compute_uv=False)
-        dims.append(int(np.sum(s < rank_tol * scale ** (len(dims) + 1))))
+def _kernel_dims(stacks, scale: float, rank_tol: float) -> tuple[int, list[int]]:
+    """estimate_ep_order's (order, dims) from _sector_svds, each power of
+    M - lambda taken and its kernel counted one stack at a time."""
+    n = sum(idx.size for idx, *_ in stacks)
+    dims = [sum(int(np.sum(s < rank_tol * scale)) for _, _, _, s, _ in stacks)]
+    powers = [shifted for _, shifted, *_ in stacks]
+    while len(dims) < MAX_ORDER and dims[-1] < n:
+        powers = [p @ shifted for p, (_, shifted, *_) in zip(powers, stacks)]
+        tol = rank_tol * scale ** (len(dims) + 1)
+        dims.append(sum(int(np.sum(np.linalg.svd(p, compute_uv=False) < tol)) for p in powers))
         if dims[-1] == dims[-2]:
             return len(dims) - 1, dims
     return len(dims), dims
@@ -450,9 +454,7 @@ def _unit(rho) -> np.ndarray:
 
 
 def _as_output(liou, vec: np.ndarray):
-    if isinstance(liou, SuperOp):
-        return Operator(liou.space, vec.reshape(liou.dim, liou.dim))
-    return vec
+    return Operator(liou.space, vec.reshape(liou.dim, -1)) if isinstance(liou, SuperOp) else vec
 
 
 def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL):
@@ -465,8 +467,7 @@ def ep_eigenmatrix(liou, lambda_ep: complex, rank_tol: float = DEFAULT_RANK_TOL)
     count as zero (sigma_max of the shifted matrix can be arbitrarily
     small, the unshifted entries set the rate scale).
     """
-    vh = _factor(_array(liou), lambda_ep, rank_tol)[3]
-    return _as_output(liou, _canonical_phase(vh[-1].conj()))
+    return _as_output(liou, _factor(_array(liou), lambda_ep, rank_tol)[3])
 
 
 def jordan_chain(liou, lambda_ep: complex, rho1=None,
@@ -480,9 +481,8 @@ def jordan_chain(liou, lambda_ep: complex, rho1=None,
     Operator) or a plain square matrix (returns a vector).  Raises
     JordanOrderError unless the rank deficiency is exactly one.
     """
-    shifted, u, s, vh, _ = _factor(_array(liou), lambda_ep, rank_tol)
-    v1 = _canonical_phase(vh[-1].conj()) if rho1 is None else rho1
-    x2, a = _chain(shifted, u, s, vh, v1)
+    stacks, _, below, kernel = _factor(_array(liou), lambda_ep, rank_tol)
+    x2, a = _chain(stacks, below, kernel if rho1 is None else rho1)
     return _as_output(liou, x2), a
 
 
@@ -504,10 +504,8 @@ def estimate_ep_order(mat: np.ndarray, lambda_ep: complex,
     zero, so thresholds relative to the power's own largest singular
     value would see nothing.
     """
-    mat = _array(mat)
-    shifted = mat - lambda_ep * np.eye(mat.shape[0])
-    return _kernel_dims(shifted, np.linalg.svd(shifted, compute_uv=False),
-                        np.linalg.norm(mat, 2) + abs(lambda_ep), rank_tol)
+    stacks, norm = _sector_svds(_array(mat), lambda_ep)
+    return _kernel_dims(stacks, norm + abs(lambda_ep), rank_tol)
 
 
 def _muller(x, y):
@@ -565,28 +563,29 @@ def _candidates(res: SweepResult, bi: np.ndarray, bj: np.ndarray) -> list[tuple[
     overflow: with |b| above ~1e154 the unfiltered root came out of
     inf / inf arithmetic as -0 and counted as inside, while the filter
     skips the pair.  Eigenvalue differences never come near that scale
-    (Delta would be ~1e308).  Delta is held for three
-    grid points at a time, never for the whole grid.
+    (Delta would be ~1e308).  All cells are tested at once, for a slab
+    of pairs whose Delta holds SCAN_BATCH_ENTRIES entries at most.
     """
     last = res.grid.size - 2
-    found = []
-
-    def delta(k):
-        return (res.eigenvalues[k, bi] - res.eigenvalues[k, bj]) ** 2
-
-    prev, cur = delta(0), delta(1)
+    # the cells of grid points 1..last in the step coordinate
+    lo, hi = -0.5 - 0.5 * (np.arange(last) == 0), 0.5 + 0.5 * (np.arange(last) == last - 1)
+    step = max(SCAN_BATCH_ENTRIES // res.grid.size, 1)
+    found = [(np.empty(0, dtype=np.intp),) * 3]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, last + 1):
-            nxt = delta(k + 1)
+        for at in range(0, bi.size, step):
+            i, j = bi[at:at + step], bj[at:at + step]
+            delta = (res.eigenvalues[:, i] - res.eigenvalues[:, j]) ** 2
+            prev, cur, nxt = delta[:-2], delta[1:-1], delta[2:]
             a, b = _muller((-1.0, 1.0, 0.0), (prev, nxt, cur))
-            p = np.flatnonzero(~(np.abs(cur) > 4.0 * (np.abs(b) + np.abs(a))))
-            t = _parabola_root(0.0, cur[p], a[p], b[p])
-            inside = ((t.real >= (-1.0 if k == 1 else -0.5))
-                      & (t.real <= (1.0 if k == last else 0.5)) & (np.abs(t.imag) <= 1.0))
-            hit = (inside | (cur[p] == 0)) & ((prev[p] != 0) | (nxt[p] != 0) | (cur[p] != 0))
-            found += [(int(bi[q]), int(bj[q]), k) for q in p[hit]]
-            prev, cur = cur, nxt
-    return sorted(found)
+            k, p = np.nonzero(~(np.abs(cur) > 4.0 * (np.abs(b) + np.abs(a))))
+            c = cur[k, p]
+            t = _parabola_root(0.0, c, a[k, p], b[k, p])
+            inside = (t.real >= lo[k]) & (t.real <= hi[k]) & (np.abs(t.imag) <= 1.0)
+            hit = (inside | (c == 0)) & ((prev[k, p] != 0) | (nxt[k, p] != 0) | (c != 0))
+            found.append((i[p[hit]], j[p[hit]], k[hit] + 1))
+    i, j, k = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((k, j, i))
+    return list(zip(i[order].tolist(), j[order].tolist(), k[order].tolist()))
 
 
 def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
@@ -612,8 +611,10 @@ def _refine(family: SpectrumFamily, res: SweepResult, i: int, j: int, k: int,
                                   res.grid[k - 1], res.grid[k + 1]))
         if not np.min(np.abs(g_new - np.asarray(g))) > param_tol:
             break
-        vals, vecs, sys_new = _pair_track(family, g_new, vecs)
-        values = sys_new.eigenvalues
+        # the pair at g_new, tracked by overlap
+        system = family.eigensystem(np.array([g_new]))[0]
+        perm, values = _greedy_assignment(vecs, system.vectors)[0], system.eigenvalues
+        vals, vecs = values[perm], system.vectors[:, perm]
         g, delta = g[1:] + [g_new], delta[1:] + [(vals[0] - vals[1]) ** 2]
     return g[-1], vals, vecs, values
 
@@ -675,10 +676,9 @@ def locate_ep(family: SpectrumFamily, bracket, branch_pair=None,
     lambda_ep = complex(cluster.mean())
 
     mat = _array(family.matrix(g_star))
-    shifted, u, s, vh, norm = _factor(mat, lambda_ep, rank_tol)
-    v1 = _canonical_phase(vh[-1].conj())
-    v2, a_coef = _chain(shifted, u, s, vh, v1)
-    order, _dims = _kernel_dims(shifted, s, norm + abs(lambda_ep), rank_tol)
+    stacks, norm, below, v1 = _factor(mat, lambda_ep, rank_tol)
+    v2, a_coef = _chain(stacks, below, v1)
+    order, _dims = _kernel_dims(stacks, norm + abs(lambda_ep), rank_tol)
 
     return EPReport(
         param_name=family.param_name,

@@ -67,6 +67,20 @@ def _require_levels(name: str, value) -> int:
     return iv
 
 
+def _hamiltonian(space, *terms) -> Operator:
+    """H = sum of coefficient * matrix over the (coefficient, matrix) terms,
+    in order.  A parameter large enough that an entry overflows is refused
+    as a model error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = float(terms[0][0]) * terms[0][1]
+        for c, m in terms[1:]:
+            h = h + float(c) * m
+    if not np.isfinite(h).all():
+        raise ModelBuildError("the Hamiltonian overflows: a parameter is too large "
+                              "for finite entries")
+    return Operator(space, h)
+
+
 @lru_cache(maxsize=16)
 def _boson_ops(levels: int) -> tuple[Operator, Operator, Operator]:
     """The ladder, number and identity operators of build_boson_ops, built
@@ -84,7 +98,7 @@ def example1(omega: float, gamma_minus: float, gamma_x: float, gamma_y: float) -
     gx = _require_rate("gamma_x", gamma_x)
     gy = _require_rate("gamma_y", gamma_y)
     q = build_qubit_ops()
-    h = Operator(q["sigma_z"].space, 0.5 * float(omega) * q["sigma_z"].matrix)
+    h = _hamiltonian(q["sigma_z"].space, (0.5 * float(omega), q["sigma_z"].matrix))
     return LindbladModel(h, ((gm, q["sigma_minus"]),
                              (gx, q["sigma_x"]),
                              (gy, q["sigma_y"])))
@@ -134,7 +148,7 @@ def example2(omega_x: float, gamma_minus: float) -> LindbladModel:
     wx = _require_positive("omega_x", omega_x)
     gm = _require_rate("gamma_minus", gamma_minus)
     q = build_qubit_ops()
-    h = Operator(q["sigma_x"].space, 0.5 * wx * q["sigma_x"].matrix)
+    h = _hamiltonian(q["sigma_x"].space, (0.5 * wx, q["sigma_x"].matrix))
     return LindbladModel(h, ((gm, q["sigma_minus"]),))
 
 
@@ -213,7 +227,7 @@ def example3(omega: float, g: float, gamma_a: float, gamma_b: float,
     gb = _require_rate("gamma_b", gamma_b)
     lv = _require_levels("levels", levels)
     a, b, number, hop = _two_mode_ops(lv)
-    h = Operator(a.space, float(omega) * number + float(g) * hop)
+    h = _hamiltonian(a.space, (omega, number), (g, hop))
     return LindbladModel(h, ((ga, a), (gb, b)))
 
 
@@ -358,7 +372,7 @@ def dephasing(omega: float, gamma: float, levels: int = 4) -> LindbladModel:
     gm = _require_rate("gamma", gamma)
     lv = _require_levels("levels", levels)
     n = _boson_ops(lv)[1]
-    h = Operator(n.space, float(omega) * n.matrix)
+    h = _hamiltonian(n.space, (omega, n.matrix))
     return LindbladModel(h, ((gm, n),))
 
 

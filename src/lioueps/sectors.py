@@ -36,11 +36,16 @@ _block_eig makes each decision once:
   which happens near an exceptional point where the blocks are
   defective, is solved again whole;
 - a mirrored sector is written as its partner's exact conjugate.
+
+_sector_svds stacks the sectors of a dense matrix by size in the same
+way, for the SVDs of the Jordan analysis at an EP (ep_detect).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import SpectralError
 
 # a sector solved by its strongly connected components (_scc_eig) is
 # accepted when every column's residual |M x - lambda x| on the
@@ -165,6 +170,33 @@ def _ranked(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, rank
 
 
+def _by_size(labels: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sectors of labels stacked by size: one (k, m) array per size m
+    present, ascending, whose rows are the sectors of that size in label
+    order, each with its indices ascending; with the size of each index's
+    sector and its rank there (_ranked)."""
+    size = np.bincount(labels)[labels]
+    nodes, rank = _ranked(labels)
+    idx = [nodes[size[nodes] == m].reshape(-1, m) for m in np.flatnonzero(np.bincount(size))]
+    return idx, size, rank
+
+
+def _sector_svds(mat: np.ndarray, shift: complex):
+    """A dense square M - shift by sectors (the weakly connected components
+    of M's nonzeros): one stack (idx (k, m), the blocks of M - shift on
+    those indices, their full SVD u, s, vh) per sector size m, from one
+    SVD call per stack; and ||M||_2, the largest singular value of the
+    unshifted stacks, from one more.  The Jordan analysis of ep_detect
+    reads M - lambda_EP through these."""
+    stacks, norm = [], 0.0
+    for idx in _by_size(_components(mat.shape[0], *np.nonzero(mat)))[0]:
+        block = mat[idx[:, :, None], idx[:, None, :]]
+        norm = max(norm, np.linalg.svd(block, compute_uv=False)[:, 0].max())
+        shifted = block - shift * np.eye(idx.shape[1])
+        stacks.append((idx, shifted, *np.linalg.svd(shifted)))
+    return stacks, float(norm)
+
+
 def _listed(n: int, src: np.ndarray, dst: np.ndarray, qsrc: np.ndarray,
             qdst: np.ndarray) -> np.ndarray:
     """The position k of each edge qsrc -> qdst among the edges src[k] ->
@@ -255,7 +287,15 @@ def _solve(mats: np.ndarray, idx: np.ndarray, rank: np.ndarray, real: np.ndarray
     if not real[idx[0, 0]]:
         return _eig(mats, left)
     mate_pos, side = rank[partner[idx]], np.sign(partner[idx] - idx)
-    mats = _to_hermitian_basis(mats.astype(complex, copy=False), mate_pos, side)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _to_hermitian_basis(mats.astype(complex, copy=False), mate_pos, side)
+    bad = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
+    if bad.size:
+        exc = SpectralError(f"the sector of index {idx[bad[0], 0]} overflows in the Hermitian "
+                            "basis: its entries are too close to the largest double")
+        # a caller that stacks several matrices maps the index to its matrix
+        exc.index = int(idx[bad[0], 0])
+        raise exc
     w, v, lv = _eig(mats, left)
     del mats
     _from_hermitian_basis(v, mate_pos, side)
@@ -525,13 +565,10 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
             missing = _listed(n, src, dst, ps, pd) < 0
             src, dst = np.concatenate((src, ps[missing])), np.concatenate((dst, pd[missing]))
     labels = _components(n, src, dst)
-    size = np.bincount(labels, minlength=n)[labels]
-    nodes, rank = _ranked(labels)
+    idx, size, rank = _by_size(labels)
     # each sector's first index is its label; mate is its partner's
     mate = labels if partner is None else labels[partner[labels]]
     real, mirror = (mate == labels) & (partner is not None), mate < labels
-    sizes = np.flatnonzero(np.bincount(size))
-    idx = [nodes[size[nodes] == b].reshape(-1, b) for b in sizes]
     # the units of the sectors that split, and whether each sector has several
     split = (size >= SCC_MIN_SIZE) & (not left)
     multi = np.zeros(n, dtype=bool)
@@ -553,7 +590,7 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
                        vals, buf, vecs)
         if bad.any():
             _dense_eig(entries, labels, rank, idx, real, ~bad, partner, vals, vecs, None)
-    for b, sec, v, lv in zip(sizes, idx, vecs, lvecs or vecs):
+    for sec, v, lv in zip(idx, vecs, lvecs or vecs):
         mir = mirror[sec[:, 0]]
         if not mir.any():
             continue
@@ -561,7 +598,7 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
         # block that each row of the mirrored block reads
         at = np.searchsorted(sec[:, 0], mate[sec[mir, 0]])
         vals[sec[mir]] = vals[sec[at]].conj()
-        if b == 1:
+        if sec.shape[1] == 1:
             continue
         read = rank[partner[sec[mir]]]
         for stack in (v, lv) if left else (v,):

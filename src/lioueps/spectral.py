@@ -560,28 +560,31 @@ def _check_finite(entries, starts=(0,)) -> None:
         raise exc
 
 
-def _check_trace_rows(entries, dims) -> None:
+def _check_trace_rows(entries, dims) -> np.ndarray:
     """Refuse generators that are not trace preserving: entries are the
     stacked lists of generators of the given dimensions, each tested as
     is_trace_preserving tests it.  The error's point is the first
-    generator that fails."""
-    trace, frob = _trace_norms(entries, dims)
-    bad = np.flatnonzero(~(trace <= 1e-12 * frob))
+    generator that fails.  Returns 1e-12 |L|_F of each generator."""
+    trace, bound = _trace_norms(entries, dims)
+    bad = np.flatnonzero(~(trace <= bound))
     if bad.size:
         p = int(bad[0])
         exc = SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = {trace[p]:.2e} "
-                            f"exceeds 1e-12 |L|_F = {1e-12 * frob[p]:.2e}")
+                            f"exceeds 1e-12 |L|_F = {bound[p]:.2e}")
         exc.point = p
         raise exc
+    return bound
 
 
-def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> None:
+def _check_hermiticity_preserving(entries, partner: np.ndarray, bound: np.ndarray,
+                                  starts=(0,)) -> None:
     """Refuse generators whose conjugate sectors _block_eig would mirror
     wrongly.  entries are the stacked lists of the generators that start
     at starts, and partner is their P, the swap vec(|m><n|) <->
     vec(|n><m|): max |L[Pr, Pc] - conj L[r, c]| over a generator's listed
-    entries (an unlisted entry is 0) must not exceed 1e-12 |L|_F.  The
-    error's point is the first generator that fails."""
+    entries (an unlisted entry is 0) must not exceed its bound, 1e-12
+    |L|_F (_check_trace_rows).  The error's point is the first generator
+    that fails."""
     rows, cols, values = entries
     if not values.size:
         return
@@ -591,12 +594,11 @@ def _check_hermiticity_preserving(entries, partner: np.ndarray, starts=(0,)) -> 
     point = np.searchsorted(starts, rows, side="right") - 1
     worst = np.zeros(len(starts))
     np.maximum.at(worst, point, gap)
-    scale = 1e-12 * np.sqrt(np.bincount(point, np.abs(values) ** 2, len(starts)))
-    bad = np.flatnonzero(worst > scale)
+    bad = np.flatnonzero(worst > bound)
     if bad.size:
         p = int(bad[0])
         exc = SpectralError(f"not a Liouvillian: |P conj(L) P - L| = {worst[p]:.2e} exceeds "
-                            f"1e-12 |L|_F = {scale[p]:.2e} (L does not preserve Hermiticity)")
+                            f"1e-12 |L|_F = {bound[p]:.2e} (L does not preserve Hermiticity)")
         exc.point = p
         raise exc
 
@@ -681,10 +683,14 @@ def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
     starts = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
     _check_finite(entries, starts)
-    _check_trace_rows(entries, dims)
+    bound = _check_trace_rows(entries, dims)
     partner = _partner(dims)
-    _check_hermiticity_preserving(entries, partner, starts)
-    vals, blocks = _block_eig(n, entries, partner=partner)
+    _check_hermiticity_preserving(entries, partner, bound, starts)
+    try:
+        vals, blocks = _block_eig(n, entries, partner=partner)
+    except SpectralError as exc:
+        exc.point = int(np.searchsorted(starts, exc.index, side="right") - 1)
+        raise
     vals, blocks, _, _ = _cluster_sort(n, entries, vals, blocks, starts)
     zero_mask = _zero_sector(vals, blocks, zero_tol, starts)
     for _, _, v in blocks:
@@ -716,9 +722,9 @@ def analyze_liouvillian(liou: SuperOp,
     left eigenmatrices.
     """
     _check_finite(liou.entries)
-    _check_trace_rows(liou.entries, [liou.dim])
+    bound = _check_trace_rows(liou.entries, [liou.dim])
     n, partner = liou.dim ** 2, _partner([liou.dim])
-    _check_hermiticity_preserving(liou.entries, partner)
+    _check_hermiticity_preserving(liou.entries, partner, bound)
     # left vector i is paired with eigenvalue i:
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
     vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=partner)

@@ -334,18 +334,30 @@ def _trace_rows(entries, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out, starts, point
 
 
+def _group_norms(group: np.ndarray, mags: np.ndarray, count: int, factor: float = 1.0):
+    """factor times the 2-norm of the magnitudes mags in each of count
+    groups, as max |v| (factor ||v / max |v|||): no square overflows, and
+    for factor < 1 no product either."""
+    top = np.zeros(count)
+    np.maximum.at(top, group, mags)
+    scale = np.where(top > 0, top, 1.0)
+    with np.errstate(over="ignore"):
+        return top * (factor * np.sqrt(np.bincount(group, (mags / scale[group]) ** 2, count)))
+
+
 def _trace_norms(entries, dims) -> tuple[np.ndarray, np.ndarray]:
-    """|vec(1)^dag L| and |L|_F of each generator of _trace_rows: the two
-    sides of the trace-preservation test."""
+    """|vec(1)^dag L| and 1e-12 |L|_F of each generator of _trace_rows: the
+    two sides of the trace-preservation test."""
     row, starts, point = _trace_rows(entries, dims)
-    trace = np.sqrt(np.add.reduceat(row.real ** 2 + row.imag ** 2, starts))
-    return trace, np.sqrt(np.bincount(point, np.abs(entries[2]) ** 2, starts.size))
+    owner = np.repeat(np.arange(starts.size), np.square(dims))
+    return (_group_norms(owner, np.abs(row), starts.size),
+            _group_norms(point, np.abs(entries[2]), starts.size, 1e-12))
 
 
 def is_trace_preserving(s: SuperOp) -> bool:
     """Whether the trace row vanishes to within 1e-12 ||L||_F."""
-    trace, frob = _trace_norms(s.entries, [s.dim])
-    return bool(trace[0] <= 1e-12 * frob[0])
+    trace, bound = _trace_norms(s.entries, [s.dim])
+    return bool(trace[0] <= bound[0])
 
 
 def kraus_step(model: LindbladModel, rho: Operator, tau: float) -> Operator:

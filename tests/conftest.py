@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from lioueps import sectors, spectral
 from lioueps.ep_detect import overlap_matrix
+from lioueps.models import get_family
 from lioueps.ops_core import HilbertSpace, Operator
 from lioueps.superop import LindbladModel
 
@@ -118,6 +121,16 @@ def assert_overlap_rows(i, j, ovl, system):
     gram = np.abs(vecs.conj().T @ vecs)
     assert np.all(full[iu[~shared], ju[~shared]] == 0)
     assert np.all(gram[iu[~shared], ju[~shared]] == 0)
+
+
+def ep_locate_l3_model(seed):
+    """The example3 levels=3 model of the ep-locate-l3 benchmark workload at
+    a seed, and the start of its bracket of width 0.2 centred on the EP
+    (perfbench/workloads.py draws them the same way)."""
+    rng = random.Random(f"ep-locate-l3:{seed}")
+    omega, gamma_a, gamma_b = rng.uniform(0.8, 1.2), rng.uniform(0.9, 1.2), rng.uniform(0.3, 0.5)
+    family = get_family("example3", levels=3, omega=omega, gamma_a=gamma_a, gamma_b=gamma_b)
+    return family, (gamma_a - gamma_b) / 4 - 0.1
 
 
 def random_hermitian(rng, dim):

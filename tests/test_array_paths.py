@@ -4,10 +4,11 @@ loops they replace.
 Each reference below is the per-element loop the library used before its
 array form: the sequential cluster rule with its value rewrite, the greedy
 argmax assignment, the per-run tie ordering, the unfiltered candidate scan
-and np.kron assembly.  The library must return the same bits on inputs
-built to sit on the edges of each rule: planted clusters and near-misses
-around the tolerance, conjugate pairs and near-real values, rectangular
-and tie-heavy overlap matrices, and Delta stacks with exact zeros.
+and the per-cell one, and np.kron assembly.  The library must return the
+same bits on inputs built to sit on the edges of each rule: planted
+clusters and near-misses around the tolerance, conjugate pairs and
+near-real values, rectangular and tie-heavy overlap matrices, and Delta
+stacks with exact zeros.
 
 The dense pipeline that the sector blocks replace is kept here as well:
 the kron-sum L, sectors labelled on np.nonzero of the dense L, and the
@@ -35,9 +36,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lioueps.errors import ModelBuildError, SpectralError
+from lioueps import ep_detect
 from lioueps.ep_detect import (Eigensystem, SpectrumFamily, SweepResult, _candidates,
-                               _greedy_assignment, _same_block, _track, overlap_matrix,
-                               support_overlaps, sweep)
+                               _greedy_assignment, _muller, _parabola_root, _same_block, _track,
+                               overlap_matrix, support_overlaps, sweep)
 from lioueps.models import dephasing, example3, family_names, get_family
 from lioueps.ops_core import HilbertSpace, Operator, tensor
 from lioueps import dynamics, spectral
@@ -52,7 +54,7 @@ from lioueps import superop
 from lioueps.superop import (SuperOp, _assemble_grid, _generator, assemble_liouvillian,
                              effective_hamiltonian)
 
-from conftest import conjugation_key, random_lindblad_model
+from conftest import conjugation_key, ep_locate_l3_model, random_lindblad_model
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -180,6 +182,30 @@ def reference_candidates(res, bi, bj):
                       & (t.real <= (1.0 if k == last else 0.5)) & (np.abs(t.imag) <= 1.0))
             hit = (inside | (delta[2] == 0)) & (delta != 0).any(axis=0)
             found += [(int(bi[p]), int(bj[p]), k) for p in np.flatnonzero(hit)]
+    return sorted(found)
+
+
+def per_cell_candidates(res, bi, bj):
+    """The candidate scan one grid cell at a time, with the |Delta| filter,
+    holding Delta for three grid points at a time."""
+    last = res.grid.size - 2
+    found = []
+
+    def delta(k):
+        return (res.eigenvalues[k, bi] - res.eigenvalues[k, bj]) ** 2
+
+    prev, cur = delta(0), delta(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, last + 1):
+            nxt = delta(k + 1)
+            a, b = _muller((-1.0, 1.0, 0.0), (prev, nxt, cur))
+            p = np.flatnonzero(~(np.abs(cur) > 4.0 * (np.abs(b) + np.abs(a))))
+            t = _parabola_root(0.0, cur[p], a[p], b[p])
+            inside = ((t.real >= (-1.0 if k == 1 else -0.5))
+                      & (t.real <= (1.0 if k == last else 0.5)) & (np.abs(t.imag) <= 1.0))
+            hit = (inside | (cur[p] == 0)) & ((prev[p] != 0) | (nxt[p] != 0) | (cur[p] != 0))
+            found += [(int(bi[q]), int(bj[q]), k) for q in p[hit]]
+            prev, cur = cur, nxt
     return sorted(found)
 
 
@@ -661,6 +687,63 @@ def test_candidates_on_the_example3_sweep():
     bi, bj = np.triu_indices(res.eigenvalues.shape[1], 1)
     found = _candidates(res, bi, bj)
     assert found and found == reference_candidates(res, bi, bj)
+
+
+def searched_pairs(res):
+    """The pairs that locate_ep scans: non-steady, sharing a block somewhere."""
+    steady = res.zero_mask.any(axis=0)
+    return np.nonzero(np.triu(_same_block(res.systems) & ~(steady[:, None] | steady[None, :]), 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_whole_grid_scan_equals_the_per_cell_loop(seed):
+    family, lo = ep_locate_l3_model(seed)
+    res = sweep(family.liouvillian_family(), np.linspace(lo, lo + 0.2, 33))
+    bi, bj = searched_pairs(res)
+    found = _candidates(res, bi, bj)
+    assert len(found) > 500 and found == per_cell_candidates(res, bi, bj)
+
+
+def test_whole_grid_scan_in_slabs_at_levels_5():
+    # 18,686 pairs over 33 points: Delta is scanned in about 19 slabs
+    res = sweep(get_family("example3", levels=5).liouvillian_family("g"),
+                np.linspace(0.03, 0.23, 33))
+    bi, bj = searched_pairs(res)
+    assert bi.size * res.grid.size > 10 * ep_detect.SCAN_BATCH_ENTRIES
+    found = _candidates(res, bi, bj)
+    assert len(found) == 44000 and found == per_cell_candidates(res, bi, bj)
+
+
+@pytest.mark.parametrize("case", ["zero-at-a-point", "zero-on-three-points", "b-near-1e154",
+                                  "one-pair-per-slab"])
+def test_whole_grid_scan_on_edge_cases(case, monkeypatch):
+    grid = np.linspace(0.0, 1.0, 11)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((11, 6)) + 1j * rng.standard_normal((11, 6))
+    if case == "zero-at-a-point":
+        # branches 0 and 1 cross at grid point 5, 2 and 3 touch there
+        vals[:, 1] = vals[:, 0] + (grid - 0.5)
+        vals[:, 3] = vals[:, 2] + (grid - 0.5) ** 2
+    elif case == "zero-on-three-points":
+        vals[4:7, 1] = vals[4:7, 0]
+        vals[[2, 3, 4, 7], 3] = vals[[2, 3, 4, 7], 2]
+    elif case == "b-near-1e154":
+        # Delta near 1e154 at every scale below and above where b * b overflows
+        vals *= 10.0 ** np.linspace(76.0, 78.0, 6)
+    else:
+        monkeypatch.setattr(ep_detect, "SCAN_BATCH_ENTRIES", 1)
+        vals = np.round(vals, 0)
+    res = SweepResult("g", grid, (), vals, np.zeros(vals.shape, dtype=bool), np.ones(10), ())
+    bi, bj = np.triu_indices(6, 1)
+    with np.errstate(over="ignore"):
+        found = _candidates(res, bi, bj)
+        assert found == per_cell_candidates(res, bi, bj)
+    if case == "zero-at-a-point":
+        assert (0, 1, 5) in found and (2, 3, 5) in found
+    elif case == "zero-on-three-points":
+        # the middle of three zeros is degenerate, the ends of a run are hits
+        assert {(0, 1, 4), (0, 1, 6), (2, 3, 2), (2, 3, 4), (2, 3, 7)} <= set(found)
+        assert (0, 1, 5) not in found and (2, 3, 3) not in found
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,28 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"command": command, **section})
         assert main([cfg, "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("section, code, message", [
+        # the builder is parse_config's range check, so a Hamiltonian that
+        # overflows is a config error there, and a model error where a sweep
+        # reaches it
+        ({"model": {"name": "dephasing", "omega": 1.7e308}}, 2,
+         "config error: config.model: the Hamiltonian overflows"),
+        ({"command": "sweep", "model": {"name": "dephasing"},
+          "sweep": {"param": "omega", "from": 1.0, "to": 1.7e308, "steps": 3}}, 3,
+         "model error: the Hamiltonian overflows"),
+        # a finite L whose self-conjugate sector overflows in the Hermitian basis
+        ({"model": {"name": "example3", "levels": 2, "g": 1.7e308}}, 4,
+         "analysis error: the sector of index 0 overflows in the Hermitian basis"),
+        ({"model": {"name": "example1", "omega": 1.7e308}}, 4,
+         "analysis error: the sector of index 1 overflows in the Hermitian basis"),
+    ], ids=["dephasing-omega", "dephasing-omega-sweep", "example3-g", "example1-omega"])
+    def test_overflowing_parameters_are_refused(self, tmp_path, capsys, section, code, message):
+        # each of these exited 1 with an internal error: a ValueError from
+        # Operator, or eig's LinAlgError on infs
+        cfg = write_config(tmp_path, {"command": "spectrum", **section, "output": "big"})
+        assert main([cfg, "--output-dir", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["/nonexistent/path.json"]) == 2
 

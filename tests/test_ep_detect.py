@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from lioueps.cli import main
 from lioueps.errors import JordanOrderError, NoEPBracketedError
 from lioueps.ep_detect import (
+    MAX_ORDER,
     Eigensystem,
     SpectrumFamily,
     chain_residual,
@@ -17,8 +18,8 @@ from lioueps.ep_detect import (
     overlap_matrix,
     sweep,
 )
-from lioueps.ops_core import Operator
-from lioueps.spectral import analyze_liouvillian
+from lioueps.ops_core import DEFAULT_RANK_TOL, Operator
+from lioueps.spectral import _canonical_phase, analyze_liouvillian
 from lioueps.superop import SuperOp, assemble_liouvillian
 from lioueps.models import (
     dephasing,
@@ -26,7 +27,7 @@ from lioueps.models import (
     example3_block_family,
     get_family,
 )
-from conftest import assert_one_eig_per_orbit
+from conftest import assert_one_eig_per_orbit, ep_locate_l3_model
 
 EX1 = get_family("example1").with_params(omega=1.0, gamma_y=2.0, gamma_minus=0.0)
 EX2 = get_family("example2").with_params(omega_x=1.0)
@@ -241,28 +242,151 @@ class TestJordanChain:
         assert np.all(np.diff(dims[:order]) == 1)
 
 
+def dense_factor(mat, lambda_ep, rank_tol=DEFAULT_RANK_TOL):
+    """(M - lambda_ep), its full SVD u, s, vh and ||M||_2 on the dense
+    matrix; raises JordanOrderError unless s[-1] alone is below rank_tol *
+    ||M||_2.  The Jordan analysis before it went by sectors."""
+    shifted = mat - lambda_ep * np.eye(mat.shape[0])
+    u, s, vh = np.linalg.svd(shifted)
+    norm = np.linalg.norm(mat, 2)
+    deficiency = int(np.sum(s < rank_tol * norm))
+    if deficiency != 1:
+        raise JordanOrderError(
+            f"EP order mismatch: rank deficiency {deficiency} at lambda={lambda_ep}")
+    return shifted, u, s, vh, norm
+
+
+def dense_chain(shifted, u, s, vh, rho1):
+    """Unit x2 orthogonal to v1 = rho1 / |rho1|, and A, with (M - lambda) x2 = A v1."""
+    v1 = rho1 / np.linalg.norm(rho1)
+    # minimal-norm least-squares solve through the SVD without its kernel
+    x2 = vh[:-1].conj().T @ ((u.conj().T @ v1)[:-1] / s[:-1])
+    x2 -= (v1.conj() @ x2) * v1
+    x2 /= np.linalg.norm(x2)
+    return x2, complex(v1.conj() @ (shifted @ x2))
+
+
+def dense_kernel_dims(shifted, s1, scale, rank_tol=DEFAULT_RANK_TOL):
+    """estimate_ep_order's (order, dims) on the dense powers of the shifted matrix."""
+    dims = [int(np.sum(s1 < rank_tol * scale))]
+    power = shifted
+    while len(dims) < MAX_ORDER and dims[-1] < shifted.shape[0]:
+        power = power @ shifted
+        s = np.linalg.svd(power, compute_uv=False)
+        dims.append(int(np.sum(s < rank_tol * scale ** (len(dims) + 1))))
+        if dims[-1] == dims[-2]:
+            return len(dims) - 1, dims
+    return len(dims), dims
+
+
+class TestSectorJordanAnalysis:
+    """The Jordan analysis by sectors against the dense one it replaced."""
+
+    @pytest.mark.parametrize("case", [f"ep-locate-l3-{s}" for s in range(6)] + [
+        "example1-lo", "example1-hi", "example2-liouvillian", "example2-nhh",
+        "example3-l4", "example3-l5"])
+    def test_report_equals_the_dense_analysis(self, case):
+        family, bracket = {
+            "example1-lo": (EX1.liouvillian_family(), (0.5, 1.5)),
+            "example1-hi": (EX1.liouvillian_family(), (2.5, 3.5)),
+            "example2-liouvillian": (EX2.liouvillian_family(), (3.0, 5.0)),
+            "example2-nhh": (EX2.nhh_family(), (1.0, 3.0)),
+            "example3-l4": (get_family("example3", levels=4).liouvillian_family("g"), (0.03, 0.23)),
+            "example3-l5": (get_family("example3", levels=5).liouvillian_family("g"), (0.03, 0.23)),
+        }.get(case, (None, None))
+        if family is None:
+            model, lo = ep_locate_l3_model(int(case.rsplit("-", 1)[1]))
+            family, bracket = model.liouvillian_family("g"), (lo, lo + 0.2)
+        report = locate_ep(family, bracket)
+        mat, lam = family.matrix(report.param_value), report.lambda_ep
+        shifted, u, s, vh, norm = dense_factor(mat, lam)
+        v1 = _canonical_phase(vh[-1].conj())
+        x2, a = dense_chain(shifted, u, s, vh, v1)
+        order, dims = dense_kernel_dims(shifted, s, norm + abs(lam))
+        assert estimate_ep_order(mat, lam) == (order, dims)
+        assert report.order_estimate == max(order, 2)
+        assert abs(report.jordan_coefficient - a) <= 1e-12
+        assert report.chain_residual <= chain_residual(mat, lam, v1, x2, a)
+        # the kernel vector is the dense one up to its phase: the canonical
+        # phase's pivot, the largest entry, can tie in magnitude with others
+        kernel = ep_eigenmatrix(mat, lam)
+        assert abs(abs(np.vdot(kernel, v1)) - np.linalg.norm(v1)) <= 1e-12
+
+    @pytest.mark.parametrize("levels, dims", [(3, [3, 5, 7, 8, 9, 9]),
+                                              (4, [3, 5, 7, 8, 9, 13, 18, 32])])
+    def test_kernel_dims_at_the_order5_point_equal_the_dense_ones(self, levels, dims):
+        # lambda = -1.5 at g = 0.125 (ROADMAP item 3, Defect 1: the counts
+        # are wrong, but they are the dense analysis's counts)
+        mat = get_family("example3", levels=levels).liouvillian_family("g").matrix(0.125)
+        shifted = mat + 1.5 * np.eye(mat.shape[0])
+        want = dense_kernel_dims(shifted, np.linalg.svd(shifted, compute_uv=False),
+                                 np.linalg.norm(mat, 2) + 1.5)
+        assert want[1] == dims
+        assert estimate_ep_order(mat, -1.5) == want
+
+    def test_a_value_singular_in_two_sectors_is_refused(self):
+        # two Jordan blocks of lambda in two sectors, and a third sector
+        lam = 0.2 - 0.7j
+        block = np.array([[lam, 1.0], [0.0, lam]])
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[:2, :2] = mat[2:4, 2:4] = block
+        mat[4:, 4:] = [[1.0, 2.0], [0.5, -1.0]]
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        mat = mat[np.ix_(perm, perm)]
+        with pytest.raises(JordanOrderError, match="rank deficiency 2"):
+            dense_factor(mat, lam)
+        for call in (ep_eigenmatrix, jordan_chain):
+            with pytest.raises(JordanOrderError, match="rank deficiency 2"):
+                call(mat, lam)
+        assert estimate_ep_order(mat, lam) == (2, [2, 4, 4])
+
+    def test_a_rho1_on_two_sectors_gives_the_dense_chain(self):
+        # rho1 touches the kernel's sector and a regular one: the solve runs
+        # on both, and x2 is 0 on the sector rho1 leaves out
+        lam = -0.4 + 0.3j
+        rng = np.random.default_rng(3)
+        mat = np.zeros((7, 7), dtype=complex)
+        mat[:2, :2] = [[lam, 1.0], [0.0, lam]]
+        mat[2:5, 2:5] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        mat[5:, 5:] = rng.standard_normal((2, 2))
+        perm = np.array([4, 6, 0, 2, 5, 1, 3])
+        mat = mat[np.ix_(perm, perm)]
+        rho1 = np.zeros(7, dtype=complex)
+        rho1[[2, 5, 3, 0]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x2, a = dense_chain(*dense_factor(mat, lam)[:4], rho1)
+        got, got_a = jordan_chain(mat, lam, rho1=rho1)
+        assert np.abs(got - x2).max() <= 1e-12 and abs(got_a - a) <= 1e-12
+        assert np.all(got[[1, 4]] == 0)
+
+
 class TestOneFactorisation:
     def test_jordan_analysis_takes_one_svd(self, monkeypatch):
-        # the block family solves with eig, so every SVD-type call is the
-        # Jordan analysis: one full SVD of (M - lambda) and one ||M||_2 serve
-        # every stage, plus the singular values of (M - lambda)^2
+        # the sweep solves with eig, so every SVD-type call is the Jordan
+        # analysis: M - lambda at the EP of example3 levels=2 falls into
+        # sectors of 1, 4 and 6 indices, stacked by size, and each stack
+        # takes one SVD per stage: the unshifted blocks for ||M||_2, the
+        # full SVD of the shifted ones that serves the eigenmatrix, the
+        # chain and the first kernel dimension, and one for each power
+        # (M - lambda)^2, (M - lambda)^3 of the order estimate
         calls = []
         svd, norm = np.linalg.svd, np.linalg.norm
 
-        def counting_svd(*args, **kwargs):
-            calls.append("svd")
-            return svd(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            calls.append(("svd", np.shape(a)))
+            return svd(a, *args, **kwargs)
 
         def counting_norm(x, ord=None, *args, **kwargs):
             if ord == 2 and np.ndim(x) == 2:
-                calls.append("norm2")
+                calls.append(("norm2", np.shape(x)))
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        report = locate_ep(example3_block_family(1.0, 1.0, 0.5, 1), (0.05, 0.25))
+        family = get_family("example3", levels=2).liouvillian_family("g")
+        report = locate_ep(family, (0.05, 0.25))
         assert report.order_estimate == 2
-        assert len(calls) <= 3, calls
+        stacks = [(2, 1, 1), (2, 4, 4), (1, 6, 6)]
+        assert sorted(calls) == sorted(("svd", shape) for shape in stacks for _ in range(4))
 
     def test_sweep_takes_one_right_only_eig_per_point(self, eig_calls):
         # one right-only eig per sector orbit of size >= 2 at every grid

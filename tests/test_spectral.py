@@ -23,6 +23,7 @@ from lioueps.superop import (
     assemble_liouvillian_no_jumps,
     devectorize,
     effective_hamiltonian,
+    is_trace_preserving,
     trace_row,
     vectorize,
 )
@@ -129,6 +130,31 @@ class TestAnalyzeLiouvillian:
         liou = assemble_liouvillian_no_jumps(example3(1.0, 0.1, 1.0, 0.5, levels=3))
         with pytest.raises(SpectralError, match="trace row"):
             analysis(liou)
+
+    def test_checks_hold_at_a_scale_whose_squares_overflow(self):
+        # example2's L times 1e200: |L|_F^2 overflows, and with it the
+        # trace-row and Hermiticity checks used to pass anything (a broken
+        # trace row was refused late, as "no eigenvalue within zero_tol")
+        liou = assemble_liouvillian(example2(1.0, 1.0))
+        big = liou.matrix * 1e200
+        assert is_trace_preserving(SuperOp(liou.space, big))
+        broken = big.copy()
+        broken[0, 0] += 0.5e200
+        assert not is_trace_preserving(SuperOp(liou.space, broken))
+        with pytest.raises(SpectralError, match="trace row"):
+            liouvillian_eigensystem(SuperOp(liou.space, broken))
+        bent = big.copy()
+        bent[1, 0] += 1e190
+        with pytest.raises(SpectralError, match="preserve Hermiticity"):
+            liouvillian_eigensystem(SuperOp(liou.space, bent))
+
+    def test_an_overflow_in_the_hermitian_basis_names_its_grid_point(self):
+        # L is finite, but its self-conjugate sector's change of basis adds
+        # entries near the largest double into inf
+        family = get_family("example3", levels=2).liouvillian_family("g")
+        with pytest.raises(SpectralError, match="overflows in the Hermitian basis") as err:
+            family.eigensystem(np.array([0.1, 0.2, 1.7e308]))
+        assert err.value.point == 2
 
     @pytest.mark.parametrize("analysis", [analyze_liouvillian, liouvillian_eigensystem])
     def test_rejects_a_generator_that_does_not_preserve_hermiticity(self, analysis):
