@@ -31,7 +31,7 @@ equal to its trace loss.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -197,6 +197,22 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
 _SLAB_BYTES = 1 << 19
 
 
+class _GroupedOnRead:
+    """TrajectoryEnsemble.jump_records: the records given to the
+    constructor, or when it was given None (the default), the grouping of
+    jump_events, made on first read and kept."""
+
+    def __get__(self, ens, owner=None):
+        if ens is None:  # read on the class: the field's default
+            return None
+        if ens.__dict__["jump_records"] is None:
+            ens.__dict__["jump_records"] = _group_records(ens.jump_events, ens.n_traj, ens.dt)
+        return ens.__dict__["jump_records"]
+
+    def __set__(self, ens, records):
+        ens.__dict__["jump_records"] = records
+
+
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Counting-unraveling ensemble on a sample-time grid.
@@ -212,6 +228,12 @@ class TrajectoryEnsemble:
     uniform; reruns with the same seed are bit-identical and trajectories
     are independent.
 
+    A run passes its jump_events, the arrays (rows, half-step index of the
+    jump time, channel) in the order the stepper found them, and no
+    jump_records; jump_records groups the events per trajectory on first
+    read and keeps the tuple, so a caller that never reads it never pays
+    for it.
+
     statistics() reads the ensemble means in one pass over the states, a
     slab of trajectories at a time, so no (n_traj, n_times, D, D) stack
     of outer products is ever held; observable_stats is a read of it, and
@@ -223,9 +245,10 @@ class TrajectoryEnsemble:
     dt: float
     times: np.ndarray
     trajectory_states: np.ndarray
-    jump_records: tuple[tuple[tuple[float, int], ...], ...]
     no_jump_states: np.ndarray
     survival: np.ndarray
+    jump_records: tuple[tuple[tuple[float, int], ...], ...] | None = _GroupedOnRead()
+    jump_events: tuple = field(default=(), repr=False)
 
     def statistics(self, ops=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean populations, and the ensemble mean and standard error of
@@ -325,14 +348,30 @@ class _Draws:
 
 
 def _normalized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm, and their squared norms before."""
-    nrm = np.linalg.norm(rows, axis=1)
+    """Rows scaled to unit norm, and their squared norms before.
+
+    The norms are np.linalg.norm(rows, axis=1) bit for bit.  That sums the
+    squared moduli with add.reduce, which adds fewer than 8 entries left to
+    right (pairwise blocks only from 8 on) but is slow on so short an axis;
+    for rows that short the columns are added here in the same order.
+    """
+    if rows.shape[1] >= 8:
+        nrm = np.linalg.norm(rows, axis=1)
+    else:
+        sq = (rows.conj() * rows).real
+        acc = sq[:, 0].copy()
+        for k in range(1, rows.shape[1]):
+            acc += sq[:, k]
+        nrm = np.sqrt(acc)
     return rows / nrm[:, None], nrm ** 2
 
 
 def _collapse(phi: np.ndarray, gts: list[np.ndarray], v: np.ndarray):
     """Apply to each row of phi the channel mu that the uniform v picks
-    with weight |Gamma_mu phi|^2; returns the normalized rows and mu."""
+    with weight |Gamma_mu phi|^2; returns the normalized rows and mu.
+    With one channel v picks channel 0 whatever its value."""
+    if len(gts) == 1:
+        return _normalized(phi @ gts[0])[0], np.zeros(len(phi), dtype=np.intp)
     cand = np.stack([phi @ gt for gt in gts], axis=1)
     cum = np.cumsum(np.einsum("rcd,rcd->rc", cand.conj(), cand).real, axis=1)
     channel = np.argmax(cum > v[:, None] * cum[:, -1:], axis=1)
@@ -396,6 +435,9 @@ def _resolve_jumps(rows, psi, u, g, start, prop, draws, events):
         u = u / n2
         state, n2 = _normalized(np.einsum("ri,rij->rj", psi, prop.powers[g - at]))
         again = n2 <= u
+        if pos.size == rows.size and not again.any():
+            # every row is resolved and pos is still 0..rows.size - 1
+            return state, u / n2
         done = ~again
         end_states[pos[done]] = state[done]
         end_u[pos[done]] = u[done] / n2[done]
@@ -501,8 +543,7 @@ def trajectories(model: LindbladModel, psi0, n_traj: int, dt: float,
     return TrajectoryEnsemble(
         seed=seed, n_traj=int(n_traj), dt=float(dt), times=times,
         trajectory_states=samples[:n_traj],
-        jump_records=_group_records(events, n_traj, dt),
-        no_jump_states=samples[n_traj], survival=survival,
+        no_jump_states=samples[n_traj], survival=survival, jump_events=tuple(events),
     )
 
 

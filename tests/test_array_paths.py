@@ -18,9 +18,12 @@ replace: every grid point solved alone, and the branch tracker as the
 dense greedy rule on the n x n vector arrays, point after point.
 
 The trajectory stepper's jump search is checked against the bisection
-over the propagator powers that it replaces, for the same jump records
-and the same bits of every state, and the one-pass ensemble statistics
-against the einsum formulas of the mean density and of <psi|O|psi>.
+over the propagator powers that it replaces, and its norm, collapse and
+jump-block kernels against the np.linalg.norm form, the cumulative-weight
+channel pick and the pending-row loop without its one-pass shortcut, for
+the same jump records and the same bits of every state; the
+one-pass ensemble statistics are checked against the einsum formulas of
+the mean density and of <psi|O|psi>.
 """
 
 import itertools
@@ -1382,11 +1385,65 @@ def reference_jump_cells(psi, u, room, prop):
     return hi
 
 
-def assert_same_unravelling(model, psi0, **run):
-    """trajectories with the Gram search and with the bisection: the same
-    jump records and the same bits of every state and survival."""
+def reference_normalized(rows):
+    """Unit rows and squared norms from np.linalg.norm, the form that the
+    column sum of _normalized replaces for rows of fewer than 8 entries."""
+    nrm = np.linalg.norm(rows, axis=1)
+    return rows / nrm[:, None], nrm ** 2
+
+
+def reference_collapse(phi, gts, v):
+    """The cumulative-weight channel pick for any number of channels, which
+    the one-channel collapse skips."""
+    cand = np.stack([phi @ gt for gt in gts], axis=1)
+    cum = np.cumsum(np.einsum("rcd,rcd->rc", cand.conj(), cand).real, axis=1)
+    channel = np.argmax(cum > v[:, None] * cum[:, -1:], axis=1)
+    return reference_normalized(cand[np.arange(len(channel)), channel])[0], channel
+
+
+def reference_resolve_jumps(rows, psi, u, g, start, prop, draws, events):
+    """The pending-row loop of _resolve_jumps with no shortcut for a block
+    that every row leaves after one pass, on the reference kernels."""
+    end_states, end_u = np.empty_like(psi), np.empty_like(u)
+    pos = np.arange(rows.size)
+    at = np.zeros(rows.size, dtype=int)
+    while pos.size:
+        r = rows[pos]
+        hi = dynamics._jump_cells(psi, u, g - at, prop)
+        phi, channel = reference_collapse(
+            reference_normalized(np.einsum("ri,rij->rj", psi, prop.mids[hi - 1]))[0],
+            prop.gts, draws.take(r))
+        at = at + hi
+        events.append((r, 2 * (start + at) - 1, channel))
+        u = draws.take(r)
+        psi, n2 = reference_normalized(phi @ prop.half)
+        now = np.flatnonzero(n2 <= u)
+        if now.size:
+            psi[now], channel = reference_collapse(psi[now], prop.gts, draws.take(r[now]))
+            events.append((r[now], 2 * (start + at[now]), channel))
+            u[now] = draws.take(r[now])
+            n2[now] = 1.0
+        u = u / n2
+        state, n2 = reference_normalized(np.einsum("ri,rij->rj", psi, prop.powers[g - at]))
+        again = n2 <= u
+        done = ~again
+        end_states[pos[done]] = state[done]
+        end_u[pos[done]] = u[done] / n2[done]
+        pos, psi, u, at = pos[again], psi[again], u[again], at[again]
+    return end_states, end_u
+
+
+BISECTION = {"_jump_cells": reference_jump_cells}
+STEPPER_KERNELS = {"_normalized": reference_normalized, "_collapse": reference_collapse,
+                   "_resolve_jumps": reference_resolve_jumps}
+
+
+def assert_same_unravelling(model, psi0, reference=BISECTION, **run):
+    """trajectories as it is and with the reference kernels patched in (the
+    bisection for the Gram search by default): the same jump records and
+    the same bits of every state and survival."""
     got = trajectories(model, psi0, **run)
-    with mock.patch.object(dynamics, "_jump_cells", reference_jump_cells):
+    with mock.patch.multiple(dynamics, **reference):
         want = trajectories(model, psi0, **run)
     assert got.jump_records == want.jump_records
     assert bits(got.trajectory_states) == bits(want.trajectory_states)
@@ -1452,6 +1509,92 @@ def test_jump_search_equals_the_bisection_on_random_models(seed):
     psi0 = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     assert_same_unravelling(model, psi0 / np.linalg.norm(psi0), n_traj=60, dt=dt,
                             t_max=300 * dt, seed=seed, n_samples=3)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_normalized_equals_the_norm_form(d):
+    # fewer than 8 columns take the column sum, 8 and more np.linalg.norm;
+    # entries run over 1e-150..1e150, so no square overflows
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 7, 8, 70, 2001):
+        wide = rng.standard_normal((n, 2 * d)) + 1j * rng.standard_normal((n, 2 * d))
+        wide *= 10.0 ** rng.uniform(-4, 4, wide.shape)
+        for scale in (1e-146, 1.0, 1e146):
+            for rows in (np.ascontiguousarray(wide[:, :d]), wide[:, ::2],
+                         np.asfortranarray(wide[:, d:])):
+                rows = rows * scale
+                got, want = dynamics._normalized(rows), reference_normalized(rows)
+                assert bits(got[0]) == bits(want[0])
+                assert bits(got[1]) == bits(want[1])
+
+
+@pytest.mark.parametrize("name, params, dt, channels", [
+    ("example1", {}, 1e-3, 3),
+    ("example2", {}, 1e-3, 1),
+    ("dephasing", {}, 1e-3, 1),
+    ("example3", {"levels": 2}, 1e-2, 2),
+    ("example3", {"levels": 3}, 1e-2, 2),  # D = 9: the np.linalg.norm path
+])
+def test_stepper_kernels_equal_the_reference_kernels(name, params, dt, channels):
+    model = get_family(name, **params).build()
+    assert len(model.folded_jump_matrices()) == channels
+    assert_same_unravelling(model, excited(model), STEPPER_KERNELS, n_traj=200, dt=dt,
+                            t_max=400 * dt, seed=3, n_samples=7)
+
+
+def test_stepper_kernels_equal_the_reference_kernels_with_two_jumps_in_a_block():
+    # as in the bisection test: rows that jump again in the same block take
+    # the pending-row path of _resolve_jumps
+    h = Operator(HilbertSpace((2,)), 0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
+    z = Operator(h.space, np.diag([1.0, -1.0]).astype(complex))
+    model = dynamics.LindbladModel(h, ((24.0, z),))
+    ens = assert_same_unravelling(model, [0, 1], STEPPER_KERNELS, n_traj=40, dt=1e-3,
+                                  t_max=0.6, seed=11, n_samples=2)
+    assert two_jumps_in_a_block(ens)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stepper_kernels_equal_the_reference_kernels_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, max_dim=4)
+    dt = 0.02 / max(np.linalg.norm(g.conj().T @ g, 2) for g in model.folded_jump_matrices())
+    psi0 = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    assert_same_unravelling(model, psi0 / np.linalg.norm(psi0), STEPPER_KERNELS, n_traj=60,
+                            dt=dt, t_max=300 * dt, seed=seed, n_samples=3)
+
+
+def test_a_one_channel_run_reads_one_channel_uniform_per_jump():
+    # the stream order is waiting, channel, waiting, ... even where the
+    # channel uniform picks nothing
+    made = []
+
+    class Recorded(dynamics._Draws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    model = get_family("example2").build()
+    assert len(model.folded_jump_matrices()) == 1
+    with mock.patch.object(dynamics, "_Draws", Recorded):
+        ens = trajectories(model, excited(model), n_traj=200, dt=1e-3, t_max=0.4, seed=3,
+                           n_samples=7)
+    jumps = np.array([len(record) for record in ens.jump_records])
+    assert jumps.sum() > 0
+    np.testing.assert_array_equal(made[0]._count, 1 + 2 * jumps)
+
+
+def test_jump_records_are_grouped_once_on_first_read():
+    model = get_family("example2").build()
+    with mock.patch.object(dynamics, "_group_records", wraps=dynamics._group_records) as group:
+        ens = trajectories(model, excited(model), n_traj=50, dt=1e-3, t_max=0.4, seed=3)
+        assert group.call_count == 0
+        records = ens.jump_records
+        assert ens.jump_records is records
+        assert group.call_count == 1
+    assert len(records) == 50 and sum(map(len, records)) > 0
+    # records passed to the constructor are kept as given
+    assert ensemble_of(ens.trajectory_states[:2]).jump_records == ((), ())
 
 
 def reference_ensemble_average(ens):

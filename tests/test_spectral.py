@@ -148,6 +148,14 @@ class TestAnalyzeLiouvillian:
         with pytest.raises(SpectralError, match="preserve Hermiticity"):
             liouvillian_eigensystem(SuperOp(liou.space, bent))
 
+    def test_a_norm_bound_whose_product_overflows_is_still_finite(self):
+        # omega_x = gamma_minus = 1e200: the column- and row-sum maxima of L
+        # are finite but their product overflows; the cluster tolerance is
+        # then sqrt(a) sqrt(b), with no overflow warning (an error under
+        # pytest), and the analysis ends in its zero-eigenvalue refusal
+        with pytest.raises(SpectralError, match="no eigenvalue within zero_tol"):
+            analyze_liouvillian(assemble_liouvillian(example2(1e200, 1e200)))
+
     def test_an_overflow_in_the_hermitian_basis_names_its_grid_point(self):
         # L is finite, but its self-conjugate sector's change of basis adds
         # entries near the largest double into inf
