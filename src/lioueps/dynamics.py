@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -197,22 +198,6 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
 _SLAB_BYTES = 1 << 19
 
 
-class _GroupedOnRead:
-    """TrajectoryEnsemble.jump_records: the records given to the
-    constructor, or when it was given None (the default), the grouping of
-    jump_events, made on first read and kept."""
-
-    def __get__(self, ens, owner=None):
-        if ens is None:  # read on the class: the field's default
-            return None
-        if ens.__dict__["jump_records"] is None:
-            ens.__dict__["jump_records"] = _group_records(ens.jump_events, ens.n_traj, ens.dt)
-        return ens.__dict__["jump_records"]
-
-    def __set__(self, ens, records):
-        ens.__dict__["jump_records"] = records
-
-
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Counting-unraveling ensemble on a sample-time grid.
@@ -228,11 +213,10 @@ class TrajectoryEnsemble:
     uniform; reruns with the same seed are bit-identical and trajectories
     are independent.
 
-    A run passes its jump_events, the arrays (rows, half-step index of the
-    jump time, channel) in the order the stepper found them, and no
-    jump_records; jump_records groups the events per trajectory on first
-    read and keeps the tuple, so a caller that never reads it never pays
-    for it.
+    jump_events holds the arrays (rows, half-step index of the jump time,
+    channel) in the order the stepper found them; jump_records groups them
+    per trajectory on first read and keeps the tuple, so a caller that
+    never reads it never pays for it.
 
     statistics() reads the ensemble means in one pass over the states, a
     slab of trajectories at a time, so no (n_traj, n_times, D, D) stack
@@ -247,8 +231,11 @@ class TrajectoryEnsemble:
     trajectory_states: np.ndarray
     no_jump_states: np.ndarray
     survival: np.ndarray
-    jump_records: tuple[tuple[tuple[float, int], ...], ...] | None = _GroupedOnRead()
-    jump_events: tuple = field(default=(), repr=False)
+    jump_events: tuple = field(repr=False)
+
+    @cached_property
+    def jump_records(self) -> tuple[tuple[tuple[float, int], ...], ...]:
+        return _group_records(self.jump_events, self.n_traj, self.dt)
 
     def statistics(self, ops=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean populations, and the ensemble mean and standard error of
@@ -353,7 +340,9 @@ def _normalized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The norms are np.linalg.norm(rows, axis=1) bit for bit.  That sums the
     squared moduli with add.reduce, which adds fewer than 8 entries left to
     right (pairwise blocks only from 8 on) but is slow on so short an axis;
-    for rows that short the columns are added here in the same order.
+    for rows that short the columns are added here in the same order.  The
+    8 is the unrolled block of numpy's pairwise sum; the bits were checked
+    against numpy 2.4.6 by tests/test_array_paths.py.
     """
     if rows.shape[1] >= 8:
         nrm = np.linalg.norm(rows, axis=1)
@@ -435,9 +424,6 @@ def _resolve_jumps(rows, psi, u, g, start, prop, draws, events):
         u = u / n2
         state, n2 = _normalized(np.einsum("ri,rij->rj", psi, prop.powers[g - at]))
         again = n2 <= u
-        if pos.size == rows.size and not again.any():
-            # every row is resolved and pos is still 0..rows.size - 1
-            return state, u / n2
         done = ~again
         end_states[pos[done]] = state[done]
         end_u[pos[done]] = u[done] / n2[done]

@@ -496,17 +496,13 @@ def _cluster_sort(n: int, entries, vals: np.ndarray, blocks, starts=(0,)):
     # sqrt(||L||_1 ||L||_inf) bounds ||L||_2 from above without an SVD
     # (1.0-1.6x the 2-norm on the bundled models, so the tolerance grows
     # by at most sqrt(1.6) = 1.27x); both sums run over the entries in
-    # row-major order.  Where their product overflows (both near 1e154 or
-    # above) the bound is the product of their square roots instead
+    # row-major order.  The product of their square roots stays finite
+    # where their product would overflow (both near 1e154 or above)
     rows, cols, values = entries
     starts = np.asarray(starts)
     mag = np.abs(values)
-    col_max = np.maximum.reduceat(np.bincount(cols, mag, n), starts)
-    row_max = np.maximum.reduceat(np.bincount(rows, mag, n), starts)
-    with np.errstate(over="ignore"):
-        product = col_max * row_max
-    norm_bound = np.where(np.isfinite(product), np.sqrt(product),
-                          np.sqrt(col_max) * np.sqrt(row_max))
+    norm_bound = (np.sqrt(np.maximum.reduceat(np.bincount(cols, mag, n), starts))
+                  * np.sqrt(np.maximum.reduceat(np.bincount(rows, mag, n), starts)))
     tol = np.maximum(1e-9, 4.0 * np.sqrt(np.finfo(float).eps * norm_bound))
     # clustering before the sort matters: rounding of L interleaves exactly
     # degenerate eigenvalues in (|Re|, Im) order.  Only neighbour groups of

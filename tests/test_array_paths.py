@@ -18,14 +18,14 @@ replace: every grid point solved alone, and the branch tracker as the
 dense greedy rule on the n x n vector arrays, point after point.
 
 The trajectory stepper's jump search is checked against the bisection
-over the propagator powers that it replaces, and its norm, collapse and
-jump-block kernels against the np.linalg.norm form, the cumulative-weight
-channel pick and the pending-row loop without its one-pass shortcut, for
-the same jump records and the same bits of every state; the
+over the propagator powers that it replaces, and its norm and collapse
+kernels against the np.linalg.norm form and the cumulative-weight channel
+pick, for the same jump records and the same bits of every state; the
 one-pass ensemble statistics are checked against the einsum formulas of
 the mean density and of <psi|O|psi>.
 """
 
+import dataclasses
 import itertools
 import math
 import re
@@ -1401,41 +1401,8 @@ def reference_collapse(phi, gts, v):
     return reference_normalized(cand[np.arange(len(channel)), channel])[0], channel
 
 
-def reference_resolve_jumps(rows, psi, u, g, start, prop, draws, events):
-    """The pending-row loop of _resolve_jumps with no shortcut for a block
-    that every row leaves after one pass, on the reference kernels."""
-    end_states, end_u = np.empty_like(psi), np.empty_like(u)
-    pos = np.arange(rows.size)
-    at = np.zeros(rows.size, dtype=int)
-    while pos.size:
-        r = rows[pos]
-        hi = dynamics._jump_cells(psi, u, g - at, prop)
-        phi, channel = reference_collapse(
-            reference_normalized(np.einsum("ri,rij->rj", psi, prop.mids[hi - 1]))[0],
-            prop.gts, draws.take(r))
-        at = at + hi
-        events.append((r, 2 * (start + at) - 1, channel))
-        u = draws.take(r)
-        psi, n2 = reference_normalized(phi @ prop.half)
-        now = np.flatnonzero(n2 <= u)
-        if now.size:
-            psi[now], channel = reference_collapse(psi[now], prop.gts, draws.take(r[now]))
-            events.append((r[now], 2 * (start + at[now]), channel))
-            u[now] = draws.take(r[now])
-            n2[now] = 1.0
-        u = u / n2
-        state, n2 = reference_normalized(np.einsum("ri,rij->rj", psi, prop.powers[g - at]))
-        again = n2 <= u
-        done = ~again
-        end_states[pos[done]] = state[done]
-        end_u[pos[done]] = u[done] / n2[done]
-        pos, psi, u, at = pos[again], psi[again], u[again], at[again]
-    return end_states, end_u
-
-
 BISECTION = {"_jump_cells": reference_jump_cells}
-STEPPER_KERNELS = {"_normalized": reference_normalized, "_collapse": reference_collapse,
-                   "_resolve_jumps": reference_resolve_jumps}
+STEPPER_KERNELS = {"_normalized": reference_normalized, "_collapse": reference_collapse}
 
 
 def assert_same_unravelling(model, psi0, reference=BISECTION, **run):
@@ -1524,8 +1491,12 @@ def test_normalized_equals_the_norm_form(d):
                          np.asfortranarray(wide[:, d:])):
                 rows = rows * scale
                 got, want = dynamics._normalized(rows), reference_normalized(rows)
-                assert bits(got[0]) == bits(want[0])
-                assert bits(got[1]) == bits(want[1])
+                # the 8 follows the unrolled block of numpy's pairwise sum
+                # (shorter rows are summed left to right); a numpy that sums
+                # them otherwise fails here though both are right to rounding
+                why = f"D = {d}: numpy {np.__version__} no longer sums D < 8 left to right"
+                assert bits(got[0]) == bits(want[0]), why
+                assert bits(got[1]) == bits(want[1]), why
 
 
 @pytest.mark.parametrize("name, params, dt, channels", [
@@ -1593,8 +1564,20 @@ def test_jump_records_are_grouped_once_on_first_read():
         assert ens.jump_records is records
         assert group.call_count == 1
     assert len(records) == 50 and sum(map(len, records)) > 0
-    # records passed to the constructor are kept as given
+    # an ensemble built without events has no jumps
     assert ensemble_of(ens.trajectory_states[:2]).jump_records == ((), ())
+
+
+def test_replacing_the_jump_events_regroups_the_records():
+    model = get_family("example2").build()
+    ens = trajectories(model, excited(model), n_traj=50, dt=1e-3, t_max=0.4, seed=3)
+    first = ens.jump_records
+    rows, halves, channels = ens.jump_events[0]
+    kept = dataclasses.replace(ens, jump_events=((rows[:1], halves[:1], channels[:1]),))
+    r = int(rows[0])
+    assert sum(map(len, kept.jump_records)) == 1
+    assert kept.jump_records[r] == (first[r][0],)
+    assert ens.jump_records is first
 
 
 def reference_ensemble_average(ens):
@@ -1612,7 +1595,7 @@ def ensemble_of(states):
     n, t, _ = states.shape
     return dynamics.TrajectoryEnsemble(
         seed=0, n_traj=n, dt=0.1, times=0.1 * np.arange(t), trajectory_states=states,
-        jump_records=((),) * n, no_jump_states=states[0], survival=np.ones(t))
+        no_jump_states=states[0], survival=np.ones(t), jump_events=())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
