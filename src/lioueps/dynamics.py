@@ -198,7 +198,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
 _SLAB_BYTES = 1 << 19
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
     """Counting-unraveling ensemble on a sample-time grid.
 
@@ -221,7 +221,9 @@ class TrajectoryEnsemble:
     statistics() reads the ensemble means in one pass over the states, a
     slab of trajectories at a time, so no (n_traj, n_times, D, D) stack
     of outer products is ever held; observable_stats is a read of it, and
-    ensemble_average takes its populations as the diagonal.
+    ensemble_average takes its populations as the diagonal.  Ensembles
+    compare by identity: a field-wise == would ask numpy for the truth of
+    an array.
     """
 
     seed: int

@@ -20,20 +20,24 @@ Hamiltonian part keeps the excitation numbers (N_l, N_r) of |m><n| and
 whose jumps lower them both is block triangular on the (N_l, N_r)
 blocks, the strongly connected components of its graph (Duff and Reid,
 ACM TOMS 4, 137 (1978)), and its eigenvalues are those of the diagonal
-blocks.  Without left vectors, a sector of at least SCC_MIN_SIZE indices
-falls into units, its components, each joined with its P-mirror in a
-self-conjugate sector; they are labelled with numpy alone
-(_strong_components), so the spectral commands load no scipy.
+blocks.  Without left vectors, and given the (H_eff, Gamma) factors the
+generator was assembled from, a sector of at least SCC_MIN_SIZE indices
+falls into units, its components, labelled with numpy alone
+(_strong_components), so the spectral commands load no scipy.  Where
+every unit is a product A x B of H_eff's sectors and no jump entry lies
+inside one, a unit's block is the no-jump generator on A x B: its values
+are the induced -i(h_l - h_m^*) and its vectors V_A kron conj(V_B), the
+eigenmatrices |phi_l><phi_m| (Theorem 2's mechanism), read off one eig
+per size of H_eff's sectors; the jumps change only the vectors.
 
 _block_eig makes each decision once:
-- a sector of one unit is solved whole (_dense_eig), the sectors of one
-  size and kind as one stack for eig;
-- a sector of several units is solved by them (_scc_eig): the diagonal
-  blocks alone, stacked by size and kind across sectors and grid points,
-  each block's right vectors back-substituted through the blocks
-  downstream;
+- a sector of one unit, or of units that H_eff does not induce
+  (_induced), is solved whole (_dense_eig), the sectors of one size and
+  kind as one stack for eig;
+- a sector of several induced units is solved by them (_scc_eig), each
+  unit's right vectors back-substituted through the units downstream;
 - a sector that fails that solve's residual check (SCC_RESIDUAL_TOL),
-  which happens near an exceptional point where the blocks are
+  which happens near an exceptional point where H_eff's sectors are
   defective, is solved again whole;
 - a mirrored sector is written as its partner's exact conjugate.
 
@@ -47,17 +51,16 @@ import numpy as np
 
 from .errors import SpectralError
 
-# a sector solved by its strongly connected components (_scc_eig) is
-# accepted when every column's residual |M x - lambda x| on the
-# back-substituted rows is at most this share of |x| |M|_1, M the
-# sector's block: the dense geev reaches a few 1e-15, and the split
-# sectors of example3 away from its EP read at most 6.4e-16 (levels=10,
-# g = 0.1); at the EP they read up to 0.4
+# a sector solved by its induced units (_scc_eig) is accepted when every
+# column's residual |M x - lambda x| on the back-substituted rows is at
+# most this share of |x| |M|_1, M the sector's block: the dense geev
+# reaches a few 1e-15, and the split sectors of example3 away from its
+# EP read at most 6.1e-16 (levels=10, g = 0.1); at the EP, up to 0.4
 SCC_RESIDUAL_TOL = 1e-14
-# sectors of fewer indices are solved whole: below this size the per-call
-# cost of many small geevs and the back-substitution outweighs the flops
-# saved (the 33-point example3 levels=3 grid, sectors of at most 19, took
-# 12 ms split against 8 ms whole; a levels=5 point, 8.4 against 15 ms)
+# sectors of fewer indices are solved whole: below this size splitting
+# saves nothing (the 33-point example3 levels=3 grid, sectors of at most
+# 19, takes 18.5 ms split against 17.1 ms whole; at levels=4, 67 against
+# 108 ms), and the small models keep the bits of the dense solve
 SCC_MIN_SIZE = 32
 # entries (rows x columns) of one batch of the back-substitution, a run
 # of targets of one shape (_batches), so that each of its handful of
@@ -329,20 +332,6 @@ def _dense_eig(entries, labels, rank, idx, real, skip, partner, vals, vecs, lvec
             lvecs[k][at] = lv
 
 
-def _inverse(mats: np.ndarray) -> np.ndarray:
-    """The inverse of each matrix of a stack; NaN for a singular one."""
-    try:
-        return np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        out = np.full_like(mats, np.nan)
-        for t, mat in enumerate(mats):
-            try:
-                out[t] = np.linalg.inv(mat)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real ** 2 + x.imag ** 2
 
@@ -374,23 +363,72 @@ def _stacks(idx: list) -> tuple:
                  for e, sec in zip(ends, idx)]
 
 
-def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, vals, buf,
+def _induced(factors, labels: np.ndarray, unit: np.ndarray, multi: np.ndarray):
+    """Where a sector of several units (multi) is induced by H_eff, and
+    what _scc_eig reads of H_eff to solve it.
+
+    factors are superop._stacked's (H_eff, Gamma) stacks, (P, D, D) and
+    (P, m, D, D), one per run of points in index order, |a><b| of point p
+    at p D^2 + a D + b.  H_eff is read as one block-diagonal K.  A sector
+    is induced when each unit is a product A x B of K's sectors and no
+    Gamma has an entry inside A or B.  Returns the mask and, if any is
+    set, for each index |a><b| the labels of A and B and the values h_a,
+    h_b that K's solve puts at a and b; the size of each sector of K at
+    its label; and K's right vectors and their inverses, a sector's block
+    at start[its label] of two flat stores."""
+    # per run, as indices of K (a of point t at k0 + t D + a): a and b of
+    # each index |a><b|, K's lists, and the rows and columns of the Gamma
+    # entries
+    parts, k0 = [], 0
+    for heff, gammas in factors:
+        p, d = heff.shape[:2]
+        i, at, jt = np.arange(p * d * d), np.nonzero(heff), np.nonzero(gammas)
+        kt, jk = k0 + at[0] * d, k0 + jt[0] * d
+        parts.append((k0 + i // d, k0 + i // (d * d) * d + i % d, kt + at[1], kt + at[2], heff[at],
+                      jk + jt[2], jk + jt[3]))
+        k0 += p * d
+    ka, kb, kr, kc, kx, jr, jc = (np.concatenate(x) for x in zip(*parts))
+    klab = _components(k0, kr, kc)
+    ksize, inside = np.bincount(klab, minlength=k0), klab[jr][klab[jr] == klab[jc]]
+    fa, fb, n = klab[ka], klab[kb], labels.size
+    fits = ((fa == fa[unit]) & (fb == fb[unit]) & ~np.isin(fa, inside) & ~np.isin(fb, inside)
+            & (np.bincount(unit, minlength=n)[unit] == ksize[fa] * ksize[fb]))
+    induced = multi & (np.bincount(labels, ~fits, n) == 0)[labels]
+    if not induced.any():
+        return induced, None
+    kidx, _, krank = _by_size(klab)
+    flat, start = _blocks((kr, kc, kx), klab, krank, np.concatenate([sec[:, 0] for sec in kidx]))
+    kvals, inv = np.empty(k0, dtype=complex), np.empty(flat.size, dtype=complex)
+    for sec in kidx:
+        b = sec.shape[1]
+        at = slice(start[sec[0, 0]], start[sec[-1, 0]] + b * b)
+        kvals[sec], v, _ = _solve(flat[at].reshape(-1, b, b), sec, krank,
+                                  np.zeros(k0, dtype=bool), None, False)
+        # a singular V's pseudo-inverse fails the residual check downstream
+        flat[at], inv[at] = v.ravel(), np.linalg.pinv(v).ravel()
+    return induced, (fa, fb, kvals[ka], kvals[kb], ksize, flat, inv, start)
+
+
+def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, heff, vals, buf,
              stacks) -> np.ndarray:
-    """The solve of the sectors where solved holds, each of several units,
-    by its units: their values into vals, their right vectors into the
-    block stacks (views of the flat store buf, as _stacks makes them).
-    Returns where a sector fails the residual check, for _block_eig to
-    solve whole.
+    """The solve of the sectors where solved holds, each of several units
+    induced by H_eff (heff, as _induced returns it), by their units: their
+    values into vals, their right vectors into the block stacks (views of
+    the flat store buf, as _stacks makes them).  Returns where a sector
+    fails the residual check, for _block_eig to solve whole.
 
     Inside a sector, M is block triangular on its units (unit, each
     labelled by its smallest index), and its eigenvalues are those of the
-    diagonal blocks, solved alone, stacked by size and kind.
+    diagonal blocks.  The block of unit A x B has the values
+    -i(h_a - h_b^*) at its indices |a><b|, and the vectors
+    V = V_A kron conj(V_B) (the eigenmatrices |phi_l><phi_m|), with
+    V^-1 = V_A^-1 kron conj(V_B^-1), made in stacks of one shape.
 
     The vector of eigenvalue lam of unit I is V_I's column on I, 0 on the
     units I does not reach, and on each unit J downstream, taken in order
     of its level (the longest path of components that leads to it: P,
-    which maps the graph onto itself, keeps it, so a unit's components
-    share it, and it rises along every edge between units),
+    which maps the graph onto itself, keeps it, and it rises along every
+    edge between units),
         x_J = V_J (V_J^-1 b_J / (Lambda_J - lam)),  b_J = -sum_K M_JK x_K,
     the eigenbasis solve of (M_JJ - lam) x_J = b_J.  The units of one
     level and shape are stacked, in batches (_batches), and each solve
@@ -399,11 +437,10 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, val
     blocks as they are made; a sector fails when its worst exceeds
     SCC_RESIDUAL_TOL |x| |M|_1 (M its block).  Near an exceptional point
     V_J is ill-conditioned, which is where that happens.  Last, in an
-    accepted self-conjugate sector, the vector of a real value is
-    averaged with its P-conjugate, and that of a value with Im < 0 is
-    made the P-conjugate of its pair's, so that, as in the dense solve,
-    the sector's real values have Hermitian eigenmatrices and its complex
-    pairs exact P-conjugate ones.
+    accepted self-conjugate sector, where P maps the column of |a><b| to
+    that of |b><a|, of the conjugate value, the vector of |a><a| is
+    averaged with its P-conjugate and that of |a><b|, a > b, made the
+    P-conjugate of the vector of |b><a|, as exact as the dense solve's.
     """
     rows, cols, values = entries
     n = labels.size
@@ -416,33 +453,34 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, val
     base = np.empty(n, dtype=np.intp)
     for e, sec in zip(ends, idx):
         base[sec[:, 0]] = e - sec.size * sec.shape[1] + np.arange(sec.shape[0]) * sec.shape[1] ** 2
+    fa, fb, ha, hb, ksize, kv, kvi, kstart = heff
+    q = np.flatnonzero(solved)
+    # -i(h_a - h_b^*), whose imaginary part is +0.0 where a = b
+    vals.real[q], vals.imag[q] = ha[q].imag + hb[q].imag, hb[q].real - ha[q].real
 
     # the units' M, V and V^-1, each unit's block at uo[its label], in
-    # stacks of one kind and size
+    # stacks of one shape
     heads = np.flatnonzero((unit == np.arange(n)) & solved)
-    kind, b = real[heads], usize[heads]
-    by = np.lexsort((heads, b, kind))
-    heads, kind, b = heads[by], kind[by], b[by]
+    sa, sb = ksize[fa[heads]], ksize[fb[heads]]
+    by = np.lexsort((heads, sb, sa))
+    heads, sa, sb = heads[by], sa[by], sb[by]
     mflat, uo = _blocks(entries, unit, urank, heads)
     vflat, viflat = np.empty(mflat.size, dtype=complex), np.empty(mflat.size, dtype=complex)
-    res2, pair = np.zeros(n), np.arange(n)
-    cuts = np.flatnonzero(np.r_[True, (np.diff(b) != 0) | (np.diff(kind) != 0), True])
+    res2 = np.zeros(n)
+    cuts = np.flatnonzero(np.r_[True, (np.diff(sa) != 0) | (np.diff(sb) != 0), True])
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        hb, bb = heads[lo:hi], int(b[lo])
-        at = slice(uo[hb[0]], uo[hb[-1]] + bb * bb)
-        uidx = units[ustart[hb][:, None] + np.arange(bb)]
-        w, v, _ = _solve(mflat[at].reshape(-1, bb, bb).copy(), uidx, urank, real, partner, False)
-        vals[uidx] = w
-        vflat[at] = v.ravel()
+        hd, a, b = heads[lo:hi], int(sa[lo]), int(sb[lo])
+        bb = a * b
+        at = slice(uo[hd[0]], uo[hd[-1]] + bb * bb)
+        for out, k in ((vflat, kv), (viflat, kvi)):
+            x = k[kstart[fa[hd]][:, None] + np.arange(a * a)].reshape(-1, a, 1, a, 1)
+            y = k[kstart[fb[hd]][:, None] + np.arange(b * b)].reshape(-1, 1, b, 1, b)
+            out[at] = (x * y.conj()).ravel()
         # V_I on its own rows and columns of its sector's block
-        r, sec = rank[uidx], labels[hb]
-        buf[(base[sec][:, None] + r * width[sec][:, None])[:, :, None] + r[:, None, :]] = v
-        down = np.flatnonzero(level[hb] > 0)
-        if down.size:
-            viflat[at].reshape(-1, bb, bb)[down] = _inverse(v[down])
-    # the real geev puts each complex pair +Im first
-    neg = np.flatnonzero(real & solved & (urank > 0) & (vals.imag < 0))
-    pair[neg] = units[ustart[unit[neg]] + urank[neg] - 1]
+        uidx = units[ustart[hd][:, None] + np.arange(bb)]
+        r, sec = rank[uidx], labels[hd]
+        buf[(base[sec][:, None] + r * width[sec][:, None])[:, :, None] + r[:, None, :]] = \
+            vflat[at].reshape(-1, bb, bb)
 
     # back-substitution, one level at a time: each unit's rows, the indices
     # that feed it (fnode[fstart:fstart + f]) and the columns of the units
@@ -518,21 +556,21 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, val
     bad[labels[q[~ok]]] = True
     bad = bad[labels]
     # an accepted self-conjugate sector closed under P-conjugation, one
-    # column set at a time: the real values' vectors averaged with their
-    # P-conjugates, then the Im < 0 ones made their pairs' P-conjugates
+    # column set at a time: the vectors of |a><a| averaged with their
+    # P-conjugates, then those of |a><b|, a > b, made the P-conjugates of
+    # the vectors of |b><a|
     for stack, sec in zip(stacks, idx):
         for t in np.flatnonzero((solved & real & ~bad)[sec[:, 0]]):
-            x, c, flip = stack[t], sec[t], rank[partner[sec[t]]][:, None]
-            at = np.flatnonzero(vals[c].imag == 0)
-            y = np.conjugate(x[flip, at])
-            y += x[:, at]
-            x[:, at] = np.multiply(y, 0.5, out=y)
-            at = np.flatnonzero(pair[c] != c)
-            x[:, at] = np.conjugate(x[flip, rank[pair[c[at]]]])
+            x, c, flip = stack[t], sec[t], rank[partner[sec[t]]]
+            # column j of y is P conj of the column of the conjugate value
+            y, own, low = np.conjugate(x[flip[:, None], flip]), partner[c] == c, partner[c] < c
+            x[:, own] = (x[:, own] + y[:, own]) * 0.5
+            x[:, low] = y[:, low]
     return bad
 
 
-def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None = None):
+def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None = None,
+               factors=None):
     """eig of the n x n matrix with coordinate lists entries = (rows, cols,
     values), every other entry 0, one weakly connected sector at a time.
 
@@ -550,8 +588,11 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
     sector (S = P S) goes to the real geev in the Hermitian basis
     (_to_hermitian_basis), its vectors mapped back entry by entry, so its
     real eigenvalues have Im exactly 0 and its complex pairs stay exact
-    P-conjugate pairs.  How each sector is solved is decided here, once
-    (see the module docstring).
+    P-conjugate pairs.
+
+    factors, the (H_eff, Gamma) stacks M was assembled from (_induced),
+    let the right-only solve take a large sector by its units.  How each
+    sector is solved is decided here, once (see the module docstring).
     """
     rows, cols, values = entries
     # an edge per nonzero entry off the diagonal: a loop joins nothing
@@ -569,25 +610,25 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
     # each sector's first index is its label; mate is its partner's
     mate = labels if partner is None else labels[partner[labels]]
     real, mirror = (mate == labels) & (partner is not None), mate < labels
-    # the units of the sectors that split, and whether each sector has several
-    split = (size >= SCC_MIN_SIZE) & (not left)
-    multi = np.zeros(n, dtype=bool)
+    # the units of the sectors that split, and the sectors of several
+    # units that H_eff induces
+    split = (size >= SCC_MIN_SIZE) & (not left) & (factors is not None)
+    induced = np.zeros(n, dtype=bool)
     if split.any():
         unit, level = _strong_components(n, src[split[src]], dst[split[src]])
         unit = np.where(split, unit, labels)
-        if partner is not None:
-            unit = np.where(real, np.minimum(unit, unit[partner]), unit)
         multi = (np.bincount(labels[unit == np.arange(n)], minlength=n) > 1)[labels]
+        induced, heff = _induced(factors, labels, unit, multi)
     vals = np.empty(n, dtype=complex)
     buf, vecs = _stacks(idx)
     lvecs = _stacks(idx)[1] if left else None
     # every 1x1 sector is solved, the mirrored ones too: a unit vector
     # conjugated would read 1 - 0j
-    _dense_eig(entries, labels, rank, idx, real, multi | (mirror & (size > 1)), partner, vals,
+    _dense_eig(entries, labels, rank, idx, real, induced | (mirror & (size > 1)), partner, vals,
                vecs, lvecs)
-    if multi.any():
-        bad = _scc_eig(entries, labels, rank, idx, unit, level, real, multi & ~mirror, partner,
-                       vals, buf, vecs)
+    if induced.any():
+        bad = _scc_eig(entries, labels, rank, idx, unit, level, real, induced & ~mirror, partner,
+                       heff, vals, buf, vecs)
         if bad.any():
             _dense_eig(entries, labels, rank, idx, real, ~bad, partner, vals, vecs, None)
     for sec, v, lv in zip(idx, vecs, lvecs or vecs):

@@ -10,9 +10,9 @@ spectrum is closed under conjugation bit for bit; a generator off that
 symmetry by more than 1e-12 |L|_F is refused with SpectralError.  The
 right-only solve takes a large sector apart into its strongly connected
 components (the (N_l, N_r) blocks of a Liouvillian whose jumps lower
-the excitation numbers), solves their diagonal blocks alone and
-back-substitutes the vectors, and falls back to the dense solve of the
-sector where a residual check fails, near an exceptional point; the
+the excitation numbers), reads their values and vectors off H_eff's
+sectors and back-substitutes the vectors, and falls back to the dense
+solve of the sector where a residual check fails, near an EP; the
 left vectors always come from the dense solve (see sectors).  The
 vectors stay in the sector blocks through every stage below (see
 "sector blocks"), and an Eigensystem scatters them into a dense array
@@ -671,13 +671,15 @@ def liouvillian_eigensystems(lious, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple
     point = k."""
     entries, _ = _stack_entries([liou.entries for liou in lious],
                                 [liou.dim ** 2 for liou in lious])
-    return _grid_eigensystems(entries, [liou.dim for liou in lious], zero_tol)
+    factors = [liou.factors for liou in lious]
+    return _grid_eigensystems(entries, [liou.dim for liou in lious],
+                              None if None in factors else factors, zero_tol)
 
 
-def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
+def _grid_eigensystems(entries, dims, factors, zero_tol: float) -> tuple:
     """liouvillian_eigensystems of the generators of the given dimensions
     whose stacked lists are entries, as _stack_entries or _assemble_grid
-    stacks them; () for no generators."""
+    stacks them, with their (H_eff, Gamma) factors; () for no generators."""
     if not dims:
         return ()
     sizes = np.square(dims)
@@ -688,7 +690,7 @@ def _grid_eigensystems(entries, dims, zero_tol: float) -> tuple:
     partner = _partner(dims)
     _check_hermiticity_preserving(entries, partner, bound, starts)
     try:
-        vals, blocks = _block_eig(n, entries, partner=partner)
+        vals, blocks = _block_eig(n, entries, partner=partner, factors=factors)
     except SpectralError as exc:
         exc.point = int(np.searchsorted(starts, exc.index, side="right") - 1)
         raise

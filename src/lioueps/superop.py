@@ -87,10 +87,12 @@ class SuperOp:
     Every entry the lists leave out is +0.0.  Each form is derived from
     the other on first use and kept: the lists of a dense matrix cover
     every entry that is not +0.0, and the matrix of the lists is their
-    scatter.  Both are read-only.
+    scatter.  Both are read-only.  factors, the (H_eff, Gamma) stacks the
+    lists were assembled from (_stacked), lets the spectral solve read L's
+    units off H_eff (sectors._induced); None for any other matrix.
     """
 
-    def __init__(self, space: HilbertSpace, matrix=None, *, entries=None):
+    def __init__(self, space: HilbertSpace, matrix=None, *, entries=None, factors=None):
         d2 = space.dim ** 2
         if (matrix is None) == (entries is None):
             raise TypeError("SuperOp takes exactly one of matrix and entries")
@@ -103,6 +105,7 @@ class SuperOp:
         else:
             entries = _read_only(entries)
         self.space, self._matrix, self._entries = space, matrix, entries
+        self.factors = None if factors is None else _read_only(factors)
 
     @property
     def dim(self) -> int:
@@ -270,7 +273,8 @@ def assemble_liouvillian(model: LindbladModel) -> SuperOp:
 
     The result annihilates the trace row: vec(1)^dag L = 0.
     """
-    return SuperOp(model.space, entries=_generator(*_stacked([model])))
+    factors = _stacked([model])
+    return SuperOp(model.space, entries=_generator(*factors), factors=factors)
 
 
 def assemble_liouvillian_no_jumps(model: LindbladModel) -> SuperOp:
@@ -280,21 +284,22 @@ def assemble_liouvillian_no_jumps(model: LindbladModel) -> SuperOp:
     return SuperOp(model.space, entries=_generator(heff, gammas[:, :0]))
 
 
-def _assemble_grid(models) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
+def _assemble_grid(models) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int], list]:
     """Coordinate lists of diag(L_1, ..., L_P), the full generators of the
-    models, and the dimension D of each: point p owns the D^2 indices after
-    those of the points before it, and its lists are assemble_liouvillian's
-    bit for bit.  Each run of consecutive models of one dimension and
-    channel count takes one _generator call; only a grid over a cutoff has
-    more than one run."""
-    parts, start = [], 0
+    models, the dimension D of each, and the (H_eff, Gamma) stacks of each
+    run: point p owns the D^2 indices after those of the points before it,
+    and its lists are assemble_liouvillian's bit for bit.  Each run of
+    consecutive models of one dimension and channel count takes one
+    _generator call; only a grid over a cutoff has more than one run."""
+    parts, factors, start = [], [], 0
     for _, run in itertools.groupby(models, lambda model: (model.dim, len(model.jumps))):
         run = list(run)
-        rows, cols, vals = _generator(*_stacked(run))
+        factors.append(_stacked(run))
+        rows, cols, vals = _generator(*factors[-1])
         parts.append((rows + start, cols + start, vals) if start else (rows, cols, vals))
         start += len(run) * run[0].dim ** 2
     entries = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
-    return entries, [model.dim for model in models]
+    return entries, [model.dim for model in models], factors
 
 
 def apply_liouvillian(model: LindbladModel, rho: Operator) -> Operator:

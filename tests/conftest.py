@@ -27,34 +27,28 @@ def assert_multiset_close(actual, expected, tol):
 
 def assert_one_eig_per_orbit(calls, mats, left):
     """calls, one (left, size, real) per matrix solved by eig, cover once
-    each the orbits of the units that _block_eig solves in the Liouvillians
-    mats (one matrix, or a list of them: the points of a grid).  Labelled
-    here by scipy's connected_components on the nonzero entries: a unit is
-    a sector (a weakly connected component), or, on the right-only path, a
-    strongly connected component of a sector of at least
-    sectors.SCC_MIN_SIZE indices, joined with its mirror P C in a
-    self-conjugate sector; P is the swap of vec(|m><n|) and vec(|n><m|).
-    Of a partner pair of sectors (S, P S) the units of the one with the
-    smaller first index are solved, by one complex eig each, and a unit of
-    a self-conjugate sector (S = P S) by one real eig; a 1x1 unit takes
+    each the orbits of the sectors that _block_eig solves whole in the
+    Liouvillians mats (one matrix, or a list of them: the points of a
+    grid), labelled here by scipy's connected_components on the nonzero
+    entries.  Every sector is solved whole with left vectors, and without
+    them where it has fewer than sectors.SCC_MIN_SIZE indices, which is
+    every sector of the mats given here.  P is the swap of vec(|m><n|)
+    and vec(|n><m|).  Of a partner pair of sectors (S, P S) the one with
+    the smaller first index is solved, by one complex eig, and a
+    self-conjugate sector (S = P S) by one real eig; a 1x1 sector takes
     none.  Every call asks for left vectors exactly when left is set."""
     want = []
     for mat in ([mats] if np.ndim(mats) == 2 else mats):
-        pattern = coo_matrix(np.asarray(mat) != 0)
-        _, comp = connected_components(pattern, directed=False)
-        _, strong = connected_components(pattern, directed=True, connection="strong")
+        _, comp = connected_components(coo_matrix(np.asarray(mat) != 0), directed=False)
         n = comp.size
+        assert left or np.bincount(comp).max() < sectors.SCC_MIN_SIZE
         d = int(round(np.sqrt(n)))
         p = np.arange(n).reshape(d, d).T.ravel()
         first = np.full(comp.max() + 1, n)
         np.minimum.at(first, comp, np.arange(n))
         mate = comp[p[first[comp]]]
-        split = ~left & (np.bincount(comp)[comp] >= sectors.SCC_MIN_SIZE)
-        unit = np.where(split, n + np.where(mate == comp, np.minimum(strong, strong[p]), strong),
-                        comp)
-        for u in np.unique(unit):
-            nodes = np.flatnonzero(unit == u)
-            s = comp[nodes[0]]
+        for s in np.unique(comp):
+            nodes = np.flatnonzero(comp == s)
             if nodes.size >= 2 and first[mate[nodes[0]]] >= first[s]:
                 want.append((int(nodes.size), bool(mate[nodes[0]] == s)))
     assert [l for l, _, _ in calls] == [left] * len(calls)
@@ -74,14 +68,14 @@ def conjugate_closed_solves():
     test, is closed under conjugation bit for bit, before any clustering,
     one orbit of sectors at a time: a self-conjugate sector's values as a
     multiset, and a mirrored sector's values as the conjugates of its
-    partner's.  That holds per strongly connected component too: a split
-    sector's values are its components', each component C solved with its
-    mirror P C (in the Hermitian basis, where C = P C) or mirrored from
-    it, and a sector that fails the residual check is solved whole."""
+    partner's.  That holds for a sector solved by its units too: the
+    values -i(h_a - h_b^*) and -i(h_b - h_a^*) of the indices |a><b| and
+    |b><a| are exact conjugates, and a sector that fails the residual
+    check is solved whole."""
     block_eig = spectral._block_eig
 
-    def checked(n, entries, left=False, partner=None):
-        out = block_eig(n, entries, left, partner)
+    def checked(n, entries, left=False, partner=None, factors=None):
+        out = block_eig(n, entries, left, partner, factors)
         if partner is not None:
             vals = out[0]
             assert conjugation_key(vals) == conjugation_key(vals.conj())

@@ -224,6 +224,14 @@ class TestTrajectories:
         c = trajectories(model, [0, 1], n_traj=50, dt=1e-3, t_max=1.0, seed=43)
         assert c.jump_records != a.jump_records
 
+    def test_ensembles_of_one_run_compare_by_identity(self):
+        # field-wise == would reduce the state arrays inside a tuple and raise
+        model = get_family("example2").build()
+        a, b = (trajectories(model, [0, 1], n_traj=5, dt=1e-2, t_max=0.5, seed=3)
+                for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert np.array_equal(a.trajectory_states, b.trajectory_states)
+
     def test_ensemble_matches_lindblad_solution(self):
         model = example2(1.0, 1.0)
         ens = trajectories(model, [0, 1], n_traj=400, dt=1e-3, t_max=3.0, seed=5,

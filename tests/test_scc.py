@@ -1,12 +1,13 @@
 """The right-only eigensolve by strongly connected components against its
 oracles.
 
-_block_eig solves each sector of at least SCC_MIN_SIZE indices one
-strongly connected component at a time and back-substitutes the
-vectors; the dense solve of each sector (the left-vector path, and the
-fallback of a sector that fails the residual check) and scipy's labelling
-are the references here, with the untruncated spectrum of example3
-(models.example3_spectrum) as the oracle of the values.
+_block_eig solves each sector of at least SCC_MIN_SIZE indices whose
+units (strongly connected components) H_eff induces one unit at a time,
+from H_eff's sectors, and back-substitutes the vectors; the dense solve
+of each sector (the left-vector path, and the fallback of a sector that
+fails the residual check) and scipy's labelling are the references here,
+with the untruncated spectrum of example3 (models.example3_spectrum) as
+the oracle of the values.
 """
 
 from unittest import mock
@@ -20,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from lioueps import sectors
-from lioueps.models import example3, example3_spectrum, get_family
+from lioueps.models import dephasing, example3, example3_spectrum, get_family
 from lioueps.ops_core import HilbertSpace, Operator, build_boson_ops, tensor
 from lioueps.sectors import _block_eig, _partner, _strong_components
 from lioueps.spectral import (_scatter, liouvillian_eigensystem, liouvillian_eigensystems,
@@ -185,33 +186,121 @@ def raw_residuals(liou, vals, blocks):
     return out / np.linalg.norm(mat, 1)
 
 
-@ORACLE
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "lowering"]))
-def test_scc_solve_against_the_dense_sector_solve(seed, kind):
-    """Every sector split (SCC_MIN_SIZE = 1): on random_lindblad_model a
-    sector is one component and the solve is the dense sector solve's
-    bit for bit; on models whose sectors hold several components the
-    values match the dense solve's within 1e-10 |L|_1, and the residuals
-    stay within SCC_RESIDUAL_TOL of |x| |L|_1 or within the dense solve's
-    own."""
-    rng = np.random.default_rng(seed)
-    model = (random_lindblad_model(rng) if kind == "random"
-             else random_lowering_model(rng, int(rng.integers(2, 4))))
-    liou = assemble_liouvillian(model)
+def assert_induced_matches_the_dense_sector_solve(liou):
+    """Every sector split (SCC_MIN_SIZE = 1) and solved by its units, none
+    falling back to the dense solve: the values match the dense solve's
+    within 1e-10 |L|_1, and the residuals stay within SCC_RESIDUAL_TOL of
+    |x| |L|_1 or within the dense solve's own."""
     n, p = liou.dim ** 2, _partner([liou.dim])
     dense_vals, dense_blocks, _ = _block_eig(n, liou.entries, left=True, partner=p)
-    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1):
-        vals, blocks = _block_eig(n, liou.entries, partner=p)
-    if kind == "random":
-        assert vals.tobytes() == dense_vals.tobytes()
-        assert _scatter(blocks).tobytes() == _scatter(dense_blocks).tobytes()
-        return
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1), \
+            mock.patch.object(sectors, "_dense_eig", wraps=sectors._dense_eig) as dense, \
+            mock.patch.object(sectors, "_scc_eig", wraps=sectors._scc_eig) as scc:
+        vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
+    assert scc.call_count == 1 and dense.call_count == 1
     scale = np.linalg.norm(liou.matrix, 1)
     dist = np.abs(vals[:, None] - dense_vals[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-10 * scale
     worst = raw_residuals(liou, dense_vals, dense_blocks).max()
     assert raw_residuals(liou, vals, blocks).max() <= max(worst, 2 * sectors.SCC_RESIDUAL_TOL)
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "lowering"]))
+def test_scc_solve_against_the_dense_sector_solve(seed, kind):
+    """Every sector split (SCC_MIN_SIZE = 1): on random_lindblad_model a
+    sector is one component and the solve is the dense sector solve's
+    bit for bit; on random_lowering_model, whose sectors hold several
+    components that H_eff induces, the induced solve matches the dense
+    one (assert_induced_matches_the_dense_sector_solve)."""
+    rng = np.random.default_rng(seed)
+    if kind == "lowering":
+        liou = assemble_liouvillian(random_lowering_model(rng, int(rng.integers(2, 4))))
+        assert_induced_matches_the_dense_sector_solve(liou)
+        return
+    liou = assemble_liouvillian(random_lindblad_model(rng))
+    n, p = liou.dim ** 2, _partner([liou.dim])
+    dense_vals, dense_blocks, _ = _block_eig(n, liou.entries, left=True, partner=p)
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1):
+        vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
+    assert vals.tobytes() == dense_vals.tobytes()
+    assert _scatter(blocks).tobytes() == _scatter(dense_blocks).tobytes()
+
+
+@pytest.mark.parametrize("levels,g", [(3, 0.0), (5, 0.0), (3, 0.124), (3, 0.126)])
+def test_induced_example3_against_the_dense_sector_solve(levels, g):
+    """example3 at g = 0, where H_eff is diagonal and the units are single
+    indices, and 1e-3 either side of its EP (g* = 0.125), where H_eff's
+    excitation blocks are ill-conditioned: the induced solve of every
+    sector matches the dense one, and off the EP the complete blocks'
+    values are the untruncated lattice's within 1e-13."""
+    liou = assemble_liouvillian(example3(1.0, g, 1.0, 0.5, levels))
+    assert_induced_matches_the_dense_sector_solve(liou)
+    oracle = example3_spectrum(1.0, g, 1.0, 0.5, levels)
+    want = oracle["lambdas"][oracle["complete"]]
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1):
+        got = liouvillian_eigensystem(liou).eigenvalues
+    dist = np.abs(want[:, None] - got[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-13
+
+
+def example3_with_dephasing():
+    """example3 at levels=3 with a dephasing channel n_a besides its
+    lowering ones: L's units are still the products of H_eff's
+    excitation blocks, but the new jump entries lie inside them."""
+    model = example3(1.0, 0.1, 1.0, 0.5, levels=3)
+    bos = build_boson_ops(3)
+    n_a = tensor(bos["n"], bos["identity"])
+    return LindbladModel(model.H, model.jumps + ((0.3, n_a),))
+
+
+def one_way_heff_model():
+    """A three-level model whose one jump |2><0| + 2|2><1| crosses H_eff's
+    sectors {0, 1} and {2}, where H[0, 1] = i cancels -(i/2) (Gamma^dag
+    Gamma)[0, 1] exactly: H_eff is one-way on {0, 1}, so L's units are
+    finer than the products of H_eff's sectors."""
+    space = HilbertSpace((3,))
+    h = np.array([[0.3, 1j, 0], [-1j, 0.8, 0], [0, 0, 1.7]])
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[2, :2] = 1.0, 2.0
+    model = LindbladModel(Operator(space, h), ((1.0, Operator(space, jump)),))
+    assert effective_hamiltonian(model).matrix[0, 1] == 0
+    return model
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: dephasing(1.0, 0.7, 5),
+    lambda rng: get_family("example1").build(),
+    lambda rng: get_family("example1", gamma_minus=0.4, gamma_x=1.0).build(),
+    lambda rng: get_family("example2").build(),
+    lambda rng: random_lindblad_model(rng),
+    lambda rng: example3_with_dephasing(),
+    lambda rng: one_way_heff_model(),
+], ids=["dephasing", "example1", "example1-ep", "example2", "random", "example3-dephased",
+        "one-way-heff"])
+def test_jumps_inside_units_keep_every_sector_whole(build):
+    """Every sector split (SCC_MIN_SIZE = 1) on models whose jump entries
+    lie inside their units, or whose units are not products of H_eff's
+    sectors: no sector is induced by H_eff, and the solve is bit for bit
+    the one with every sector left whole."""
+    liou = assemble_liouvillian(build(np.random.default_rng(5)))
+    n, p = liou.dim ** 2, _partner([liou.dim])
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", n + 1):
+        whole_vals, whole_blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
+    masks, induced = [], sectors._induced
+
+    def spy(*args):
+        out = induced(*args)
+        masks.append(out[0])
+        return out
+
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1), mock.patch.object(sectors, "_induced", spy):
+        vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
+    assert len(masks) == 1 and not masks[0].any()
+    assert vals.tobytes() == whole_vals.tobytes()
+    assert _scatter(blocks).tobytes() == _scatter(whole_blocks).tobytes()
 
 
 @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6, 7, 8])
@@ -303,12 +392,12 @@ def test_the_fallback_fires_only_at_the_ep(levels, min_size):
 @pytest.mark.parametrize("levels", [3, 5, 8])
 def test_residuals_are_no_larger_than_the_dense_solve(levels):
     """example3 at g = 0.1 and g = 0.4: the worst |L x - lambda x| /
-    (|x| |L|_1) of the right-only solve is at most that of the dense
-    solve of each sector (every sector left whole)."""
+    (|x| |L|_1) of the right-only solve, by induced units, is at most
+    that of the dense solve of each sector (every sector left whole)."""
     for g in (0.1, 0.4):
         liou = assemble_liouvillian(example3(1.0, g, 1.0, 0.5, levels))
         n, p = liou.dim ** 2, _partner([liou.dim])
-        vals, blocks = _block_eig(n, liou.entries, partner=p)
+        vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
         with mock.patch.object(sectors, "SCC_MIN_SIZE", n + 1):
             dense_vals, dense_blocks = _block_eig(n, liou.entries, partner=p)
         assert (raw_residuals(liou, vals, blocks).max()

@@ -201,17 +201,16 @@ class TestAnalyzeLiouvillian:
         # levels=5: 17 sectors, two of them 1x1.  The sectors of at least
         # SCC_MIN_SIZE = 32 indices (85, 2 x 80, 2 x 68, 2 x 52, 2 x 35) are
         # solved by their strongly connected components, the (N_l, N_r)
-        # blocks: the self-conjugate sector's 9, seven of them 2 x 2 or
-        # larger, by one real eig each, and the 8 + 7 + 6 + 5 components of
-        # one sector of each of the four split partner pairs by one complex
-        # eig each; the three partner pairs left (20, 10 and 4 indices) take
-        # one complex eig each
+        # blocks, whose values and vectors are induced by H_eff's
+        # excitation blocks: the seven of N = 1..7 (2, 3, 4, 5, 4, 3 and 2
+        # states) take one complex eig each, in one call per size, and the
+        # components none; the three partner pairs left (20, 10 and 4
+        # indices) take one complex eig each
         liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5))
         liouvillian_eigensystem(liou)
-        assert_one_eig_per_orbit(eig_calls, liou.matrix, left=False)
-        assert len(eig_calls) == 36
-        assert sorted(real for _, _, real in eig_calls) == [False] * 29 + [True] * 7
-        assert max(size for _, size, _ in eig_calls) == 25
+        assert sorted(eig_calls) == [(False, size, False) for size in (2, 2, 3, 3, 4, 4, 4, 5, 10,
+                                                                        20)]
+        assert eig_calls.invocations == 7
         del eig_calls[:]
         # the left vectors still take one eig per orbit of whole sectors
         analyze_liouvillian(liou)
@@ -348,9 +347,10 @@ def test_isolated_real_modes_are_hermitian_near_the_closed_limit(levels):
 @given(kind=st.sampled_from(["random"] + family_names()), seed=st.integers(0, 2**32 - 1))
 def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
     """_block_eig with the partner swap P, before any clustering, with the
-    left vectors (every sector solved whole) and without (the sectors of
-    at least SCC_MIN_SIZE indices solved by their strongly connected
-    components): the values are closed under conjugation bit for bit; a
+    left vectors and without them, every sector solved whole (without the
+    generator's H_eff factors nothing splits; the solve by induced units
+    is tested against the dense one in test_scc): the values are closed
+    under conjugation bit for bit; a
     mirrored sector's values and vectors, right and left, are the
     conjugates of its partner's with the rows moved by P, bit for bit; in
     a self-conjugate sector a value with Im exactly 0 has a Hermitian
