@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpectralError
+from .superop import _dense_entries
 
 # a sector solved by its induced units (_scc_eig) is accepted when every
 # column's residual |M x - lambda x| on the back-substituted rows is at
@@ -369,26 +370,29 @@ def _induced(factors, labels: np.ndarray, unit: np.ndarray, multi: np.ndarray):
 
     factors are superop._stacked's (H_eff, Gamma) stacks, (P, D, D) and
     (P, m, D, D), one per run of points in index order, |a><b| of point p
-    at p D^2 + a D + b.  H_eff is read as one block-diagonal K.  A sector
-    is induced when each unit is a product A x B of K's sectors and no
-    Gamma has an entry inside A or B.  Returns the mask and, if any is
-    set, for each index |a><b| the labels of A and B and the values h_a,
-    h_b that K's solve puts at a and b; the size of each sector of K at
-    its label; and K's right vectors and their inverses, a sector's block
-    at start[its label] of two flat stores."""
+    at p D^2 + a D + b.  H_eff is read as one block-diagonal K, solved by
+    _block_eig.  A sector is induced when each unit is a product A x B of
+    K's sectors and no Gamma has an entry inside A or B.  Returns the mask
+    and, if any is set, for each index |a><b| the labels of A and B and
+    the values h_a, h_b; the size of each sector of K and its row in the
+    stack of its size, at its label; and K's right vectors and their
+    inverses, one pair of stacks per sector size."""
     # per run, as indices of K (a of point t at k0 + t D + a): a and b of
     # each index |a><b|, K's lists, and the rows and columns of the Gamma
     # entries
     parts, k0 = [], 0
     for heff, gammas in factors:
         p, d = heff.shape[:2]
-        i, at, jt = np.arange(p * d * d), np.nonzero(heff), np.nonzero(gammas)
-        kt, jk = k0 + at[0] * d, k0 + jt[0] * d
-        parts.append((k0 + i // d, k0 + i // (d * d) * d + i % d, kt + at[1], kt + at[2], heff[at],
+        i, (kr, kc, kx), jt = np.arange(p * d * d), _dense_entries(heff), np.nonzero(gammas)
+        jk = k0 + jt[0] * d
+        parts.append((k0 + i // d, k0 + i // (d * d) * d + i % d, k0 + kr, k0 + kc, kx,
                       jk + jt[2], jk + jt[3]))
         k0 += p * d
     ka, kb, kr, kc, kx, jr, jc = (np.concatenate(x) for x in zip(*parts))
-    klab = _components(k0, kr, kc)
+    kvals, blocks = _block_eig(k0, (kr, kc, kx))
+    klab, kpos = np.empty(k0, dtype=np.intp), np.empty(k0, dtype=np.intp)
+    for sec, _, _ in blocks:
+        klab[sec], kpos[sec[:, 0]] = sec[:, :1], np.arange(len(sec))
     ksize, inside = np.bincount(klab, minlength=k0), klab[jr][klab[jr] == klab[jc]]
     fa, fb, n = klab[ka], klab[kb], labels.size
     fits = ((fa == fa[unit]) & (fb == fb[unit]) & ~np.isin(fa, inside) & ~np.isin(fb, inside)
@@ -396,17 +400,9 @@ def _induced(factors, labels: np.ndarray, unit: np.ndarray, multi: np.ndarray):
     induced = multi & (np.bincount(labels, ~fits, n) == 0)[labels]
     if not induced.any():
         return induced, None
-    kidx, _, krank = _by_size(klab)
-    flat, start = _blocks((kr, kc, kx), klab, krank, np.concatenate([sec[:, 0] for sec in kidx]))
-    kvals, inv = np.empty(k0, dtype=complex), np.empty(flat.size, dtype=complex)
-    for sec in kidx:
-        b = sec.shape[1]
-        at = slice(start[sec[0, 0]], start[sec[-1, 0]] + b * b)
-        kvals[sec], v, _ = _solve(flat[at].reshape(-1, b, b), sec, krank,
-                                  np.zeros(k0, dtype=bool), None, False)
-        # a singular V's pseudo-inverse fails the residual check downstream
-        flat[at], inv[at] = v.ravel(), np.linalg.pinv(v).ravel()
-    return induced, (fa, fb, kvals[ka], kvals[kb], ksize, flat, inv, start)
+    # a singular V's pseudo-inverse fails the residual check downstream
+    kvecs = {sec.shape[1]: (v, np.linalg.pinv(v)) for sec, _, v in blocks}
+    return induced, (fa, fb, kvals[ka], kvals[kb], ksize, kpos, kvecs)
 
 
 def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, heff, vals, buf,
@@ -440,7 +436,11 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
     accepted self-conjugate sector, where P maps the column of |a><b| to
     that of |b><a|, of the conjugate value, the vector of |a><a| is
     averaged with its P-conjugate and that of |a><b|, a > b, made the
-    P-conjugate of the vector of |b><a|, as exact as the dense solve's.
+    P-conjugate of the vector of |b><a|; where that value is real
+    (Re h_a = Re h_b bit for bit, as for some states of one N of example3
+    below its EP) the two vectors are replaced by their Hermitian
+    combinations.  As in the dense solve, every real value then has a
+    Hermitian eigenmatrix and every complex pair exact P-conjugate ones.
     """
     rows, cols, values = entries
     n = labels.size
@@ -453,7 +453,7 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
     base = np.empty(n, dtype=np.intp)
     for e, sec in zip(ends, idx):
         base[sec[:, 0]] = e - sec.size * sec.shape[1] + np.arange(sec.shape[0]) * sec.shape[1] ** 2
-    fa, fb, ha, hb, ksize, kv, kvi, kstart = heff
+    fa, fb, ha, hb, ksize, kpos, kvecs = heff
     q = np.flatnonzero(solved)
     # -i(h_a - h_b^*), whose imaginary part is +0.0 where a = b
     vals.real[q], vals.imag[q] = ha[q].imag + hb[q].imag, hb[q].real - ha[q].real
@@ -472,9 +472,9 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
         hd, a, b = heads[lo:hi], int(sa[lo]), int(sb[lo])
         bb = a * b
         at = slice(uo[hd[0]], uo[hd[-1]] + bb * bb)
-        for out, k in ((vflat, kv), (viflat, kvi)):
-            x = k[kstart[fa[hd]][:, None] + np.arange(a * a)].reshape(-1, a, 1, a, 1)
-            y = k[kstart[fb[hd]][:, None] + np.arange(b * b)].reshape(-1, 1, b, 1, b)
+        for out, va, vb in zip((vflat, viflat), kvecs[a], kvecs[b]):
+            x = va[kpos[fa[hd]]].reshape(-1, a, 1, a, 1)
+            y = vb[kpos[fb[hd]]].reshape(-1, 1, b, 1, b)
             out[at] = (x * y.conj()).ravel()
         # V_I on its own rows and columns of its sector's block
         uidx = units[ustart[hd][:, None] + np.arange(bb)]
@@ -558,7 +558,7 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
     # an accepted self-conjugate sector closed under P-conjugation, one
     # column set at a time: the vectors of |a><a| averaged with their
     # P-conjugates, then those of |a><b|, a > b, made the P-conjugates of
-    # the vectors of |b><a|
+    # the vectors of |b><a|, and those of a real value Hermitian
     for stack, sec in zip(stacks, idx):
         for t in np.flatnonzero((solved & real & ~bad)[sec[:, 0]]):
             x, c, flip = stack[t], sec[t], rank[partner[sec[t]]]
@@ -566,6 +566,9 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
             y, own, low = np.conjugate(x[flip[:, None], flip]), partner[c] == c, partner[c] < c
             x[:, own] = (x[:, own] + y[:, own]) * 0.5
             x[:, low] = y[:, low]
+            up = np.flatnonzero((partner[c] > c) & (vals[c].imag == 0))
+            s, y = x[:, up], x[:, flip[up]]
+            x[:, up], x[:, flip[up]] = s + y, 1j * (s - y)
     return bad
 
 

@@ -62,6 +62,40 @@ def conjugation_key(vals):
     return sorted(zip(vals.real.tolist(), (vals.imag + 0.0).tolist()))
 
 
+def assert_conjugate_orbits(vals, vectors, blocks, p, whole):
+    """The orbits under the partner swap p of one _block_eig solve, bit for
+    bit, given its values, its dense vector arrays (right, and left if
+    given) and its sector blocks: a mirrored sector's values and vectors
+    are the conjugates of its partner's with the rows moved by p; in a
+    self-conjugate sector a value with Im exactly 0 has a Hermitian
+    eigenmatrix (x = P conj x), and every other value's conjugate is a
+    value of the sector whose vector is P conj of its own.  With whole,
+    every sector was solved by one eig, and a complex value of a
+    self-conjugate sector has exactly one conjugate there; a sector solved
+    by its units can hold a value repeated in two units with the same
+    bits, so otherwise one of the conjugates carries the P-conjugate
+    vector."""
+    vecs = vectors[0]
+    sectors = [(r, c) for r, c, _ in blocks for r, c in zip(r, c)]
+    first = {int(r[0]): (r, c) for r, c in sectors}
+    for r, c in sectors:
+        mate_rows, mate_cols = first[int(np.sort(p[r])[0])]
+        if mate_rows[0] < r[0]:
+            assert vals[c].tobytes() == vals[mate_cols].conj().tobytes()
+            # a 1x1 sector holds the unit vector
+            for v in vectors if r.size > 1 else ():
+                assert v[np.ix_(r, c)].tobytes() == v[np.ix_(p[r], mate_cols)].conj().tobytes()
+        elif mate_rows[0] == r[0]:
+            for j in c:
+                x = vecs[r, j]
+                if vals[j].imag == 0:
+                    assert np.array_equal(x, vecs[p[r], j].conj())
+                    continue
+                k = c[(vals[c].real == vals[j].real) & (vals[c].imag == -vals[j].imag)]
+                assert k.size == 1 or not whole
+                assert any(vecs[r, i].tobytes() == vecs[p[r], j].conj().tobytes() for i in k)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def conjugate_closed_solves():
     """Every solve that _block_eig makes with the partner swap P, in any

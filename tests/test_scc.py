@@ -28,7 +28,7 @@ from lioueps.spectral import (_scatter, liouvillian_eigensystem, liouvillian_eig
                               nhh_eigensystem)
 from lioueps.superop import LindbladModel, SuperOp, assemble_liouvillian, effective_hamiltonian
 
-from conftest import random_hermitian, random_lindblad_model
+from conftest import assert_conjugate_orbits, random_hermitian, random_lindblad_model
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -122,36 +122,52 @@ def mirrored_cycle_model():
     """A five-level generator whose self-conjugate sector holds the
     components C = {|0><1|}, P C, D = {|2><3|} and P D, with C -> D: a
     one-way entry D -> P C of 1e-14 |L|_F, whose mirror P D -> C is 0,
-    closes a cycle only through the mirrored edges."""
+    closes a cycle only through the mirrored edges.  It keeps the
+    (H_eff, Gamma) factors of the model it perturbs."""
     d, e = 5, np.eye(5)
     space = HilbertSpace((d,))
     jumps = (np.outer(e[2], e[0]) + 0.7 * np.outer(e[3], e[1]), np.outer(e[0] + 0.5 * e[1], e[4]))
     model = LindbladModel(Operator(space, np.diag([0.0, 0.3, 0.7, 1.1, 1.6]).astype(complex)),
                           tuple((rate, Operator(space, j)) for rate, j in zip((1.0, 0.6), jumps)))
-    mat = assemble_liouvillian(model).matrix.copy()
+    liou = assemble_liouvillian(model)
+    mat = liou.matrix.copy()
     mat[1 * d + 0, 2 * d + 3] = 1e-14 * np.linalg.norm(mat)
-    return SuperOp(space, mat)
+    return SuperOp(space, mat, factors=liou.factors)
 
 
 def example3_one_way_model():
     """example3 at levels=5 with a one-way entry of 1e-14 |L|_F from
-    |00><00| into |10><01|, against the jumps, whose mirror is 0."""
-    mat = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5)).matrix.copy()
+    |00><00| into |10><01|, against the jumps, whose mirror is 0, and
+    the (H_eff, Gamma) factors of example3."""
+    liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5))
+    mat = liou.matrix.copy()
     mat[5 * 25 + 1, 0] = 1e-14 * np.linalg.norm(mat)
-    return SuperOp(HilbertSpace((5, 5)), mat)
+    return SuperOp(HilbertSpace((5, 5)), mat, factors=liou.factors)
 
 
-@pytest.mark.parametrize("build,min_size", [(mirrored_cycle_model, 1),
-                                            (example3_one_way_model, sectors.SCC_MIN_SIZE)])
-def test_one_way_entries_within_the_hermiticity_tolerance(build, min_size):
+@pytest.mark.parametrize("build,min_size,count", [(mirrored_cycle_model, 1, 0),
+                                                  (example3_one_way_model, sectors.SCC_MIN_SIZE,
+                                                   470)])
+def test_one_way_entries_within_the_hermiticity_tolerance(build, min_size, count):
     """Generators that pass the 1e-12 |L|_F Hermiticity check with an
-    entry whose P-mirror is 0: the components are those of the graph with
-    the mirrored edges added, so the units of a self-conjugate sector
-    form no cycle and the solve ends, with the dense eigenvalues (the
-    five-level sector is split with SCC_MIN_SIZE = 1)."""
-    liou = build()
-    with mock.patch.object(sectors, "SCC_MIN_SIZE", min_size):
+    entry whose P-mirror is 0, with the (H_eff, Gamma) factors of the
+    model they perturb: the components are those of the graph with the
+    mirrored edges added, so P maps units onto units, and a piece whose
+    one-way edges close a cycle is one unit, solved whole.  The solve
+    ends with the dense eigenvalues: the five-level sector (split with
+    SCC_MIN_SIZE = 1) is one unit, and example3's sectors without the
+    entry (470 of 625 indices) are solved by their induced units."""
+    liou, masks, induced = build(), [], sectors._induced
+
+    def spy(*args):
+        out = induced(*args)
+        masks.append(out[0])
+        return out
+
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", min_size), \
+            mock.patch.object(sectors, "_induced", spy):
         got = liouvillian_eigensystem(liou).eigenvalues
+    assert len(masks) == 1 and masks[0].sum() == count
     want = np.linalg.eigvals(liou.matrix)
     dist = np.abs(got[:, None] - want[None, :])
     rows, cols = linear_sum_assignment(dist)
@@ -189,21 +205,29 @@ def raw_residuals(liou, vals, blocks):
 def assert_induced_matches_the_dense_sector_solve(liou):
     """Every sector split (SCC_MIN_SIZE = 1) and solved by its units, none
     falling back to the dense solve: the values match the dense solve's
-    within 1e-10 |L|_1, and the residuals stay within SCC_RESIDUAL_TOL of
-    |x| |L|_1 or within the dense solve's own."""
+    within 1e-10 |L|_1, the residuals stay within SCC_RESIDUAL_TOL of
+    |x| |L|_1 or within the dense solve's own, and the values and vectors
+    keep the dense solve's orbits under P bit for bit
+    (assert_conjugate_orbits): Hermitian eigenmatrices for the values
+    with Im exactly 0, and P-conjugate vectors for conjugate values."""
     n, p = liou.dim ** 2, _partner([liou.dim])
     dense_vals, dense_blocks, _ = _block_eig(n, liou.entries, left=True, partner=p)
-    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1), \
-            mock.patch.object(sectors, "_dense_eig", wraps=sectors._dense_eig) as dense, \
-            mock.patch.object(sectors, "_scc_eig", wraps=sectors._scc_eig) as scc:
+    failed, scc_eig = [], sectors._scc_eig
+
+    def spy(*args):
+        failed.append(scc_eig(*args))
+        return failed[-1]
+
+    with mock.patch.object(sectors, "SCC_MIN_SIZE", 1), mock.patch.object(sectors, "_scc_eig", spy):
         vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
-    assert scc.call_count == 1 and dense.call_count == 1
+    assert len(failed) == 1 and not failed[0].any()
     scale = np.linalg.norm(liou.matrix, 1)
     dist = np.abs(vals[:, None] - dense_vals[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-10 * scale
     worst = raw_residuals(liou, dense_vals, dense_blocks).max()
     assert raw_residuals(liou, vals, blocks).max() <= max(worst, 2 * sectors.SCC_RESIDUAL_TOL)
+    assert_conjugate_orbits(vals, [_scatter(blocks)], blocks, p, whole=False)
 
 
 @ORACLE
@@ -228,13 +252,16 @@ def test_scc_solve_against_the_dense_sector_solve(seed, kind):
     assert _scatter(blocks).tobytes() == _scatter(dense_blocks).tobytes()
 
 
-@pytest.mark.parametrize("levels,g", [(3, 0.0), (5, 0.0), (3, 0.124), (3, 0.126)])
+@pytest.mark.parametrize("levels,g", [(3, 0.0), (5, 0.0), (4, 0.02), (3, 0.124), (3, 0.126)])
 def test_induced_example3_against_the_dense_sector_solve(levels, g):
     """example3 at g = 0, where H_eff is diagonal and the units are single
-    indices, and 1e-3 either side of its EP (g* = 0.125), where H_eff's
-    excitation blocks are ill-conditioned: the induced solve of every
-    sector matches the dense one, and off the EP the complete blocks'
-    values are the untruncated lattice's within 1e-13."""
+    indices; at g = 0.02, where Re h_a = Re h_b bit for bit for two
+    states a != b of one excitation number, so that |a><b| and |b><a| of
+    the self-conjugate sector share a real value and their vectors are
+    made Hermitian; and 1e-3 either side of its EP (g* = 0.125), where
+    H_eff's excitation blocks are ill-conditioned: the induced solve of
+    every sector matches the dense one, and off the EP the complete
+    blocks' values are the untruncated lattice's within 1e-13."""
     liou = assemble_liouvillian(example3(1.0, g, 1.0, 0.5, levels))
     assert_induced_matches_the_dense_sector_solve(liou)
     oracle = example3_spectrum(1.0, g, 1.0, 0.5, levels)
@@ -373,9 +400,10 @@ def test_the_fallback_fires_only_at_the_ep(levels, min_size):
     """The ep-locate-l3 benchmark grid (seed 0) at levels=3, every sector
     split, and at levels=4, where the sectors of 44 and 40 indices are:
     the dense solve of the sectors that fail the residual check, the
-    second call of _dense_eig (the first solves the sectors of one
-    component), runs at the EP point (16) alone, where back-substitution
-    through a defective component fails."""
+    third call of _dense_eig (the first solves H_eff's sectors for
+    _induced, the second the sectors of one component), runs at the EP
+    point (16) alone, where back-substitution through a defective
+    component fails."""
     family = get_family("example3", levels=levels, omega=OMEGA, gamma_a=GAMMA_A,
                         gamma_b=GAMMA_B).liouvillian_family()
     lo = (GAMMA_A - GAMMA_B) / 4 - 0.1
@@ -384,7 +412,7 @@ def test_the_fallback_fires_only_at_the_ep(levels, min_size):
     with mock.patch.object(sectors, "SCC_MIN_SIZE", size), \
             mock.patch.object(sectors, "_dense_eig", wraps=sectors._dense_eig) as dense:
         family.eigensystem(grid)
-    _, again = dense.call_args_list
+    _, _, again = dense.call_args_list
     skip = again.args[5]
     assert set(np.flatnonzero(~skip) // levels ** 4) == {16}
 

@@ -51,8 +51,8 @@ from lioueps.models import (
     family_names,
     get_family,
 )
-from conftest import (assert_multiset_close, assert_one_eig_per_orbit, conjugation_key,
-                      random_lindblad_model)
+from conftest import (assert_conjugate_orbits, assert_multiset_close, assert_one_eig_per_orbit,
+                      conjugation_key, random_lindblad_model)
 
 Q = build_qubit_ops()
 SPACE = Q["identity"].space
@@ -347,12 +347,12 @@ def test_isolated_real_modes_are_hermitian_near_the_closed_limit(levels):
 @given(kind=st.sampled_from(["random"] + family_names()), seed=st.integers(0, 2**32 - 1))
 def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
     """_block_eig with the partner swap P, before any clustering, with the
-    left vectors and without them, every sector solved whole (without the
-    generator's H_eff factors nothing splits; the solve by induced units
-    is tested against the dense one in test_scc): the values are closed
-    under conjugation bit for bit; a
-    mirrored sector's values and vectors, right and left, are the
-    conjugates of its partner's with the rows moved by P, bit for bit; in
+    left vectors (every sector solved whole) and without them, given the
+    generator's (H_eff, Gamma) factors (the sectors of at least
+    SCC_MIN_SIZE indices whose units H_eff induces solved by those units):
+    the values are closed under conjugation bit for bit; a mirrored
+    sector's values and vectors, right and left, are the conjugates of
+    its partner's with the rows moved by P, bit for bit; in
     a self-conjugate sector a value with Im exactly 0 has a Hermitian
     eigenmatrix, and every other value's conjugate is a value of the
     sector whose vector is P conj of its own, bit for bit; the multiset is
@@ -366,7 +366,7 @@ def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
     liou = assemble_liouvillian(model)
     n, p = liou.dim ** 2, _partner([liou.dim])
     vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=p)
-    right_vals, right_blocks = _block_eig(n, liou.entries, partner=p)
+    right_vals, right_blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
     dense = np.linalg.eigvals(liou.matrix)
     for got, stored, whole in ((vals, (blocks, lblocks), True),
                                (right_vals, (right_blocks,), False)):
@@ -378,35 +378,6 @@ def test_block_eig_solves_each_conjugate_orbit_exactly(kind, seed):
     whole = np.concatenate([c.ravel() for r, c, _ in blocks if r.shape[1] < SCC_MIN_SIZE]
                            + [np.zeros(0, dtype=np.intp)])
     assert right_vals[whole].tobytes() == vals[whole].tobytes()
-
-
-def assert_conjugate_orbits(vals, vectors, blocks, p, whole):
-    """The bitwise orbit rules of test_block_eig_solves_each_conjugate_orbit_exactly
-    for the values and the dense vector arrays (right, and left if given)
-    of one solve, whose sectors are the blocks.  With whole, every sector
-    was solved by one eig, and a complex value of a self-conjugate sector
-    has exactly one conjugate there; a split sector can hold a value
-    repeated in two components with the same bits, so otherwise one of
-    the conjugates carries the P-conjugate vector."""
-    vecs = vectors[0]
-    sectors = [(r, c) for r, c, _ in blocks for r, c in zip(r, c)]
-    first = {int(r[0]): (r, c) for r, c in sectors}
-    for r, c in sectors:
-        mate_rows, mate_cols = first[int(np.sort(p[r])[0])]
-        if mate_rows[0] < r[0]:
-            assert vals[c].tobytes() == vals[mate_cols].conj().tobytes()
-            # a 1x1 sector holds the unit vector
-            for v in vectors if r.size > 1 else ():
-                assert v[np.ix_(r, c)].tobytes() == v[np.ix_(p[r], mate_cols)].conj().tobytes()
-        elif mate_rows[0] == r[0]:
-            for j in c:
-                x = vecs[r, j]
-                if vals[j].imag == 0:
-                    assert np.array_equal(x, vecs[p[r], j].conj())
-                    continue
-                k = c[(vals[c].real == vals[j].real) & (vals[c].imag == -vals[j].imag)]
-                assert k.size == 1 or not whole
-                assert any(vecs[r, i].tobytes() == vecs[p[r], j].conj().tobytes() for i in k)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
