@@ -12,28 +12,29 @@ orbits under P: a partner pair (k, -k) is solved once and the partner
 written as its exact conjugate, and a self-conjugate sector (k = 0) is
 solved as a real matrix in the Hermitian basis.  Its values are then
 closed under conjugation bit for bit.  The P-mirror of every edge joins
-the graph first, so P maps sectors onto sectors and strongly connected
-components onto components.
+the graph first, so P maps sectors onto sectors.
 
-Strongly connected components.  Inside a sector, a Liouvillian whose
-Hamiltonian part keeps the excitation numbers (N_l, N_r) of |m><n| and
-whose jumps lower them both is block triangular on the (N_l, N_r)
-blocks, the strongly connected components of its graph (Duff and Reid,
-ACM TOMS 4, 137 (1978)), and its eigenvalues are those of the diagonal
-blocks.  Without left vectors, and given the (H_eff, Gamma) factors the
-generator was assembled from, a sector of at least SCC_MIN_SIZE indices
-falls into units, its components, labelled with numpy alone
-(_strong_components), so the spectral commands load no scipy.  Where
-every unit is a product A x B of H_eff's sectors and no jump entry lies
-inside one, a unit's block is the no-jump generator on A x B: its values
-are the induced -i(h_l - h_m^*) and its vectors V_A kron conj(V_B), the
-eigenmatrices |phi_l><phi_m| (Theorem 2's mechanism), read off one eig
-per size of H_eff's sectors; the jumps change only the vectors.
+Induced units.  Where the jumps Gamma of a Liouvillian -i(H_eff rho -
+rho H_eff^dag) + sum Gamma rho Gamma^dag have no entry inside a sector of
+H_eff, each sector of the Liouvillian falls into the products A x B of
+H_eff's sectors, its units.  Unless the edges between units close a
+cycle, the sector's block is block triangular on them, and its
+eigenvalues are those of the diagonal blocks.  Without left vectors, and
+given the (H_eff, Gamma) factors the generator was assembled from, a
+sector of at least SCC_MIN_SIZE indices falls into these units, read off
+the solve of H_eff's sectors (_induced); P maps units onto units.  Each
+unit's level, the longest path of units that leads to it, comes from one
+relaxation over the edges between units (_levels).  A unit's block is
+the no-jump generator on A x B: its values are the induced
+-i(h_l - h_m^*) and its vectors V_A kron conj(V_B), the eigenmatrices
+|phi_l><phi_m| (Theorem 2's mechanism), read off one eig per size of
+H_eff's sectors; the jumps change only the vectors.
 
 _block_eig makes each decision once:
 - a sector of one unit, or of units that H_eff does not induce
-  (_induced), is solved whole (_dense_eig), the sectors of one size and
-  kind as one stack for eig;
+  (_induced: a jump entry inside a sector of H_eff, or a cycle of
+  units), is solved whole (_dense_eig), the sectors of one size and kind
+  as one stack for eig;
 - a sector of several induced units is solved by them (_scc_eig), each
   unit's right vectors back-substituted through the units downstream;
 - a sector that fails that solve's residual check (SCC_RESIDUAL_TOL),
@@ -214,46 +215,27 @@ def _listed(n: int, src: np.ndarray, dst: np.ndarray, qsrc: np.ndarray,
     return np.where(key[at] == want, at, -1)
 
 
-def _strong_components(n: int, src: np.ndarray, dst: np.ndarray):
-    """Strongly connected components of the directed graph on nodes
-    0..n-1 with an edge src[k] -> dst[k] per k, where its weakly
-    connected pieces are acyclic once contracted: each node is labelled
-    with the smallest node of its component.  Returns the labels and each
-    node's level, the longest path of components that leads to its own.
-
-    Two nodes joined both ways lie in one component, so those edges are
-    contracted (_components); in a piece whose contracted graph has no
-    cycle, which a longest-path relaxation settles in fewer steps than
-    the piece has nodes, the contracted nodes are the components.  A
-    piece with a cycle through one-way edges is labelled whole, as one
-    component of level 0: a matrix is block triangular on that coarser
-    partition too, and its sector is then solved whole.
-    """
-    both = _listed(n, src, dst, dst, src) >= 0
-    labels = _components(n, src[both], dst[both])
-    s, d = labels[src], labels[dst]
+def _levels(labels: np.ndarray, unit: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """The level of each index's unit (unit, each labelled by one of its
+    indices) in its sector (labels): the longest path of units that leads
+    to it over the edges src -> dst between units; and where the sector
+    is acyclic.  One longest-path relaxation settles a sector whose edges
+    between units close no cycle in fewer steps than it has units; a
+    sector where they do is cyclic, at level 0."""
+    n = labels.size
+    s, d = unit[src], unit[dst]
     s, d = s[s != d], d[s != d]
-    if not s.size:
-        return labels, np.zeros(n, dtype=np.intp)
-    # the contracted nodes numbered 0..q-1, in ascending order
-    reps = np.flatnonzero(labels == np.arange(n))
-    num = np.empty(n, dtype=np.intp)
-    num[reps] = np.arange(reps.size)
-    s, d = num[s], num[d]
-    piece = _components(reps.size, s, d)
-    level = np.zeros(reps.size, dtype=np.intp)
-    for _ in range(np.bincount(piece).max()):
+    level = np.zeros(n, dtype=np.intp)
+    for _ in range(np.bincount(labels[unit == np.arange(n)]).max()):
         new = level.copy()
         np.maximum.at(new, d, level[s] + 1)
         grew = new != level
         if not grew.any():
-            return labels, level[num[labels]]
+            break
         level = new
-    # only a cycle still lengthens the paths into its nodes
-    whole = np.isin(piece, piece[grew])
-    node = num[labels]
-    return (reps[np.where(whole, piece, np.arange(reps.size))[node]],
-            np.where(whole, 0, level)[node])
+    # only a cycle still lengthens the paths into its units
+    cyclic = np.isin(labels, labels[grew])
+    return np.where(cyclic, 0, level[unit]), ~cyclic
 
 
 def _blocks(entries, unit: np.ndarray, urank: np.ndarray, heads: np.ndarray) -> tuple:
@@ -364,45 +346,51 @@ def _stacks(idx: list) -> tuple:
                  for e, sec in zip(ends, idx)]
 
 
-def _induced(factors, labels: np.ndarray, unit: np.ndarray, multi: np.ndarray):
-    """Where a sector of several units (multi) is induced by H_eff, and
-    what _scc_eig reads of H_eff to solve it.
+def _induced(factors, labels: np.ndarray, split: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Where a sector that splits (split) is induced by H_eff, its units
+    and their levels, and what _scc_eig reads of H_eff to solve it.
 
     factors are superop._stacked's (H_eff, Gamma) stacks, (P, D, D) and
     (P, m, D, D), one per run of points in index order, |a><b| of point p
     at p D^2 + a D + b.  H_eff is read as one block-diagonal K, solved by
-    _block_eig.  A sector is induced when each unit is a product A x B of
-    K's sectors and no Gamma has an entry inside A or B.  Returns the mask
-    and, if any is set, for each index |a><b| the labels of A and B and
-    the values h_a, h_b; the size of each sector of K and its row in the
-    stack of its size, at its label; and K's right vectors and their
-    inverses, one pair of stacks per sector size."""
+    _block_eig.  In a sector that splits, |a><b| lies in the unit of
+    |min A><min B|, its smallest index, A and B the sectors of K that
+    hold a and b; elsewhere its unit is its sector.  A sector is induced
+    when it holds several units, no Gamma has an entry inside A or B, and
+    its edges src -> dst (P-mirrors included) close no cycle of units
+    (_levels).  Returns the mask, each index's unit and level, and, if
+    any is set, for each index |a><b| the labels of A and B and the values
+    h_a, h_b; the size of each sector of K and its row in the stack of
+    its size, at its label; and K's right vectors and their inverses, one
+    pair of stacks per sector size."""
     # per run, as indices of K (a of point t at k0 + t D + a): a and b of
-    # each index |a><b|, K's lists, and the rows and columns of the Gamma
-    # entries
+    # each index |a><b|, its D, K's lists, and the rows and columns of the
+    # Gamma entries
     parts, k0 = [], 0
     for heff, gammas in factors:
         p, d = heff.shape[:2]
         i, (kr, kc, kx), jt = np.arange(p * d * d), _dense_entries(heff), np.nonzero(gammas)
         jk = k0 + jt[0] * d
-        parts.append((k0 + i // d, k0 + i // (d * d) * d + i % d, k0 + kr, k0 + kc, kx,
-                      jk + jt[2], jk + jt[3]))
+        parts.append((k0 + i // d, k0 + i // (d * d) * d + i % d, np.full(i.size, d), k0 + kr,
+                      k0 + kc, kx, jk + jt[2], jk + jt[3]))
         k0 += p * d
-    ka, kb, kr, kc, kx, jr, jc = (np.concatenate(x) for x in zip(*parts))
+    ka, kb, kd, kr, kc, kx, jr, jc = (np.concatenate(x) for x in zip(*parts))
     kvals, blocks = _block_eig(k0, (kr, kc, kx))
     klab, kpos = np.empty(k0, dtype=np.intp), np.empty(k0, dtype=np.intp)
     for sec, _, _ in blocks:
         klab[sec], kpos[sec[:, 0]] = sec[:, :1], np.arange(len(sec))
     ksize, inside = np.bincount(klab, minlength=k0), klab[jr][klab[jr] == klab[jc]]
     fa, fb, n = klab[ka], klab[kb], labels.size
-    fits = ((fa == fa[unit]) & (fb == fb[unit]) & ~np.isin(fa, inside) & ~np.isin(fb, inside)
-            & (np.bincount(unit, minlength=n)[unit] == ksize[fa] * ksize[fb]))
-    induced = multi & (np.bincount(labels, ~fits, n) == 0)[labels]
+    unit = np.where(split, np.arange(n) + (fa - ka) * kd + fb - kb, labels)
+    level, acyclic = _levels(labels, unit, src, dst)
+    fits = ~np.isin(fa, inside) & ~np.isin(fb, inside)
+    multi = np.bincount(labels[unit == np.arange(n)], minlength=n) > 1
+    induced = acyclic & (multi & (np.bincount(labels, ~fits, n) == 0))[labels]
     if not induced.any():
-        return induced, None
+        return induced, unit, level, None
     # a singular V's pseudo-inverse fails the residual check downstream
     kvecs = {sec.shape[1]: (v, np.linalg.pinv(v)) for sec, _, v in blocks}
-    return induced, (fa, fb, kvals[ka], kvals[kb], ksize, kpos, kvecs)
+    return induced, unit, level, (fa, fb, kvals[ka], kvals[kb], ksize, kpos, kvecs)
 
 
 def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, heff, vals, buf,
@@ -422,9 +410,8 @@ def _scc_eig(entries, labels, rank, idx, unit, level, real, solved, partner, hef
 
     The vector of eigenvalue lam of unit I is V_I's column on I, 0 on the
     units I does not reach, and on each unit J downstream, taken in order
-    of its level (the longest path of components that leads to it: P,
-    which maps the graph onto itself, keeps it, and it rises along every
-    edge between units),
+    of its level (_levels: P, which maps the graph onto itself, keeps it,
+    and it rises along every edge between units),
         x_J = V_J (V_J^-1 b_J / (Lambda_J - lam)),  b_J = -sum_K M_JK x_K,
     the eigenbasis solve of (M_JJ - lam) x_J = b_J.  The units of one
     level and shape are stacked, in batches (_batches), and each solve
@@ -613,15 +600,12 @@ def _block_eig(n: int, entries, left: bool = False, partner: np.ndarray | None =
     # each sector's first index is its label; mate is its partner's
     mate = labels if partner is None else labels[partner[labels]]
     real, mirror = (mate == labels) & (partner is not None), mate < labels
-    # the units of the sectors that split, and the sectors of several
-    # units that H_eff induces
+    # the sectors that split into units, and those of them that H_eff
+    # induces
     split = (size >= SCC_MIN_SIZE) & (not left) & (factors is not None)
     induced = np.zeros(n, dtype=bool)
     if split.any():
-        unit, level = _strong_components(n, src[split[src]], dst[split[src]])
-        unit = np.where(split, unit, labels)
-        multi = (np.bincount(labels[unit == np.arange(n)], minlength=n) > 1)[labels]
-        induced, heff = _induced(factors, labels, unit, multi)
+        induced, unit, level, heff = _induced(factors, labels, split, src, dst)
     vals = np.empty(n, dtype=complex)
     buf, vecs = _stacks(idx)
     lvecs = _stacks(idx)[1] if left else None

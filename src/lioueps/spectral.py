@@ -8,15 +8,15 @@ of sectors under the swap P of vec(|m><n|) and vec(|n><m|) is solved
 once and the self-conjugate sector as a real matrix, so that the
 spectrum is closed under conjugation bit for bit; a generator off that
 symmetry by more than 1e-12 |L|_F is refused with SpectralError.  The
-right-only solve takes a large sector apart into its strongly connected
-components (the (N_l, N_r) blocks of a Liouvillian whose jumps lower
-the excitation numbers), reads their values and vectors off H_eff's
-sectors and back-substitutes the vectors, and falls back to the dense
-solve of the sector where a residual check fails, near an EP; the
-left vectors always come from the dense solve (see sectors).  The
-vectors stay in the sector blocks through every stage below (see
-"sector blocks"), and an Eigensystem scatters them into a dense array
-only when asked to.
+right-only solve takes a large sector apart into its units, the
+products of H_eff's sectors (the (N_l, N_r) blocks of a Liouvillian
+whose jumps lower the excitation numbers), reads their values and
+vectors off H_eff's sectors and back-substitutes the vectors, and falls
+back to the dense solve of the sector where a residual check fails,
+near an EP; the left vectors always come from the dense solve (see
+sectors).  The vectors stay in the sector blocks through every stage
+below (see "sector blocks"), and an Eigensystem scatters them into a
+dense array only when asked to.
 Eigenvalues closer than a cluster tolerance are grouped in the complex
 plane and replaced by their cluster mean before the sort, and the
 zero-eigenvalue sector is orthonormalized inside each sector.  The
@@ -561,47 +561,35 @@ def _check_finite(entries, starts=(0,)) -> None:
         raise exc
 
 
-def _check_trace_rows(entries, dims) -> np.ndarray:
-    """Refuse generators that are not trace preserving: entries are the
-    stacked lists of generators of the given dimensions, each tested as
-    is_trace_preserving tests it.  The error's point is the first
-    generator that fails.  Returns 1e-12 |L|_F of each generator."""
-    trace, bound = _trace_norms(entries, dims)
-    bad = np.flatnonzero(~(trace <= bound))
-    if bad.size:
-        p = int(bad[0])
-        exc = SpectralError(f"not a Liouvillian: trace row |vec(1)^dag L| = {trace[p]:.2e} "
-                            f"exceeds 1e-12 |L|_F = {bound[p]:.2e}")
-        exc.point = p
-        raise exc
-    return bound
-
-
-def _check_hermiticity_preserving(entries, partner: np.ndarray, bound: np.ndarray,
-                                  starts=(0,)) -> None:
-    """Refuse generators whose conjugate sectors _block_eig would mirror
-    wrongly.  entries are the stacked lists of the generators that start
-    at starts, and partner is their P, the swap vec(|m><n|) <->
-    vec(|n><m|): max |L[Pr, Pc] - conj L[r, c]| over a generator's listed
-    entries (an unlisted entry is 0) must not exceed its bound, 1e-12
-    |L|_F (_check_trace_rows).  The error's point is the first generator
-    that fails."""
+def _checked_partner(entries, dims, starts=(0,)) -> np.ndarray:
+    """P, the swap vec(|m><n|) <-> vec(|n><m|), of the generators of the
+    given dimensions whose stacked lists entries start at starts, once
+    they pass the checks that refuse a generator before any solve, in this
+    order: finite entries (_check_finite); a trace row |vec(1)^dag L| of
+    at most 1e-12 |L|_F, as is_trace_preserving tests it; and max
+    |L[Pr, Pc] - conj L[r, c]| over the listed entries (an unlisted entry
+    is 0) within the same bound, without which _block_eig would mirror
+    the conjugate sectors wrongly.  The error's point is the first
+    generator that fails."""
+    _check_finite(entries, starts)
     rows, cols, values = entries
-    if not values.size:
-        return
-    # the position of each entry's mirror (Pr, Pc), -1 where it is not listed
-    at = _listed(partner.size, cols, rows, partner[cols], partner[rows])
-    gap = np.abs(np.where(at >= 0, values[at], 0) - values.conj())
-    point = np.searchsorted(starts, rows, side="right") - 1
-    worst = np.zeros(len(starts))
-    np.maximum.at(worst, point, gap)
-    bad = np.flatnonzero(worst > bound)
-    if bad.size:
-        p = int(bad[0])
-        exc = SpectralError(f"not a Liouvillian: |P conj(L) P - L| = {worst[p]:.2e} exceeds "
-                            f"1e-12 |L|_F = {bound[p]:.2e} (L does not preserve Hermiticity)")
-        exc.point = p
-        raise exc
+    trace, bound = _trace_norms(entries, dims)
+    partner, worst = _partner(dims), np.zeros(len(dims))
+    if values.size:
+        # the position of each entry's mirror (Pr, Pc), -1 where it is not listed
+        at = _listed(partner.size, cols, rows, partner[cols], partner[rows])
+        np.maximum.at(worst, np.searchsorted(starts, rows, side="right") - 1,
+                      np.abs(np.where(at >= 0, values[at], 0) - values.conj()))
+    for gap, what, why in ((trace, "trace row |vec(1)^dag L|", ""),
+                           (worst, "|P conj(L) P - L|", " (L does not preserve Hermiticity)")):
+        bad = np.flatnonzero(~(gap <= bound))
+        if bad.size:
+            p = int(bad[0])
+            exc = SpectralError(f"not a Liouvillian: {what} = {gap[p]:.2e} exceeds "
+                                f"1e-12 |L|_F = {bound[p]:.2e}{why}")
+            exc.point = p
+            raise exc
+    return partner
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +673,7 @@ def _grid_eigensystems(entries, dims, factors, zero_tol: float) -> tuple:
     sizes = np.square(dims)
     starts = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
-    _check_finite(entries, starts)
-    bound = _check_trace_rows(entries, dims)
-    partner = _partner(dims)
-    _check_hermiticity_preserving(entries, partner, bound, starts)
+    partner = _checked_partner(entries, dims, starts)
     try:
         vals, blocks = _block_eig(n, entries, partner=partner, factors=factors)
     except SpectralError as exc:
@@ -724,10 +709,7 @@ def analyze_liouvillian(liou: SuperOp,
     Hermitian, positive semidefinite and trace one) and biorthonormal
     left eigenmatrices.
     """
-    _check_finite(liou.entries)
-    bound = _check_trace_rows(liou.entries, [liou.dim])
-    n, partner = liou.dim ** 2, _partner([liou.dim])
-    _check_hermiticity_preserving(liou.entries, partner, bound)
+    n, partner = liou.dim ** 2, _checked_partner(liou.entries, [liou.dim])
     # left vector i is paired with eigenvalue i:
     # lvecs[:, i]^dag L = vals[i] lvecs[:, i]^dag
     vals, blocks, lblocks = _block_eig(n, liou.entries, left=True, partner=partner)

@@ -892,7 +892,7 @@ def assert_matches_the_dense_pipeline(model):
     blocks.  Off the blocks the dense vectors are 0, as +0.0 in the view;
     the dense phase rotation leaves -0.0 in some of them.  Where L has a
     sector of at least SCC_MIN_SIZE indices, which _block_eig solves by
-    its strongly connected components, the dense pipeline starts from
+    its induced units, the dense pipeline starts from
     _block_eig's eigenpairs, which are first checked against the dense eig
     of each sector (assert_close_to_the_dense_eig); otherwise from the
     dense eig of each sector.  Returns the stored blocks and the sector

@@ -1,13 +1,12 @@
-"""The right-only eigensolve by strongly connected components against its
-oracles.
+"""The right-only eigensolve by induced units against its oracles.
 
 _block_eig solves each sector of at least SCC_MIN_SIZE indices whose
-units (strongly connected components) H_eff induces one unit at a time,
-from H_eff's sectors, and back-substitutes the vectors; the dense solve
-of each sector (the left-vector path, and the fallback of a sector that
-fails the residual check) and scipy's labelling are the references here,
-with the untruncated spectrum of example3 (models.example3_spectrum) as
-the oracle of the values.
+units, the products of H_eff's sectors, H_eff induces one unit at a
+time, from H_eff's sectors, and back-substitutes the vectors; the dense
+solve of each sector (the left-vector path, and the fallback of a
+sector that fails the residual check) and scipy's condensation of the
+graph of units are the references here, with the untruncated spectrum
+of example3 (models.example3_spectrum) as the oracle of the values.
 """
 
 from unittest import mock
@@ -23,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from lioueps import sectors
 from lioueps.models import dephasing, example3, example3_spectrum, get_family
 from lioueps.ops_core import HilbertSpace, Operator, build_boson_ops, tensor
-from lioueps.sectors import _block_eig, _partner, _strong_components
+from lioueps.sectors import _block_eig, _partner
 from lioueps.spectral import (_scatter, liouvillian_eigensystem, liouvillian_eigensystems,
                               nhh_eigensystem)
 from lioueps.superop import LindbladModel, SuperOp, assemble_liouvillian, effective_hamiltonian
@@ -35,29 +34,6 @@ ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=Non
 # the ep-locate-l3 benchmark config at seed 0: its 33-point bracket puts
 # grid point 16 on the EP g = (gamma_a - gamma_b) / 4
 OMEGA, GAMMA_A, GAMMA_B = 1.065791612069049, 1.0099521614821052, 0.3915108573095691
-
-
-def smallest_node_labels(labels):
-    """Component labels renamed to the smallest node of each component."""
-    first = np.full(labels.max(initial=-1) + 1, labels.size)
-    np.minimum.at(first, labels, np.arange(labels.size))
-    return first[labels]
-
-
-def expected_components(n, src, dst):
-    """scipy's strong components, renamed to their smallest nodes, with
-    each weakly connected piece whose strong components are more than the
-    components of its edges present both ways labelled whole: the pieces
-    whose contracted graph has a cycle."""
-    graph = scipy.sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n)).tocsr()
-    labels = [smallest_node_labels(connected_components(g, directed=directed, connection=kind)[1])
-              for g, directed, kind in ((graph, True, "strong"),
-                                        (graph.multiply(graph.T), False, "weak"),
-                                        (graph, False, "weak"))]
-    strong, mutual, weak = labels
-    cyclic = np.zeros(n, dtype=bool)
-    cyclic[weak[strong != mutual]] = True
-    return np.where(cyclic[weak], weak, strong), cyclic[weak]
 
 
 def condensation_levels(n, src, dst):
@@ -81,48 +57,74 @@ def condensation_levels(n, src, dst):
     return level[strong]
 
 
-@ORACLE
-@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["random", "mirrored", "chain"]))
-def test_strong_components_match_scipy(seed, shape):
-    """Random directed graphs: sparse and dense ones, with nodes on no
-    edge (1x1 components), edges mirrored by the swap P of a Liouvillian's
-    indices, and acyclic chains of 60 to 90 nodes, whose relaxation takes
-    about as many steps, with or without one edge back that closes a
-    long cycle.  Where a piece's edges one way
-    only close no cycle, the labels are scipy's strong components and the
-    levels the longest paths over their condensation; a piece where they
-    do is labelled whole, the sector it is solved as, at level 0."""
-    rng = np.random.default_rng(seed)
-    if shape == "chain":
-        n = int(rng.integers(60, 90))
-        src = np.r_[np.arange(n - 1), rng.integers(0, n, 5)]
-        dst = np.r_[np.arange(1, n), rng.integers(0, n, 5)]
-        src, dst = src[src < dst], dst[src < dst]
-        back = rng.random() < 0.5
-        if back:
-            # one edge back closes a long cycle
-            src, dst = np.r_[src, n - 1 - int(rng.integers(0, 5))], np.r_[dst, int(rng.integers(0, 5))]
+def unit_partition(rng, chain):
+    """Random sectors of random units over shuffled indices: the sector and
+    unit of each index, each labelled by its smallest index; the units'
+    labels in sector order; and edges src -> dst that only run inside a
+    unit or from a unit to a later one of its sector.  A chain is one
+    sector of 60 to 90 units, each unit joined to the next, whose
+    relaxation takes about as many steps; otherwise up to five sectors of
+    up to 40 units in all, with random edges."""
+    if chain:
+        sector = np.zeros(int(rng.integers(60, 91)), dtype=int)
     else:
-        d = int(rng.integers(1, 7))
-        n = d * d
-        m = int(rng.integers(0, 3 * n + 1))
-        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
-        if shape == "mirrored":
-            p = _partner([d])
-            src, dst = np.r_[src, p[src]], np.r_[dst, p[dst]]
-    want, whole = expected_components(n, src, dst)
-    labels, level = _strong_components(n, src, dst)
-    assert np.array_equal(labels, want)
-    assert np.array_equal(level, np.where(whole, 0, condensation_levels(n, src, dst)))
-    if shape == "chain":
-        assert whole.all() == back and (whole.any() or np.unique(want).size == n)
+        sector = np.sort(rng.integers(0, int(rng.integers(1, 6)), int(rng.integers(1, 41))))
+    q = sector.size
+    uid = np.r_[np.arange(q), rng.integers(0, q, int(rng.integers(0, 2 * q)))]
+    n = uid.size
+    uid = uid[rng.permutation(n)]
+    heads, labels = np.full(q, n), np.full(sector.max() + 1, n)
+    np.minimum.at(heads, uid, np.arange(n))
+    np.minimum.at(labels, sector[uid], np.arange(n))
+    a, b = rng.integers(0, n, (2, int(rng.integers(0, 3 * n + 1))))
+    keep = (sector[uid[a]] == sector[uid[b]]) & (uid[a] <= uid[b])
+    src, dst = a[keep], b[keep]
+    if chain:
+        src, dst = np.r_[src, heads[:-1]], np.r_[dst, heads[1:]]
+    return labels[sector[uid]], heads[uid], heads, src, dst
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), chain=st.booleans())
+def test_levels_match_scipy(seed, chain):
+    """Random unit partitions whose edges between units close no cycle,
+    and the same partitions with one edge back that closes one (a long
+    one in a chain): in a sector whose edges between units close no
+    cycle, each index's level is the longest path of units into its
+    unit, by Kahn's order over scipy's condensation of the graph of
+    units; a sector where they do is marked cyclic, at level 0, which
+    _induced does not induce (mirrored_cycle_model checks that end to
+    end)."""
+    rng = np.random.default_rng(seed)
+    labels, unit, heads, src, dst = unit_partition(rng, chain)
+    n = labels.size
+    draws = [(src, dst)]
+    cross = np.flatnonzero(unit[src] != unit[dst])
+    if chain:
+        # from one of the last units to one of the first
+        back = heads[-1 - int(rng.integers(0, 5))], heads[int(rng.integers(0, 5))]
+        draws.append((np.r_[src, back[0]], np.r_[dst, back[1]]))
+    elif cross.size:
+        # an edge between units reversed
+        k = cross[int(rng.integers(0, cross.size))]
+        draws.append((np.r_[src, dst[k]], np.r_[dst, src[k]]))
+    for closed, (s, d) in enumerate(draws):
+        level, acyclic = sectors._levels(labels, unit, s, d)
+        graph = scipy.sparse.coo_matrix((np.ones(s.size), (unit[s], unit[d])), shape=(n, n))
+        strong = connected_components(graph.tocsr(), directed=True, connection="strong")[1]
+        cyclic = np.isin(labels, labels[np.bincount(strong)[strong] > 1])
+        assert cyclic.any() == closed
+        assert np.array_equal(acyclic, ~cyclic)
+        want = condensation_levels(n, unit[s], unit[d])[unit]
+        assert np.array_equal(level, np.where(cyclic, 0, want))
 
 
 def mirrored_cycle_model():
-    """A five-level generator whose self-conjugate sector holds the
-    components C = {|0><1|}, P C, D = {|2><3|} and P D, with C -> D: a
-    one-way entry D -> P C of 1e-14 |L|_F, whose mirror P D -> C is 0,
-    closes a cycle only through the mirrored edges.  It keeps the
+    """A five-level generator with a diagonal H_eff, whose units are its
+    indices, and whose self-conjugate sector holds the units C = |0><1|,
+    P C, D = |2><3| and P D, with C -> D: a one-way entry D -> P C of
+    1e-14 |L|_F, whose mirror P D -> C is 0, closes a cycle of units only
+    through the mirrored edges.  It keeps the
     (H_eff, Gamma) factors of the model it perturbs."""
     d, e = 5, np.eye(5)
     space = HilbertSpace((d,))
@@ -151,12 +153,12 @@ def example3_one_way_model():
 def test_one_way_entries_within_the_hermiticity_tolerance(build, min_size, count):
     """Generators that pass the 1e-12 |L|_F Hermiticity check with an
     entry whose P-mirror is 0, with the (H_eff, Gamma) factors of the
-    model they perturb: the components are those of the graph with the
-    mirrored edges added, so P maps units onto units, and a piece whose
-    one-way edges close a cycle is one unit, solved whole.  The solve
-    ends with the dense eigenvalues: the five-level sector (split with
-    SCC_MIN_SIZE = 1) is one unit, and example3's sectors without the
-    entry (470 of 625 indices) are solved by their induced units."""
+    model they perturb: the levels of the units run over the graph with
+    the mirrored edges added, and a sector whose edges between units
+    close a cycle is not induced, but solved whole.  The solve ends with
+    the dense eigenvalues: the five-level sector (split with
+    SCC_MIN_SIZE = 1) is solved whole, and example3's sectors without the
+    entry (470 of 625 indices) by their induced units."""
     liou, masks, induced = build(), [], sectors._induced
 
     def spy(*args):
@@ -177,8 +179,8 @@ def test_one_way_entries_within_the_hermiticity_tolerance(build, min_size, count
 def random_lowering_model(rng, levels):
     """Two modes with a cutoff: a random Hermitian H that keeps the total
     excitation number and one or two channels c1 a + c2 b that lower it,
-    so that L is block triangular on the (N_l, N_r) blocks, each one
-    strongly connected component."""
+    so that L is block triangular on the (N_l, N_r) blocks, the products
+    of H_eff's excitation blocks: its units."""
     bos = build_boson_ops(levels)
     a, b = tensor(bos["a"], bos["identity"]), tensor(bos["identity"], bos["a"])
     total = np.add.outer(np.arange(levels), np.arange(levels)).ravel()
@@ -203,8 +205,9 @@ def raw_residuals(liou, vals, blocks):
 
 
 def assert_induced_matches_the_dense_sector_solve(liou):
-    """Every sector split (SCC_MIN_SIZE = 1) and solved by its units, none
-    falling back to the dense solve: the values match the dense solve's
+    """Every sector split (SCC_MIN_SIZE = 1), those of several units (the
+    products of H_eff's sectors) solved by them, none falling back to the
+    dense solve: the values match the dense solve's
     within 1e-10 |L|_1, the residuals stay within SCC_RESIDUAL_TOL of
     |x| |L|_1 or within the dense solve's own, and the values and vectors
     keep the dense solve's orbits under P bit for bit
@@ -233,11 +236,12 @@ def assert_induced_matches_the_dense_sector_solve(liou):
 @ORACLE
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "lowering"]))
 def test_scc_solve_against_the_dense_sector_solve(seed, kind):
-    """Every sector split (SCC_MIN_SIZE = 1): on random_lindblad_model a
-    sector is one component and the solve is the dense sector solve's
-    bit for bit; on random_lowering_model, whose sectors hold several
-    components that H_eff induces, the induced solve matches the dense
-    one (assert_induced_matches_the_dense_sector_solve)."""
+    """Every sector split (SCC_MIN_SIZE = 1): on random_lindblad_model,
+    whose dense H_eff is one sector, L's sector is one unit and the solve
+    is the dense sector solve's bit for bit; on
+    random_lowering_model, whose sectors hold several units that H_eff
+    induces, the induced solve matches the dense one
+    (assert_induced_matches_the_dense_sector_solve)."""
     rng = np.random.default_rng(seed)
     if kind == "lowering":
         liou = assemble_liouvillian(random_lowering_model(rng, int(rng.integers(2, 4))))
@@ -250,6 +254,13 @@ def test_scc_solve_against_the_dense_sector_solve(seed, kind):
         vals, blocks = _block_eig(n, liou.entries, partner=p, factors=[liou.factors])
     assert vals.tobytes() == dense_vals.tobytes()
     assert _scatter(blocks).tobytes() == _scatter(dense_blocks).tobytes()
+
+
+def test_one_way_heff_sector_is_solved_by_its_induced_units():
+    """one_way_heff_model: the sector {0, 1} x {0, 1} + {2} x {2} holds two
+    units that H_eff induces, though H_eff is one-way inside {0, 1}, and
+    its induced solve matches the dense one."""
+    assert_induced_matches_the_dense_sector_solve(assemble_liouvillian(one_way_heff_model()))
 
 
 @pytest.mark.parametrize("levels,g", [(3, 0.0), (5, 0.0), (4, 0.02), (3, 0.124), (3, 0.126)])
@@ -286,8 +297,9 @@ def example3_with_dephasing():
 def one_way_heff_model():
     """A three-level model whose one jump |2><0| + 2|2><1| crosses H_eff's
     sectors {0, 1} and {2}, where H[0, 1] = i cancels -(i/2) (Gamma^dag
-    Gamma)[0, 1] exactly: H_eff is one-way on {0, 1}, so L's units are
-    finer than the products of H_eff's sectors."""
+    Gamma)[0, 1] exactly: H_eff is one-way on {0, 1}, so L's strongly
+    connected components are finer than the products of H_eff's sectors,
+    and the units, the products, are not strongly connected."""
     space = HilbertSpace((3,))
     h = np.array([[0.3, 1j, 0], [-1j, 0.8, 0], [0, 0, 1.7]])
     jump = np.zeros((3, 3), dtype=complex)
@@ -304,14 +316,12 @@ def one_way_heff_model():
     lambda rng: get_family("example2").build(),
     lambda rng: random_lindblad_model(rng),
     lambda rng: example3_with_dephasing(),
-    lambda rng: one_way_heff_model(),
-], ids=["dephasing", "example1", "example1-ep", "example2", "random", "example3-dephased",
-        "one-way-heff"])
+], ids=["dephasing", "example1", "example1-ep", "example2", "random", "example3-dephased"])
 def test_jumps_inside_units_keep_every_sector_whole(build):
     """Every sector split (SCC_MIN_SIZE = 1) on models whose jump entries
-    lie inside their units, or whose units are not products of H_eff's
-    sectors: no sector is induced by H_eff, and the solve is bit for bit
-    the one with every sector left whole."""
+    lie inside H_eff's sectors, and so inside the units: no sector is
+    induced by H_eff, and the solve is bit for bit the one with every
+    sector left whole."""
     liou = assemble_liouvillian(build(np.random.default_rng(5)))
     n, p = liou.dim ** 2, _partner([liou.dim])
     with mock.patch.object(sectors, "SCC_MIN_SIZE", n + 1):

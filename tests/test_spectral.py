@@ -200,11 +200,11 @@ class TestAnalyzeLiouvillian:
     def test_example3_takes_one_eig_per_conjugate_orbit(self, eig_calls):
         # levels=5: 17 sectors, two of them 1x1.  The sectors of at least
         # SCC_MIN_SIZE = 32 indices (85, 2 x 80, 2 x 68, 2 x 52, 2 x 35) are
-        # solved by their strongly connected components, the (N_l, N_r)
-        # blocks, whose values and vectors are induced by H_eff's
-        # excitation blocks: the seven of N = 1..7 (2, 3, 4, 5, 4, 3 and 2
-        # states) take one complex eig each, in one call per size, and the
-        # components none; the three partner pairs left (20, 10 and 4
+        # solved by their units, the (N_l, N_r) blocks, the products of
+        # H_eff's excitation blocks, which induce their values and vectors:
+        # the seven of N = 1..7 (2, 3, 4, 5, 4, 3 and 2 states) take one
+        # complex eig each, in one call per size, and the units none; the
+        # three partner pairs left (20, 10 and 4
         # indices) take one complex eig each
         liou = assemble_liouvillian(example3(1.0, 0.1, 1.0, 0.5, levels=5))
         liouvillian_eigensystem(liou)
